@@ -37,9 +37,10 @@ from repro.normalization.certificate import (
     DecompositionStep,
 )
 from repro.normalization.engine import certify_decomposition
+from repro.relational.algebra import distinct_values
 from repro.relational.attribute import Attribute, AttributeRef
 from repro.relational.database import Database
-from repro.relational.domain import is_null
+from repro.relational.domain import has_null
 from repro.relational.schema import RelationSchema
 
 
@@ -331,16 +332,8 @@ class Restruct:
         self, relation: str, attrs: Tuple[str, ...]
     ) -> List[Tuple[object, ...]]:
         """Distinct fully-non-NULL projections, deterministic order."""
-        seen: Set[Tuple[object, ...]] = set()
-        out: List[Tuple[object, ...]] = []
-        for row in self.database.table(relation):
-            values = row.project(attrs)
-            if any(is_null(v) for v in values):
-                continue
-            if values not in seen:
-                seen.add(values)
-                out.append(values)
-        return sorted(out, key=repr)
+        table = self.database.table(relation)
+        return sorted(distinct_values(table, attrs), key=repr)
 
     def _grouped_projection(
         self,
@@ -355,21 +348,23 @@ class Restruct:
         exist for one A_i; the first (in table order) wins and a warning
         records the conflict.
         """
+        table = self.database.table(relation)
+        key_of = table.schema.projector(lhs)
+        image_of = table.schema.projector(rhs)
         chosen: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
-        for row in self.database.table(relation):
-            key = row.project(lhs)
-            if any(is_null(v) for v in key):
-                continue
-            image = row.project(rhs)
-            if key in chosen:
-                if chosen[key] != image:
-                    result.warnings.append(
-                        f"enforced FD on {relation}: value {key!r} maps to both "
-                        f"{chosen[key]!r} and {image!r}; kept the first"
-                    )
-                continue
-            chosen[key] = image
-        return sorted((k + v for k, v in chosen.items()), key=repr)
+        for row in table:
+            values = row.values
+            key = key_of(values)
+            image = image_of(values)
+            first = chosen.setdefault(key, image)
+            if first != image and not has_null(key):
+                result.warnings.append(
+                    f"enforced FD on {relation}: value {key!r} maps to both "
+                    f"{first!r} and {image!r}; kept the first"
+                )
+        return sorted(
+            (k + v for k, v in chosen.items() if not has_null(k)), key=repr
+        )
 
     def _redirect(
         self,

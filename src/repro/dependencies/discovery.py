@@ -21,7 +21,7 @@ from repro.dependencies.fd import FunctionalDependency
 from repro.dependencies.ind import InclusionDependency
 from repro.relational.algebra import distinct_values
 from repro.relational.database import Database
-from repro.relational.domain import comparable, is_null
+from repro.relational.domain import comparable, has_null
 from repro.relational.table import Table
 
 
@@ -96,13 +96,11 @@ def _partition(table: Table, attrs: Sequence[str]) -> FrozenSet[FrozenSet[int]]:
     the FD-satisfaction convention); singleton groups are kept because the
     simplified refinement test below compares group counts directly.
     """
+    key_of = table.schema.projector(attrs)
     groups: Dict[Tuple[object, ...], List[int]] = {}
     for idx, row in enumerate(table):
-        key = row.project(attrs)
-        if any(is_null(v) for v in key):
-            continue
-        groups.setdefault(key, []).append(idx)
-    return frozenset(frozenset(g) for g in groups.values())
+        groups.setdefault(key_of(row.values), []).append(idx)
+    return frozenset(frozenset(g) for key, g in groups.items() if not has_null(key))
 
 
 def _refines(fine: FrozenSet[FrozenSet[int]], coarse_attr_partition) -> bool:

@@ -13,6 +13,7 @@ from typing import List, Sequence, Tuple
 from repro.dependencies.fd import FunctionalDependency
 from repro.relational.algebra import fd_violation_pairs, functional_maps
 from repro.relational.database import Database
+from repro.relational.domain import has_null
 from repro.relational.table import Row, Table
 
 
@@ -52,15 +53,22 @@ def satisfaction_ratio(table: Table, fd: FunctionalDependency) -> float:
     dependency marred by a few dirty tuples — exactly the situation where
     the paper lets the expert *enforce* the dependency (RHS-Discovery
     step (ii)).  An empty table (or all-NULL LHS) yields 1.0.
-    """
-    from repro.relational.algebra import group_by
 
-    groups = group_by(table, tuple(fd.lhs))
+    One pass: each LHS group keeps only its first RHS image, and a group
+    whose later image differs joins the dirty set.
+    """
+    key_of = table.schema.projector(fd.lhs)
+    image_of = table.schema.projector(fd.rhs)
+    first: dict = {}
+    dirty: set = set()
+    for row in table:
+        values = row.values
+        key = key_of(values)
+        image = image_of(values)
+        if first.setdefault(key, image) != image:
+            dirty.add(key)
+    groups = [key for key in first if not has_null(key)]
     if not groups:
         return 1.0
-    clean = 0
-    for rows in groups.values():
-        images = {tuple(row[a] for a in fd.rhs) for row in rows}
-        if len(images) <= 1:
-            clean += 1
+    clean = sum(1 for key in groups if key not in dirty)
     return clean / len(groups)

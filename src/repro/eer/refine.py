@@ -17,7 +17,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.eer.model import EERSchema, Participation, RelationshipType
+from repro.relational import algebra
 from repro.relational.database import Database
+from repro.relational.domain import has_null
 
 
 def _via_is_unique(database: Database, relation: str, attrs) -> bool:
@@ -26,9 +28,7 @@ def _via_is_unique(database: Database, relation: str, attrs) -> bool:
         return False
     table = database.table(relation)
     non_null = [
-        row.project(attrs)
-        for row in table
-        if not row.has_null(attrs)
+        values for values in algebra.project(table, attrs) if not has_null(values)
     ]
     return len(non_null) == len(set(non_null))
 

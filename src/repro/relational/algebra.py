@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.exceptions import ArityError
-from repro.relational.domain import is_null
+from repro.relational.domain import has_null, is_null
 from repro.relational.table import Row, Table
 
 ValueTuple = Tuple[Any, ...]
@@ -22,7 +22,8 @@ ValueTuple = Tuple[Any, ...]
 
 def project(table: Table, attrs: Sequence[str]) -> List[ValueTuple]:
     """``r[Y]`` as a list (bag semantics — duplicates preserved)."""
-    return [row.project(attrs) for row in table]
+    key_of = table.schema.projector(attrs)
+    return [key_of(row.values) for row in table]
 
 
 def distinct_values(table: Table, attrs: Sequence[str]) -> Set[ValueTuple]:
@@ -31,13 +32,9 @@ def distinct_values(table: Table, attrs: Sequence[str]) -> Set[ValueTuple]:
     Tuples with a NULL in any projected position are excluded, matching
     SQL ``count(distinct ...)`` and FK-join behaviour.
     """
-    out: Set[ValueTuple] = set()
-    for row in table:
-        values = row.project(attrs)
-        if any(is_null(v) for v in values):
-            continue
-        out.add(values)
-    return out
+    key_of = table.schema.projector(attrs)
+    projections = {key_of(row.values) for row in table}
+    return {values for values in projections if not has_null(values)}
 
 
 def count_distinct(table: Table, attrs: Sequence[str]) -> int:
@@ -109,13 +106,11 @@ def group_by(table: Table, attrs: Sequence[str]) -> dict:
     Rows with a NULL in the grouping attributes are dropped, consistent
     with the FD-satisfaction convention documented in DESIGN.md.
     """
+    key_of = table.schema.projector(attrs)
     groups: dict = {}
     for row in table:
-        key = row.project(attrs)
-        if any(is_null(v) for v in key):
-            continue
-        groups.setdefault(key, []).append(row)
-    return groups
+        groups.setdefault(key_of(row.values), []).append(row)
+    return {key: rows for key, rows in groups.items() if not has_null(key)}
 
 
 def functional_maps(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> bool:
@@ -126,17 +121,15 @@ def functional_maps(table: Table, lhs: Sequence[str], rhs: Sequence[str]) -> boo
     value (two NULLs agree) so that wholly-missing optional attributes do
     not spuriously break dependencies; NULL-bearing LHS tuples are skipped.
     """
+    key_of = table.schema.projector(lhs)
+    image_of = table.schema.projector(rhs)
     witness: dict = {}
     for row in table:
-        key = row.project(lhs)
-        if any(is_null(v) for v in key):
-            continue
-        image = row.project(rhs)
-        if key in witness:
-            if witness[key] != image:
-                return False
-        else:
-            witness[key] = image
+        values = row.values
+        key = key_of(values)
+        image = image_of(values)
+        if witness.setdefault(key, image) != image and not has_null(key):
+            return False
     return True
 
 
@@ -145,24 +138,26 @@ def fd_violation_pairs(
 ) -> List[Tuple[Row, Row]]:
     """Up to *limit* pairs of tuples witnessing that ``lhs -> rhs`` fails.
 
-    Used to show the expert user *why* a presumed dependency does not hold
-    before asking whether to enforce it anyway.
+    Each pair is the first row of an LHS group and a later row of the
+    group with a different RHS image.  Used to show the expert user *why*
+    a presumed dependency does not hold before asking whether to enforce
+    it anyway.
     """
+    key_of = table.schema.projector(lhs)
+    image_of = table.schema.projector(rhs)
     witness: dict = {}
     violations: List[Tuple[Row, Row]] = []
     for row in table:
-        key = row.project(lhs)
-        if any(is_null(v) for v in key):
-            continue
-        image = row.project(rhs)
-        if key in witness:
-            prev_row, prev_image = witness[key]
-            if prev_image != image:
-                violations.append((prev_row, row))
-                if len(violations) >= limit:
-                    break
-        else:
+        values = row.values
+        key = key_of(values)
+        image = image_of(values)
+        first = witness.get(key)
+        if first is None:
             witness[key] = (row, image)
+        elif first[1] != image and not has_null(key):
+            violations.append((first[0], row))
+            if len(violations) >= limit:
+                break
     return violations
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from typing import Any
+from typing import Any, Iterable
 
 from repro.exceptions import TypingError
 
@@ -58,7 +58,20 @@ def is_null(value: Any) -> bool:
     return value is NULL or value is None
 
 
+#: the two spellings :func:`is_null` accepts
+_NULLS = frozenset((NULL, None))
+
+
+def has_null(values: Iterable[Any]) -> bool:
+    """True when any of *values* is NULL (or None), by one set probe each."""
+    return not _NULLS.isdisjoint(values)
+
+
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+#: domain name → the Python type its values are stored as; DATE has none
+#: (it accepts ``datetime.date`` and ISO strings alike)
+_EXACT_TYPES = {"INTEGER": int, "REAL": float, "TEXT": str, "BOOLEAN": bool}
 
 
 class DataType:
@@ -69,10 +82,13 @@ class DataType:
     :data:`DATE`, :data:`BOOLEAN`.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_exact")
 
     def __init__(self, name: str) -> None:
         self.name = name
+        #: the one Python type this domain stores as-is; a value of
+        #: exactly this type (not a subclass) needs no membership test
+        self._exact = _EXACT_TYPES.get(name)
 
     def __repr__(self) -> str:
         return self.name
@@ -104,14 +120,21 @@ class DataType:
     def coerce(self, value: Any) -> Any:
         """Return *value* normalized into this domain, or raise TypingError.
 
-        Ints widen to REAL; ISO strings are accepted for DATE; everything
-        else must already belong to the domain.
+        Ints widen to REAL (as floats, the way SQLite stores them); ISO
+        strings are accepted for DATE; everything else must already belong
+        to the domain.  A value whose type is exactly the one the domain
+        stores (``int`` for INTEGER, ``float`` for REAL, ``str`` for TEXT,
+        ``bool`` for BOOLEAN) is returned without further checks.
         """
+        if type(value) is self._exact:
+            return value
         if is_null(value):
             return NULL
         if self.contains(value):
             if self.name == "DATE" and isinstance(value, datetime.date):
                 return value.isoformat()
+            if self.name == "REAL":
+                return float(value)
             return value
         raise TypingError(f"value {value!r} is not in domain {self.name}")
 

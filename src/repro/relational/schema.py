@@ -8,7 +8,8 @@ and ``N`` sets of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import (
     DuplicateRelationError,
@@ -131,6 +132,23 @@ class RelationSchema:
             return self._index[name]
         except KeyError:
             raise UnknownAttributeError(self.name, name) from None
+
+    def projector(
+        self, attrs: Iterable[str]
+    ) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+        """A function mapping a row's values to its projection on *attrs*.
+
+        The attribute positions are resolved once, here, so a scan calls
+        ``projector(attrs)`` before its loop and applies the result to each
+        ``row.values``; unknown names raise now rather than per row.
+        """
+        positions = tuple(self.position(a) for a in attrs)
+        if len(positions) < 2:
+            # a one-index itemgetter returns the bare value; a slice keeps
+            # the tuple
+            start = positions[0] if positions else 0
+            return itemgetter(slice(start, start + len(positions)))
+        return itemgetter(*positions)
 
     def keys(self) -> List[KeyConstraint]:
         """The key constraints derivable from the unique declarations."""

@@ -10,7 +10,8 @@ validates tuples.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.exceptions import ArityError, UnknownAttributeError
 from repro.relational.domain import NULL, is_null
@@ -40,16 +41,16 @@ class Row:
     __slots__ = ("_schema", "_values")
 
     def __init__(self, schema: RelationSchema, values: Sequence[Any]) -> None:
-        if len(values) != len(schema.attributes):
+        attributes = schema.attributes
+        if len(values) != len(attributes):
             raise ArityError(
-                f"{schema.name} expects {len(schema.attributes)} values, "
+                f"{schema.name} expects {len(attributes)} values, "
                 f"got {len(values)}"
             )
-        coerced = []
-        for attr, value in zip(schema.attributes, values):
-            coerced.append(attr.dtype.coerce(value))
         self._schema = schema
-        self._values: Tuple[Any, ...] = tuple(coerced)
+        self._values: Tuple[Any, ...] = tuple(
+            [attr.dtype.coerce(value) for attr, value in zip(attributes, values)]
+        )
 
     @property
     def schema(self) -> RelationSchema:
@@ -181,8 +182,9 @@ class Table:
         source.
         """
         table = Table(schema)
+        project = self._schema.projector(schema.attribute_names)
         for row in self._rows:
-            table.insert([row[a] for a in schema.attribute_names])
+            table.insert(project(row.values))
         table.version += self.version
         return table
 

@@ -18,9 +18,10 @@ at insert time.
 | ``s`` | u32 length + UTF-8 bytes | ``str`` (TEXT and DATE domains) |
 
 Booleans are tagged before integers (``bool`` is an ``int`` subclass in
-Python); REAL-domain columns may legitimately hold ``int`` values (the
-domain's ``coerce`` keeps them), and the codec preserves that — an
-``int`` never silently becomes a ``float`` across a round trip.
+Python).  The codec preserves each value's Python type — an ``int`` never
+silently becomes a ``float`` across a round trip; widening ints in
+REAL-domain columns is the domain's ``coerce``, before a value is
+encoded.
 """
 
 from __future__ import annotations

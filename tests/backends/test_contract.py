@@ -17,7 +17,7 @@ from repro.exceptions import (
     UnknownRelationError,
 )
 from repro.relational import Database, DatabaseSchema, RelationSchema
-from repro.relational.domain import INTEGER, NULL
+from repro.relational.domain import INTEGER, NULL, REAL
 from repro.workloads.paper_example import build_paper_database
 
 
@@ -137,6 +137,31 @@ class TestRowAccess:
         db.insert("t", {"a": 1})
         (values,) = list(db.backend.rows("t"))
         assert values[0] == 1 and values[1] is NULL
+
+    def test_values_and_fingerprint_match_memory(self, backend_factory):
+        """Regression: a REAL column stored ``2`` on memory but ``2.0`` on
+        SQLite, so the same rows fingerprinted differently per backend."""
+        from repro.backends import MemoryBackend
+        from repro.service.jobs import database_fingerprint
+
+        def build(backend):
+            schema = DatabaseSchema([
+                RelationSchema.build(
+                    "t", ["i", "r", "s"], types={"i": INTEGER, "r": REAL}
+                )
+            ])
+            db = Database(schema, backend=backend)
+            db.insert_many("t", [[1, 2, "a"], [2, 2.5, "b"], [3, NULL, None]])
+            return db
+
+        here, memory = build(backend_factory()), build(MemoryBackend())
+        rows, expected = list(here.backend.rows("t")), list(memory.backend.rows("t"))
+        assert rows == expected
+        assert [tuple(map(type, r)) for r in rows] == [
+            tuple(map(type, r)) for r in expected
+        ]
+        assert type(rows[0][1]) is float
+        assert database_fingerprint(here) == database_fingerprint(memory)
 
     def test_insert_validates_typing(self, db):
         with pytest.raises(TypingError):

@@ -1,6 +1,7 @@
 """NULL semantics and data-type membership."""
 
 import datetime
+import enum
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.exceptions import TypingError
 from repro.relational.domain import (
     BOOLEAN,
     DATE,
+    DataType,
     INTEGER,
     NULL,
     NullType,
@@ -85,6 +87,54 @@ class TestDataTypes:
 
     def test_coerce_null_returns_sentinel(self):
         assert INTEGER.coerce(None) is NULL
+
+
+class TestCoerceEdges:
+    """The exact-type fast path must not let any foreign value through."""
+
+    def test_bool_is_not_an_integer(self):
+        with pytest.raises(TypingError):
+            INTEGER.coerce(True)
+
+    def test_int_is_not_text(self):
+        with pytest.raises(TypingError):
+            TEXT.coerce(3)
+
+    def test_int_subclass_goes_through_contains(self, monkeypatch):
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        checked = []
+        contains = DataType.contains
+
+        def spy(self, value):
+            checked.append(value)
+            return contains(self, value)
+
+        monkeypatch.setattr(DataType, "contains", spy)
+        assert INTEGER.coerce(5) == 5
+        assert checked == []                    # exact int: fast path
+        assert INTEGER.coerce(Level.LOW) is Level.LOW
+        assert checked == [Level.LOW]           # subclass: membership test
+        with pytest.raises(TypingError):
+            BOOLEAN.coerce(Level.LOW)
+
+    def test_real_widens_ints_to_float(self):
+        coerced = REAL.coerce(3)
+        assert coerced == 3.0 and type(coerced) is float
+        assert type(REAL.coerce(2.5)) is float
+        with pytest.raises(TypingError):
+            REAL.coerce(True)
+
+    def test_date_objects_still_become_iso_strings(self):
+        assert DATE.coerce(datetime.date(2021, 3, 4)) == "2021-03-04"
+        assert DATE.coerce("2021-03-04") == "2021-03-04"
+        with pytest.raises(TypingError):
+            DATE.coerce("04/03/2021")
+
+    def test_exact_types_pass_unchanged(self):
+        for dtype, value in ((INTEGER, 7), (REAL, 7.5), (TEXT, "x"), (BOOLEAN, False)):
+            assert dtype.coerce(value) is value
 
     def test_equality_is_by_name(self):
         assert INTEGER == type_named("int")
