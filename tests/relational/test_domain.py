@@ -88,6 +88,11 @@ class TestDataTypes:
     def test_coerce_null_returns_sentinel(self):
         assert INTEGER.coerce(None) is NULL
 
+    def test_equality_is_by_name(self):
+        assert INTEGER == type_named("int")
+        assert INTEGER != REAL
+        assert hash(INTEGER) == hash(type_named("BIGINT"))
+
 
 class TestCoerceEdges:
     """The exact-type fast path must not let any foreign value through."""
@@ -135,11 +140,6 @@ class TestCoerceEdges:
     def test_exact_types_pass_unchanged(self):
         for dtype, value in ((INTEGER, 7), (REAL, 7.5), (TEXT, "x"), (BOOLEAN, False)):
             assert dtype.coerce(value) is value
-
-    def test_equality_is_by_name(self):
-        assert INTEGER == type_named("int")
-        assert INTEGER != REAL
-        assert hash(INTEGER) == hash(type_named("BIGINT"))
 
 
 class TestTypeNames:
