@@ -44,6 +44,18 @@ backends that only implement the required surface keep working:
   :class:`~repro.backends.memory.MemoryBackend` sets it because its
   primitives are pure in-process reads.
 
+A third optional member serves :meth:`~repro.relational.database.Database.copy`,
+which falls back to ``spawn`` plus the validating ``insert_many`` path
+without it:
+
+- ``clone(schema)`` returns a new backend of the same kind holding a
+  copy of the extension under *schema* (a copy of the attached schema),
+  with cold caches, without re-validating rows that were validated on
+  entry — :class:`~repro.backends.memory.MemoryBackend` re-homes its
+  immutable rows, :class:`~repro.backends.sqlite.SQLiteBackend`
+  byte-copies a store it built itself.  Returning None declines, and
+  the copy takes the validating path.
+
 The contract is executable: ``tests/backends/test_contract.py`` runs the
 same assertions over every registered backend, including the batch hook
 and its serial fallback.
@@ -100,8 +112,12 @@ class ExtensionBackend(Protocol):
     def drop_relation(self, name: str) -> None:
         """Drop the relation's storage and every cache entry about it."""
 
-    def replace_relation(self, relation: "RelationSchema") -> "Table":
-        """Swap in a modified schema, projecting the stored extension."""
+    def replace_relation(self, relation: "RelationSchema") -> None:
+        """Swap in a modified schema, projecting the stored extension.
+
+        Returns nothing: the projected relation is not hydrated; a
+        caller that needs rows asks :meth:`table` for them.
+        """
 
     # -- row access ----------------------------------------------------
     def table(self, name: str) -> "Table":

@@ -55,6 +55,22 @@ class MemoryBackend:
         """A fresh, empty in-memory backend."""
         return MemoryBackend()
 
+    def clone(self, schema: DatabaseSchema) -> "MemoryBackend":
+        """A :meth:`spawn`-ed sibling holding a copy of this extension.
+
+        *schema* is a copy of the attached one.  Each table is re-homed
+        with :meth:`Table.with_schema`: a new row list bound to the
+        clone's relation, built without re-validation — rows here were
+        typed on insert and are immutable.  The distinct-value cache
+        starts empty.
+        """
+        twin = self.spawn()
+        for relation in schema:
+            twin._tables[relation.name] = self.table(relation.name).with_schema(
+                relation
+            )
+        return twin
+
     def close(self) -> None:
         """Drop all tables and caches."""
         self._tables.clear()
@@ -76,13 +92,12 @@ class MemoryBackend:
         self._invalidate(name)
         del self._tables[name]
 
-    def replace_relation(self, relation: RelationSchema) -> Table:
+    def replace_relation(self, relation: RelationSchema) -> None:
         """Swap a relation's schema, projecting its extension (Restruct)."""
         self._invalidate(relation.name)
-        old = self.table(relation.name)
-        table = old.with_schema(relation)
-        self._tables[relation.name] = table
-        return table
+        self._tables[relation.name] = self.table(relation.name).with_schema(
+            relation
+        )
 
     # ------------------------------------------------------------------
     # row access

@@ -175,7 +175,7 @@ class PagedBackend:
         self._stored.pop(name, None)
         self._bump(name)
 
-    def replace_relation(self, relation: RelationSchema) -> Table:
+    def replace_relation(self, relation: RelationSchema) -> None:
         """Project the stored extension onto a modified schema (Restruct).
 
         Decodes under the schema the records were written with, projects
@@ -194,7 +194,6 @@ class PagedBackend:
         self._invalidate(name)
         self._stored[name] = relation
         self._rewrite(name, projected)
-        return self.table(name)
 
     # ------------------------------------------------------------------
     # row access

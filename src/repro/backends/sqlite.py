@@ -37,7 +37,7 @@ reads them back).
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import UnknownRelationError
 from repro.relational.domain import BOOLEAN, is_null, NULL
@@ -54,6 +54,21 @@ _SQL_TYPES = {
     "BOOLEAN": "BOOLEAN",
 }
 
+#: per repro domain, a SQL test (over column ``{c}``) that a stored value
+#: already is what validating it in Python would store: a storage class
+#: the domain keeps as-is, ISO-shaped text for DATE, 0/1 for BOOLEAN.
+#: A same-kind copy byte-copies a store only if every relation passes it.
+_STORED_AS_IS = {
+    "INTEGER": "(typeof({c}) = 'integer' OR {c} IS NULL)",
+    "REAL": "(typeof({c}) = 'real' OR typeof({c}) = 'integer' OR {c} IS NULL)",
+    "TEXT": "(typeof({c}) = 'text' OR {c} IS NULL)",
+    "DATE": (
+        "(typeof({c}) = 'text' AND {c} GLOB "
+        "'[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]' OR {c} IS NULL)"
+    ),
+    "BOOLEAN": "(typeof({c}) = 'integer' AND {c} IN (0, 1) OR {c} IS NULL)",
+}
+
 #: separator for multi-column FD images built from QUOTE() fragments;
 #: the ASCII unit separator cannot collide with QUOTE output
 _SEP = "char(31)"
@@ -68,7 +83,7 @@ class _SQLiteTable(Table):
     """A hydrated mirror of one SQLite relation; mutations write through.
 
     Holding the rows in an ordinary :class:`Table` keeps every existing
-    row-level consumer working; overriding the three mutators keeps the
+    row-level consumer working; overriding the mutators keeps the
     SQLite store authoritative.  ``_backend`` is None while hydrating
     (and after the relation is dropped or replaced), which turns the
     overrides back into plain in-memory operations.
@@ -81,8 +96,21 @@ class _SQLiteTable(Table):
     def insert(self, values: RowValues) -> Row:
         row = super().insert(values)
         if self._backend is not None:
-            self._backend._write_row(self.name, row.values)
+            self._backend._write_rows(self.name, [row.values])
         return row
+
+    def insert_many(self, rows: Iterable[RowValues]) -> None:
+        """Append many tuples; one ``executemany`` writes them through."""
+        backend, self._backend = self._backend, None
+        start = len(self)
+        try:
+            super().insert_many(rows)
+        finally:
+            self._backend = backend
+            if backend is not None and len(self) > start:
+                backend._write_rows(
+                    self.name, [r.values for r in self._rows[start:]]
+                )
 
     def replace_rows(self, rows: Iterable[Sequence[Any]]) -> None:
         super().replace_rows(rows)
@@ -94,6 +122,56 @@ class _SQLiteTable(Table):
         if removed and self._backend is not None:
             self._backend._rewrite(self.name, [r.values for r in self])
         return removed
+
+
+def _decoder(relation: RelationSchema) -> Callable[[Sequence[Any]], List[Any]]:
+    """Raw SQLite row → repro domain values, for one relation.
+
+    None becomes NULL; BOOLEAN columns (stored as integers) become
+    ``bool``.  Which columns are BOOLEAN is resolved once, here, not
+    once per value.
+    """
+    booleans = tuple(a.dtype == BOOLEAN for a in relation.attributes)
+    return lambda raw: [
+        NULL if v is None else bool(v) if b else v
+        for v, b in zip(raw, booleans)
+    ]
+
+
+def _select(conn: sqlite3.Connection, relation: RelationSchema) -> sqlite3.Cursor:
+    """The raw rows of one relation, in insertion (rowid) order."""
+    cols = ", ".join(quote_identifier(a) for a in relation.attribute_names)
+    name = quote_identifier(relation.name)
+    try:
+        return conn.execute(f"SELECT {cols} FROM {name} ORDER BY rowid")
+    except sqlite3.OperationalError:  # WITHOUT ROWID tables
+        return conn.execute(f"SELECT {cols} FROM {name}")
+
+
+def _to_sql(values: Sequence[Any]) -> List[Any]:
+    return [None if is_null(v) else v for v in values]
+
+
+def _stored_as_is(conn: sqlite3.Connection, relation: RelationSchema) -> bool:
+    """Does every stored value of *relation* pass :data:`_STORED_AS_IS`?"""
+    as_is = " AND ".join(
+        _STORED_AS_IS[a.dtype.name].format(c=quote_identifier(a.name))
+        for a in relation.attributes
+    )
+    (mixed,) = conn.execute(
+        f"SELECT EXISTS(SELECT 1 FROM main.{quote_identifier(relation.name)} "
+        f"WHERE NOT ({as_is}))"
+    ).fetchone()
+    return not mixed
+
+
+def _insert(
+    conn: sqlite3.Connection, target: str, rows: Sequence[Sequence[Any]]
+) -> None:
+    """One ``executemany`` of already-encoded *rows* into *target*."""
+    if rows:
+        marks = ", ".join("?" for _ in rows[0])
+        conn.executemany(f"INSERT INTO {target} VALUES ({marks})", rows)
 
 
 class SQLiteBackend:
@@ -150,6 +228,33 @@ class SQLiteBackend:
         """A fresh backend on a private in-memory SQLite database."""
         return SQLiteBackend()
 
+    def clone(self, schema: DatabaseSchema) -> Optional["SQLiteBackend"]:
+        """A byte copy of the store in a :meth:`spawn`-ed sibling, or None.
+
+        ``Connection.backup`` copies the store inside the engine when it
+        is exactly what the validating copy would build: its
+        ``sqlite_master`` holds the relations of *schema* (a copy of the
+        attached one) under the DDL :meth:`attach` emits and nothing
+        else, and every stored value passes :data:`_STORED_AS_IS` (one
+        SQL scan per relation).  Any other store — a foreign ``.db``
+        with its own constraints, indexes or tables, or one holding
+        values that validation would reject or normalize — returns
+        None, and :meth:`Database.copy` takes the validating path.
+        """
+        stored = self._conn.execute(
+            "SELECT type, name, tbl_name, sql FROM main.sqlite_master"
+        ).fetchall()
+        wanted = [
+            ("table", r.name, r.name, self._create_table_sql(r)) for r in schema
+        ]
+        if stored != wanted or not all(
+            _stored_as_is(self._conn, r) for r in schema
+        ):
+            return None
+        twin = self.spawn()
+        self._conn.backup(twin._conn)
+        return twin
+
     def close(self) -> None:
         """Drop caches and close the connection if this backend owns it."""
         self._mirrors.clear()
@@ -183,7 +288,7 @@ class SQLiteBackend:
         self._bump(name)
         self._commit()
 
-    def replace_relation(self, relation: RelationSchema) -> Table:
+    def replace_relation(self, relation: RelationSchema) -> None:
         """Project the stored extension onto a modified schema, in SQL.
 
         ``CREATE tmp AS projection; DROP old; RENAME tmp`` — duplicates
@@ -203,7 +308,6 @@ class SQLiteBackend:
         self._conn.execute(f"ALTER TABLE {tmp} RENAME TO {name}")
         self._bump(relation.name)
         self._commit()
-        return self.table(relation.name)
 
     # ------------------------------------------------------------------
     # row access
@@ -214,8 +318,11 @@ class SQLiteBackend:
         if mirror is None:
             relation = self._require(name)
             mirror = _SQLiteTable(relation)
-            for raw in self._scan(relation):
-                mirror.insert(raw)
+            decode = _decoder(relation)
+            mirror._rows = [
+                Row(relation, decode(raw)) for raw in _select(self._conn, relation)
+            ]
+            mirror.version = len(mirror._rows)
             mirror._backend = self
             self._mirrors[name] = mirror
         return mirror
@@ -228,7 +335,7 @@ class SQLiteBackend:
             return
         rel = self._require(relation)
         row = Row(rel, order_values(rel, values))
-        self._write_row(relation, row.values)
+        self._write_rows(relation, [row.values])
 
     def insert_many(self, relation: str, rows: Iterable[RowValues]) -> None:
         """Bulk append through one ``executemany``."""
@@ -237,18 +344,9 @@ class SQLiteBackend:
             mirror.insert_many(rows)
             return
         rel = self._require(relation)
-        payload = [
-            self._to_sql(Row(rel, order_values(rel, r)).values) for r in rows
-        ]
-        if not payload:
-            return
-        marks = ", ".join("?" for _ in rel.attributes)
-        self._conn.executemany(
-            f"INSERT INTO {quote_identifier(relation)} VALUES ({marks})",
-            payload,
+        self._write_rows(
+            relation, [Row(rel, order_values(rel, r)).values for r in rows]
         )
-        self._bump(relation)
-        self._commit()
 
     def rows(self, relation: str) -> Iterator[Tuple[Any, ...]]:
         """Scan the stored extension in insertion (rowid) order."""
@@ -258,8 +356,9 @@ class SQLiteBackend:
                 yield row.values
             return
         rel = self._require(relation)
-        for values in self._scan(rel):
-            yield tuple(values)
+        decode = _decoder(rel)
+        for raw in _select(self._conn, rel):
+            yield tuple(decode(raw))
 
     def row_count(self, relation: str) -> int:
         """``SELECT COUNT(*)`` (served from the mirror when hydrated)."""
@@ -509,39 +608,13 @@ class SQLiteBackend:
             f"({cols})"
         )
 
-    def _scan(self, relation: RelationSchema) -> Iterator[List[Any]]:
-        """Raw rows of one relation, decoded into repro domain values."""
-        cols = ", ".join(quote_identifier(a) for a in relation.attribute_names)
-        name = quote_identifier(relation.name)
-        try:
-            cursor = self._conn.execute(
-                f"SELECT {cols} FROM {name} ORDER BY rowid"
-            )
-        except sqlite3.OperationalError:  # WITHOUT ROWID tables
-            cursor = self._conn.execute(f"SELECT {cols} FROM {name}")
-        for raw in cursor:
-            yield self._from_sql(relation, raw)
-
-    def _to_sql(self, values: Sequence[Any]) -> List[Any]:
-        return [None if is_null(v) else v for v in values]
-
-    def _from_sql(self, relation: RelationSchema, raw: Sequence[Any]) -> List[Any]:
-        out: List[Any] = []
-        for attr, value in zip(relation.attributes, raw):
-            if value is None:
-                out.append(NULL)
-            elif attr.dtype == BOOLEAN:
-                out.append(bool(value))
-            else:
-                out.append(value)
-        return out
-
-    def _write_row(self, relation: str, values: Sequence[Any]) -> None:
-        marks = ", ".join("?" for _ in values)
-        self._conn.execute(
-            f"INSERT INTO {quote_identifier(relation)} VALUES ({marks})",
-            self._to_sql(values),
-        )
+    def _write_rows(
+        self, relation: str, rows: Sequence[Sequence[Any]]
+    ) -> None:
+        """Append already-validated tuples: one statement, one commit."""
+        if not rows:
+            return
+        _insert(self._conn, quote_identifier(relation), [_to_sql(r) for r in rows])
         self._bump(relation)
         self._commit()
 
@@ -549,12 +622,7 @@ class SQLiteBackend:
         """Replace the whole stored extension (UPDATE/DELETE write-through)."""
         name = quote_identifier(relation)
         self._conn.execute(f"DELETE FROM {name}")
-        if rows:
-            marks = ", ".join("?" for _ in rows[0])
-            self._conn.executemany(
-                f"INSERT INTO {name} VALUES ({marks})",
-                [self._to_sql(r) for r in rows],
-            )
+        _insert(self._conn, name, [_to_sql(r) for r in rows])
         self._bump(relation)
         self._commit()
 

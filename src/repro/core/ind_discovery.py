@@ -312,14 +312,13 @@ class INDDiscovery:
         ]
         new_rel = RelationSchema(name, attrs)
         new_rel.declare_unique(attr_names)
-        table = self.database.create_relation(new_rel)
+        self.database.create_relation(new_rel)
 
         shared = natural_intersection(
             self.database.table(k_rel), k_attrs,
             self.database.table(l_rel), l_attrs,
         )
-        for values in sorted(shared, key=repr):
-            table.insert(list(values))
+        self.database.insert_many(name, sorted(shared, key=repr))
 
         inds = [
             InclusionDependency(name, attr_names, k_rel, k_attrs),

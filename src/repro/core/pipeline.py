@@ -186,7 +186,10 @@ class DBREPipeline:
         with log_context(run=result.run_id), \
                 self.tracer.span("pipeline", kind="pipeline") as root:
             root.attributes["engine"] = self.engine_mode
-            database = self.original.copy(tracer=self.tracer)
+            # the working copy Restruct may mutate; its own span so the
+            # copy's share of a run shows in profiles and /metrics
+            with self.tracer.span("copy", kind="setup"):
+                database = self.original.copy(tracer=self.tracer)
             database.counter.reset()
 
             # one executor is shared by every batching phase, so its

@@ -163,9 +163,10 @@ class Restruct:
             ],
         )
         new_schema.declare_unique(attrs)          # add R_p.A_i to K
-        table = self.database.create_relation(new_schema)
-        for values in self._distinct_projection(ref.relation, attrs):
-            table.insert(list(values))
+        self.database.create_relation(new_schema)
+        self.database.insert_many(
+            name, self._distinct_projection(ref.relation, attrs)
+        )
         result.added.append(AddedRelation(name, "hidden", ref.relation, attrs))
 
         # redirect existing occurrences of R_i[A_i], then add the link
@@ -216,9 +217,10 @@ class Restruct:
             ],
         )
         new_schema.declare_unique(lhs)            # add R_p.A_i to K
-        table = self.database.create_relation(new_schema)
-        for values in self._grouped_projection(fd.relation, lhs, rhs, result):
-            table.insert(list(values))
+        self.database.create_relation(new_schema)
+        self.database.insert_many(
+            name, self._grouped_projection(fd.relation, lhs, rhs, result)
+        )
         result.added.append(AddedRelation(name, "fd", fd.relation, lhs + rhs))
 
         # remove B_i from R_i(X_i)

@@ -124,6 +124,7 @@ class LiveStats:
         "events",
         "phase_runs",
         "phase_ms",
+        "setup_ms",
         "primitive_calls",
         "primitive_cache_hits",
         "storage_counters",
@@ -137,6 +138,9 @@ class LiveStats:
         self.phase_runs: Dict[str, int] = {}
         #: total wall milliseconds per phase name
         self.phase_ms: Dict[str, float] = {}
+        #: total wall milliseconds per ``setup`` span name (the
+        #: pipeline's working ``copy``); kept apart from the phases
+        self.setup_ms: Dict[str, float] = {}
         #: primitive calls, by primitive
         self.primitive_calls: Dict[str, int] = {}
         #: primitive calls answered from a cache, by primitive
@@ -155,6 +159,11 @@ class LiveStats:
             self.phase_runs[phase] = self.phase_runs.get(phase, 0) + 1
             self.phase_ms[phase] = (
                 self.phase_ms.get(phase, 0.0) + record.get("duration_ms", 0.0)
+            )
+        elif kind == "span-close" and record.get("kind") == "setup":
+            step = record["name"]
+            self.setup_ms[step] = (
+                self.setup_ms.get(step, 0.0) + record.get("duration_ms", 0.0)
             )
         elif kind == "primitive":
             primitive = record["primitive"]
@@ -179,6 +188,7 @@ class LiveStats:
             "events": dict(self.events),
             "phase_runs": dict(self.phase_runs),
             "phase_ms": dict(self.phase_ms),
+            "setup_ms": dict(self.setup_ms),
             "primitive_calls": dict(self.primitive_calls),
             "primitive_cache_hits": dict(self.primitive_cache_hits),
             "storage_counters": dict(self.storage_counters),
@@ -199,6 +209,7 @@ class LiveStats:
             (self.events, other.events),
             (self.phase_runs, other.phase_runs),
             (self.phase_ms, other.phase_ms),
+            (self.setup_ms, other.setup_ms),
             (self.primitive_calls, other.primitive_calls),
             (self.primitive_cache_hits, other.primitive_cache_hits),
             (self.storage_counters, other.storage_counters),

@@ -166,10 +166,10 @@ class Database:
         self.backend.drop_relation(name)
         self.schema.remove(name)
 
-    def replace_relation(self, relation: RelationSchema) -> Table:
+    def replace_relation(self, relation: RelationSchema) -> None:
         """Swap a relation's schema, projecting its extension (Restruct)."""
         self.schema.replace(relation)
-        return self.backend.replace_relation(relation)
+        self.backend.replace_relation(relation)
 
     def table(self, name: str) -> Table:
         return self.backend.table(name)
@@ -259,23 +259,33 @@ class Database:
         backend: Optional["ExtensionBackend"] = None,
         tracer: Optional[Tracer] = None,
     ) -> "Database":
-        """Deep copy of schema + extension (dependencies reset).
+        """Copy of schema + extension (dependencies reset).
 
         Restruct mutates the database it is given; callers that want to
         keep the original (e.g. to diff before/after) copy it first.
-        Without an explicit *backend* the copy lives on a fresh sibling
-        of this database's backend (memory stays memory, SQLite spawns a
-        private in-memory SQLite store), so a pushdown pipeline run
-        restructures inside the engine; passing one converts between
-        backends — ``db.copy(backend=MemoryBackend())`` materializes a
-        SQLite extension in memory.  The copy records on its own fresh
+        Without an explicit *backend* the copy is a same-kind copy made
+        by the backend's ``clone`` hook: memory stays memory, sharing
+        the immutable, already-validated value tuples under fresh rows
+        (no deep copy, no re-validation), and SQLite byte-copies a store
+        it built itself into a private in-memory SQLite database, so a
+        pushdown pipeline run restructures inside the engine.  A backend
+        without the hook, or whose hook declines (returns None), gets a
+        fresh sibling (``spawn``) filled through the validating insert
+        path.  Passing *backend* converts between backends through that
+        same insert path — ``db.copy(backend=MemoryBackend())``
+        materializes a SQLite extension in memory.  Either way the
+        copy's caches start cold.  The copy records on its own fresh
         tracer unless *tracer* hands it a shared one (the pipeline does,
         so phase spans and primitive events land in one trace).
         """
+        schema = self.schema.copy()
+        if backend is None:
+            clone_extension = getattr(self.backend, "clone", None)
+            twin = clone_extension(schema) if clone_extension else None
+            if twin is not None:
+                return Database(schema, backend=twin, tracer=tracer)
         clone = Database(
-            self.schema.copy(),
-            backend=backend or self.backend.spawn(),
-            tracer=tracer,
+            schema, backend=backend or self.backend.spawn(), tracer=tracer
         )
         for name in self.schema.relation_names:
             clone.insert_many(name, self.backend.rows(name))

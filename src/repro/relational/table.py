@@ -88,6 +88,28 @@ class Row:
         return f"({inner})"
 
 
+def _bind_rows(
+    schema: RelationSchema, values: Iterable[Tuple[Any, ...]]
+) -> List[Row]:
+    """Rows over already-validated value tuples, bound to *schema*.
+
+    The trusted constructor behind same-kind copies and projections:
+    no arity check and no :meth:`~repro.relational.domain.DataType.coerce`
+    — every tuple must already be exactly what :class:`Row` would store
+    for *schema*.  Rows are immutable, so the tuples themselves may be
+    shared with the rows they came from.
+    """
+    new = Row.__new__
+    rows: List[Row] = []
+    append = rows.append
+    for vals in values:
+        row = new(Row)
+        row._schema = schema
+        row._values = vals
+        append(row)
+    return rows
+
+
 class Table:
     """The extension of one relation: an ordered list of rows.
 
@@ -176,16 +198,32 @@ class Table:
 
         Used by Restruct: when ``B_i`` is removed from ``R_i(X_i)``, the
         extension is projected accordingly (duplicates kept — the logical
-        schema restructuring in the paper does not deduplicate).  The new
-        table carries a fresh generation *and* resumes from this table's
-        version, so version-guarded caches can never mistake it for its
-        source.
+        schema restructuring in the paper does not deduplicate) — and by
+        the same-kind :meth:`Database.copy`, which re-homes every table
+        under an identical schema.  The rows were validated when they
+        entered this table, so only the columns whose domain changes are
+        coerced (INTEGER → REAL widens, REAL → INTEGER raises); on both
+        callers' paths none does.  The new table carries a fresh
+        generation *and* resumes from this table's version, so
+        version-guarded caches can never mistake it for its source.
         """
+        source = self._schema
+        names = schema.attribute_names
+        coercers = [
+            (i, attr.dtype.coerce)
+            for i, attr in enumerate(schema.attributes)
+            if attr.dtype != source.attribute(attr.name).dtype
+        ]
+        if tuple(names) == tuple(source.attribute_names) and not coercers:
+            values: Iterable[Tuple[Any, ...]] = [row.values for row in self._rows]
+        else:
+            project = source.projector(names)
+            values = [project(row.values) for row in self._rows]
+            if coercers:
+                values = [_coerced(v, coercers) for v in values]
         table = Table(schema)
-        project = self._schema.projector(schema.attribute_names)
-        for row in self._rows:
-            table.insert(project(row.values))
-        table.version += self.version
+        table._rows = _bind_rows(schema, values)
+        table.version = self.version + len(table._rows)
         return table
 
     def __iter__(self) -> Iterator[Row]:
@@ -199,3 +237,11 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self._schema.name}, {len(self._rows)} rows)"
+
+
+def _coerced(values: Tuple[Any, ...], coercers) -> Tuple[Any, ...]:
+    """*values* with each ``(position, coerce)`` of *coercers* applied."""
+    out = list(values)
+    for i, coerce in coercers:
+        out[i] = coerce(out[i])
+    return tuple(out)

@@ -17,6 +17,8 @@ outlive both history trimming and ledger eviction):
   startup (their telemetry totals fold into every counter below);
 - ``repro_phase_runs_total`` / ``repro_phase_latency_ms_total`` — one
   increment per closed phase span, summed per phase name;
+- ``repro_setup_latency_ms_total`` — wall time of the pipeline's
+  ``setup`` spans (its working ``copy``), summed per step name;
 - ``repro_primitive_calls_total`` / ``repro_primitive_cache_hits_total``
   — per extension primitive, from the ``primitive`` records;
 - ``repro_storage_counter_total{counter=...}`` — buffer-pool and page
@@ -143,6 +145,7 @@ def render_metrics(
         totals.merge(bus.stats())
     phase_runs = totals.phase_runs
     phase_ms = totals.phase_ms
+    setup_ms = totals.setup_ms
     primitive_calls = totals.primitive_calls
     primitive_hits = totals.primitive_cache_hits
     storage = totals.storage_counters
@@ -188,6 +191,11 @@ def render_metrics(
         "repro_phase_latency_ms_total", "counter",
         "Total wall milliseconds spent per pipeline phase.",
         [({"phase": p}, ms) for p, ms in sorted(phase_ms.items())],
+    )
+    exposition.family(
+        "repro_setup_latency_ms_total", "counter",
+        "Total wall milliseconds spent per pipeline setup step.",
+        [({"step": s}, ms) for s, ms in sorted(setup_ms.items())],
     )
     exposition.family(
         "repro_primitive_calls_total", "counter",

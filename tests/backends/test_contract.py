@@ -26,6 +26,40 @@ def db(backend_factory) -> Database:
     return build_paper_database(backend=backend_factory())
 
 
+#: one write per mutator a copy must keep to its own side
+_MUTATIONS = {
+    "insert": lambda db: db.insert(
+        "Person", [99, "person-99", "rue Zéro", 1, "69100", "Rhone"]
+    ),
+    "delete_where": lambda db: db.table("Person").delete_where(
+        lambda row: row["id"] <= 3
+    ),
+    "replace_rows": lambda db: db.table("Department").replace_rows(
+        list(db.backend.rows("Department"))[:3]
+    ),
+    "replace_relation": lambda db: db.replace_relation(
+        db.schema.relation("Person").without_attributes(["state"])
+    ),
+}
+
+
+def _observe(db: Database):
+    """Rows, cardinalities, per-attribute distinct counts and fingerprint."""
+    from repro.service.jobs import database_fingerprint
+
+    names = db.schema.relation_names
+    return (
+        {n: list(db.backend.rows(n)) for n in names},
+        {n: db.backend.row_count(n) for n in names},
+        {
+            (n, a): db.count_distinct(n, (a,))
+            for n in names
+            for a in db.schema.relation(n).attribute_names
+        },
+        database_fingerprint(db),
+    )
+
+
 class TestCountDistinct:
     def test_paper_section5_counts(self, db):
         assert db.count_distinct("Person", ("id",)) == 22
@@ -223,9 +257,9 @@ class TestRelationLifecycle:
         )
         db.insert_many("t", [[1, "x"], [1, "y"], [2, "z"]])
         assert db.count_distinct("t", ("a", "b")) == 3
-        db.replace_relation(
+        assert db.replace_relation(
             RelationSchema.build("t", ["a"], types={"a": INTEGER})
-        )
+        ) is None
         assert db.backend.row_count("t") == 3      # duplicates kept
         assert db.count_distinct("t", ("a",)) == 2
         with pytest.raises(UnknownAttributeError):
@@ -247,6 +281,42 @@ class TestCopy:
         db = build_paper_database(backend=backend_factory())
         materialized = db.copy(backend=MemoryBackend())
         assert materialized.count_distinct("Person", ("id",)) == 22
+
+    @pytest.mark.parametrize("mutated", ["original", "copy"])
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_copy_is_independent(self, backend_factory, mutation, mutated):
+        db = build_paper_database(backend=backend_factory())
+        clone = db.copy()
+        target, other = (db, clone) if mutated == "original" else (clone, db)
+        before = _observe(other)
+        _MUTATIONS[mutation](target)
+        assert _observe(target) != before      # the mutation took effect
+        assert _observe(other) == before
+
+    def test_copied_rows_are_bound_to_the_copy_schema(self, backend_factory):
+        db = build_paper_database(backend=backend_factory())
+        clone = db.copy()
+        for name in clone.schema.relation_names:
+            table = clone.table(name)
+            assert table.schema is clone.schema.relation(name)
+            assert table.schema is not db.schema.relation(name)
+            assert len(table) == len(db.table(name))
+            assert all(row.schema is table.schema for row in table)
+            assert [r.values for r in table] == [r.values for r in db.table(name)]
+
+    def test_copy_starts_with_cold_caches(self, backend_factory):
+        db = build_paper_database(backend=backend_factory())
+        db.count_distinct("Person", ("id",))
+        db.join_count("HEmployee", ("no",), "Person", ("id",))
+        assert db.backend.probe("count_distinct", ("Person",), (("id",),))[0]
+        clone = db.copy()
+        for primitive, relations, attributes in [
+            ("count_distinct", ("Person",), (("id",),)),
+            ("join_count", ("HEmployee", "Person"), (("no",), ("id",))),
+        ]:
+            hit, rows = clone.backend.probe(primitive, relations, attributes)
+            assert hit is False
+            assert rows == sum(clone.backend.row_count(r) for r in relations)
 
 
 class TestProbeHook:

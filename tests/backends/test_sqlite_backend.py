@@ -19,7 +19,8 @@ from repro.backends import (
     open_sqlite,
 )
 from repro.core import DBREPipeline, ScriptedExpert
-from repro.exceptions import DataError
+from repro.exceptions import DataError, TypingError
+from repro.relational import Database, DatabaseSchema, RelationSchema
 from repro.relational.domain import BOOLEAN, DATE, INTEGER, NULL, REAL, TEXT
 from repro.storage.sqlite_io import declared_table_sql, save_sqlite
 from repro.workloads.paper_example import (
@@ -306,3 +307,199 @@ class TestEndToEnd:
         assert (
             sqlite_result.extension_queries == memory_result.extension_queries
         )
+
+
+def _master(db):
+    """The copy-relevant columns of a store's ``sqlite_master``."""
+    return db.backend.connection.execute(
+        "SELECT type, name, tbl_name, sql FROM sqlite_master"
+    ).fetchall()
+
+
+def _contents(db):
+    from repro.service.jobs import database_fingerprint
+
+    return (
+        {n: list(db.backend.rows(n)) for n in db.schema.relation_names},
+        database_fingerprint(db),
+    )
+
+
+class TestSameKindCopy:
+    """``Database.copy()`` on SQLite byte-copies a store the backend built
+    itself and otherwise takes the validating path; either way the result
+    must be the store that path, ``copy(backend=...)``, builds."""
+
+    def test_only_a_backend_built_well_typed_store_is_byte_copied(
+        self, constrained
+    ):
+        db = build_paper_database(backend=SQLiteBackend())
+        twin = db.backend.clone(db.schema.copy())
+        assert twin is not None
+        twin.close()
+        assert constrained.backend.clone(constrained.schema.copy()) is None
+        db.backend.connection.execute(
+            "INSERT INTO \"Person\" (\"id\") VALUES ('abc')"
+        )
+        assert db.backend.clone(db.schema.copy()) is None
+
+    @pytest.fixture
+    def constrained(self, tmp_path):
+        path = str(tmp_path / "legacy.db")
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            """
+            CREATE TABLE city (cid INTEGER PRIMARY KEY, cname VARCHAR(20) NOT NULL);
+            CREATE TABLE person (
+                pid INTEGER PRIMARY KEY AUTOINCREMENT,
+                pname TEXT NOT NULL UNIQUE,
+                home INTEGER,
+                born DATE,
+                active BOOLEAN
+            );
+            CREATE TABLE audit (msg TEXT);
+            CREATE INDEX person_home ON person (home);
+            CREATE TRIGGER person_log AFTER INSERT ON person
+                BEGIN INSERT INTO audit VALUES (new.pname); END;
+            CREATE VIEW lyon AS SELECT pname FROM person WHERE home = 1;
+            INSERT INTO city VALUES (1, 'Lyon'), (2, 'Paris');
+            INSERT INTO person (pname, home, born, active) VALUES
+                ('a', 1, '1990-01-02', 1), ('b', 2, NULL, 0), ('c', NULL, '1985-12-31', NULL);
+            """
+        )
+        conn.commit()
+        conn.close()
+        db = open_sqlite(path)
+        yield db
+        db.close()
+
+    def test_constrained_file_copies_to_the_backend_ddl(self, constrained):
+        before = _master(constrained)
+        fast = constrained.copy()
+        slow = constrained.copy(backend=SQLiteBackend())
+        assert _master(fast) == _master(slow)
+        assert [name for _, name, _, _ in _master(fast)] == list(
+            constrained.schema.relation_names
+        )
+        assert _contents(fast) == _contents(slow) == _contents(constrained)
+        assert _master(constrained) == before
+        # no source constraint, index or trigger came along
+        first = next(fast.backend.rows("person"))
+        fast.insert("person", first)
+        assert fast.backend.row_count("person") == 4
+        assert fast.backend.row_count("audit") == 3
+        assert constrained.backend.row_count("person") == 3
+
+    def test_tables_outside_the_schema_stay_behind(self, constrained):
+        schema = constrained.schema.copy()
+        schema.remove("audit")
+        db = Database(schema, backend=SQLiteBackend(
+            connection=constrained.backend.connection
+        ))
+        copy = db.copy()
+        assert [name for _, name, _, _ in _master(copy)] == ["city", "person"]
+        assert _contents(copy) == _contents(db.copy(backend=SQLiteBackend()))
+
+    def test_copy_of_a_backend_store_matches_the_validating_copy(self):
+        db = build_paper_database(backend=SQLiteBackend())
+        db.table("Person").delete_where(lambda row: row["id"] % 3 == 0)
+        fast = db.copy()
+        slow = db.copy(backend=SQLiteBackend())
+        assert _master(fast) == _master(slow)
+        assert _contents(fast) == _contents(slow) == _contents(db)
+
+    @pytest.mark.parametrize("store", ["foreign", "backend"])
+    def test_mistyped_store_raises_the_validating_copy_error(self, store):
+        conn = sqlite3.connect(":memory:", isolation_level=None)
+        if store == "foreign":
+            conn.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+            db = open_sqlite(conn)
+        else:
+            schema = DatabaseSchema(
+                [RelationSchema.build("t", ["k", "v"], types={"k": INTEGER})]
+            )
+            db = Database(schema, backend=SQLiteBackend(connection=conn))
+        conn.execute("INSERT INTO t VALUES (1, 'x'), ('abc', 'y')")
+        with pytest.raises(TypingError) as fast:
+            db.copy()
+        with pytest.raises(TypingError) as slow:
+            db.copy(backend=SQLiteBackend())
+        assert str(fast.value) == str(slow.value)
+        assert "'abc'" in str(fast.value)
+
+    def test_foreign_values_are_normalized_like_the_validating_copy(self):
+        conn = sqlite3.connect(":memory:", isolation_level=None)
+        conn.execute("CREATE TABLE t (k INTEGER, b BOOLEAN, r REAL, n NUMERIC)")
+        conn.execute(
+            "INSERT INTO t VALUES (1, 2, 1, 3), (2, 'yes', 2.5, 4.0), "
+            "(3, 0, NULL, NULL), (4, NULL, 7, 2.5)"
+        )
+        conn.execute("CREATE TABLE w (k INTEGER PRIMARY KEY, v TEXT) WITHOUT ROWID")
+        conn.execute("INSERT INTO w VALUES (2, 'b'), (1, 'a')")
+        db = open_sqlite(conn)
+        fast = db.copy()
+        slow = db.copy(backend=SQLiteBackend())
+        assert _contents(fast) == _contents(slow)
+        assert [row[1] for row in fast.backend.rows("t")] == [True, True, False, NULL]
+        assert fast.count_distinct("t", ("b",)) == slow.count_distinct("t", ("b",)) == 2
+        assert list(fast.backend.rows("w")) == [(1, "a"), (2, "b")]
+
+    def test_unnormalized_values_in_a_backend_store_are_rewritten(self):
+        schema = DatabaseSchema([
+            RelationSchema.build("t", ["k", "b"], types={"k": INTEGER, "b": BOOLEAN})
+        ])
+        db = Database(schema, backend=SQLiteBackend())
+        db.insert_many("t", [[1, True], [2, False]])
+        db.backend.connection.execute("INSERT INTO t VALUES (3, 2), (4, 'no')")
+        fast = db.copy()
+        assert _master(fast) == _master(db)
+        assert _contents(fast) == _contents(db.copy(backend=SQLiteBackend()))
+        assert fast.count_distinct("t", ("b",)) == 2
+
+    def test_boolean_and_null_rows_survive_hydration(self):
+        schema = DatabaseSchema([
+            RelationSchema.build("t", ["k", "b"], types={"k": INTEGER, "b": BOOLEAN})
+        ])
+        db = Database(schema, backend=SQLiteBackend())
+        db.insert_many("t", [[1, True], [2, False], [3, NULL], [NULL, True]])
+        cold = _contents(db)
+        db.table("t")  # hydrate the mirror
+        assert _contents(db) == cold
+        assert [type(row[1]) for row in db.backend.rows("t")][:2] == [bool, bool]
+        assert _contents(db.copy()) == cold
+
+
+class TestWriteThrough:
+    @pytest.fixture
+    def db(self):
+        schema = DatabaseSchema(
+            [RelationSchema.build("t", ["k", "v"], types={"k": INTEGER})]
+        )
+        db = Database(schema, backend=SQLiteBackend())
+        db.table("t")  # hydrated, so writes go through the mirror
+        return db
+
+    def _stored(self, db):
+        return db.backend.connection.execute(
+            'SELECT k, v FROM "t" ORDER BY rowid'
+        ).fetchall()
+
+    def test_mirror_insert_many_is_one_write(self, db):
+        version = db.backend._versions["t"]
+        db.insert_many("t", [[1, "a"], [2, "b"], {"k": 3}])
+        assert db.backend._versions["t"] == version + 1
+        assert self._stored(db) == [(1, "a"), (2, "b"), (3, None)]
+        assert db.count_distinct("t", ("k",)) == 3
+
+    def test_mirror_insert_many_keeps_the_rows_before_a_typing_error(self, db):
+        with pytest.raises(TypingError):
+            db.insert_many("t", [[1, "a"], ["bad", "b"], [3, "c"]])
+        assert self._stored(db) == [(1, "a")]
+        assert [row.values for row in db.table("t")] == [(1, "a")]
+
+    def test_replace_relation_does_not_hydrate(self):
+        db = build_paper_database(backend=SQLiteBackend())
+        narrowed = db.schema.relation("Person").without_attributes(["state"])
+        assert db.replace_relation(narrowed) is None
+        assert "Person" not in db.backend._mirrors
+        assert db.backend.row_count("Person") == 22

@@ -223,6 +223,24 @@ class TestLiveStats:
         a.merge(b)
         assert a.pool_events == {"respawn": 3}
 
+    def test_setup_spans_are_kept_apart_from_phases(self):
+        stats = LiveStats()
+        stats.observe({
+            "type": "span-close", "name": "copy", "kind": "setup",
+            "duration_ms": 2.0,
+        })
+        stats.observe({
+            "type": "span-close", "name": "Restruct", "kind": "phase",
+            "duration_ms": 5.0,
+        })
+        # phase_ms is what archive trends sum into a run's wall time
+        assert stats.phase_ms == {"Restruct": 5.0}
+        assert stats.phase_runs == {"Restruct": 1}
+        assert stats.setup_ms == {"copy": 2.0}
+        restored = LiveStats.from_dict(stats.as_dict())
+        assert restored.setup_ms == {"copy": 2.0}
+        assert LiveStats.from_dict({"phase_ms": {"Restruct": 1.0}}).setup_ms == {}
+
     def test_cache_hits_and_storage_counters(self):
         stats = LiveStats()
         stats.observe({

@@ -8,7 +8,7 @@ from repro.exceptions import (
     TypingError,
     UnknownAttributeError,
 )
-from repro.relational.domain import INTEGER, NULL
+from repro.relational.domain import INTEGER, NULL, REAL
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Row, Table
 
@@ -136,6 +136,29 @@ class TestWithSchema:
         narrow = person_table.schema.without_attributes(["city"])
         projected = person_table.with_schema(narrow)
         assert projected.version >= person_table.version + len(person_table)
+
+    def test_same_schema_shares_values_under_fresh_rows(self, person_table):
+        twin = person_table.schema.renamed(person_table.name)
+        copy = person_table.with_schema(twin)
+        assert [r.values for r in copy] == [r.values for r in person_table]
+        assert all(r.schema is twin for r in copy)
+        assert all(a is not b for a, b in zip(copy, person_table))
+
+    def test_integer_to_real_still_widens(self):
+        source = Table(RelationSchema.build("R", ["a", "b"], types={"a": INTEGER}))
+        source.insert_many([[1, "x"], [NULL, "y"]])
+        wider = RelationSchema.build("R", ["a", "b"], types={"a": REAL})
+        values = [r.values for r in source.with_schema(wider)]
+        assert values == [(1.0, "x"), (NULL, "y")]
+        assert type(values[0][0]) is float
+
+    def test_real_to_integer_still_raises(self):
+        source = Table(RelationSchema.build("R", ["a"], types={"a": REAL}))
+        source.insert([2.5])
+        with pytest.raises(TypingError):
+            source.with_schema(
+                RelationSchema.build("R", ["a"], types={"a": INTEGER})
+            )
 
     def test_every_table_has_a_distinct_generation(self, person_table):
         narrow = person_table.schema.without_attributes(["city"])

@@ -57,6 +57,10 @@ class TestRendering:
         assert phases['repro_phase_runs_total{phase="Translate"}'] == 1
         latency = samples(text, "repro_phase_latency_ms_total")
         assert latency['repro_phase_latency_ms_total{phase="IND-Discovery"}'] > 0
+        # the pipeline's working copy is a setup step, not a phase
+        assert 'repro_phase_runs_total{phase="copy"}' not in phases
+        setup = samples(text, "repro_setup_latency_ms_total")
+        assert setup['repro_setup_latency_ms_total{step="copy"}'] > 0
         calls = samples(text, "repro_primitive_calls_total")
         assert calls['repro_primitive_calls_total{primitive="count_distinct"}'] > 0
         assert samples(text, "repro_sse_streams_active")[
