@@ -30,6 +30,7 @@ import time
 from benchmarks.conftest import report
 from repro.core import DBREPipeline
 from repro.obs import Tracer
+from repro.obs.live import RunStats
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 #: the s3/s13 regression-gate scenario at quick scale
@@ -128,13 +129,10 @@ def test_s13_watcher_sees_every_phase_and_the_terminus():
             ) + 1
     for phase in ("IND-Discovery", "LHS-Discovery", "RHS-Discovery"):
         assert progress.get(phase, 0) >= 1, f"no progress tick in {phase}"
-    counts = {}
-    for record in records:
-        counts[record["type"]] = counts.get(record["type"], 0) + 1
     report(
         "S13 — one watcher, stream census",
         ["event type", "records"],
-        sorted(counts.items()),
+        sorted(RunStats.fold(records).events.items()),
     )
 
 

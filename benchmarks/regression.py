@@ -58,7 +58,10 @@ from datetime import datetime, timezone
 
 from repro.backends import MemoryBackend, PagedBackend, SQLiteBackend
 from repro.core import DBREPipeline
-from repro.obs import Tracer, metrics_summary, profile_summary
+from repro.obs import Tracer, trace_records
+from repro.obs.export import metrics_from_stats, replay_trace
+from repro.obs.live import RunStats
+from repro.obs.profile import profile_from_stats
 from repro.util.text import format_table
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
@@ -292,6 +295,29 @@ def _calibrate(rounds: int = 3) -> float:
     return best * 1000.0
 
 
+def gate_figures(stats: RunStats) -> Dict[str, Any]:
+    """A head's per-primitive and per-phase figures, rendered from its fold."""
+    profile = profile_from_stats(stats)
+    totals = stats.totals()
+    return {
+        "queries": {p: s["calls"] for p, s in profile["primitives"].items()},
+        "latency_ms": {p: s["duration_ms"] for p, s in profile["primitives"].items()},
+        # per-primitive calls/latency/cache/rows — the attribution table
+        # and `repro trace diff` read hit rates from here
+        "primitives": profile["primitives"],
+        "cache_hits": totals["cache_hits"],
+        "rows_touched": totals["rows_touched"],
+        "phases": {
+            name: {
+                "duration_ms": phase["inclusive_ms"],
+                "queries": phase["queries"],
+                "self_ms": phase["self_ms"],
+            }
+            for name, phase in profile["phases"].items()
+        },
+    }
+
+
 def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     """One traced pipeline run; returns the head's measured figures."""
     scenario = build_scenario(head["config"])
@@ -311,34 +337,22 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     start = time.perf_counter()
     result = pipeline.run(corpus=scenario.corpus)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    metrics = metrics_summary(tracer)
-    profile = profile_summary(tracer)
+    records = trace_records(tracer)
+    stats = RunStats.fold(replay_trace(records))
     telemetry = getattr(database.backend, "telemetry", None)
     storage = telemetry() if callable(telemetry) else None
     database.close()
 
-    queries = {p: s["calls"] for p, s in metrics["primitives"].items()}
-    latency = {p: s["duration_ms"] for p, s in metrics["primitives"].items()}
-    phases = {
-        name: dict(stats, self_ms=profile["phases"][name]["self_ms"])
-        for name, stats in metrics["phases"].items()
-    }
     measured = {
         "wall_ms": round(wall_ms, 3),
-        "queries": queries,
-        "latency_ms": latency,
-        # per-primitive calls/latency/cache/rows — the attribution table
-        # and `repro trace diff` read hit rates from here
-        "primitives": profile["primitives"],
-        "cache_hits": metrics["totals"]["cache_hits"],
-        "rows_touched": metrics["totals"]["rows_touched"],
+        **gate_figures(stats),
         "decisions": result.expert_decisions,
-        "phases": phases,
     }
     if head.get("profile"):
         # the hotspot view re-derived after the run; recording it here
         # proves (via the gated query counts staying at s3's figures)
         # that profiling aggregation issued zero extension queries
+        profile = profile_from_stats(stats)
         hottest = max(
             profile["spans"].items(), key=lambda kv: kv[1]["self_ms"]
         )
@@ -362,14 +376,11 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
         # prove the bus asked the extension nothing, and the head's
         # latency entry bounds the publish overhead — but a watcher
         # that started dropping or missing events shows up here
-        records = subscription.drain()
-        counts: Dict[str, int] = {}
-        for record in records:
-            counts[record["type"]] = counts.get(record["type"], 0) + 1
+        census = subscription.drain()
         measured["live"] = {
-            "events": len(records),
+            "events": len(census),
             "dropped": subscription.dropped,
-            "counts": counts,
+            "counts": RunStats.fold(census).events,
         }
     if result.engine_stats is not None:
         # physical-call accounting; informational, not gated per se —
@@ -410,19 +421,17 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
         import tempfile
 
         from repro.obs.archive import RunArchive
-        from repro.obs.export import metrics_from_records, trace_records
 
         tmp = tempfile.mkdtemp(prefix="repro-bench-s14-")
         try:
             archive = RunArchive(tmp)
-            records = trace_records(tracer)
             t0 = time.perf_counter()
             archive.store(
                 {"type": "job", "id": "job-1", "label": head["name"],
                  "state": "done", "cached": False},
                 ("bench-db", "bench-wl", "{}"),
                 trace=records,
-                metrics=metrics_from_records(records),
+                metrics=metrics_from_stats(stats),
             )
             store_ms = (time.perf_counter() - t0) * 1000
             t0 = time.perf_counter()

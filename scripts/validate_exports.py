@@ -372,6 +372,7 @@ def main(argv=None) -> int:
     import time as time_mod
 
     from repro.obs.archive import RunArchive
+    from repro.obs.export import metrics_from_stats
     from repro.service.export import jobs_to_records
     from repro.service.specs import submit_spec
 
@@ -411,6 +412,20 @@ def main(argv=None) -> int:
                 "the restored cache hit does not carry the archived "
                 "run's summary"
             )
+        # the live fold and the trace replay must not drift apart: the
+        # archived metrics.json (rendered from the job's bus) equals the
+        # archived trace re-derived, and the restored fold agrees
+        archive = RunArchive(archive_dir)
+        archived = archive.read_metrics(job.archived)
+        if archived != metrics_from_records(
+            archive.read_artifact(job.archived, "trace")
+        ):
+            fail("the archived metrics.json does not re-derive from the archived trace")
+        restored_metrics = metrics_from_stats(restored.restored()["stats"])
+        for section, field in (("phases", "duration_ms"), ("primitives", "calls")):
+            figures = {k: v[field] for k, v in restored_metrics[section].items()}
+            if figures != {k: v[field] for k, v in archived[section].items()}:
+                fail(f"the restored stats render other {section} {field} than metrics.json")
 
     print(
         f"validate_exports: OK — {len(spans)} spans, {len(events)} events, "
@@ -421,7 +436,7 @@ def main(argv=None) -> int:
         f"paged pool counters {counters}, "
         f"{jobs_header['jobs']} jobs ({jobs_header['cached']} cached), "
         f"{len(stream)} live SSE records captured, /metrics lint clean, "
-        f"archive restore byte-identical (cache re-seeded); "
+        f"archive restore byte-identical (cache re-seeded, metrics agree); "
         f"artifacts in {args.outdir}/"
     )
     return 0

@@ -11,18 +11,21 @@ Two artifacts can be written from one :class:`~repro.obs.tracer.Tracer`:
   per-phase durations and query counts, per-primitive call/latency/
   cache/row rollups, per-backend totals, and run totals.
 
-The metrics document is *derived from the trace records*
-(:func:`metrics_from_records`), so a summary computed live from a
-tracer and one computed from a written-and-reread JSONL file agree by
-construction.  ``repro trace summarize FILE`` renders the same records
-as a span tree plus primitive table.
+The metrics document renders the one telemetry fold,
+:class:`~repro.obs.live.RunStats`: a trace's records are replayed into
+it (:func:`replay_trace`) as the live records a bus would have
+published, so a summary computed live from a tracer, one computed from
+a written-and-reread JSONL file and one rendered from a job's live bus
+agree by construction.  ``repro trace summarize FILE`` renders the same
+replay as a span tree plus primitive table.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
+from repro.obs.live import RunStats
 from repro.util.jsonl import load_jsonl, save_jsonl
 from repro.util.text import format_table
 
@@ -35,6 +38,8 @@ __all__ = [
     "trace_records",
     "write_trace_jsonl",
     "read_trace_jsonl",
+    "replay_trace",
+    "metrics_from_stats",
     "metrics_from_records",
     "metrics_summary",
     "write_metrics_json",
@@ -118,83 +123,63 @@ def read_trace_jsonl(path: str) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
-def _descendants(spans: List[Dict[str, Any]]) -> Dict[int, set]:
-    """span id → the ids of the span and every span nested under it."""
-    children: Dict[Optional[int], List[int]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span["id"])
-    out: Dict[int, set] = {}
+def replay_trace(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    """A trace's records as the ``repro/live@1`` records a bus publishes.
 
-    def collect(span_id: int) -> set:
-        if span_id not in out:
-            ids = {span_id}
-            for child in children.get(span_id, []):
-                ids |= collect(child)
-            out[span_id] = ids
-        return out[span_id]
+    Each span becomes ``span-open``, then its events (as ``primitive``
+    records) and child spans in record order, then ``span-close``; a
+    still-open span closes flagged ``open`` at its elapsed-so-far.
+    Spans and events whose parent is not in the trace replay at top
+    level.  This is how a trace is folded into
+    :class:`~repro.obs.live.RunStats` — there is no second fold.
+    """
+    spans = {r["id"] for r in records if r.get("type") == "span"}
+    below: Dict[Optional[int], List[Dict[str, Any]]] = {}
+    for record in records:
+        if record.get("type") in ("span", "event"):
+            owner = record["parent" if record["type"] == "span" else "span"]
+            below.setdefault(owner if owner in spans else None, []).append(record)
 
-    for span in spans:
-        collect(span["id"])
-    return out
+    def walk(owner: Optional[int]) -> Iterator[Dict[str, Any]]:
+        for record in below.get(owner, ()):
+            if record["type"] == "event":
+                yield dict(record, type="primitive")
+            else:
+                yield dict(record, type="span-open", span=record["id"])
+                yield from walk(record["id"])
+                yield dict(record, type="span-close", span=record["id"])
+
+    return walk(None)
+
+
+def metrics_from_stats(stats: RunStats) -> Dict[str, Any]:
+    """The flat metrics document rendered from one fold."""
+
+    def rounded(row: Dict[str, Any]) -> Dict[str, Any]:
+        out = dict(row, duration_ms=round(row["duration_ms"], 6))
+        if "counters" in row:
+            out["counters"] = dict(row["counters"])
+        return out
+
+    return {
+        "format": METRICS_FORMAT,
+        "phases": {
+            name: {
+                "duration_ms": round(ms, 6),
+                "queries": sum(p["calls"] for p in stats.phases.get(name, {}).values()),
+            }
+            for name, ms in stats.phase_ms.items()
+        },
+        "setup": {name: {"duration_ms": round(ms, 6)} for name, ms in stats.setup_ms.items()},
+        "primitives": {n: rounded(row) for n, row in stats.primitives.items()},
+        "backends": {n: rounded(row) for n, row in stats.backends.items()},
+        "totals": stats.totals(),
+    }
 
 
 def metrics_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """The flat metrics document for one trace's records."""
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    subtree = _descendants(spans)
-
-    phases: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        if span["kind"] != "phase":
-            continue
-        queries = sum(1 for e in events if e["span"] in subtree[span["id"]])
-        phases[span["name"]] = {
-            "duration_ms": span["duration_ms"],
-            "queries": queries,
-        }
-
-    primitives: Dict[str, Dict[str, Any]] = {}
-    backends: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        p = primitives.setdefault(
-            event["primitive"],
-            {
-                "calls": 0,
-                "duration_ms": 0.0,
-                "cache_hits": 0,
-                "cache_misses": 0,
-                "rows_touched": 0,
-            },
-        )
-        p["calls"] += 1
-        p["duration_ms"] += event["duration_ms"]
-        p["cache_hits" if event["cache_hit"] else "cache_misses"] += 1
-        p["rows_touched"] += event["rows_touched"]
-        b = backends.setdefault(event["backend"], {"calls": 0, "duration_ms": 0.0})
-        b["calls"] += 1
-        b["duration_ms"] += event["duration_ms"]
-        for key, value in event.get("counters", {}).items():
-            counters = b.setdefault("counters", {})
-            counters[key] = counters.get(key, 0) + value
-    for rollup in (*primitives.values(), *backends.values()):
-        rollup["duration_ms"] = _ms(rollup["duration_ms"] / 1000.0)
-
-    root_ms = max((s["duration_ms"] for s in spans if s["parent"] is None), default=0.0)
-    return {
-        "format": METRICS_FORMAT,
-        "phases": phases,
-        "primitives": primitives,
-        "backends": backends,
-        "totals": {
-            "queries": len(events),
-            "cache_hits": sum(1 for e in events if e["cache_hit"]),
-            "rows_touched": sum(e["rows_touched"] for e in events),
-            "query_duration_ms": _ms(sum(e["duration_ms"] for e in events) / 1000.0),
-            "duration_ms": root_ms,
-            "spans": len(spans),
-        },
-    }
+    return metrics_from_stats(RunStats.fold(replay_trace(records)))
 
 
 def metrics_summary(tracer: "Tracer") -> Dict[str, Any]:
@@ -213,43 +198,43 @@ def write_metrics_json(tracer: "Tracer", path: str) -> None:
 # human-readable rendering (repro trace summarize)
 # ----------------------------------------------------------------------
 def summarize_trace(records: List[Dict[str, Any]]) -> str:
-    """Render a trace as a span tree plus per-primitive rollup table."""
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    subtree = _descendants(spans)
-    children: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span)
+    """Render a trace as a span tree plus per-primitive rollup table.
 
-    lines = [f"# Trace — {len(spans)} span(s), {len(events)} event(s)"]
+    A span's query count is how far the fold's primitive count moved
+    between its replayed open and close — its subtree's primitives.
+    """
+    stats = RunStats()
+    lines: List[str] = []
+    opened: Dict[int, tuple] = {}
+    for record in replay_trace(records):
+        stats.observe(record)
+        if record["type"] == "span-open":
+            opened[record["span"]] = (len(lines), len(opened), stats.events.get("primitive", 0))
+            lines.append("")
+        elif record["type"] == "span-close":
+            line, depth, before = opened.pop(record["span"])
+            queries = stats.events.get("primitive", 0) - before
+            extra = "".join(
+                f" {k}={v}" for k, v in sorted(record.get("attributes", {}).items())
+            )
+            open_mark = " (open)" if record.get("open") else ""
+            lines[line] = (
+                f"{'  ' * depth}- {record['name']} [{record['kind']}]{open_mark} "
+                f"{record['duration_ms']:.3f} ms, {queries} quer{'y' if queries == 1 else 'ies'}{extra}"
+            )
+    totals = stats.totals()
+    lines.insert(0, f"# Trace — {totals['spans']} span(s), {totals['queries']} event(s)")
 
-    def walk(span: Dict[str, Any], depth: int) -> None:
-        queries = sum(1 for e in events if e["span"] in subtree[span["id"]])
-        extra = "".join(
-            f" {k}={v}" for k, v in sorted(span.get("attributes", {}).items())
-        )
-        open_mark = " (open)" if span.get("open") else ""
-        lines.append(
-            f"{'  ' * depth}- {span['name']} [{span['kind']}]{open_mark} "
-            f"{span['duration_ms']:.3f} ms, {queries} quer{'y' if queries == 1 else 'ies'}{extra}"
-        )
-        for child in children.get(span["id"], []):
-            walk(child, depth + 1)
-
-    for root in children.get(None, []):
-        walk(root, 0)
-
-    metrics = metrics_from_records(records)
-    if metrics["primitives"]:
+    if stats.primitives:
         rows = [
             [
                 name,
-                stats["calls"],
-                f"{stats['duration_ms']:.3f}",
-                stats["cache_hits"],
-                stats["rows_touched"],
+                row["calls"],
+                f"{row['duration_ms']:.3f}",
+                row["cache_hits"],
+                row["rows_touched"],
             ]
-            for name, stats in sorted(metrics["primitives"].items())
+            for name, row in sorted(stats.primitives.items())
         ]
         lines.append("")
         lines.append("# Primitives")

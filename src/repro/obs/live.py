@@ -12,10 +12,11 @@ one-event-stream design observable while the run is still going:
   first to go) so late consumers can replay from a sequence number (the
   SSE endpoint's ``Last-Event-ID``) without the bus growing without
   bound on a long-lived service.
-- :class:`LiveStats` — incremental aggregates (record counts, per-phase
-  latency, primitive/cache/storage/pool counters) the bus maintains on
-  every publish, so a metrics scrape reads the totals in O(1) instead
-  of rescanning the history — and the totals survive history trimming.
+- :class:`RunStats` — the one fold of a run's telemetry (per span
+  name, per phase, per primitive, per backend, pool incidents) the bus
+  maintains on every publish, so a metrics scrape reads the totals in
+  O(1) instead of rescanning the history — and the totals survive
+  history trimming.  Every metrics view renders it.
 - :class:`LiveSubscription` — one consumer's **bounded** queue.  A slow
   consumer never stalls the pipeline: when the queue is full the bus
   drops the record and counts it (``subscription.dropped``), and the
@@ -61,7 +62,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
 
 import threading
 
@@ -75,7 +76,7 @@ __all__ = [
     "LIVE_EVENT_TYPES",
     "DEFAULT_QUEUE_SIZE",
     "DEFAULT_HISTORY_LIMIT",
-    "LiveStats",
+    "RunStats",
     "LiveSubscription",
     "LiveBus",
     "live_records",
@@ -101,7 +102,7 @@ LIVE_EVENT_TYPES = (
 DEFAULT_QUEUE_SIZE = 1024
 
 #: per-bus history bound; past it the oldest records are trimmed (the
-#: aggregates in :class:`LiveStats` keep counting what was trimmed)
+#: fold in :class:`RunStats` keeps counting what was trimmed)
 DEFAULT_HISTORY_LIMIT = 65536
 
 
@@ -110,122 +111,219 @@ def _ms(seconds: float) -> float:
     return round(seconds * 1000.0, 6)
 
 
-class LiveStats:
-    """Running aggregates over every record a bus ever published.
+#: zero rows: a span-table row (per kind) and a primitive rollup
+_SPAN = {"kind": "span", "count": 0, "inclusive_ms": 0.0, "self_ms": 0.0, "open": False}
+_PHASE = dict(_SPAN, kind="phase")
+_SETUP = dict(_SPAN, kind="setup")
+_ROLLUP = {"calls": 0, "duration_ms": 0.0, "cache_hits": 0, "cache_misses": 0, "rows_touched": 0}
 
-    Updated incrementally on publish (a few dict bumps under the bus
-    lock), so consumers — the ``/metrics`` exposition above all — read
-    totals without rescanning the history, and the totals stay correct
-    after the bounded history trims old records or a finished job is
-    evicted from the ledger (:meth:`merge` folds its stats forward).
+
+def _fold_into(mine: Dict[str, Any], theirs: Dict[str, Any]) -> Dict[str, Any]:
+    """Add *theirs* into *mine* key by key, nested tables included.
+
+    Numbers sum, ``open`` flags OR, a span's ``kind`` keeps the first
+    value seen.  Returns *mine*.
+    """
+    for key, value in theirs.items():
+        if isinstance(value, dict):
+            _fold_into(mine.setdefault(key, {}), value)
+        elif isinstance(value, str):
+            mine.setdefault(key, value)
+        elif isinstance(value, bool):
+            mine[key] = mine.get(key, False) or value
+        else:
+            mine[key] = mine.get(key, 0) + value
+    return mine
+
+
+class _Column(dict):
+    """One field of a fold table's rows (of one kind) as a dict.
+
+    Assignment writes through, so a hand-built fold reads back what was
+    written into it (``stats.phase_ms["IND"] = 12.5``).
     """
 
-    __slots__ = (
-        "events",
-        "phase_runs",
-        "phase_ms",
-        "setup_ms",
-        "primitive_calls",
-        "primitive_cache_hits",
-        "storage_counters",
-        "pool_events",
-    )
+    def __init__(self, table, field, blank, nonzero=False) -> None:
+        kind = blank.get("kind")
+        super().__init__(
+            (key, row[field]) for key, row in table.items()
+            if (kind is None or row["kind"] == kind) and (row[field] or not nonzero)
+        )
+        self._write = (table, field, blank)
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        table, field, blank = self._write
+        table.setdefault(key, dict(blank))[field] = value
+
+
+class RunStats:
+    """The one fold of a run's telemetry, behind every view of it.
+
+    :meth:`observe` folds one ``repro/live@1`` record: the
+    :class:`LiveBus` calls it on every publish, and a ``repro/trace@1``
+    list is replayed into it (:func:`repro.obs.export.replay_trace`).
+
+    - ``spans`` — per span name: ``kind``, ``count``, ``inclusive_ms``,
+      ``self_ms`` (minus direct children and primitives, clamped at
+      zero per span) and ``open``;
+    - ``primitives`` — per primitive ``calls``, ``duration_ms``,
+      ``cache_hits``, ``cache_misses``, ``rows_touched``; ``phases`` —
+      the same rollup per phase name, over the primitives under it;
+    - ``backends`` — per backend ``calls``, ``duration_ms`` and storage
+      ``counters`` (buffer pool, page I/O) when it has any;
+    - ``pool_events``, ``events`` (records by type), ``root_ms``.
+
+    Repeated names sum; :meth:`merge` adds a fold in (ledger eviction,
+    archive restore).  ``phase_ms`` and the other flat totals below are
+    derived from these tables.
+    """
+
+    __slots__ = ("events", "spans", "phases", "primitives", "backends",
+                 "pool_events", "root_ms", "_open")
+
+    #: the tables :meth:`merge` adds and :meth:`as_dict` stores
+    TABLES = ("events", "spans", "phases", "primitives", "backends", "pool_events")
 
     def __init__(self) -> None:
-        #: records published, by record type
-        self.events: Dict[str, int] = {}
-        #: closed ``phase`` spans, by phase name
-        self.phase_runs: Dict[str, int] = {}
-        #: total wall milliseconds per phase name
-        self.phase_ms: Dict[str, float] = {}
-        #: total wall milliseconds per ``setup`` span name (the
-        #: pipeline's working ``copy``); kept apart from the phases
-        self.setup_ms: Dict[str, float] = {}
-        #: primitive calls, by primitive
-        self.primitive_calls: Dict[str, int] = {}
-        #: primitive calls answered from a cache, by primitive
-        self.primitive_cache_hits: Dict[str, int] = {}
-        #: storage telemetry deltas (buffer pool, page I/O), by counter
-        self.storage_counters: Dict[str, int] = {}
-        #: worker-pool incidents, by event
-        self.pool_events: Dict[str, int] = {}
+        for table in self.TABLES:
+            setattr(self, table, {})
+        self.root_ms = 0.0
+        #: open span id -> [its span-open record, enclosing phase
+        #: names, child ms]; the bus snapshots open spans from it
+        self._open: Dict[Any, List[Any]] = {}
 
     def observe(self, record: Dict[str, Any]) -> None:
-        """Fold one published record into the totals."""
+        """Fold one ``repro/live@1`` record into the tables."""
         kind = record["type"]
         self.events[kind] = self.events.get(kind, 0) + 1
-        if kind == "span-close" and record.get("kind") == "phase":
-            phase = record["name"]
-            self.phase_runs[phase] = self.phase_runs.get(phase, 0) + 1
-            self.phase_ms[phase] = (
-                self.phase_ms.get(phase, 0.0) + record.get("duration_ms", 0.0)
-            )
-        elif kind == "span-close" and record.get("kind") == "setup":
-            step = record["name"]
-            self.setup_ms[step] = (
-                self.setup_ms.get(step, 0.0) + record.get("duration_ms", 0.0)
-            )
+        if kind == "span-open":
+            parent = self._open.get(record.get("parent"))
+            phases = parent[1] if parent is not None else ()
+            if record.get("kind") == "phase" and record["name"] not in phases:
+                phases += (record["name"],)
+            self._open[record["span"]] = [record, phases, 0.0]
+        elif kind == "span-close":
+            opened = self._open.pop(record.get("span"), None)
+            ms = record.get("duration_ms", 0.0)
+            row = self.spans.get(record["name"])
+            if row is None:
+                row = self.spans[record["name"]] = dict(_SPAN, kind=record.get("kind", "span"))
+            row["count"] += 1
+            row["inclusive_ms"] += ms
+            row["self_ms"] += max(0.0, ms - opened[2]) if opened else ms
+            row["open"] = row["open"] or bool(record.get("open"))
+            if opened is not None:
+                parent = self._open.get(opened[0].get("parent"))
+                if parent is not None:
+                    parent[2] += ms
+                elif opened[0].get("parent") is None:
+                    self.root_ms = max(self.root_ms, ms)
         elif kind == "primitive":
-            primitive = record["primitive"]
-            self.primitive_calls[primitive] = (
-                self.primitive_calls.get(primitive, 0) + 1
-            )
-            if record.get("cache_hit"):
-                self.primitive_cache_hits[primitive] = (
-                    self.primitive_cache_hits.get(primitive, 0) + 1
-                )
-            for counter, delta in (record.get("counters") or {}).items():
-                self.storage_counters[counter] = (
-                    self.storage_counters.get(counter, 0) + delta
-                )
+            ms = record.get("duration_ms", 0.0)
+            opened = self._open.get(record.get("span"))
+            rollups = [self.primitives]
+            if opened is not None:
+                opened[2] += ms
+                rollups += [self.phases.setdefault(p, {}) for p in opened[1]]
+            hit = "cache_hits" if record.get("cache_hit") else "cache_misses"
+            for rollup in rollups:
+                row = rollup.get(record["primitive"])
+                if row is None:
+                    row = rollup[record["primitive"]] = dict(_ROLLUP)
+                row["calls"] += 1
+                row["duration_ms"] += ms
+                row[hit] += 1
+                row["rows_touched"] += record.get("rows_touched", 0)
+            backend = self.backends.get(record.get("backend", ""))
+            if backend is None:
+                backend = self.backends[record.get("backend", "")] = {
+                    "calls": 0, "duration_ms": 0.0,
+                }
+            backend["calls"] += 1
+            backend["duration_ms"] += ms
+            if record.get("counters"):
+                _fold_into(backend.setdefault("counters", {}), record["counters"])
         elif kind == "pool":
             event = record.get("event", "unknown")
             self.pool_events[event] = self.pool_events.get(event, 0) + 1
 
-    def as_dict(self) -> Dict[str, Any]:
-        """The totals as one JSON-ready document (archive storage)."""
-        return {
-            "events": dict(self.events),
-            "phase_runs": dict(self.phase_runs),
-            "phase_ms": dict(self.phase_ms),
-            "setup_ms": dict(self.setup_ms),
-            "primitive_calls": dict(self.primitive_calls),
-            "primitive_cache_hits": dict(self.primitive_cache_hits),
-            "storage_counters": dict(self.storage_counters),
-            "pool_events": dict(self.pool_events),
-        }
-
     @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "LiveStats":
-        """Rebuild totals from :meth:`as_dict` output (archive restore)."""
+    def fold(cls, records: Iterable[Dict[str, Any]]) -> "RunStats":
+        """A fresh fold over *records* (``repro/live@1`` shape), in order."""
         stats = cls()
-        for slot in cls.__slots__:
-            getattr(stats, slot).update(document.get(slot) or {})
+        for record in records:
+            stats.observe(record)
         return stats
 
-    def merge(self, other: "LiveStats") -> None:
-        """Fold *other*'s totals into this one (ledger eviction)."""
-        for mine, theirs in (
-            (self.events, other.events),
-            (self.phase_runs, other.phase_runs),
-            (self.phase_ms, other.phase_ms),
-            (self.setup_ms, other.setup_ms),
-            (self.primitive_calls, other.primitive_calls),
-            (self.primitive_cache_hits, other.primitive_cache_hits),
-            (self.storage_counters, other.storage_counters),
-            (self.pool_events, other.pool_events),
-        ):
-            for key, value in theirs.items():
-                mine[key] = mine.get(key, 0) + value
+    # the flat totals /metrics and the archive trends read
+    phase_runs = property(lambda self: _Column(self.spans, "count", _PHASE))
+    phase_ms = property(lambda self: _Column(self.spans, "inclusive_ms", _PHASE))
+    setup_ms = property(lambda self: _Column(self.spans, "inclusive_ms", _SETUP))
+    primitive_calls = property(lambda self: _Column(self.primitives, "calls", _ROLLUP))
+    primitive_cache_hits = property(
+        lambda self: _Column(self.primitives, "cache_hits", _ROLLUP, nonzero=True)
+    )
 
-    def copy(self) -> "LiveStats":
-        """An independent snapshot of the totals."""
-        snapshot = LiveStats()
-        snapshot.merge(self)
-        return snapshot
+    @property
+    def storage_counters(self) -> Dict[str, int]:
+        """Storage telemetry deltas summed over every backend."""
+        totals: Dict[str, int] = {}
+        for backend in self.backends.values():
+            _fold_into(totals, backend.get("counters", {}))
+        return totals
+
+    def totals(self) -> Dict[str, Any]:
+        """Run-level rollups: the ``totals`` of metrics@1."""
+        rollups = self.primitives.values()
+        return {
+            "queries": sum(p["calls"] for p in rollups),
+            "cache_hits": sum(p["cache_hits"] for p in rollups),
+            "rows_touched": sum(p["rows_touched"] for p in rollups),
+            "query_duration_ms": round(sum(p["duration_ms"] for p in rollups), 6),
+            "duration_ms": self.root_ms,
+            "spans": sum(row["count"] for row in self.spans.values()),
+        }
+
+    def merge(self, other: "RunStats") -> None:
+        """Add *other*'s tables into this one."""
+        _fold_into(self._tables(), other._tables())
+        self.root_ms = max(self.root_ms, other.root_ms)
+
+    def copy(self) -> "RunStats":
+        """An independent snapshot of the tables."""
+        return RunStats.from_dict(self.as_dict())
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The tables as one JSON-ready document (archive storage)."""
+        return dict(_fold_into({}, self._tables()), root_ms=self.root_ms)
+
+    def _tables(self) -> Dict[str, Any]:
+        return {table: getattr(self, table) for table in self.TABLES}
+
+    @classmethod
+    def from_dict(cls, document: Dict[str, Any]) -> "RunStats":
+        """Rebuild a fold from :meth:`as_dict` output (archive restore).
+
+        Manifests from before the fold kept spans carry the flat totals
+        instead; they restore into the same tables (storage counters
+        under the unnamed backend ``""``).
+        """
+        stats = cls()
+        _fold_into(stats._tables(), {t: document.get(t) or {} for t in cls.TABLES})
+        stats.root_ms = document.get("root_ms", 0.0)
+        for name in ("phase_runs", "phase_ms", "setup_ms", "primitive_calls",
+                     "primitive_cache_hits"):
+            column = getattr(stats, name)
+            for key, value in (document.get(name) or {}).items():
+                column[key] = value
+        if document.get("storage_counters"):
+            stats.backends[""] = {"calls": 0, "duration_ms": 0.0,
+                                  "counters": dict(document["storage_counters"])}
+        return stats
 
     def __repr__(self) -> str:
-        return f"LiveStats(events={sum(self.events.values())})"
+        return f"RunStats(events={sum(self.events.values())})"
 
 
 class LiveSubscription:
@@ -306,7 +404,7 @@ class LiveBus:
 
     Publication assigns each record a ``seq`` (1-based, monotonic) and a
     ``ts_ms`` relative to the bus' attach time, appends it to the
-    history, folds it into the running :class:`LiveStats`, and offers it
+    history, folds it into the running :class:`RunStats`, and offers it
     to every subscription.  All of that happens under one lock, so
     subscribers observe a single total order — the same order the
     history records.
@@ -329,8 +427,7 @@ class LiveBus:
         self._history: deque = deque()
         self._history_limit = max(1, history_limit)
         self._trimmed = 0
-        self._stats = LiveStats()
-        self._open: Dict[int, Dict[str, Any]] = {}
+        self._stats = RunStats()
         self._seq = 0
         self._dropped_detached = 0
         self._base = clock()
@@ -351,10 +448,6 @@ class LiveBus:
             while len(self._history) > self._history_limit:
                 self._history.popleft()
                 self._trimmed += 1
-            if type == "span-open":
-                self._open[record["span"]] = record
-            elif type == "span-close":
-                self._open.pop(record["span"], None)
             for subscription in self._subscriptions:
                 subscription._offer(record)
             return record
@@ -408,9 +501,9 @@ class LiveBus:
                 ]
             else:
                 backlog = [
-                    dict(record, snapshot=True)
-                    for record in sorted(
-                        self._open.values(), key=lambda r: r["seq"]
+                    dict(opened[0], snapshot=True)
+                    for opened in sorted(
+                        self._stats._open.values(), key=lambda o: o[0]["seq"]
                     )
                 ]
             for record in backlog:
@@ -466,7 +559,7 @@ class LiveBus:
                 return []
             return list(islice(self._history, start, None))
 
-    def stats(self) -> LiveStats:
+    def stats(self) -> RunStats:
         """A snapshot of the running aggregates (trim-proof totals)."""
         with self._lock:
             return self._stats.copy()
@@ -520,50 +613,38 @@ def summarize_live(records: List[Dict[str, Any]]) -> str:
 
     *records* may include the header record (it is skipped).  The
     summary counts events per record type, lists each completed phase
-    with its duration and progress-tick count, and reports the terminal
-    ``end`` record when the capture carries one — the live-stream
-    analogue of ``repro trace summarize`` over a trace file.
+    name with its total duration and progress-tick count, and reports
+    the terminal ``end`` record when the capture carries one — the
+    live-stream analogue of ``repro trace summarize`` over a trace file.
     """
     from repro.util.text import format_table
 
     body = [r for r in records if r.get("type") in LIVE_EVENT_TYPES]
-    counts: Dict[str, int] = {}
-    for record in body:
-        counts[record["type"]] = counts.get(record["type"], 0) + 1
+    stats = RunStats.fold(body)
     span = (
         f"{body[0].get('ts_ms', 0.0):.0f}..{body[-1].get('ts_ms', 0.0):.0f} ms"
         if body
         else "empty"
     )
     lines = [f"# Live capture — {len(body)} record(s), {span}"]
-    rows = [[kind, counts[kind]] for kind in sorted(counts)]
-    if rows:
-        lines.append(format_table(["type", "records"], rows))
+    if stats.events:
+        lines.append(format_table(["type", "records"], sorted(stats.events.items())))
 
-    # per-phase view: close records carry the duration, progress records
-    # carry the phase name they ticked under
+    # per-phase view: durations from the fold, progress records carry
+    # the phase name they ticked under
     progress: Dict[str, int] = {}
     for record in body:
         if record["type"] == "progress" and record.get("phase"):
             progress[record["phase"]] = progress.get(record["phase"], 0) + 1
-    phases = [
-        record
-        for record in body
-        if record["type"] == "span-close" and record.get("kind") == "phase"
-    ]
-    if phases:
+    if stats.phase_ms:
         lines.append("")
         lines.append("# Phases")
         lines.append(
             format_table(
                 ["phase", "duration ms", "progress ticks"],
                 [
-                    [
-                        record["name"],
-                        f"{record.get('duration_ms', 0.0):.3f}",
-                        progress.get(record["name"], 0),
-                    ]
-                    for record in phases
+                    [name, f"{ms:.3f}", progress.get(name, 0)]
+                    for name, ms in stats.phase_ms.items()
                 ],
             )
         )

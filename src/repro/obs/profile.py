@@ -6,14 +6,16 @@ into *attribution*:
 
 - **hotspot profiles** (:func:`profile_from_records`) — per-span-name
   inclusive vs. exclusive (self) time and per-phase primitive
-  breakdowns (calls, wall time, cache hit-rate, rows scanned), computed
-  from an in-memory :class:`~repro.obs.tracer.Tracer` or a re-read
-  ``repro/trace@1`` JSONL file;
+  breakdowns (calls, wall time, cache hit-rate, rows scanned), rendered
+  from the :class:`~repro.obs.live.RunStats` fold of an in-memory
+  :class:`~repro.obs.tracer.Tracer` or a re-read ``repro/trace@1``
+  JSONL file;
 - **flamegraph exporters** — collapsed-stack lines for ``flamegraph.pl``
   (:func:`collapsed_stacks`) and a speedscope-compatible JSON document
   (:func:`speedscope_document`, tagged ``repro/profile@1`` in its
-  ``exporter`` field), both built from the span tree with the primitive
-  events folded in as leaf frames;
+  ``exporter`` field), both walking the trace's span-by-span replay
+  (:func:`~repro.obs.export.replay_trace`) with the primitive events
+  folded in as leaf frames;
 - **trace diffing** (:func:`diff_views` / :func:`render_diff`) — two
   traces (or two ``repro/metrics@1`` files) compared, regressions
   ranked by absolute self-time delta, with cache-hit-rate, call-count
@@ -34,14 +36,15 @@ and must not go negative.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.obs.export import (
     METRICS_FORMAT,
     TRACE_FORMAT,
+    replay_trace,
     trace_records,
 )
-from repro.obs.live import LIVE_FORMAT
+from repro.obs.live import LIVE_FORMAT, RunStats
 from repro.obs.provenance import PROVENANCE_FORMAT
 from repro.util.jsonl import load_jsonl
 from repro.util.text import format_table
@@ -52,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "PROFILE_FORMAT",
     "SPEEDSCOPE_SCHEMA",
+    "profile_from_stats",
     "profile_from_records",
     "profile_summary",
     "render_profile",
@@ -74,143 +78,63 @@ def _ms(value: float) -> float:
     return round(value, 6)
 
 
-def _split(records: List[Dict[str, Any]]) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    return spans, events
-
-
-def _children_of(spans: List[Dict[str, Any]]) -> Dict[Optional[int], List[Dict[str, Any]]]:
-    children: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda s: (s["start_ms"], s["id"]))
-    return children
-
-
-def _events_by_span(events: List[Dict[str, Any]]) -> Dict[Optional[int], List[Dict[str, Any]]]:
-    by_span: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for event in events:
-        by_span.setdefault(event["span"], []).append(event)
-    return by_span
-
-
-def _self_times(spans: List[Dict[str, Any]], events: List[Dict[str, Any]]) -> Dict[int, float]:
-    """span id → exclusive (self) milliseconds, clamped at zero.
-
-    Self time subtracts the durations of the direct child spans *and*
-    of the primitive events recorded directly under the span.  A
-    still-open parent (duration = elapsed-so-far) may report less time
-    than its finished children sum to; the clamp keeps self time
-    non-negative instead of letting bookkeeping skew go below zero.
-    """
-    child_ms: Dict[int, float] = {}
-    for span in spans:
-        parent = span["parent"]
-        if parent is not None:
-            child_ms[parent] = child_ms.get(parent, 0.0) + span["duration_ms"]
-    for event in events:
-        if event["span"] is not None:
-            child_ms[event["span"]] = child_ms.get(event["span"], 0.0) + event["duration_ms"]
-    return {s["id"]: max(0.0, s["duration_ms"] - child_ms.get(s["id"], 0.0)) for s in spans}
-
-
 def _hit_rate(hits: int, calls: int) -> float:
     return round(hits / calls, 4) if calls else 0.0
 
 
 # ----------------------------------------------------------------------
-# hotspot aggregation
+# hotspot profile
 # ----------------------------------------------------------------------
-def profile_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The hotspot profile of one trace's records.
+def profile_from_stats(stats: RunStats) -> Dict[str, Any]:
+    """The hotspot profile rendered from one fold.
 
-    Returns a document with
-
-    - ``spans`` — one row per span *name*: occurrence count, inclusive
-      and exclusive (self) milliseconds, whether any occurrence is
-      still open;
-    - ``phases`` — per phase span: inclusive/self milliseconds and a
-      per-primitive breakdown (calls, wall time, cache hits/misses and
-      hit-rate, rows scanned) of the events in the phase's subtree;
-    - ``primitives`` — the same per-primitive breakdown over the whole
-      run;
-    - ``totals`` — run-level rollups.
+    ``spans`` has one row per span *name* (count, inclusive and self
+    ms, any occurrence still open); ``phases`` per phase name its
+    inclusive/self ms and a per-primitive breakdown (calls, wall time,
+    cache hits/misses and hit-rate, rows scanned) of the primitives
+    under it; ``primitives`` the same over the whole run; ``totals``
+    run-level rollups.
     """
-    spans, events = _split(records)
-    self_ms = _self_times(spans, events)
-    children = _children_of(spans)
 
-    by_name: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        row = by_name.setdefault(
-            span["name"],
-            {"kind": span["kind"], "count": 0, "inclusive_ms": 0.0, "self_ms": 0.0, "open": False},
-        )
-        row["count"] += 1
-        row["inclusive_ms"] += span["duration_ms"]
-        row["self_ms"] += self_ms[span["id"]]
-        row["open"] = row["open"] or bool(span.get("open"))
-    for row in by_name.values():
-        row["inclusive_ms"] = _ms(row["inclusive_ms"])
-        row["self_ms"] = _ms(row["self_ms"])
-
-    def primitive_rollup(subset: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-        rollup: Dict[str, Dict[str, Any]] = {}
-        for event in subset:
-            p = rollup.setdefault(
-                event["primitive"],
-                {
-                    "calls": 0,
-                    "duration_ms": 0.0,
-                    "cache_hits": 0,
-                    "cache_misses": 0,
-                    "rows_touched": 0,
-                },
+    def breakdown(rollups: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+        return {
+            name: dict(
+                row,
+                duration_ms=_ms(row["duration_ms"]),
+                hit_rate=_hit_rate(row["cache_hits"], row["calls"]),
             )
-            p["calls"] += 1
-            p["duration_ms"] += event["duration_ms"]
-            p["cache_hits" if event["cache_hit"] else "cache_misses"] += 1
-            p["rows_touched"] += event["rows_touched"]
-        for p in rollup.values():
-            p["duration_ms"] = _ms(p["duration_ms"])
-            p["hit_rate"] = _hit_rate(p["cache_hits"], p["calls"])
-        return rollup
-
-    # phase subtrees: a phase's breakdown covers every event under it
-    subtree_events = _events_by_span(events)
-
-    def collect_events(span_id: int) -> List[Dict[str, Any]]:
-        collected = list(subtree_events.get(span_id, ()))
-        for child in children.get(span_id, ()):
-            collected.extend(collect_events(child["id"]))
-        return collected
-
-    phases: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        if span["kind"] != "phase":
-            continue
-        phase_events = collect_events(span["id"])
-        phases[span["name"]] = {
-            "inclusive_ms": span["duration_ms"],
-            "self_ms": _ms(self_ms[span["id"]]),
-            "queries": len(phase_events),
-            "primitives": primitive_rollup(phase_events),
+            for name, row in rollups.items()
         }
 
-    root_ms = max((s["duration_ms"] for s in spans if s["parent"] is None), default=0.0)
+    spans = {
+        name: dict(row, inclusive_ms=_ms(row["inclusive_ms"]), self_ms=_ms(row["self_ms"]))
+        for name, row in stats.spans.items()
+    }
+    phases = {}
+    for name, row in spans.items():
+        if row["kind"] == "phase":
+            primitives = breakdown(stats.phases.get(name, {}))
+            phases[name] = {
+                "inclusive_ms": row["inclusive_ms"],
+                "self_ms": row["self_ms"],
+                "queries": sum(p["calls"] for p in primitives.values()),
+                "primitives": primitives,
+            }
+    totals = stats.totals()
     return {
-        "spans": by_name,
+        "spans": spans,
         "phases": phases,
-        "primitives": primitive_rollup(events),
+        "primitives": breakdown(stats.primitives),
         "totals": {
-            "duration_ms": root_ms,
-            "queries": len(events),
-            "spans": len(spans),
-            "query_duration_ms": _ms(sum(e["duration_ms"] for e in events)),
+            key: totals[key]
+            for key in ("duration_ms", "queries", "spans", "query_duration_ms")
         },
     }
+
+
+def profile_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The hotspot profile of one trace's records."""
+    return profile_from_stats(RunStats.fold(replay_trace(records)))
 
 
 def profile_summary(tracer: "Tracer") -> Dict[str, Any]:
@@ -282,34 +206,26 @@ def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
     Zero-weight stacks are kept (weight 1 µs minimum would lie; a zero
     line is valid collapsed-stack input and keeps the frame visible).
     """
-    spans, events = _split(records)
-    self_ms = _self_times(spans, events)
-    children = _children_of(spans)
-    by_span = _events_by_span(events)
-    spans_by_id = {s["id"]: s for s in spans}
-
     weights: Dict[str, int] = {}
+    stack: List[List[Any]] = []  # per open span: [stack, child ms]
 
-    def stack_of(span: Dict[str, Any]) -> str:
-        names: List[str] = []
-        cursor: Optional[Dict[str, Any]] = span
-        while cursor is not None:
-            names.append(cursor["name"])
-            parent = cursor["parent"]
-            cursor = spans_by_id.get(parent) if parent is not None else None
-        return ";".join(reversed(names))
+    def add(stack_name: str, ms: float) -> None:
+        weights[stack_name] = weights.get(stack_name, 0) + int(round(ms * 1000))
 
-    for span in spans:
-        stack = stack_of(span)
-        weights[stack] = weights.get(stack, 0) + int(round(self_ms[span["id"]] * 1000))
-        for event in by_span.get(span["id"], ()):
-            leaf = f"{stack};{event['primitive']}"
-            weights[leaf] = weights.get(leaf, 0) + int(round(event["duration_ms"] * 1000))
-    # events recorded outside any span still show up, under a synthetic root
-    for event in by_span.get(None, ()):
-        leaf = f"(no span);{event['primitive']}"
-        weights[leaf] = weights.get(leaf, 0) + int(round(event["duration_ms"] * 1000))
-    return [f"{stack} {weight}" for stack, weight in sorted(weights.items())]
+    for record in replay_trace(records):
+        if record["type"] == "span-open":
+            name = f"{stack[-1][0]};{record['name']}" if stack else record["name"]
+            stack.append([name, 0.0])
+            continue
+        if record["type"] == "span-close":
+            name, child_ms = stack.pop()
+            add(name, max(0.0, record["duration_ms"] - child_ms))
+        else:  # primitives outside any span go under a synthetic root
+            parent = stack[-1][0] if stack else "(no span)"
+            add(f"{parent};{record['primitive']}", record["duration_ms"])
+        if stack:
+            stack[-1][1] += record["duration_ms"]
+    return [f"{name} {weight}" for name, weight in sorted(weights.items())]
 
 
 def write_collapsed(records: List[Dict[str, Any]], path: str) -> None:
@@ -325,55 +241,45 @@ def speedscope_document(
 ) -> Dict[str, Any]:
     """The trace as a speedscope-compatible *evented* profile.
 
-    Open/close events are emitted by a pre-order walk of the span tree
-    (children in start order, primitive events interleaved at their
-    start time), so the stream is properly nested by construction even
-    when recorded timestamps jitter at the rounding edge; child frames
-    are clamped into their parent's window.  The document carries
-    ``exporter: repro/profile@1`` — load it at https://speedscope.app.
+    Open/close events follow the trace's replay (each span's primitive
+    events and child spans in start order), so the stream is properly
+    nested by construction even when recorded timestamps jitter at the
+    rounding edge; child frames are clamped into their parent's window
+    and primitives outside any span are not drawn.  The document
+    carries ``exporter: repro/profile@1`` — load it at
+    https://speedscope.app.
     """
-    spans, events = _split(records)
-    children = _children_of(spans)
-    by_span = _events_by_span(events)
-
     frames: List[Dict[str, Any]] = []
     frame_index: Dict[str, int] = {}
-
-    def frame(label: str) -> int:
-        if label not in frame_index:
-            frame_index[label] = len(frames)
-            frames.append({"name": label})
-        return frame_index[label]
-
     out: List[Dict[str, Any]] = []
     end_value = 0.0
 
     def emit(kind: str, label: str, at: float) -> None:
         nonlocal end_value
+        if label not in frame_index:
+            frame_index[label] = len(frames)
+            frames.append({"name": label})
         end_value = max(end_value, at)
-        out.append({"type": kind, "frame": frame(label), "at": _ms(at)})
+        out.append({"type": kind, "frame": frame_index[label], "at": _ms(at)})
 
-    def walk(span: Dict[str, Any], lo: float, hi: float) -> None:
-        start = min(max(span["start_ms"], lo), hi)
-        end = min(max(start, span["start_ms"] + span["duration_ms"]), hi)
-        emit("O", span["name"], start)
-        cursor = start
-        leaves = [(e["start_ms"], "event", e) for e in by_span.get(span["id"], ())]
-        leaves += [(c["start_ms"], "span", c) for c in children.get(span["id"], ())]
-        for _, node_kind, node in sorted(leaves, key=lambda item: item[0]):
-            if node_kind == "span":
-                walk(node, cursor, end)
-                cursor = min(max(cursor, node["start_ms"] + node["duration_ms"]), end)
-            else:
-                at = min(max(node["start_ms"], cursor), end)
-                leave = min(max(at, node["start_ms"] + node["duration_ms"]), end)
-                emit("O", node["primitive"], at)
-                emit("C", node["primitive"], leave)
-                cursor = leave
-        emit("C", span["name"], end)
-
-    for root in children.get(None, []):
-        walk(root, root["start_ms"], root["start_ms"] + root["duration_ms"])
+    windows: List[List[float]] = []  # per open span: [its end, cursor]
+    for record in replay_trace(records):
+        start, until = record["start_ms"], record["start_ms"] + record["duration_ms"]
+        if record["type"] == "span-close":
+            emit("C", record["name"], windows.pop()[0])
+        elif record["type"] == "span-open":
+            hi, lo = windows[-1] if windows else (until, start)
+            at = min(max(start, lo), hi)
+            emit("O", record["name"], at)
+            windows.append([min(max(at, until), hi), at])
+            continue
+        elif windows:
+            hi, cursor = windows[-1]
+            at = min(max(start, cursor), hi)
+            emit("O", record["primitive"], at)
+            emit("C", record["primitive"], min(max(at, until), hi))
+        if windows:  # the parent's cursor moves past this leaf or child
+            windows[-1][1] = min(max(windows[-1][1], until), windows[-1][0])
 
     return {
         "$schema": SPEEDSCOPE_SCHEMA,
@@ -473,9 +379,9 @@ def view_from_export(kind: str, payload: Any) -> Dict[str, Any]:
     """Reduce a trace or metrics export to one comparable *view*.
 
     A view has ``spans`` (name → self/inclusive ms; traces only, empty
-    for metrics files), ``phases`` (name → duration) and ``primitives``
-    (name → calls/duration/hit-rate/rows) — the common denominator the
-    diff engine ranks over.
+    for metrics files), ``phases`` and ``setup`` (name → duration) and
+    ``primitives`` (name → calls/duration/hit-rate/rows) — the common
+    denominator the diff engine ranks over.
     """
     if kind == TRACE_FORMAT:
         profile = profile_from_records(payload)
@@ -483,6 +389,11 @@ def view_from_export(kind: str, payload: Any) -> Dict[str, Any]:
             "source": "trace",
             "spans": profile["spans"],
             "phases": {name: stats["inclusive_ms"] for name, stats in profile["phases"].items()},
+            "setup": {
+                name: stats["inclusive_ms"]
+                for name, stats in profile["spans"].items()
+                if stats["kind"] == "setup"
+            },
             "primitives": profile["primitives"],
         }
     if kind == METRICS_FORMAT:
@@ -492,14 +403,14 @@ def view_from_export(kind: str, payload: Any) -> Dict[str, Any]:
             primitives[name]["hit_rate"] = _hit_rate(
                 stats.get("cache_hits", 0), stats.get("calls", 0)
             )
-        return {
-            "source": "metrics",
-            "spans": {},
-            "phases": {
-                name: stats["duration_ms"] for name, stats in payload.get("phases", {}).items()
-            },
-            "primitives": primitives,
+        durations = {
+            section: {
+                name: stats["duration_ms"]
+                for name, stats in payload.get(section, {}).items()
+            }
+            for section in ("phases", "setup")
         }
+        return {"source": "metrics", "spans": {}, **durations, "primitives": primitives}
     raise ValueError(f"cannot diff a {kind} export")
 
 
@@ -511,9 +422,9 @@ def diff_views(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Compare two views; rank every section by absolute time delta.
 
     ``spans`` ranks per-span-name *self*-time deltas (present only when
-    both sides came from full traces), ``phases`` ranks inclusive
-    phase-duration deltas, and ``primitives`` ranks per-primitive wall
-    deltas with cache-hit-rate, call-count and rows-scanned deltas
+    both sides came from full traces), ``phases`` and ``setup`` rank
+    inclusive duration deltas, and ``primitives`` ranks per-primitive
+    wall deltas with cache-hit-rate, call-count and rows-scanned deltas
     attached as the explanation.
     """
     spans: List[Dict[str, Any]] = []
@@ -526,11 +437,14 @@ def diff_views(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
             spans.append(row)
         spans.sort(key=lambda r: abs(r["delta_ms"]), reverse=True)
 
-    phases = [
-        _delta_row(name, a["phases"].get(name, 0.0), b["phases"].get(name, 0.0))
-        for name in sorted(set(a["phases"]) | set(b["phases"]))
-    ]
-    phases.sort(key=lambda r: abs(r["delta_ms"]), reverse=True)
+    durations = {}
+    for section in ("phases", "setup"):
+        da, db = a.get(section, {}), b.get(section, {})
+        rows = [
+            _delta_row(name, da.get(name, 0.0), db.get(name, 0.0))
+            for name in sorted(set(da) | set(db))
+        ]
+        durations[section] = sorted(rows, key=lambda r: abs(r["delta_ms"]), reverse=True)
 
     primitives: List[Dict[str, Any]] = []
     for name in sorted(set(a["primitives"]) | set(b["primitives"])):
@@ -549,7 +463,7 @@ def diff_views(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
         primitives.append(row)
     primitives.sort(key=lambda r: abs(r["delta_ms"]), reverse=True)
 
-    return {"spans": spans, "phases": phases, "primitives": primitives}
+    return {"spans": spans, **durations, "primitives": primitives}
 
 
 def _explain_primitive(row: Dict[str, Any]) -> str:
@@ -583,14 +497,18 @@ def render_diff(diff: Dict[str, Any], a_label: str = "A", b_label: str = "B") ->
         lines.append(
             format_table(["span", "kind", f"{a_label} ms", f"{b_label} ms", "delta ms"], rows)
         )
-    elif diff["phases"]:
-        rows = [
-            [r["name"], f"{r['a_ms']:.3f}", f"{r['b_ms']:.3f}", f"{r['delta_ms']:+.3f}"]
-            for r in diff["phases"]
-        ]
-        lines.append("")
-        lines.append("## Phase durations")
-        lines.append(format_table(["phase", f"{a_label} ms", f"{b_label} ms", "delta ms"], rows))
+    durations = [("phases", "## Phase durations", "phase"), ("setup", "## Setup steps", "step")]
+    for section, title, column in durations[1 if diff["spans"] else 0:]:
+        if diff.get(section):
+            rows = [
+                [r["name"], f"{r['a_ms']:.3f}", f"{r['b_ms']:.3f}", f"{r['delta_ms']:+.3f}"]
+                for r in diff[section]
+            ]
+            lines.append("")
+            lines.append(title)
+            lines.append(
+                format_table([column, f"{a_label} ms", f"{b_label} ms", "delta ms"], rows)
+            )
     if diff["primitives"]:
         rows = [
             [

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RunCancelled, UnknownJobError
-from repro.obs.live import LiveStats
+from repro.obs.live import RunStats
 from repro.obs.log import get_logger, log_context
 from repro.obs.tracer import Tracer
 
@@ -253,10 +253,10 @@ class JobManager:
         self._evicted_jobs = 0
         self._evicted_cached = 0
         self._evicted_dropped = 0
-        self._evicted_stats = LiveStats()
+        self._evicted_stats = RunStats()
         self._archive = archive
         self._restored_jobs = 0
-        self._restored_stats = LiveStats()
+        self._restored_stats = RunStats()
         self._stopping = False
         if archive is not None:
             with self._wakeup:
@@ -537,14 +537,16 @@ class JobManager:
         if self._archive is None or job.trace is None:
             return
         try:
-            from repro.obs.export import metrics_from_records, trace_records
+            from repro.obs.export import metrics_from_stats, trace_records
             from repro.obs.live import live_records
 
-            trace = trace_records(job.trace)
-            metrics = metrics_from_records(trace)
+            # the bus folded every record as it was published: metrics@1
+            # renders that fold, the manifest stores it
             bus = job.live
-            live = live_records(bus) if bus is not None else None
-            stats = bus.stats() if bus is not None else None
+            stats = bus.stats()
+            trace = trace_records(job.trace)
+            metrics = metrics_from_stats(stats)
+            live = live_records(bus)
             provenance = eer = None
             result = job.result
             if result is not None and result.provenance is not None:
@@ -609,7 +611,7 @@ class JobManager:
         """What ledger eviction has retired so far.
 
         ``jobs``/``cached``/``dropped`` are counts; ``stats`` is the
-        :class:`~repro.obs.live.LiveStats` fold of every evicted job's
+        :class:`~repro.obs.live.RunStats` fold of every evicted job's
         telemetry totals — ``/metrics`` adds them back in so its
         counters never move backwards when the ledger is bounded.
         """

@@ -13,7 +13,7 @@ from repro.obs.history import (
     render_bench_trends,
     robust_zscores,
 )
-from repro.obs.live import LiveStats
+from repro.obs.live import RunStats
 
 
 def history_record(mode="quick", wall_ms=10.0, queries=30, hits=5):
@@ -101,7 +101,7 @@ class TestBenchHistory:
 
 
 def archived_run(archive, job_id, key, phase_ms, calls=10, hits=5, pool=0):
-    stats = LiveStats()
+    stats = RunStats()
     for phase, ms in phase_ms.items():
         stats.phase_runs[phase] = 1
         stats.phase_ms[phase] = ms

@@ -5,7 +5,7 @@ import pytest
 from repro.obs.live import (
     LIVE_FORMAT,
     LiveBus,
-    LiveStats,
+    RunStats,
     live_records,
     read_live_jsonl,
     write_live_jsonl,
@@ -214,7 +214,7 @@ class TestLiveStats:
         assert stats.events["progress"] == 1
 
     def test_merge_folds_and_copy_is_independent(self):
-        a = LiveStats()
+        a = RunStats()
         a.observe({"type": "pool", "event": "respawn"})
         b = a.copy()
         b.observe({"type": "pool", "event": "respawn"})
@@ -224,7 +224,7 @@ class TestLiveStats:
         assert a.pool_events == {"respawn": 3}
 
     def test_setup_spans_are_kept_apart_from_phases(self):
-        stats = LiveStats()
+        stats = RunStats()
         stats.observe({
             "type": "span-close", "name": "copy", "kind": "setup",
             "duration_ms": 2.0,
@@ -237,12 +237,12 @@ class TestLiveStats:
         assert stats.phase_ms == {"Restruct": 5.0}
         assert stats.phase_runs == {"Restruct": 1}
         assert stats.setup_ms == {"copy": 2.0}
-        restored = LiveStats.from_dict(stats.as_dict())
+        restored = RunStats.from_dict(stats.as_dict())
         assert restored.setup_ms == {"copy": 2.0}
-        assert LiveStats.from_dict({"phase_ms": {"Restruct": 1.0}}).setup_ms == {}
+        assert RunStats.from_dict({"phase_ms": {"Restruct": 1.0}}).setup_ms == {}
 
     def test_cache_hits_and_storage_counters(self):
-        stats = LiveStats()
+        stats = RunStats()
         stats.observe({
             "type": "primitive", "primitive": "join_count",
             "cache_hit": True, "counters": {"pool_hits": 3},

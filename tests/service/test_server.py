@@ -30,6 +30,7 @@ def api():
         except urllib.error.HTTPError as error:
             return error.code, json.loads(error.read())
 
+    call.manager = manager
     yield call
     server.shutdown()
     server.server_close()
@@ -94,14 +95,39 @@ class TestRoutes:
         assert body["cancelled"] is False
 
     def test_eer_of_unfinished_job_is_a_conflict(self, api):
-        # the demo is fast; use a spec that stays queued by submitting
-        # to a manager whose single runner is busy with the first job
-        _, first = api("POST", "/jobs", {"demo": True})
-        _, second = api("POST", "/jobs", {"demo": True, "label": "second"})
-        status, body = api("GET", f"/jobs/{second['id']}/eer")
-        if second["state"] in ("queued", "running"):
+        # hold the single runner inside the first job's first expert
+        # question, so the second job stays queued until released
+        from repro.core.expert import ScriptedExpert
+        from repro.workloads.paper_example import (
+            build_paper_database,
+            paper_expert_script,
+            paper_program_corpus,
+        )
+
+        release, asked = threading.Event(), threading.Event()
+
+        class HeldExpert(ScriptedExpert):
+            def decide_nei(self, context):
+                asked.set()
+                release.wait(timeout=60)
+                return super().decide_nei(context)
+
+        first = api.manager.submit(
+            build_paper_database(),
+            corpus=paper_program_corpus(),
+            config={"expert": HeldExpert(paper_expert_script())},
+            label="held",
+        )
+        try:
+            assert asked.wait(timeout=60)
+            _, second = api("POST", "/jobs", {"demo": True, "label": "second"})
+            assert second["state"] == "queued"
+            status, body = api("GET", f"/jobs/{second['id']}/eer")
             assert status == 409
             assert "still" in body["error"]
+        finally:
+            release.set()
+        wait_done(api, first.id)
         wait_done(api, second["id"])
 
 
