@@ -1,35 +1,21 @@
-"""S11 — process-parallel probe sharding and the job service.
+"""S11 — the job service's results cache.
 
-Two claims pay for the ``repro.service`` layer:
-
-1. **Sharding is free of observable effect** — a pipeline run under
-   ``engine="process"`` produces bit-identical output to the serial
-   run (always asserted, at any core count), and on a machine with at
-   least 4 cores the 4-worker run must finish the probe stream in **at
-   most half** the serial wall clock.  On smaller machines the speedup
-   assertion is skipped — fork/IPC overhead on a single core proves
-   nothing either way — but the identity assertion still runs.
-2. **The job cache collapses duplicate work** — resubmitting the same
-   (database fingerprint, workload, config) triple must be answered
-   from the ledger orders of magnitude faster than the original run,
-   sharing the original result object outright.
+**The job cache collapses duplicate work** — resubmitting the same
+(database fingerprint, workload, config) triple must be answered from
+the ledger orders of magnitude faster than the original run, sharing
+the original result object outright.
 
 Like S7/S10 this file runs as a plain smoke test with
 ``time.perf_counter`` loops, not the pytest-benchmark fixture.
 """
 
-import os
 import time
 
 from benchmarks.conftest import report
-from repro.core import DBREPipeline
 from repro.service.jobs import JobManager
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-#: the 4-worker speedup bar, enforced only where the hardware can pay
-SPEEDUP_FLOOR = 2.0
-
-#: the s3/s11 regression-gate scenario at quick scale
+#: the s3 regression-gate scenario at quick scale
 SCENARIO = ScenarioConfig(
     seed=700,
     n_entities=5,
@@ -38,77 +24,6 @@ SCENARIO = ScenarioConfig(
     merges=2,
     parent_rows=20,
 )
-
-ROUNDS = 3
-
-
-def _observable(result):
-    return (
-        [repr(i) for i in result.inds],
-        [repr(f) for f in result.fds],
-        [repr(r) for r in result.ric],
-        result.extension_queries,
-        result.expert_decisions,
-    )
-
-
-def _run(engine, workers=0):
-    scenario = build_scenario(SCENARIO)
-    pipeline = DBREPipeline(
-        scenario.database, scenario.expert,
-        engine=engine, engine_workers=workers,
-    )
-    start = time.perf_counter()
-    result = pipeline.run(corpus=scenario.corpus)
-    wall = time.perf_counter() - start
-    return result, wall
-
-
-def _best_wall(engine, workers=0, rounds=ROUNDS):
-    return min(_run(engine, workers)[1] for _ in range(rounds))
-
-
-def test_s11_process_sharding_is_bit_identical():
-    """Process strategy: same observable output, healthy pool."""
-    serial, _ = _run("serial")
-    rows = []
-    for workers in (1, 2, 4):
-        process, wall = _run("process", workers=workers)
-        assert _observable(process) == _observable(serial)
-        stats = process.engine_stats
-        assert stats.pool_fallbacks == 0
-        assert stats.process_chunks > 0
-        rows.append([
-            workers, stats.logical_probes, stats.process_chunks,
-            f"{wall * 1000:.1f}",
-        ])
-    report(
-        "S11 — process sharding, identical output at every width",
-        ["workers", "logical probes", "chunks", "wall ms"],
-        rows,
-    )
-
-
-def test_s11_four_workers_halve_the_wall_clock():
-    """>= 2x over serial at 4 workers — where 4 cores exist."""
-    serial_wall = _best_wall("serial")
-    process_wall = _best_wall("process", workers=4)
-    speedup = serial_wall / process_wall if process_wall else float("inf")
-    cores = os.cpu_count() or 1
-    report(
-        f"S11 — wall clock, serial vs 4 workers (best of {ROUNDS}, "
-        f"{cores} cores)",
-        ["engine", "wall ms", "speedup"],
-        [
-            ["serial", f"{serial_wall * 1000:.1f}", "1.0x"],
-            ["process x4", f"{process_wall * 1000:.1f}", f"{speedup:.2f}x"],
-        ],
-    )
-    if cores >= 4:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"4 workers managed only {speedup:.2f}x over serial "
-            f"(floor {SPEEDUP_FLOOR}x on {cores} cores)"
-        )
 
 
 def test_s11_job_cache_answers_duplicates_instantly():

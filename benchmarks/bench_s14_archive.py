@@ -1,6 +1,6 @@
-"""S14 — run-archive durability and fleet-federation overhead.
+"""S14 — run-archive durability.
 
-Three claims pay for the persistent observability tier:
+Two claims pay for the persistent observability tier:
 
 1. **Archival is faithful and off the query path** — writing a finished
    run through to a ``repro/archive@1`` directory and restoring it in a
@@ -15,9 +15,6 @@ Three claims pay for the persistent observability tier:
    window) is ignored on restore, never half-loaded; this file
    truncates the index mid-entry and asserts the archive still
    restores what was committed.
-3. **Federation is lossless relabelling** — merging two instances'
-   expositions preserves every sample of both (per-instance labels,
-   values verbatim), lints clean, and costs parsing only.
 
 Like S7/S10/S13 this file runs as a plain smoke test with
 ``time.perf_counter`` loops, not the pytest-benchmark fixture.
@@ -28,9 +25,7 @@ import time
 
 from benchmarks.conftest import report
 from repro.obs.archive import RunArchive
-from repro.service.fleet import merge_expositions, parse_exposition
 from repro.service.jobs import JobManager
-from repro.service.metrics import lint_exposition, render_metrics
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 #: the s3/s14 regression-gate scenario at quick scale
@@ -124,56 +119,5 @@ def test_s14_truncated_index_restores_committed_prefix(tmp_path):
         [
             ["index lines kept", str(len(lines) - 1)],
             ["restored jobs", "0 (uncommitted run ignored)"],
-        ],
-    )
-
-
-def test_s14_federation_is_lossless_relabelling():
-    """Merged exposition = every instance sample, relabelled, linted."""
-    with JobManager(runners=1) as first:
-        scenario = build_scenario(SCENARIO)
-        job = first.submit(
-            scenario.database,
-            corpus=scenario.corpus,
-            config={"expert": scenario.expert},
-        )
-        first.result(job.id, timeout=120)
-        text_a = render_metrics(first, streams_active=1)
-    with JobManager(runners=1) as second:
-        text_b = render_metrics(second)
-
-    start = time.perf_counter()
-    merged = merge_expositions({"a:1": text_a, "b:2": text_b})
-    merge_ms = (time.perf_counter() - start) * 1000
-    problems = lint_exposition(merged)
-    assert problems == [], f"federated exposition fails lint: {problems}"
-
-    def census(text):
-        return sum(len(f.samples) for f in parse_exposition(text))
-
-    merged_families = parse_exposition(merged)
-    fleet_own = sum(
-        len(f.samples)
-        for f in merged_families
-        if f.name.startswith("repro_fleet_")
-    )
-    assert census(merged) - fleet_own == census(text_a) + census(text_b), (
-        "federation dropped or invented samples"
-    )
-    for family in merged_families:
-        for labels, _value in family.samples:
-            if not family.name.startswith("repro_fleet_instances"):
-                assert "instance" in labels, (
-                    f"{family.name} sample lost its instance label"
-                )
-    report(
-        "S14 — two-instance federation merge",
-        ["observable", "value"],
-        [
-            ["instance a samples", str(census(text_a))],
-            ["instance b samples", str(census(text_b))],
-            ["merged samples", str(census(merged))],
-            ["merge ms", f"{merge_ms:.2f}"],
-            ["lint problems", "0"],
         ],
     )

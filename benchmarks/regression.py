@@ -219,25 +219,6 @@ def _head_configs(quick: bool) -> List[Dict[str, Any]]:
             "backend": SQLiteBackend,
             "engine": "batched",
         },
-        # the s3 head through the process-parallel executor: the logical
-        # query stream is gated (sharding must never change what is
-        # asked, only where it is answered) and its latency entry tracks
-        # the fork/IPC overhead; "engine" extras record chunk counts and
-        # the pool's crash/retry/fallback telemetry
-        {
-            "name": "s11-service-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "engine": "process",
-            "engine_workers": 2,
-        },
         # the s3 head with every restruct decomposition re-verified from
         # scratch: certification (chase, preservation split, normal-form
         # diagnosis) is pure schema computation, so the gated query
@@ -331,7 +312,6 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
         scenario.expert,
         tracer=tracer,
         engine=head.get("engine", "serial"),
-        engine_workers=head.get("engine_workers", 0),
         provenance=head.get("provenance", False),
     )
     start = time.perf_counter()

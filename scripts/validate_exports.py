@@ -29,7 +29,7 @@ files:
    ``backends.paged.counters``;
 6. ``repro jobs run`` executes a spec file through the job manager —
    one serial demo, a duplicate that must be served from the results
-   cache, and a process-engine run — and the ``repro/jobs@1`` ledger
+   cache, and a batched-engine run — and the ``repro/jobs@1`` ledger
    export re-reads with matching header counts, every job ``done`` and
    exactly the duplicate flagged ``cached``;
 7. a live service round-trip: a demo job submitted over HTTP is watched
@@ -278,8 +278,8 @@ def main(argv=None) -> int:
         {"demo": True, "label": "demo-serial"},
         {
             "demo": True,
-            "label": "demo-process",
-            "config": {"engine": "process", "engine_workers": 2},
+            "label": "demo-batched",
+            "config": {"engine": "batched"},
         },
     ]
     with open(specs_path, "w", encoding="utf-8") as handle:

@@ -30,21 +30,17 @@ the extension ``E``.  Every backend must implement
   before each primitive so exported traces carry cache hit/miss and
   rows-touched figures; the backends themselves never see the tracer.
 
-Two further members are **optional** — the
-:class:`~repro.engine.executor.BatchExecutor` sniffs for them and falls
-back to serial primitive calls when they are absent, so third-party
+Two further members are **optional**.  The first serves the
+:class:`~repro.engine.executor.BatchExecutor`, which sniffs for it and
+falls back to serial primitive calls when it is absent, so third-party
 backends that only implement the required surface keep working:
 
 - ``execute_batch(probes)`` (see :class:`BatchCapableBackend`) answers
   a sequence of :class:`~repro.engine.probes.Probe` requests in one
   pass — :class:`~repro.backends.sqlite.SQLiteBackend` compiles a chunk
-  into a single grouped statement of scalar subqueries;
-- ``parallel_safe`` (class attribute, default falsy) declares that the
-  four primitives may be called from concurrent worker threads —
-  :class:`~repro.backends.memory.MemoryBackend` sets it because its
-  primitives are pure in-process reads.
+  into a single grouped statement of scalar subqueries.
 
-A third optional member serves :meth:`~repro.relational.database.Database.copy`,
+The second serves :meth:`~repro.relational.database.Database.copy`,
 which falls back to ``spawn`` plus the validating ``insert_many`` path
 without it:
 

@@ -27,12 +27,6 @@ class MemoryBackend:
 
     kind = "memory"
 
-    #: the four primitives are pure reads over in-process lists, so the
-    #: batch executor may drive them from concurrent worker threads; the
-    #: distinct cache tolerates racing writers (same key, same value —
-    #: the worst case is one redundant scan, never a wrong answer)
-    parallel_safe = True
-
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         # distinct-value cache, keyed by (relation, attrs) and guarded by

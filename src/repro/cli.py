@@ -47,12 +47,10 @@ DAG as Graphviz DOT) and ``--certificates FILE`` (the Restruct
 decomposition certificates as ``repro/normalization@1`` JSONL); see
 ``docs/OBSERVABILITY.md`` for the formats.
 They also accept
-``--engine {serial,batched,process}``: ``batched`` routes the discovery
-phases through the :mod:`repro.engine` planner (dedupe + grouped
-execution; identical results and traces — see ``docs/ENGINE.md``),
-``process`` additionally shards probe chunks across worker processes
-(each with a private backend instance; same results, crash-tolerant),
-with ``--engine-workers N`` controlling threads or processes.
+``--engine {serial,batched}``: ``batched`` routes the discovery phases
+through the :mod:`repro.engine` planner (dedupe, then grouped SQL
+pushdown where the backend supports it; identical results and traces —
+see ``docs/ENGINE.md``).
 
 The database input is a ``.sql`` script (CREATE TABLE + INSERT,
 executed by the built-in engine), a ``.json`` database document
@@ -280,7 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     pipeline = DBREPipeline(
         database, expert,
         tracer=_make_tracer(args),
-        engine=args.engine, engine_workers=args.engine_workers,
+        engine=args.engine,
     )
     result = pipeline.run(corpus=corpus)
 
@@ -352,7 +350,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     pipeline = DBREPipeline(
         database, expert,
         tracer=_make_tracer(args),
-        engine=args.engine, engine_workers=args.engine_workers,
+        engine=args.engine,
     )
     result = pipeline.run(corpus=paper_program_corpus())
     print(session_report(result, pipeline.expert,
@@ -486,7 +484,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             verbose=not args.quiet,
             heartbeat=args.heartbeat,
-            peers=args.peers or (),
         )
     finally:
         if args.jobs_export:
@@ -601,8 +598,6 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
                     else ""
                 )
                 emit_progress(f"{message}{counter}")
-            elif kind == "pool":
-                emit(f"  pool: {record.get('event')}")
             elif kind == "end":
                 final_state = record.get("state") or ""
                 emit(f"{args.job_id} finished: {final_state or 'unknown'}")
@@ -629,26 +624,6 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 1
-
-
-def cmd_fleet_scrape(args: argparse.Namespace) -> int:
-    """Merge several instances' ``/metrics`` into one linted exposition."""
-    from repro.service.fleet import scrape_fleet
-    from repro.service.metrics import lint_exposition
-
-    text = scrape_fleet(args.urls, timeout=args.timeout)
-    print(text, end="")
-    problems = lint_exposition(text)
-    for problem in problems:
-        print(f"lint: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def cmd_fleet_status(args: argparse.Namespace) -> int:
-    from repro.service.fleet import fleet_status
-
-    print(fleet_status(args.urls, timeout=args.timeout), end="")
-    return 0
 
 
 def cmd_history(args: argparse.Namespace) -> int:
@@ -825,15 +800,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_engine_option(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--engine", choices=DBREPipeline.ENGINE_MODES, default="serial",
-            help="probe execution: serial (one backend call per probe), "
-                 "batched (plan, dedupe and group probes), or process "
-                 "(shard probe chunks across worker processes); all modes "
-                 "produce identical results",
-        )
-        command.add_argument(
-            "--engine-workers", type=int, default=0, metavar="N",
-            help="batched: worker threads on parallel-safe backends; "
-                 "process: worker processes (0 = auto)",
+            help="probe execution: serial (one backend call per probe) "
+                 "or batched (plan, dedupe and group probes; one grouped "
+                 "statement per chunk on SQLite); both modes produce "
+                 "identical results",
         )
 
     def add_observability_options(command: argparse.ArgumentParser) -> None:
@@ -979,39 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "runs are written through to it, and the "
                             "ledger + results cache are restored from it "
                             "at startup")
-    serve.add_argument("--peers", nargs="+", metavar="URL", default=None,
-                       help="peer instances whose /metrics GET "
-                            "/fleet/metrics federates (per-instance "
-                            "labels, one linted exposition)")
     serve.set_defaults(func=cmd_serve)
-
-    fleet = sub.add_parser(
-        "fleet", help="operate across a fleet of repro serve instances"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_scrape = fleet_sub.add_parser(
-        "scrape",
-        help="scrape each instance's /metrics and print one merged, "
-             "linted exposition with per-instance labels",
-    )
-    fleet_scrape.add_argument("urls", nargs="+", metavar="URL",
-                              help="instance base URLs (host:port is "
-                                   "enough; /metrics is implied)")
-    fleet_scrape.add_argument("--timeout", type=float, default=5.0,
-                              metavar="SECONDS",
-                              help="per-instance scrape timeout "
-                                   "(default 5s)")
-    fleet_scrape.set_defaults(func=cmd_fleet_scrape)
-    fleet_status_cmd = fleet_sub.add_parser(
-        "status", help="one-screen fleet overview (liveness, job counts)"
-    )
-    fleet_status_cmd.add_argument("urls", nargs="+", metavar="URL",
-                                  help="instance base URLs")
-    fleet_status_cmd.add_argument("--timeout", type=float, default=5.0,
-                                  metavar="SECONDS",
-                                  help="per-instance probe timeout "
-                                       "(default 5s)")
-    fleet_status_cmd.set_defaults(func=cmd_fleet_status)
 
     history_cmd = sub.add_parser(
         "history",

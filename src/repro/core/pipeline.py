@@ -27,20 +27,10 @@ into JSONL traces and metrics summaries.
 :class:`~repro.engine.executor.BatchExecutor`: each phase submits its
 probes declaratively, the planner dedupes and groups them, and the
 backend answers them in as few passes as it supports (grouped SQL
-pushdown, worker threads, or the serial fallback).  The default
-``serial`` mode keeps the original call-at-a-time behavior; both modes
-produce identical results and identical per-probe trace events — only
+pushdown, or the serial fallback).  The default ``serial`` mode keeps
+the original call-at-a-time behavior; both modes produce identical
+results and identical per-probe trace events — only
 ``result.engine_stats`` (and the wall clock) tell them apart.
-
-``engine="process"`` goes one step further: the executor ships probe
-chunks to a :class:`~repro.service.pool.ProcessProbeExecutor`, a pool
-of worker processes that each rebuild the extension on a private
-backend instance from a payload snapshot taken before discovery starts
-(sound because only IND- and RHS-Discovery probe, and Restruct — the
-mutating phase — runs after both).  Results and telemetry merge back
-deterministically; a pool that fails past its bounded retries degrades
-to the serial path mid-run.  Output stays bit-identical to serial on
-every backend — the differential suite proves it.
 
 A pipeline built with a ``cancel`` hook (the job manager's mid-run
 cancellation path) checks it between phases and raises
@@ -50,7 +40,7 @@ cancellation path) checks it between phases and raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.exceptions import RunCancelled
 
@@ -134,7 +124,7 @@ class DBREPipeline:
     """Orchestrates the full method over one database + program corpus."""
 
     #: recognized values of the *engine* switch
-    ENGINE_MODES = ("serial", "batched", "process")
+    ENGINE_MODES = ("serial", "batched")
 
     def __init__(
         self,
@@ -142,8 +132,6 @@ class DBREPipeline:
         expert: Optional[Expert] = None,
         tracer: Optional[Tracer] = None,
         engine: str = "serial",
-        engine_workers: int = 0,
-        engine_options: Optional[Dict[str, Any]] = None,
         provenance: bool = True,
         cancel: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -158,10 +146,6 @@ class DBREPipeline:
         self.ledger = ProvenanceLedger(self.tracer) if provenance else None
         self.expert = RecordingExpert(expert or Expert(), ledger=self.ledger)
         self.engine_mode = engine
-        self.engine_workers = engine_workers
-        #: process-mode knobs forwarded to the pool: ``batch_timeout``,
-        #: ``max_retries``, ``mp_context``, ``backend_options``, ``fault``
-        self.engine_options = dict(engine_options or {})
         self._cancel = cancel
 
     def run(
@@ -195,165 +179,138 @@ class DBREPipeline:
             # one executor is shared by every batching phase, so its
             # stats describe the whole run
             engine: Optional[BatchExecutor] = None
-            pool = None
             if self.engine_mode == "batched":
-                engine = BatchExecutor(database, max_workers=self.engine_workers)
+                engine = BatchExecutor(database)
                 result.engine_stats = engine.stats
-            elif self.engine_mode == "process":
-                # lazy import: the service layer depends on the engine,
-                # so the pipeline must not import it at module scope
-                from repro.service.pool import ProcessProbeExecutor, worker_payload
 
-                # the snapshot is taken before discovery starts; it stays
-                # valid for the whole probing lifetime because only IND-
-                # and RHS-Discovery probe, and Restruct mutates after both
-                options = dict(self.engine_options)
-                payload = worker_payload(
-                    database,
-                    options=options.pop("backend_options", None),
-                    fault=options.pop("fault", None),
+            # §4: the dictionary-derived sets
+            result.key_set = database.schema.key_set()
+            result.not_null_set = database.schema.not_null_set()
+
+            # §4: the set Q
+            if corpus is not None:
+                extractor = EquiJoinExtractor(database.schema)
+                result.extraction = extractor.extract_from_corpus(corpus)
+                result.equijoins = list(result.extraction.joins)
+            else:
+                result.equijoins = sorted(
+                    set(equijoins), key=lambda j: j.sort_key()
                 )
-                pool = ProcessProbeExecutor(
-                    payload, workers=self.engine_workers or 2,
-                    notify=self.tracer.pool_event, **options
+            root.attributes["equijoins"] = len(result.equijoins)
+            self._record_sources(result)
+
+            # §6.1 IND-Discovery
+            self._check_cancel("IND-Discovery")
+            with self.tracer.span("IND-Discovery", kind="phase") as span:
+                self.tracer.progress(
+                    "probing candidate inclusion dependencies",
+                    total=len(result.equijoins),
                 )
-                engine = BatchExecutor(database, pool=pool)
-                result.engine_stats = engine.stats
-                root.attributes["workers"] = pool.workers
+                ind_step = INDDiscovery(
+                    database, self.expert, engine=engine, ledger=self.ledger
+                )
+                result.ind_result = ind_step.run(result.equijoins)
+                span.attributes["inds"] = len(result.ind_result.inds)
+                log.info(
+                    "IND-Discovery complete",
+                    extra={"data": {"phase": "IND-Discovery",
+                                    "inds": len(result.ind_result.inds)}},
+                )
 
-            try:
-                # §4: the dictionary-derived sets
-                result.key_set = database.schema.key_set()
-                result.not_null_set = database.schema.not_null_set()
+            # §6.2.1 LHS-Discovery
+            self._check_cancel("LHS-Discovery")
+            with self.tracer.span("LHS-Discovery", kind="phase") as span:
+                self.tracer.progress(
+                    "deriving left-hand sides",
+                    total=len(result.ind_result.inds),
+                )
+                lhs_step = LHSDiscovery(
+                    database.schema, result.ind_result.s_names,
+                    ledger=self.ledger,
+                )
+                result.lhs_result = lhs_step.run(result.ind_result.inds)
+                span.attributes["lhs"] = len(result.lhs_result.lhs)
+                self.tracer.progress(
+                    "left-hand sides derived",
+                    current=len(result.lhs_result.lhs),
+                    total=len(result.lhs_result.lhs),
+                )
+                log.info(
+                    "LHS-Discovery complete",
+                    extra={"data": {"phase": "LHS-Discovery",
+                                    "lhs": len(result.lhs_result.lhs)}},
+                )
 
-                # §4: the set Q
-                if corpus is not None:
-                    extractor = EquiJoinExtractor(database.schema)
-                    result.extraction = extractor.extract_from_corpus(corpus)
-                    result.equijoins = list(result.extraction.joins)
-                else:
-                    result.equijoins = sorted(
-                        set(equijoins), key=lambda j: j.sort_key()
-                    )
-                root.attributes["equijoins"] = len(result.equijoins)
-                self._record_sources(result)
+            # §6.2.2 RHS-Discovery
+            self._check_cancel("RHS-Discovery")
+            with self.tracer.span("RHS-Discovery", kind="phase") as span:
+                self.tracer.progress(
+                    "checking candidate functional dependencies",
+                    total=len(result.lhs_result.lhs),
+                )
+                rhs_step = RHSDiscovery(
+                    database, self.expert, engine=engine, ledger=self.ledger
+                )
+                result.rhs_result = rhs_step.run(
+                    result.lhs_result.lhs, result.lhs_result.hidden
+                )
+                span.attributes["fds"] = len(result.rhs_result.fds)
+                log.info(
+                    "RHS-Discovery complete",
+                    extra={"data": {"phase": "RHS-Discovery",
+                                    "fds": len(result.rhs_result.fds)}},
+                )
 
-                # §6.1 IND-Discovery
-                self._check_cancel("IND-Discovery")
-                with self.tracer.span("IND-Discovery", kind="phase") as span:
+            # §7 Restruct
+            self._check_cancel("Restruct")
+            with self.tracer.span("Restruct", kind="phase") as span:
+                self.tracer.progress(
+                    "restructuring to 3NF",
+                    total=len(result.rhs_result.fds),
+                )
+                restruct_step = Restruct(
+                    database, self.expert, ledger=self.ledger
+                )
+                result.restruct_result = restruct_step.run(
+                    result.rhs_result.fds,
+                    result.rhs_result.hidden,
+                    result.ind_result.inds,
+                )
+                span.attributes["ric"] = len(result.restruct_result.ric)
+                span.attributes["certificates"] = len(
+                    result.restruct_result.certificates
+                )
+                log.info(
+                    "Restruct complete",
+                    extra={"data": {"phase": "Restruct",
+                                    "ric": len(result.restruct_result.ric)}},
+                )
+
+            # §7 Translate
+            if translate:
+                self._check_cancel("Translate")
+                with self.tracer.span("Translate", kind="phase") as span:
                     self.tracer.progress(
-                        "probing candidate inclusion dependencies",
-                        total=len(result.equijoins),
+                        "translating to the EER model",
+                        total=len(result.restruct_result.ric),
                     )
-                    ind_step = INDDiscovery(
-                        database, self.expert, engine=engine, ledger=self.ledger
+                    translator = Translate(database.schema, ledger=self.ledger)
+                    result.eer = translator.run(result.restruct_result.ric)
+                    result.translation_notes = list(translator.notes.entries)
+                    result.translation_warnings = list(
+                        translator.notes.warnings
                     )
-                    result.ind_result = ind_step.run(result.equijoins)
-                    span.attributes["inds"] = len(result.ind_result.inds)
-                    log.info(
-                        "IND-Discovery complete",
-                        extra={"data": {"phase": "IND-Discovery",
-                                        "inds": len(result.ind_result.inds)}},
-                    )
-
-                # §6.2.1 LHS-Discovery
-                self._check_cancel("LHS-Discovery")
-                with self.tracer.span("LHS-Discovery", kind="phase") as span:
+                    span.attributes["entities"] = len(result.eer.entities)
                     self.tracer.progress(
-                        "deriving left-hand sides",
-                        total=len(result.ind_result.inds),
-                    )
-                    lhs_step = LHSDiscovery(
-                        database.schema, result.ind_result.s_names,
-                        ledger=self.ledger,
-                    )
-                    result.lhs_result = lhs_step.run(result.ind_result.inds)
-                    span.attributes["lhs"] = len(result.lhs_result.lhs)
-                    self.tracer.progress(
-                        "left-hand sides derived",
-                        current=len(result.lhs_result.lhs),
-                        total=len(result.lhs_result.lhs),
-                    )
-                    log.info(
-                        "LHS-Discovery complete",
-                        extra={"data": {"phase": "LHS-Discovery",
-                                        "lhs": len(result.lhs_result.lhs)}},
-                    )
-
-                # §6.2.2 RHS-Discovery
-                self._check_cancel("RHS-Discovery")
-                with self.tracer.span("RHS-Discovery", kind="phase") as span:
-                    self.tracer.progress(
-                        "checking candidate functional dependencies",
-                        total=len(result.lhs_result.lhs),
-                    )
-                    rhs_step = RHSDiscovery(
-                        database, self.expert, engine=engine, ledger=self.ledger
-                    )
-                    result.rhs_result = rhs_step.run(
-                        result.lhs_result.lhs, result.lhs_result.hidden
-                    )
-                    span.attributes["fds"] = len(result.rhs_result.fds)
-                    log.info(
-                        "RHS-Discovery complete",
-                        extra={"data": {"phase": "RHS-Discovery",
-                                        "fds": len(result.rhs_result.fds)}},
-                    )
-
-                # §7 Restruct
-                self._check_cancel("Restruct")
-                with self.tracer.span("Restruct", kind="phase") as span:
-                    self.tracer.progress(
-                        "restructuring to 3NF",
-                        total=len(result.rhs_result.fds),
-                    )
-                    restruct_step = Restruct(
-                        database, self.expert, ledger=self.ledger
-                    )
-                    result.restruct_result = restruct_step.run(
-                        result.rhs_result.fds,
-                        result.rhs_result.hidden,
-                        result.ind_result.inds,
-                    )
-                    span.attributes["ric"] = len(result.restruct_result.ric)
-                    span.attributes["certificates"] = len(
-                        result.restruct_result.certificates
+                        "EER translation done",
+                        current=len(result.eer.entities),
+                        total=len(result.eer.entities),
                     )
                     log.info(
-                        "Restruct complete",
-                        extra={"data": {"phase": "Restruct",
-                                        "ric": len(result.restruct_result.ric)}},
+                        "Translate complete",
+                        extra={"data": {"phase": "Translate",
+                                        "entities": len(result.eer.entities)}},
                     )
-
-                # §7 Translate
-                if translate:
-                    self._check_cancel("Translate")
-                    with self.tracer.span("Translate", kind="phase") as span:
-                        self.tracer.progress(
-                            "translating to the EER model",
-                            total=len(result.restruct_result.ric),
-                        )
-                        translator = Translate(database.schema, ledger=self.ledger)
-                        result.eer = translator.run(result.restruct_result.ric)
-                        result.translation_notes = list(translator.notes.entries)
-                        result.translation_warnings = list(
-                            translator.notes.warnings
-                        )
-                        span.attributes["entities"] = len(result.eer.entities)
-                        self.tracer.progress(
-                            "EER translation done",
-                            current=len(result.eer.entities),
-                            total=len(result.eer.entities),
-                        )
-                        log.info(
-                            "Translate complete",
-                            extra={"data": {"phase": "Translate",
-                                            "entities": len(result.eer.entities)}},
-                        )
-            finally:
-                if pool is not None:
-                    pool.close()
-                    root.attributes["pool"] = pool.stats.as_dict()
 
             result.expert_decisions = self.expert.decision_count
             result.extension_queries = database.counter.total()

@@ -8,12 +8,11 @@ this package lets a phase submit them *declaratively* instead:
 1. build one :class:`Probe` per question (:mod:`repro.engine.probes`);
 2. the planner dedupes structurally identical probes and groups probes
    sharing a relation (:mod:`repro.engine.planner`);
-3. the :class:`BatchExecutor` answers the plan with the cheapest
-   strategy the backend offers — grouped SQL pushdown via the optional
-   ``execute_batch`` hook, worker threads for parallel-safe in-process
-   backends, or a serial fallback — while recording one trace event per
-   logical probe so query accounting matches a serial run exactly
-   (:mod:`repro.engine.executor`).
+3. the :class:`BatchExecutor` answers the plan with the strategy the
+   backend's capability selects — grouped SQL pushdown via the optional
+   ``execute_batch`` hook, or a serial fallback — while recording one
+   trace event per logical probe so query accounting matches a serial
+   run exactly (:mod:`repro.engine.executor`).
 
 ``DBREPipeline(..., engine="batched")`` (CLI: ``--engine batched``)
 routes IND- and RHS-Discovery through one shared executor; the default

@@ -10,21 +10,11 @@ cheapest strategy the backend supports, and hands back one answer per
   hook (:class:`~repro.backends.sqlite.SQLiteBackend`) answers a whole
   chunk of probes in one grouped statement; the executor walks the plan
   group by group so probes sharing a relation land in the same pass;
-- **parallel** — a backend that declares itself ``parallel_safe``
-  (:class:`~repro.backends.memory.MemoryBackend`: pure in-process reads)
-  has its probe groups evaluated on ``concurrent.futures`` worker
-  threads;
-- **serial** — any other backend is driven one probe at a time, so
-  third-party backends that only implement the four primitives keep
-  working unchanged;
-- **process** — an executor handed a
-  :class:`~repro.service.pool.ProcessProbeExecutor` ships probe chunks
-  to worker *processes*, each owning a private backend instance rebuilt
-  from a payload snapshot; a pool that exhausts its bounded retries
-  (crashes, hung batches) raises
-  :class:`~repro.exceptions.WorkerPoolError` and the executor falls
-  back to the serial path for that batch, so a broken pool degrades
-  throughput, never correctness.
+- **serial** — any other backend is driven one probe at a time, group
+  by group, so third-party backends that only implement the four
+  primitives keep working unchanged.
+
+The backend's capability selects the strategy; there is no knob.
 
 Whatever the strategy, observability is preserved **per logical probe**:
 the executor records one :class:`~repro.obs.tracer.PrimitiveEvent` for
@@ -32,36 +22,29 @@ every submitted probe — deduped duplicates appear as zero-cost cache
 hits — under an ``engine`` span nested in the calling phase, so
 :class:`~repro.relational.database.TracedQueryCounter`, the metrics
 exporters and the benchmark-regression gate see exactly the query
-stream a serial run produces.  Events are emitted from the submitting
-thread in submission order, never from workers, which keeps traces (and
-therefore the differential tests) deterministic across worker counts.
+stream a serial run produces.  Events are emitted in submission order
+after the batch is answered, which keeps traces (and therefore the
+differential tests) deterministic.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
-from repro.engine.planner import ProbeGroup, QueryPlan, plan_probes
+from repro.engine.planner import QueryPlan, plan_probes
 from repro.engine.probes import Probe
-from repro.exceptions import WorkerPoolError
 from repro.obs.instrument import telemetry_delta
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import ExtensionBackend
     from repro.relational.database import Database
-    from repro.service.pool import ProcessProbeExecutor
 
 __all__ = ["EngineStats", "BatchExecutor", "dispatch_probe"]
 
 #: probes per grouped ``execute_batch`` statement; well under SQLite's
 #: default 2000-result-column limit while still amortizing round trips
 DEFAULT_CHUNK_SIZE = 32
-
-#: below this many unique probes a thread pool costs more than it saves
-DEFAULT_MIN_PARALLEL = 8
 
 
 @dataclass
@@ -80,9 +63,6 @@ class EngineStats:
     groups: int = 0
     backend_calls: int = 0     # physical backend invocations of any kind
     batched_calls: int = 0     # grouped execute_batch statements issued
-    parallel_groups: int = 0   # groups evaluated on worker threads
-    process_chunks: int = 0    # chunks answered by worker processes
-    pool_fallbacks: int = 0    # batches the pool failed and serial re-ran
 
     @property
     def deduped_probes(self) -> int:
@@ -99,9 +79,6 @@ class EngineStats:
             "groups": self.groups,
             "backend_calls": self.backend_calls,
             "batched_calls": self.batched_calls,
-            "parallel_groups": self.parallel_groups,
-            "process_chunks": self.process_chunks,
-            "pool_fallbacks": self.pool_fallbacks,
         }
 
     def __repr__(self) -> str:
@@ -134,22 +111,9 @@ class BatchExecutor:
     from a serial run's.
     """
 
-    def __init__(
-        self,
-        database: "Database",
-        max_workers: int = 0,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        min_parallel: int = DEFAULT_MIN_PARALLEL,
-        pool: "ProcessProbeExecutor" = None,
-    ) -> None:
+    def __init__(self, database: "Database", chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         self.database = database
-        #: 0 = auto-size from the host; 1 = never spawn workers
-        self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.chunk_size = max(1, chunk_size)
-        self.min_parallel = min_parallel
-        #: a process pool promotes the executor to the process strategy;
-        #: the caller owns the pool's lifetime (the pipeline closes it)
-        self.pool = pool
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
@@ -202,26 +166,8 @@ class BatchExecutor:
         self, backend: "ExtensionBackend", plan: QueryPlan
     ) -> Dict[tuple, _Evaluation]:
         evaluations = {p.key: self._profiled(backend, p) for p in plan.unique}
-        if self.pool is not None:
-            try:
-                self._execute_process(plan, evaluations)
-                return evaluations
-            except WorkerPoolError as exc:
-                # the pool exhausted its retries: answer this batch on
-                # the parent's own backend instead of losing the run
-                self.stats.pool_fallbacks += 1
-                self.database.tracer.pool_event(
-                    "fallback", reason=str(exc), probes=len(plan.unique)
-                )
         if callable(getattr(backend, "execute_batch", None)):
             self._execute_pushdown(backend, plan, evaluations)
-        elif (
-            getattr(backend, "parallel_safe", False)
-            and self.max_workers > 1
-            and len(plan.groups) > 1
-            and len(plan.unique) >= self.min_parallel
-        ):
-            self._execute_parallel(backend, plan, evaluations)
         else:
             self._execute_serial(backend, plan, evaluations)
         return evaluations
@@ -255,101 +201,29 @@ class BatchExecutor:
                 probes=len(chunk),
             )
 
-    def _execute_process(
-        self, plan: QueryPlan, evaluations: Dict[tuple, _Evaluation]
-    ) -> None:
-        """Probe chunks on worker processes via the service pool.
-
-        The workers answer against their own private backend copies and
-        report value + timing + cache/telemetry figures per probe; the
-        parent merges them keyed by probe, then emits events itself in
-        submission order, so traces stay deterministic regardless of
-        which worker answered when.
-        """
-        tracer = self.database.tracer
-        ordered = [probe for group in plan.groups for probe in group.probes]
-        chunks = list(_chunks(ordered, self.chunk_size))
-        answered = self.pool.execute(chunks)
-        for index, (chunk, records) in enumerate(zip(chunks, answered), start=1):
-            start = tracer.now()
-            for probe, record in zip(chunk, records):
-                evaluation = evaluations[probe.key]
-                evaluation.value = record["value"]
-                evaluation.start = start
-                evaluation.duration = record["duration"]
-                evaluation.cache_hit = record["cache_hit"]
-                evaluation.rows_touched = record["rows_touched"]
-                evaluation.counters = record["counters"]
-            self.stats.backend_calls += 1
-            self.stats.process_chunks += 1
-            tracer.progress(
-                "process chunk merged", current=index, total=len(chunks),
-                probes=len(chunk),
-            )
-
-    def _execute_parallel(
-        self,
-        backend: "ExtensionBackend",
-        plan: QueryPlan,
-        evaluations: Dict[tuple, _Evaluation],
-    ) -> None:
-        """Probe groups on worker threads; results keyed, order immaterial."""
-        workers = min(self.max_workers, len(plan.groups))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._run_group, backend, group)
-                for group in plan.groups
-            ]
-            for future in futures:
-                for probe, value, start, duration, counters in future.result():
-                    evaluation = evaluations[probe.key]
-                    evaluation.value = value
-                    evaluation.start = start
-                    evaluation.duration = duration
-                    evaluation.counters = counters
-        self.stats.backend_calls += len(plan.unique)
-        self.stats.parallel_groups += len(plan.groups)
-
     def _execute_serial(
         self,
         backend: "ExtensionBackend",
         plan: QueryPlan,
         evaluations: Dict[tuple, _Evaluation],
     ) -> None:
-        """The universal fallback: one primitive call per unique probe."""
+        """The universal fallback: one timed primitive call per unique probe."""
+        tracer = self.database.tracer
+        hook = getattr(backend, "telemetry", None)
         for group in plan.groups:
-            for probe, value, start, duration, counters in self._run_group(
-                backend, group
-            ):
+            for probe in group.probes:
+                before = hook() if hook is not None else None
                 evaluation = evaluations[probe.key]
-                evaluation.value = value
-                evaluation.start = start
-                evaluation.duration = duration
-                evaluation.counters = counters
+                evaluation.start = tracer.now()
+                evaluation.value = dispatch_probe(backend, probe)
+                evaluation.duration = tracer.now() - evaluation.start
+                after = hook() if hook is not None else None
+                evaluation.counters = telemetry_delta(before, after) or {}
         self.stats.backend_calls += len(plan.unique)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _run_group(
-        self, backend: "ExtensionBackend", group: ProbeGroup
-    ) -> List[Tuple[Probe, Any, float, float, Dict[str, int]]]:
-        """Evaluate one group serially, timing each probe."""
-        tracer = self.database.tracer
-        hook = getattr(backend, "telemetry", None)
-        out = []
-        for probe in group.probes:
-            before = hook() if hook is not None else None
-            start = tracer.now()
-            value = dispatch_probe(backend, probe)
-            duration = tracer.now() - start
-            after = hook() if hook is not None else None
-            out.append(
-                (probe, value, start, duration,
-                 telemetry_delta(before, after) or {})
-            )
-        return out
-
     def _profiled(self, backend: "ExtensionBackend", probe: Probe) -> _Evaluation:
         """Seed an evaluation with the backend's observability probe."""
         hook = getattr(backend, "probe", None)
@@ -362,7 +236,7 @@ class BatchExecutor:
 
 
 def dispatch_probe(backend: "ExtensionBackend", probe: Probe) -> Any:
-    """One probe, one primitive call (shared with the pool's workers)."""
+    """One probe, one primitive call."""
     if probe.primitive == "count_distinct":
         return backend.count_distinct(probe.relations[0], probe.attributes[0])
     if probe.primitive == "join_count":
@@ -378,10 +252,6 @@ def dispatch_probe(backend: "ExtensionBackend", probe: Probe) -> Any:
         probe.relations[0], probe.attributes[0],
         probe.relations[1], probe.attributes[1],
     )
-
-
-#: historical private name, still used by the property-based suite
-_dispatch = dispatch_probe
 
 
 def _chunks(items: List[Probe], size: int):

@@ -95,7 +95,6 @@ def batching_summary(stats: EngineStats) -> Dict[str, float]:
         "groups": stats.groups,
         "backend_calls": calls,
         "batched_calls": stats.batched_calls,
-        "parallel_groups": stats.parallel_groups,
         "call_reduction": (stats.logical_probes / calls) if calls else 0.0,
     }
 

@@ -114,17 +114,7 @@ class ExpertDeclinedError(ProcessError):
 
 
 class ServiceError(ReproError):
-    """Base class for the service layer (process pool, job manager)."""
-
-
-class WorkerPoolError(ServiceError):
-    """The process pool could not answer a probe batch.
-
-    Raised when a batch exhausts its bounded retries across worker
-    crashes, hung-batch timeouts, or worker-side errors.  The batch
-    executor catches it and falls back to the serial path, so a broken
-    pool degrades throughput, never correctness.
-    """
+    """Base class for the service layer (the job manager)."""
 
 
 class RunCancelled(ServiceError):

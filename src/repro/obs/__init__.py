@@ -24,7 +24,7 @@ end:
   (``repro report``) combining trace, metrics, expert dialogue and the
   lineage graph;
 - :mod:`repro.obs.live` — the real-time event bus: a tracer publishes
-  span boundaries, primitive events, progress ticks and pool incidents
+  span boundaries, primitive events and progress ticks
   to bounded subscribers the moment they happen (``repro/live@1``),
   at zero cost while nobody subscribes — this is what the service's
   SSE endpoint and ``repro jobs watch`` consume;

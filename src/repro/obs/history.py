@@ -11,7 +11,7 @@ the repo accumulates —
   ``benchmarks/regression.py`` appends per run —
 
 and renders trend tables (per-phase latency, primitive cache hit-rate,
-pool incidents, per-head wall time) with **robust drift detection**:
+per-head wall time) with **robust drift detection**:
 each series is scored with the median/MAD z-score
 
     z_i = 0.6745 * (x_i - median) / MAD
@@ -276,8 +276,8 @@ def archive_trends(
     *same discovery problem* run under possibly different configs, and
     differences within a group are attributable to config or code, not
     input.  Each row carries the group's per-phase latency series,
-    primitive cache hit-rate, and pool-incident counts, with the
-    group's wall-time drift verdict.
+    and primitive cache hit-rate, with the group's wall-time drift
+    verdict.
     """
     groups: Dict[Tuple[str, str], List[Any]] = {}
     for run in archive.runs():
@@ -301,7 +301,6 @@ def archive_trends(
                 round(totals["cache_hits"] / totals["queries"], 4)
                 if totals["queries"] else 0.0
             ),
-            "pool_incidents": sum(group.pool_events.values()),
             "drift": detect_drift(walls, threshold),
         })
     return rows
@@ -326,7 +325,6 @@ def render_archive_trends(
             ",".join(row["labels"][-3:]),
             f"{slowest[0]}={slowest[1]:.1f}ms",
             f"{100 * row['cache_hit_rate']:.0f}%",
-            str(row["pool_incidents"]),
             "DRIFT" if row["drift"] else "ok",
         ])
     lines = [
@@ -334,7 +332,7 @@ def render_archive_trends(
         f"{len(rows)} fingerprint group(s)",
         format_table(
             ["database", "workload", "runs", "labels", "slowest phase",
-             "hit-rate", "pool", "verdict"],
+             "hit-rate", "verdict"],
             table,
         ),
     ]

@@ -6,14 +6,14 @@ one-event-stream design observable while the run is still going:
 
 - :class:`LiveBus` — a thread-safe publish/subscribe hub one
   :class:`~repro.obs.tracer.Tracer` can attach.  Every span open, span
-  close, primitive call, progress tick and worker-pool incident becomes
+  close, primitive call and progress tick becomes
   one ``repro/live@1`` dict with a monotonically increasing ``seq``;
   the bus keeps a **bounded** record history (``history_limit``, oldest
   first to go) so late consumers can replay from a sequence number (the
   SSE endpoint's ``Last-Event-ID``) without the bus growing without
   bound on a long-lived service.
 - :class:`RunStats` — the one fold of a run's telemetry (per span
-  name, per phase, per primitive, per backend, pool incidents) the bus
+  name, per phase, per primitive, per backend) the bus
   maintains on every publish, so a metrics scrape reads the totals in
   O(1) instead of rescanning the history — and the totals survive
   history trimming.  Every metrics view renders it.
@@ -46,8 +46,6 @@ since the bus attached):
   ``duration_ms``, ``cache_hit``, ``rows_touched``;
 - ``progress`` — ``span``, ``phase``, ``message``, optional
   ``current``/``total`` plus any caller attributes;
-- ``pool`` — ``event`` (``respawn`` / ``timeout`` / ``crash`` /
-  ``fallback``), plus the incident's details;
 - ``end`` — the clean end-of-run sentinel the job manager publishes
   (``job``, ``state``); consumers stop tailing when they see it.
 
@@ -94,7 +92,6 @@ LIVE_EVENT_TYPES = (
     "span-close",
     "primitive",
     "progress",
-    "pool",
     "end",
 )
 
@@ -172,7 +169,10 @@ class RunStats:
       the same rollup per phase name, over the primitives under it;
     - ``backends`` — per backend ``calls``, ``duration_ms`` and storage
       ``counters`` (buffer pool, page I/O) when it has any;
-    - ``pool_events``, ``events`` (records by type), ``root_ms``.
+    - ``events`` (records by type), ``root_ms``.
+
+    A record of a type outside :data:`LIVE_EVENT_TYPES` (the ``pool``
+    records of captures written by older versions) is ignored.
 
     Repeated names sum; :meth:`merge` adds a fold in (ledger eviction,
     archive restore).  ``phase_ms`` and the other flat totals below are
@@ -180,10 +180,10 @@ class RunStats:
     """
 
     __slots__ = ("events", "spans", "phases", "primitives", "backends",
-                 "pool_events", "root_ms", "_open")
+                 "root_ms", "_open")
 
     #: the tables :meth:`merge` adds and :meth:`as_dict` stores
-    TABLES = ("events", "spans", "phases", "primitives", "backends", "pool_events")
+    TABLES = ("events", "spans", "phases", "primitives", "backends")
 
     def __init__(self) -> None:
         for table in self.TABLES:
@@ -196,6 +196,8 @@ class RunStats:
     def observe(self, record: Dict[str, Any]) -> None:
         """Fold one ``repro/live@1`` record into the tables."""
         kind = record["type"]
+        if kind not in LIVE_EVENT_TYPES:
+            return
         self.events[kind] = self.events.get(kind, 0) + 1
         if kind == "span-open":
             parent = self._open.get(record.get("parent"))
@@ -244,9 +246,6 @@ class RunStats:
             backend["duration_ms"] += ms
             if record.get("counters"):
                 _fold_into(backend.setdefault("counters", {}), record["counters"])
-        elif kind == "pool":
-            event = record.get("event", "unknown")
-            self.pool_events[event] = self.pool_events.get(event, 0) + 1
 
     @classmethod
     def fold(cls, records: Iterable[Dict[str, Any]]) -> "RunStats":

@@ -28,8 +28,8 @@ clock and assert exact durations.
 The tracer can additionally stream both streams *live*: attaching a
 :class:`~repro.obs.live.LiveBus` (:meth:`Tracer.live`, or implicitly
 via :meth:`Tracer.subscribe`) publishes one ``repro/live@1`` record per
-span open, span close and primitive event, plus :meth:`progress` ticks
-and worker-pool incidents, to every bounded subscriber queue.  Without
+span open, span close and primitive event, plus :meth:`progress` ticks,
+to every bounded subscriber queue.  Without
 a bus every hook is a single ``is None`` test, so the no-subscriber
 pipeline pays nothing (the S13 benchmark enforces it).
 """
@@ -396,17 +396,6 @@ class Tracer:
             record["total"] = total
         record.update(attributes)
         self._live.publish("progress", **record)
-
-    def pool_event(self, event: str, **details: Any) -> None:
-        """Publish one worker-pool incident (respawn/timeout/fallback).
-
-        Same zero-cost contract as :meth:`progress`.
-        """
-        if self._live is None:
-            return
-        self._live.publish(
-            "pool", event=event, span=self.current_span_id(), **details
-        )
 
     def current_phase(self) -> Optional[str]:
         """The innermost open span of kind ``phase``, or None."""

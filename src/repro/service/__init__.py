@@ -1,19 +1,4 @@
-"""The service layer: process-parallel probe execution and multi-job runs.
-
-This package is the step from "tool" to "system".  It has two floors:
-
-- :mod:`repro.service.pool` — a **process-parallel probe executor**.
-  The batched engine (:mod:`repro.engine`) already expresses all
-  counting work as declarative probes; the pool partitions planned
-  probe batches across worker *processes*, each of which opens its own
-  extension backend through the registry (its own SQLite connection,
-  memory partition, or paged file set) and answers its share with the
-  best local strategy.  The parent merges results and telemetry back
-  into its own :class:`~repro.obs.tracer.Tracer` stream
-  deterministically, and survives worker crashes, hung batches and
-  transient errors with bounded retries before falling back to the
-  serial path.  ``DBREPipeline(..., engine="process")`` (CLI:
-  ``--engine process``) routes discovery through it.
+"""The service layer: multi-job discovery runs behind one manager.
 
 - :mod:`repro.service.jobs` — a **long-running multi-job discovery
   manager**: submit / status / result / cancel over queued
@@ -24,12 +9,13 @@ This package is the step from "tool" to "system".  It has two floors:
   :mod:`repro.service.export` writes the job ledger as a
   ``repro/jobs@1`` JSONL export; :mod:`repro.service.specs` maps JSON
   job specs (what ``repro jobs`` files and the HTTP API carry) to
-  submissions.
+  submissions; :mod:`repro.service.metrics` renders ``/metrics`` and
+  :mod:`repro.service.stream` the Server-Sent Events of ``/events``.
 
-The differential suite (``tests/engine/test_process_differential.py``)
-proves the process strategy produces bit-identical pipeline output vs
-the serial path on every backend; ``tests/service`` covers the pool's
-failure handling and the job lifecycle.  See ``docs/SERVICE.md``.
+Each run is one :class:`~repro.core.pipeline.DBREPipeline` on the
+manager's runner thread; its probes go through the engine the job's
+config names (``serial`` or ``batched``).  ``tests/service`` covers the
+job lifecycle.  See ``docs/SERVICE.md``.
 """
 
 from repro.service.export import (
@@ -50,13 +36,6 @@ from repro.service.metrics import (
     lint_exposition,
     render_metrics,
 )
-from repro.service.pool import (
-    DEFAULT_BATCH_TIMEOUT,
-    DEFAULT_MAX_RETRIES,
-    PoolStats,
-    ProcessProbeExecutor,
-    worker_payload,
-)
 from repro.service.stream import (
     DEFAULT_HEARTBEAT,
     SSE_CONTENT_TYPE,
@@ -67,16 +46,12 @@ from repro.service.stream import (
 )
 
 __all__ = [
-    "DEFAULT_BATCH_TIMEOUT",
     "DEFAULT_HEARTBEAT",
-    "DEFAULT_MAX_RETRIES",
     "JOBS_FORMAT",
     "JOB_STATES",
     "Job",
     "JobManager",
     "METRICS_CONTENT_TYPE",
-    "PoolStats",
-    "ProcessProbeExecutor",
     "SSE_CONTENT_TYPE",
     "database_fingerprint",
     "format_comment",
@@ -87,7 +62,6 @@ __all__ = [
     "read_jobs_jsonl",
     "render_metrics",
     "sse_events",
-    "worker_payload",
     "workload_fingerprint",
     "write_jobs_jsonl",
 ]

@@ -62,7 +62,7 @@ __all__ = [
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: config keys the ledger records surface (the run-shaping knobs)
-_CONFIG_KEYS = ("engine", "engine_workers", "translate")
+_CONFIG_KEYS = ("engine", "translate")
 
 
 def database_fingerprint(database: "Database") -> str:
@@ -108,7 +108,7 @@ def _config_token(config: Dict[str, Any]) -> str:
     """The cache key's third leg: the run-affecting config, canonicalized.
 
     Every JSON-representable config value participates — engine choice,
-    worker counts, expert thresholds — so two runs that could answer
+    translation, expert thresholds — so two runs that could answer
     differently never share a cache slot.  Live objects a caller tucks
     into the config (an ``expert`` instance) are not representable and
     are left out.
@@ -210,9 +210,8 @@ class JobManager:
 
     *runners* threads drain the queue; each run gets a fresh
     :class:`~repro.core.pipeline.DBREPipeline` built from the job's
-    config (``engine``, ``engine_workers``, ``engine_options``,
-    ``translate``), so one manager can serve serial, batched and
-    process-parallel jobs side by side.  Thread-safe; close with
+    config (``engine``, ``translate``), so one manager can serve serial
+    and batched jobs side by side.  Thread-safe; close with
     :meth:`shutdown` (or use as a context manager).
 
     *keep_finished* bounds the ledger on a long-lived service: once more
@@ -448,8 +447,6 @@ class JobManager:
                     expert=config.get("expert"),
                     tracer=job.trace,
                     engine=config.get("engine", "serial"),
-                    engine_workers=int(config.get("engine_workers", 0) or 0),
-                    engine_options=config.get("engine_options"),
                     cancel=job._cancel.is_set,
                 )
                 result = pipeline.run(

@@ -8,8 +8,7 @@ manager's own ledger, so a scrape and a watcher can never disagree
 about what the service did (and the totals outlive both history
 trimming and ledger eviction):
 
-- ``repro_build_info{version=...}`` — the instance's build identity
-  (federated expositions tell instances apart by it);
+- ``repro_build_info{version=...}`` — the instance's build identity;
 - ``repro_uptime_seconds`` — seconds since the server started;
 - ``repro_jobs_total{state=...}`` — the ledger by state;
 - ``repro_jobs_evicted_total`` — finished jobs the bounded ledger
@@ -25,8 +24,6 @@ trimming and ledger eviction):
 - ``repro_storage_counter_total{counter=...}`` — buffer-pool and page
   I/O telemetry (the paged backend's ``pool_hits`` etc.), summed from
   the per-call counter deltas;
-- ``repro_pool_events_total{event=...}`` — worker-pool incidents
-  (respawns, crashes, timeouts, fallbacks);
 - ``repro_live_events_total{type=...}`` / ``repro_live_dropped_total``
   — the bus's own accounting;
 - ``repro_sse_streams_active`` — watchers connected right now.
@@ -204,11 +201,6 @@ def render_metrics(
         "repro_storage_counter_total", "counter",
         "Storage telemetry deltas (buffer pool, page I/O), by counter.",
         [({"counter": c}, n) for c, n in sorted(totals.storage_counters.items())],
-    )
-    exposition.family(
-        "repro_pool_events_total", "counter",
-        "Worker-pool incidents (respawn/crash/timeout/fallback), by event.",
-        [({"event": e}, n) for e, n in sorted(totals.pool_events.items())],
     )
     exposition.family(
         "repro_live_events_total", "counter",

@@ -42,7 +42,7 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.exceptions import UnknownJobError
@@ -129,8 +129,6 @@ class _JobsHandler(BaseHTTPRequestHandler):
             return self._reply(200, {"ready": True, **self._identity()})
         if head == "metrics":
             return self._metrics()
-        if head == "fleet" and job_id == "metrics" and view is None:
-            return self._fleet_metrics()
         if head != "jobs":
             return self._error(404, f"no such route: {self.path}")
         if job_id is None:
@@ -157,7 +155,7 @@ class _JobsHandler(BaseHTTPRequestHandler):
         return self._error(404, f"no such job view: {view}")
 
     def _identity(self) -> Dict[str, Any]:
-        """Version + uptime: who this instance is, for probes and fleets."""
+        """Version + uptime: who this instance is, for probes."""
         started = getattr(self.server, "started", None)
         uptime = round(time.time() - started, 3) if started else 0.0
         return {"version": __version__, "uptime_seconds": uptime}
@@ -167,30 +165,6 @@ class _JobsHandler(BaseHTTPRequestHandler):
             self.manager,
             streams_active=self.server.active_streams,  # type: ignore[attr-defined]
             started=getattr(self.server, "started", None),
-        )
-        self._reply_text(text)
-
-    def _fleet_metrics(self) -> None:
-        """The federated exposition: this instance merged with its peers.
-
-        Peers are scraped live at ``/metrics`` (never ``/fleet/metrics``,
-        so two servers peered at each other cannot recurse); this
-        instance's exposition is rendered in-process.  An unreachable
-        peer degrades to a ``repro_fleet_peer_up 0`` sample rather than
-        failing the scrape.
-        """
-        from repro.service.fleet import federate_with_self
-
-        self_text = render_metrics(
-            self.manager,
-            streams_active=self.server.active_streams,  # type: ignore[attr-defined]
-            started=getattr(self.server, "started", None),
-        )
-        host, port = self.server.server_address[:2]  # type: ignore[misc]
-        text = federate_with_self(
-            self_text,
-            f"{host}:{port}",
-            getattr(self.server, "peers", ()) or (),
         )
         self._reply_text(text)
 
@@ -383,8 +357,6 @@ class _ServiceServer(ThreadingHTTPServer):
         self.heartbeat = DEFAULT_HEARTBEAT
         self.stream_queue = DEFAULT_QUEUE_SIZE
         self.started = time.time()
-        #: peer ``/metrics`` URLs, federated by ``GET /fleet/metrics``
-        self.peers: Tuple[str, ...] = ()
         self._streams_lock = threading.Lock()
         self.active_streams = 0
 
@@ -404,22 +376,19 @@ def build_server(
     verbose: bool = False,
     heartbeat: float = DEFAULT_HEARTBEAT,
     stream_queue: int = DEFAULT_QUEUE_SIZE,
-    peers: Sequence[str] = (),
 ) -> _ServiceServer:
     """A ready-to-serve HTTP server bound to *manager* (port 0 = ephemeral).
 
     *heartbeat* is the idle-stream comment cadence in seconds (the SSE
     tests shrink it to assert cadence without waiting); *stream_queue*
     is each SSE watcher's live-tail queue bound (the tests shrink it to
-    force drops and assert the history re-sync); *peers* are other
-    instances' ``/metrics`` URLs, federated by ``GET /fleet/metrics``.
+    force drops and assert the history re-sync).
     """
     server = _ServiceServer((host, port), _JobsHandler)
     server.manager = manager  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
     server.heartbeat = heartbeat
     server.stream_queue = max(1, stream_queue)
-    server.peers = tuple(peers)
     return server
 
 
@@ -429,7 +398,6 @@ def serve(
     port: int = 8750,
     verbose: bool = True,
     heartbeat: float = DEFAULT_HEARTBEAT,
-    peers: Sequence[str] = (),
 ) -> None:
     """Serve until interrupted (the ``repro serve`` loop).
 
@@ -437,10 +405,7 @@ def serve(
     probe flips, queued jobs are cancelled, connected SSE watchers get
     the end sentinel, and the function returns normally (exit 0).
     """
-    server = build_server(
-        manager, host=host, port=port, verbose=verbose, heartbeat=heartbeat,
-        peers=peers,
-    )
+    server = build_server(manager, host=host, port=port, verbose=verbose, heartbeat=heartbeat)
     address = f"http://{server.server_address[0]}:{server.server_address[1]}"
     print(f"repro service listening on {address} (Ctrl-C to stop)", flush=True)
     log.info("service listening", extra={"data": {"address": address}})

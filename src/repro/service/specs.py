@@ -7,7 +7,7 @@ body to ``repro serve``):
 .. code-block:: json
 
     {"demo": true,
-     "config": {"engine": "process", "engine_workers": 2}}
+     "config": {"engine": "batched"}}
 
     {"database": "legacy.db",
      "programs": "programs/",
@@ -16,9 +16,10 @@ body to ``repro serve``):
 
 Exactly one of ``demo`` or ``database`` must be present; ``database``
 specs also need ``programs`` (the corpus directory).  ``config`` takes
-the pipeline knobs (``engine``, ``engine_workers``, ``engine_options``,
-``translate``) plus the AutoExpert thresholds (``force_threshold``,
-``conceptualize_hidden``); the demo runs under the paper's scripted
+the pipeline knobs (``engine``, ``translate``) plus the AutoExpert
+thresholds (``force_threshold``, ``conceptualize_hidden``); any other
+key, or an ``engine`` outside ``DBREPipeline.ENGINE_MODES``, is
+rejected at submission.  The demo runs under the paper's scripted
 expert, so its output matches ``repro demo`` exactly.
 
 Imports from :mod:`repro.cli` happen at call time: the CLI imports this
@@ -47,6 +48,9 @@ _SPEC_KEYS = {
     "config",
 }
 
+#: ``config`` keys a JSON spec may carry
+_CONFIG_KEYS = {"engine", "translate", "force_threshold", "conceptualize_hidden"}
+
 
 def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
     """Submit one JSON job spec to *manager*; returns the queued job."""
@@ -57,7 +61,7 @@ def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
         raise ValueError(f"unknown job-spec key(s): {', '.join(unknown)}")
     if bool(spec.get("demo")) == ("database" in spec):
         raise ValueError("a job spec needs exactly one of demo=true or database=")
-    config = dict(spec.get("config") or {})
+    config = _checked_config(spec.get("config"))
 
     if spec.get("demo"):
         from repro.core.expert import ScriptedExpert
@@ -100,3 +104,22 @@ def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
         config=config,
         label=spec.get("label", spec["database"]),
     )
+
+
+def _checked_config(config: Any) -> Dict[str, Any]:
+    """A copy of a spec's ``config``, refused if a key or engine is unknown."""
+    from repro.core.pipeline import DBREPipeline
+
+    if not isinstance(config, (dict, type(None))):
+        raise ValueError(f"a job-spec config must be a JSON object, got {type(config).__name__}")
+    config = dict(config or {})
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown job-spec config key(s): {', '.join(unknown)}")
+    engine = config.get("engine", "serial")
+    if engine not in DBREPipeline.ENGINE_MODES:
+        raise ValueError(
+            f"unknown engine {engine!r} in job-spec config; "
+            f"pick one of {', '.join(DBREPipeline.ENGINE_MODES)}"
+        )
+    return config

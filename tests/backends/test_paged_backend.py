@@ -68,7 +68,7 @@ class TestAcceptance:
         assert paged.pool.stats.evictions > 0
 
     def test_batched_engine_takes_the_serial_fallback(self):
-        """No execute_batch, not parallel_safe: probes run one by one."""
+        """No execute_batch: probes run one by one."""
         db = build_paper_database(backend=PagedBackend(**SMALL))
         pipeline = DBREPipeline(
             db, ScriptedExpert(paper_expert_script()), engine="batched"
@@ -77,7 +77,6 @@ class TestAcceptance:
         stats = result.engine_stats
         assert stats is not None
         assert stats.batched_calls == 0
-        assert stats.parallel_groups == 0
         assert stats.backend_calls == stats.unique_probes
 
 

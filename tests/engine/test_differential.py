@@ -192,18 +192,3 @@ class TestProvenanceBackendInvariance:
         _, batched = run_paper("batched", MemoryBackend)
         assert evidence(serial) == evidence(batched)
         assert any(evidence(serial).values())
-
-
-class TestWorkerCountInvariance:
-    """The parallel strategy must not leak scheduling into results."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_paper_example_stable_across_worker_counts(self, workers):
-        db = build_paper_database()
-        pipeline = DBREPipeline(
-            db, ScriptedExpert(paper_expert_script()),
-            engine="batched", engine_workers=workers,
-        )
-        result = pipeline.run(equijoins=paper_equijoins())
-        baseline, _ = run_paper("serial", MemoryBackend)
-        assert observable(pipeline, result) == baseline

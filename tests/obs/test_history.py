@@ -100,15 +100,13 @@ class TestBenchHistory:
         assert render_bench_trends([]) == "no bench history\n"
 
 
-def archived_run(archive, job_id, key, phase_ms, calls=10, hits=5, pool=0):
+def archived_run(archive, job_id, key, phase_ms, calls=10, hits=5):
     stats = RunStats()
     for phase, ms in phase_ms.items():
         stats.phase_runs[phase] = 1
         stats.phase_ms[phase] = ms
     stats.primitive_calls["count_distinct"] = calls
     stats.primitive_cache_hits["count_distinct"] = hits
-    if pool:
-        stats.pool_events["respawn"] = pool
     archive.store(
         {"type": "job", "id": job_id, "label": job_id, "state": "done"},
         key,
@@ -120,8 +118,7 @@ class TestArchiveTrends:
     def test_groups_by_fingerprint_pair(self, tmp_path):
         archive = RunArchive(str(tmp_path))
         archived_run(archive, "job-1", ("db1", "wl1", "a"), {"IND": 10.0})
-        archived_run(archive, "job-2", ("db1", "wl1", "b"), {"IND": 12.0},
-                     pool=2)
+        archived_run(archive, "job-2", ("db1", "wl1", "b"), {"IND": 12.0})
         archived_run(archive, "job-3", ("db2", "wl1", "a"), {"IND": 50.0})
         rows = archive_trends(archive)
         assert len(rows) == 2
@@ -129,7 +126,6 @@ class TestArchiveTrends:
         assert first["runs"] == 2
         assert first["phase_ms"]["IND"] == 22.0
         assert first["cache_hit_rate"] == 0.5
-        assert first["pool_incidents"] == 2
 
     def test_drift_flags_an_anomalous_run_on_the_same_fingerprint(
         self, tmp_path

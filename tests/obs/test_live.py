@@ -61,7 +61,6 @@ class TestBusSemantics:
         # no bus was ever attached: the hot path stayed a None test
         assert tracer.live_bus is None
         tracer.progress("ignored")
-        tracer.pool_event("ignored")
         assert tracer.live_bus is None
 
     def test_unsubscribe_stops_delivery(self):
@@ -200,28 +199,31 @@ class TestLiveStats:
     """Incremental aggregates maintained at publish time."""
 
     def test_stats_aggregate_phases_primitives_and_pool(self):
+        """Phases and primitives fold; a ``pool`` record from a capture
+        of an older version is ignored, not counted."""
         tracer = Tracer()
         tracer.live()
         run_traced(tracer)
-        tracer.pool_event("respawn")
+        tracer.live_bus.publish("pool", event="respawn")
         stats = tracer.live_bus.stats()
         assert stats.phase_runs == {"IND-Discovery": 1, "LHS-Discovery": 1}
         assert stats.phase_ms["IND-Discovery"] >= 0.0
         assert stats.primitive_calls == {"count_distinct": 1}
         assert stats.primitive_cache_hits == {}
-        assert stats.pool_events == {"respawn": 1}
+        assert "pool" not in stats.events
         assert stats.events["span-open"] == 3
         assert stats.events["progress"] == 1
 
     def test_merge_folds_and_copy_is_independent(self):
+        call = {"type": "primitive", "primitive": "count_distinct"}
         a = RunStats()
-        a.observe({"type": "pool", "event": "respawn"})
+        a.observe(call)
         b = a.copy()
-        b.observe({"type": "pool", "event": "respawn"})
-        assert a.pool_events == {"respawn": 1}
-        assert b.pool_events == {"respawn": 2}
+        b.observe(call)
+        assert a.primitive_calls == {"count_distinct": 1}
+        assert b.primitive_calls == {"count_distinct": 2}
         a.merge(b)
-        assert a.pool_events == {"respawn": 3}
+        assert a.primitive_calls == {"count_distinct": 3}
 
     def test_setup_spans_are_kept_apart_from_phases(self):
         stats = RunStats()

@@ -171,7 +171,7 @@ class TestArchiveCompatibility:
         assert isinstance(first.stats, RunStats)
         for run, flat in ((first, FLAT_WITH_SETUP), (second, FLAT_BEFORE_SETUP)):
             for name in ("events", "phase_runs", "phase_ms", "primitive_calls",
-                         "primitive_cache_hits", "storage_counters", "pool_events"):
+                         "primitive_cache_hits", "storage_counters"):
                 assert getattr(run.stats, name) == flat[name], name
             assert run.stats.setup_ms == flat.get("setup_ms", {})
 
@@ -194,7 +194,7 @@ class TestArchiveCompatibility:
         assert samples(text, "repro_storage_counter_total") == {
             '{counter="pool_hits"}': 20, '{counter="pool_misses"}': 5,
         }
-        assert samples(text, "repro_pool_events_total") == {'{event="respawn"}': 1}
+        assert "repro_pool_events_total" not in text
         assert samples(text, "repro_live_events_total") == {
             '{type="end"}': 2, '{type="primitive"}': 52,
             '{type="span-close"}': 13, '{type="span-open"}': 13,
@@ -206,7 +206,7 @@ class TestArchiveCompatibility:
         assert row["phase_ms"] == {"IND-Discovery": 22.5, "Restruct": 10.25}
         assert row["wall_ms"] == [16.75, 16.0]
         assert row["cache_hit_rate"] == round(14 / 52, 4)
-        assert row["pool_incidents"] == 1
+        assert "pool_incidents" not in row
         assert "IND-Discovery=22.5ms" in render_archive_trends(archive)
 
     def test_fold_shape_round_trips_exactly(self, twice):

@@ -1,0 +1,172 @@
+"""What earlier versions wrote still reads after the worker pool's removal.
+
+Versions that had the process engine archived jobs whose config named
+``engine: process`` and ``engine_workers``, manifests whose stats carry
+a ``pool_events`` table, and live streams with ``pool`` records.  Such
+an archive must still restore, list and render, without the pool metric
+family or history column; a ``pool`` record folds as if absent.
+"""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.obs.archive import RunArchive
+from repro.obs.history import archive_trends
+from repro.obs.live import RunStats
+from repro.service.jobs import JobManager
+from repro.service.metrics import lint_exposition, render_metrics
+
+KEY = "a12d914b8caf6b18d31d"
+DATABASE_FP = "aecde108a28f44e30d5b1ae6b58e742b3c1b2b548f1d8a6f9c2e2c86bd4252e8"
+WORKLOAD_FP = "280581ccf91a56b5a4ca1cb8779b41c55935c4980240e4f00488947fc53c703d"
+
+#: the manifest of a demo job run with ``engine: process`` and two
+#: workers, as those versions wrote it (one worker respawn recorded)
+MANIFEST = {
+    "archived_at": "2026-10-17T09:36:32+00:00",
+    "artifacts": {},
+    "config_token": "{\"engine\": \"process\", \"engine_workers\": 2}",
+    "database_fingerprint": DATABASE_FP,
+    "eer": "Entity-types:\n  [Person] key(id) [id, name]\n",
+    "format": "repro/archive@1",
+    "key": KEY,
+    "record": {
+        "cached": False,
+        "config": {"engine": "process", "engine_workers": 2, "translate": None},
+        "database_fingerprint": DATABASE_FP,
+        "finished_at": 1792229792.33433,
+        "id": "job-1",
+        "label": "demo-process",
+        "started_at": 1792229792.288941,
+        "state": "done",
+        "submitted_at": 1792229792.2886393,
+        "summary": {"decisions": 14, "equijoins": 5, "fds": 2, "hidden": 2,
+                    "inds": 6, "queries": 26, "ric": 10},
+        "type": "job",
+        "workload_fingerprint": WORKLOAD_FP,
+    },
+    "stats": {
+        "backends": {"memory": {"calls": 26, "duration_ms": 0.616965}},
+        "events": {"end": 1, "pool": 1, "primitive": 26, "progress": 20,
+                   "span-close": 9, "span-open": 9},
+        "phases": {
+            "IND-Discovery": {
+                "count_distinct": {"cache_hits": 2, "cache_misses": 8, "calls": 10,
+                                   "duration_ms": 0.3307, "rows_touched": 109},
+                "join_count": {"cache_hits": 5, "cache_misses": 0, "calls": 5,
+                               "duration_ms": 0.042711, "rows_touched": 0},
+            },
+            "RHS-Discovery": {
+                "fd_holds": {"cache_hits": 0, "cache_misses": 11, "calls": 11,
+                             "duration_ms": 0.243554, "rows_touched": 128},
+            },
+        },
+        "pool_events": {"respawn": 1},
+        "primitives": {
+            "count_distinct": {"cache_hits": 2, "cache_misses": 8, "calls": 10,
+                               "duration_ms": 0.3307, "rows_touched": 109},
+            "fd_holds": {"cache_hits": 0, "cache_misses": 11, "calls": 11,
+                         "duration_ms": 0.243554, "rows_touched": 128},
+            "join_count": {"cache_hits": 5, "cache_misses": 0, "calls": 5,
+                           "duration_ms": 0.042711, "rows_touched": 0},
+        },
+        "root_ms": 44.788088,
+        "spans": {
+            "IND-Discovery": {"count": 1, "inclusive_ms": 15.288017, "kind": "phase",
+                              "open": False, "self_ms": 2.735734},
+            "RHS-Discovery": {"count": 1, "inclusive_ms": 4.611536, "kind": "phase",
+                              "open": False, "self_ms": 2.519626},
+            "copy": {"count": 1, "inclusive_ms": 0.75, "kind": "setup",
+                     "open": False, "self_ms": 0.75},
+        },
+    },
+    "type": "run",
+    "workload_fingerprint": WORKLOAD_FP,
+}
+
+INDEX = [
+    {"format": "repro/archive@1", "type": "header"},
+    {"archived_at": "2026-10-17T09:36:32+00:00", "database_fingerprint": DATABASE_FP,
+     "job": "job-1", "key": KEY, "label": "demo-process", "state": "done",
+     "type": "run", "workload_fingerprint": WORKLOAD_FP},
+]
+
+#: a live@1 stream of a process-engine run that respawned a worker
+LIVE = [
+    {"attributes": {}, "kind": "pipeline", "name": "pipeline", "parent": None,
+     "seq": 1, "span": 1, "ts_ms": 0.5, "type": "span-open"},
+    {"attributes": {}, "kind": "phase", "name": "IND-Discovery", "parent": 1,
+     "seq": 2, "span": 2, "ts_ms": 0.7, "type": "span-open"},
+    {"backend": "memory", "cache_hit": False, "duration_ms": 0.1,
+     "primitive": "count_distinct", "relations": ["Person"], "rows_touched": 22,
+     "seq": 3, "span": 2, "ts_ms": 0.9, "type": "primitive"},
+    {"event": "respawn", "seq": 4, "span": 2, "ts_ms": 1.0, "type": "pool",
+     "worker": 0},
+    {"attributes": {}, "duration_ms": 0.5, "kind": "phase", "name": "IND-Discovery",
+     "seq": 5, "span": 2, "ts_ms": 1.2, "type": "span-close"},
+    {"attributes": {"workers": 2}, "duration_ms": 1.0, "kind": "pipeline",
+     "name": "pipeline", "seq": 6, "span": 1, "ts_ms": 1.5, "type": "span-close"},
+    {"error": None, "job": "job-1", "seq": 7, "state": "done", "ts_ms": 1.6,
+     "type": "end"},
+]
+
+
+@pytest.fixture
+def archive_dir(tmp_path):
+    root = tmp_path / "runs.archive"
+    run_dir = root / "runs" / KEY
+    run_dir.mkdir(parents=True)
+    (run_dir / "record.json").write_text(json.dumps(MANIFEST, indent=2))
+    (root / "index.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in INDEX)
+    )
+    return str(root)
+
+
+def test_archive_lists_the_run(archive_dir):
+    (run,) = RunArchive(archive_dir).runs()
+    assert run.record["config"]["engine"] == "process"
+    assert run.cache_key == (DATABASE_FP, WORKLOAD_FP, MANIFEST["config_token"])
+    assert run.stats.primitive_calls == {
+        "count_distinct": 10, "fd_holds": 11, "join_count": 5,
+    }
+    assert "pool_events" not in run.stats.as_dict()
+
+
+def test_manager_restores_the_job(archive_dir):
+    with JobManager(runners=1, archive=RunArchive(archive_dir)) as manager:
+        job = manager.job("job-1")
+        record = job.as_record()
+    assert record["state"] == "done"
+    assert record["archived"] is True
+    assert record["config"] == {"engine": "process", "translate": None}
+    assert record["summary"] == MANIFEST["record"]["summary"]
+
+
+def test_metrics_render_without_the_pool_family(archive_dir):
+    with JobManager(runners=1, archive=RunArchive(archive_dir)) as manager:
+        text = render_metrics(manager)
+    assert lint_exposition(text) == []
+    assert "pool_events" not in text
+    assert "repro_jobs_restored_total 1" in text
+    assert 'repro_primitive_calls_total{primitive="fd_holds"} 11' in text
+
+
+def test_history_renders_without_the_pool_column(archive_dir, capsys):
+    (row,) = archive_trends(RunArchive(archive_dir))
+    assert "pool_incidents" not in row
+    assert main(["history", "--archive", archive_dir]) == 0
+    out = capsys.readouterr().out
+    assert "1 runs over 1 fingerprint group(s)" in out
+    header = next(line for line in out.splitlines() if "verdict" in line)
+    assert "pool" not in header
+
+
+def test_a_pool_record_folds_and_is_ignored():
+    stats = RunStats.fold(LIVE)
+    without = RunStats.fold([r for r in LIVE if r["type"] != "pool"])
+    assert stats.as_dict() == without.as_dict()
+    assert stats.primitive_calls == {"count_distinct": 1}
+    assert "pool" not in stats.events

@@ -9,7 +9,6 @@ import urllib.request
 
 import pytest
 
-from repro.service.fleet import instance_label
 from repro.service.metrics import lint_exposition
 from repro.service.stream import sse_events
 
@@ -77,7 +76,7 @@ class TestKillAndRestart:
 
         # first life: run a demo job to completion, confirm it is durable
         process, base = serve("--archive", archive_dir)
-        second = peered = None
+        second = None
         try:
             job = submit_demo(base)
             record = wait_archived(base, job["id"])
@@ -121,25 +120,16 @@ class TestKillAndRestart:
             )
             assert [e["seq"] for e in tail] == [events[-1]["seq"]]
 
-            # (c) a federated scrape over two instances lints clean
-            peered, base3 = serve("--peers", base2)
-            with urllib.request.urlopen(
-                base3 + "/fleet/metrics", timeout=10
-            ) as response:
-                merged = response.read().decode("utf-8")
-            assert lint_exposition(merged) == []
-            restored_instance = instance_label(base2)
-            assert (
-                f'repro_jobs_restored_total{{instance="{restored_instance}"}} 1'
-                in merged
-            )
-            assert f'instance="{instance_label(base3)}"' in merged
-            assert "repro_fleet_instances 2" in merged
+            # (c) the restored instance's /metrics lints clean and counts
+            # the restored run
+            with urllib.request.urlopen(base2 + "/metrics", timeout=10) as response:
+                exposition = response.read().decode("utf-8")
+            assert lint_exposition(exposition) == []
+            assert "repro_jobs_restored_total 1" in exposition
         finally:
             kill(process)
-            for survivor in (second, peered):
-                if survivor is not None:
-                    kill(survivor)
+            if second is not None:
+                kill(second)
 
     def test_restart_on_an_empty_archive_dir_is_clean(self, tmp_path):
         process, base = serve("--archive", str(tmp_path / "fresh.archive"))

@@ -149,6 +149,11 @@ class TestErrors:
         assert "nonsense" in body["error"]
         status, body = api("POST", "/jobs", {})
         assert status == 400
+        for config in ({"engnie": "batched"}, {"engine": "process"}, {"engine_workers": 2}):
+            status, body = api("POST", "/jobs", {"demo": True, "config": config})
+            assert status == 400
+            assert "\n" not in body["error"]
+        assert api.manager.jobs() == []
 
     def test_empty_body_400(self, api):
         status, _ = api("POST", "/jobs", None)  # empty body -> {} -> invalid spec

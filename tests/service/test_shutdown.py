@@ -194,9 +194,10 @@ class TestEvictedWatchers:
         watcher = threading.Thread(target=watch, daemon=True)
         watcher.start()
         wait_streams_active(base)  # attached, idling on heartbeats
-        # a distinct fresh job finishes -> the target is evicted
+        # a distinct fresh job (another engine, another cache key)
+        # finishes -> the target is evicted
         evictor = submit_spec_json(
-            base, {"demo": True, "config": {"nonce": "evictor"}}
+            base, {"demo": True, "config": {"engine": "batched"}}
         )
         wait_state(base, evictor["id"])
         deadline = time.monotonic() + 30

@@ -1,0 +1,82 @@
+"""Job-spec validation: a spec's ``config`` is checked at submission."""
+
+import pytest
+
+from repro.core.pipeline import DBREPipeline
+from repro.service.jobs import JobManager
+from repro.service.specs import submit_spec
+
+SCHEMA = """
+CREATE TABLE city (cid INT PRIMARY KEY, cname VARCHAR(20));
+CREATE TABLE person (pid INT PRIMARY KEY, pname VARCHAR(20), home INT,
+                     home_name VARCHAR(20));
+INSERT INTO city VALUES (1, 'Lyon'), (2, 'Paris');
+INSERT INTO person VALUES (10, 'a', 1, 'Lyon'), (11, 'b', 2, 'Paris'),
+                          (12, 'c', 1, 'Lyon');
+"""
+
+
+@pytest.fixture
+def manager():
+    with JobManager(runners=1) as mgr:
+        yield mgr
+
+
+@pytest.fixture
+def database_spec(tmp_path):
+    schema = tmp_path / "schema.sql"
+    schema.write_text(SCHEMA)
+    programs = tmp_path / "programs"
+    programs.mkdir()
+    (programs / "report.sql").write_text(
+        "SELECT pname FROM person, city WHERE home = cid;\n"
+    )
+    return {"database": str(schema), "programs": str(programs)}
+
+
+class TestRejected:
+    # a misspelling, then the keys of the removed worker pool
+    @pytest.mark.parametrize("key", ["engnie", "engine_workers", "engine_options"])
+    def test_unknown_config_key(self, manager, key):
+        with pytest.raises(ValueError, match=key):
+            submit_spec(manager, {"demo": True, "config": {key: 2}})
+        assert manager.jobs() == []
+
+    @pytest.mark.parametrize("engine", ["process", "parallel", None])
+    def test_engine_outside_the_pipeline_modes(self, manager, engine):
+        with pytest.raises(ValueError, match="unknown engine") as info:
+            submit_spec(manager, {"demo": True, "config": {"engine": engine}})
+        assert "\n" not in str(info.value)
+        for mode in DBREPipeline.ENGINE_MODES:
+            assert mode in str(info.value)
+        assert manager.jobs() == []
+
+    def test_database_spec_config_is_checked_too(self, manager, database_spec):
+        spec = dict(database_spec, config={"engine": "process"})
+        with pytest.raises(ValueError, match="process"):
+            submit_spec(manager, spec)
+        assert manager.jobs() == []
+
+    def test_config_must_be_an_object(self, manager):
+        with pytest.raises(ValueError, match="JSON object"):
+            submit_spec(manager, {"demo": True, "config": ["batched"]})
+
+
+class TestAccepted:
+    @pytest.mark.parametrize("config", [None, {}, {"engine": "serial"},
+                                        {"engine": "batched", "translate": True}])
+    def test_demo_specs(self, manager, config):
+        spec = {"demo": True} if config is None else {"demo": True, "config": config}
+        job = submit_spec(manager, spec)
+        manager.result(job.id, timeout=60)
+        assert job.state == "done"
+
+    def test_database_spec_with_expert_thresholds(self, manager, database_spec):
+        spec = dict(database_spec, config={
+            "engine": "batched", "force_threshold": 0.9,
+            "conceptualize_hidden": True,
+        })
+        job = submit_spec(manager, spec)
+        manager.result(job.id, timeout=60)
+        assert job.state == "done"
+        assert job.as_record()["config"] == {"engine": "batched", "translate": None}
