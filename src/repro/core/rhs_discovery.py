@@ -211,13 +211,11 @@ class RHSDiscovery:
             else None
         )
 
-        # test each candidate; the expert may enforce failures
-        accepted: List[str] = []
-        enforced: List[str] = []
-        decision_ids: List[str] = []
-        table = self.database.table(ref.relation)
+        # test every candidate first, so that one evidence span covers
+        # all the failures; then the expert may enforce each failure
+        holds: Dict[str, bool] = {}
         for name in candidates:
-            holds = (
+            holds[name] = (
                 verdicts[name]
                 if verdicts is not None
                 else self.database.fd_holds(ref.relation, a_names, (name,))
@@ -227,25 +225,21 @@ class RHSDiscovery:
                 self.ledger.attach_evidence(
                     cand_id, "fd_holds", (ref.relation,), (a_names, (name,))
                 )
-            if holds:                                                        # (i)
+        contexts = self._evidence(ref, [n for n in candidates if not holds[n]])
+        accepted: List[str] = []
+        enforced: List[str] = []
+        decision_ids: List[str] = []
+        for name in candidates:
+            if holds[name]:                                                  # (i)
                 accepted.append(name)
-            else:                                                            # (ii)
-                fd = FunctionalDependency(ref.relation, a_names, (name,))
-                context = FDContext(
-                    fd,
-                    satisfaction_ratio(table, fd),
-                    tuple(
-                        f"{a!r} / {b!r}"
-                        for a, b in violation_witnesses(table, fd, limit=3)
-                    ),
-                )
-                if self.expert.enforce_fd(context):
-                    accepted.append(name)
-                    enforced.append(name)
-                if self.ledger is not None:
-                    decision = self.ledger.last_decision()
-                    if decision is not None:
-                        decision_ids.append(decision)
+                continue
+            if self.expert.enforce_fd(contexts[name]):                       # (ii)
+                accepted.append(name)
+                enforced.append(name)
+            if self.ledger is not None:
+                decision = self.ledger.last_decision()
+                if decision is not None:
+                    decision_ids.append(decision)
 
         if accepted:                                                         # (iii)
             fd = FunctionalDependency(ref.relation, a_names, tuple(accepted))
@@ -301,6 +295,37 @@ class RHSDiscovery:
                 action=action,
             )
         )
+
+    def _evidence(
+        self, ref: AttributeRef, failing: Sequence[str]
+    ) -> Dict[str, FDContext]:
+        """What the expert sees for each failing ``A -> b`` (step ii).
+
+        The ratio and up to three witness pairs per candidate, read from
+        the relation's extension under one ``evidence`` span per
+        identifier; both come from one grouping of the extension by
+        ``A``, memoised on the table.  No extension query is counted.
+        """
+        if not failing:
+            return {}
+        a_names = tuple(ref.attributes)
+        contexts: Dict[str, FDContext] = {}
+        with self.database.tracer.span("evidence", kind="step", candidates=len(failing)):
+            table = self.database.table(ref.relation)
+            for name in failing:
+                fd = FunctionalDependency(ref.relation, a_names, (name,))
+                contexts[name] = FDContext(
+                    fd,
+                    satisfaction_ratio(table, fd),
+                    tuple(
+                        f"{a!r} / {b!r}"
+                        for a, b in violation_witnesses(table, fd, limit=3)
+                    ),
+                )
+            # no other identifier groups by this LHS: release the grouping
+            # so the tables a finished run keeps do not hold it too
+            table.grouping_memo = None
+        return contexts
 
     def _handle_empty(
         self, ref: AttributeRef, in_hidden: bool, result: RHSDiscoveryResult

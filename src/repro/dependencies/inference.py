@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.dependencies.fd import FunctionalDependency
-from repro.relational.algebra import fd_violation_pairs, functional_maps
+from repro.relational.algebra import fd_violation_pairs, functional_maps, lhs_grouping
 from repro.relational.database import Database
-from repro.relational.domain import has_null
 from repro.relational.table import Row, Table
 
 
@@ -54,21 +53,8 @@ def satisfaction_ratio(table: Table, fd: FunctionalDependency) -> float:
     the paper lets the expert *enforce* the dependency (RHS-Discovery
     step (ii)).  An empty table (or all-NULL LHS) yields 1.0.
 
-    One pass: each LHS group keeps only its first RHS image, and a group
-    whose later image differs joins the dirty set.
+    Answered from the table's memoised LHS grouping
+    (:func:`~repro.relational.algebra.lhs_grouping`), which the
+    dependency's :func:`violation_witnesses` then reuse.
     """
-    key_of = table.schema.projector(fd.lhs)
-    image_of = table.schema.projector(fd.rhs)
-    first: dict = {}
-    dirty: set = set()
-    for row in table:
-        values = row.values
-        key = key_of(values)
-        image = image_of(values)
-        if first.setdefault(key, image) != image:
-            dirty.add(key)
-    groups = [key for key in first if not has_null(key)]
-    if not groups:
-        return 1.0
-    clean = sum(1 for key in groups if key not in dirty)
-    return clean / len(groups)
+    return lhs_grouping(table, fd.lhs).ratio(fd.rhs)

@@ -171,6 +171,10 @@ def metrics_from_stats(stats: RunStats) -> Dict[str, Any]:
             for name, ms in stats.phase_ms.items()
         },
         "setup": {name: {"duration_ms": round(ms, 6)} for name, ms in stats.setup_ms.items()},
+        "steps": {
+            name: {"count": stats.step_runs[name], "duration_ms": round(ms, 6)}
+            for name, ms in stats.step_ms.items()
+        },
         "primitives": {n: rounded(row) for n, row in stats.primitives.items()},
         "backends": {n: rounded(row) for n, row in stats.backends.items()},
         "totals": stats.totals(),

@@ -112,6 +112,7 @@ def _ms(seconds: float) -> float:
 _SPAN = {"kind": "span", "count": 0, "inclusive_ms": 0.0, "self_ms": 0.0, "open": False}
 _PHASE = dict(_SPAN, kind="phase")
 _SETUP = dict(_SPAN, kind="setup")
+_STEP = dict(_SPAN, kind="step")
 _ROLLUP = {"calls": 0, "duration_ms": 0.0, "cache_hits": 0, "cache_misses": 0, "rows_touched": 0}
 
 
@@ -259,6 +260,8 @@ class RunStats:
     phase_runs = property(lambda self: _Column(self.spans, "count", _PHASE))
     phase_ms = property(lambda self: _Column(self.spans, "inclusive_ms", _PHASE))
     setup_ms = property(lambda self: _Column(self.spans, "inclusive_ms", _SETUP))
+    step_runs = property(lambda self: _Column(self.spans, "count", _STEP))
+    step_ms = property(lambda self: _Column(self.spans, "inclusive_ms", _STEP))
     primitive_calls = property(lambda self: _Column(self.primitives, "calls", _ROLLUP))
     primitive_cache_hits = property(
         lambda self: _Column(self.primitives, "cache_hits", _ROLLUP, nonzero=True)

@@ -11,10 +11,13 @@ never joins.
 
 from __future__ import annotations
 
+from itertools import compress, count, islice
+from operator import itemgetter, ne
 from typing import Any, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.exceptions import ArityError
 from repro.relational.domain import has_null, is_null
+from repro.relational.schema import RelationSchema
 from repro.relational.table import Row, Table
 
 ValueTuple = Tuple[Any, ...]
@@ -139,26 +142,99 @@ def fd_violation_pairs(
     """Up to *limit* pairs of tuples witnessing that ``lhs -> rhs`` fails.
 
     Each pair is the first row of an LHS group and a later row of the
-    group with a different RHS image.  Used to show the expert user *why*
-    a presumed dependency does not hold before asking whether to enforce
-    it anyway.
+    group with a different RHS image, in scan order.  Used to show the
+    expert user *why* a presumed dependency does not hold before asking
+    whether to enforce it anyway.  A failing dependency always yields
+    its first pair, even for a *limit* below one.
     """
-    key_of = table.schema.projector(lhs)
-    image_of = table.schema.projector(rhs)
-    witness: dict = {}
-    violations: List[Tuple[Row, Row]] = []
-    for row in table:
-        values = row.values
-        key = key_of(values)
-        image = image_of(values)
-        first = witness.get(key)
-        if first is None:
-            witness[key] = (row, image)
-        elif first[1] != image and not has_null(key):
-            violations.append((first[0], row))
-            if len(violations) >= limit:
-                break
-    return violations
+    return lhs_grouping(table, lhs).witnesses(rhs, limit)
+
+
+class LHSGrouping:
+    """The rows of one table grouped by an LHS: the RHS-evidence kernel.
+
+    Rows with a NULL in the LHS are dropped.  ``rows`` keeps the others
+    in scan order (``values`` their value tuples), ``firsts[i]`` is the
+    position in ``rows`` of the first row of row ``i``'s group, and
+    ``groups`` counts the groups.  Each RHS is answered from one
+    *mismatch mask* — ``mask[i]`` is true when row ``i``'s RHS image
+    differs from its group's first image — built and read by C-level
+    passes; the last mask is kept, so the ratio and the witnesses of one
+    dependency share it.
+    """
+
+    __slots__ = ("schema", "rows", "values", "firsts", "groups", "_last")
+
+    def __init__(self, table: Table, lhs: Tuple[str, ...]) -> None:
+        schema = table.schema
+        rows = list(table)
+        values = [row.values for row in rows]
+        positions = [schema.position(a) for a in lhs]
+        key_of = _column(schema, lhs)
+        if any(has_null(map(itemgetter(p), values)) for p in positions):
+            project = schema.projector(lhs)
+            kept = [i for i, v in enumerate(values) if not has_null(project(v))]
+            rows = [rows[i] for i in kept]
+            values = [values[i] for i in kept]
+        keys = list(map(key_of, values))
+        # filled back to front, so each key keeps its first position
+        first_of = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        self.schema: RelationSchema = schema
+        self.rows: List[Row] = rows
+        self.values: List[ValueTuple] = values
+        self.firsts: List[int] = list(map(first_of.__getitem__, keys))
+        self.groups = len(first_of)
+        self._last: Any = None
+
+    def mask(self, rhs: Sequence[str]) -> List[bool]:
+        """Per kept row: does its RHS image differ from its group's first?"""
+        rhs = tuple(rhs)
+        if self._last is not None and self._last[0] == rhs:
+            return self._last[1]
+        column = list(map(_column(self.schema, rhs), self.values))
+        mask = list(map(ne, column, map(column.__getitem__, self.firsts)))
+        self._last = (rhs, mask)
+        return mask
+
+    def ratio(self, rhs: Sequence[str]) -> float:
+        """Fraction of groups single-valued on *rhs*; 1.0 without groups."""
+        if not self.groups:
+            return 1.0
+        dirty = len(set(compress(self.firsts, self.mask(rhs))))
+        return (self.groups - dirty) / self.groups
+
+    def witnesses(self, rhs: Sequence[str], limit: int) -> List[Tuple[Row, Row]]:
+        """The first ``max(limit, 1)`` mismatching rows, with their firsts."""
+        rows, firsts = self.rows, self.firsts
+        mismatches = compress(count(), self.mask(rhs))
+        return [(rows[firsts[i]], rows[i]) for i in islice(mismatches, max(limit, 1))]
+
+
+def _column(schema: RelationSchema, attrs: Tuple[str, ...]):
+    """A row-values getter: the bare value for one attribute, else a tuple.
+
+    Bare values compare as tuple components do — NULL equals only NULL —
+    now that no stored value is NaN (REAL coerces it to NULL).
+    """
+    if len(attrs) == 1:
+        return itemgetter(schema.position(attrs[0]))
+    return schema.projector(attrs)
+
+
+def lhs_grouping(table: Table, lhs: Sequence[str]) -> LHSGrouping:
+    """*table* grouped by *lhs*, memoised on the table.
+
+    The table holds one entry, guarded by its ``(version, row count)``
+    and the LHS; any write, or a grouping by another LHS, replaces it.
+    """
+    lhs = tuple(lhs)
+    token = (table.version, len(table), lhs)
+    memo = table.grouping_memo
+    if memo is not None and memo[0] == token:
+        return memo[1]
+    grouping = LHSGrouping(table, lhs)
+    table.grouping_memo = (token, grouping)
+    return grouping
 
 
 def missing_values(

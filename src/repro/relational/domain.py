@@ -120,21 +120,24 @@ class DataType:
     def coerce(self, value: Any) -> Any:
         """Return *value* normalized into this domain, or raise TypingError.
 
-        Ints widen to REAL (as floats, the way SQLite stores them); ISO
+        Ints widen to REAL (as floats, the way SQLite stores them); a
+        float NaN becomes NULL, which is what SQLite stores for it; ISO
         strings are accepted for DATE; everything else must already belong
         to the domain.  A value whose type is exactly the one the domain
         stores (``int`` for INTEGER, ``float`` for REAL, ``str`` for TEXT,
-        ``bool`` for BOOLEAN) is returned without further checks.
+        ``bool`` for BOOLEAN) is returned without further checks, bar the
+        NaN test (``value == value`` is false only for NaN).
         """
         if type(value) is self._exact:
-            return value
+            return value if value == value else NULL
         if is_null(value):
             return NULL
         if self.contains(value):
             if self.name == "DATE" and isinstance(value, datetime.date):
                 return value.isoformat()
             if self.name == "REAL":
-                return float(value)
+                value = float(value)
+                return value if value == value else NULL
             return value
         raise TypingError(f"value {value!r} is not in domain {self.name}")
 

@@ -136,6 +136,10 @@ class Table:
         #: inserts → version 3 either way), so caches must key on the
         #: (generation, version) pair, never on the version alone
         self.generation = next(Table._generations)
+        #: :func:`repro.relational.algebra.lhs_grouping`'s one memo entry,
+        #: ``((version, row count, lhs), grouping)``; the table only holds
+        #: it, and a re-homed or recreated table starts without one
+        self.grouping_memo = None
         for r in rows:
             self.insert(r)
 

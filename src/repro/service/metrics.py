@@ -188,6 +188,16 @@ def render_metrics(
         [({"step": s}, ms) for s, ms in sorted(totals.setup_ms.items())],
     )
     exposition.family(
+        "repro_step_runs_total", "counter",
+        "Completed in-phase step spans (RHS evidence), by step.",
+        [({"step": s}, n) for s, n in sorted(totals.step_runs.items())],
+    )
+    exposition.family(
+        "repro_step_latency_ms_total", "counter",
+        "Total wall milliseconds spent per in-phase step.",
+        [({"step": s}, ms) for s, ms in sorted(totals.step_ms.items())],
+    )
+    exposition.family(
         "repro_primitive_calls_total", "counter",
         "Extension-primitive calls, by primitive.",
         [({"primitive": p}, n) for p, n in sorted(totals.primitive_calls.items())],

@@ -197,6 +197,31 @@ class TestRowAccess:
         assert type(rows[0][1]) is float
         assert database_fingerprint(here) == database_fingerprint(memory)
 
+    def test_nan_is_stored_as_null(self, backend_factory):
+        """Regression: memory kept each REAL NaN as a distinct non-NULL
+        value while SQLite stored NULL, so ``||r[x]||`` read 3 against 1
+        and ``k -> x`` failed on memory but held on SQLite."""
+        from repro.backends import SQLiteBackend
+        from repro.service.jobs import database_fingerprint
+
+        def build(backend, rows):
+            schema = DatabaseSchema([
+                RelationSchema.build("r", ["k", "x"], types={"k": INTEGER, "x": REAL})
+            ])
+            db = Database(schema, backend=backend)
+            db.insert_many("r", rows)
+            return db
+
+        nan = float("nan")
+        here = build(backend_factory(), [[1, nan], [1, nan], [2, 1.5]])
+        sqlite = build(SQLiteBackend(), [[1, nan], [1, nan], [2, 1.5]])
+        nulls = build(backend_factory(), [[1, NULL], [1, NULL], [2, 1.5]])
+        assert here.count_distinct("r", ("x",)) == 1
+        assert here.fd_holds("r", ("k",), ("x",))
+        assert list(here.backend.rows("r")) == [(1, NULL), (1, NULL), (2, 1.5)]
+        assert database_fingerprint(here) == database_fingerprint(sqlite)
+        assert database_fingerprint(here) == database_fingerprint(nulls)
+
     def test_insert_validates_typing(self, db):
         with pytest.raises(TypingError):
             db.insert("Person", ["not-an-int", "x", "y", 1, "69100", "Rhone"])

@@ -4,8 +4,8 @@ metrics@1, the hotspot profile, ``/metrics``, the archive manifest and
 its ``metrics.json``, ``repro history`` and the regression gate's
 figures all render :class:`~repro.obs.live.RunStats`; these tests pin
 that they agree, that repeated phases sum everywhere, that setup spans
-reach every view, and that manifests written before the fold kept
-spans still restore.
+and RHS-Discovery's ``evidence`` step spans reach every view, and that
+manifests written before the fold kept spans still restore.
 """
 
 from __future__ import annotations
@@ -120,6 +120,54 @@ class TestSetupSection:
         assert diff["setup"][0]["delta_ms"] == 3000.0
         text = render_diff(diff, "fast", "slow")
         assert "## Setup steps" in text and "copy" in text
+
+
+def failing_identifiers(result):
+    """Identifiers with a failing ``A -> b``: one ``evidence`` span each."""
+    return sum(
+        1
+        for o in result.rhs_result.outcomes
+        if any(c not in o.accepted or c in o.enforced for c in o.candidates)
+    )
+
+
+class TestEvidenceStep:
+    @pytest.fixture(scope="class")
+    def run(self):
+        scenario = build_scenario(WIDE)
+        tracer = Tracer()
+        tracer.live()
+        result = DBREPipeline(scenario.database, scenario.expert, tracer=tracer).run(
+            corpus=scenario.corpus
+        )
+        return tracer, result
+
+    def test_one_span_per_identifier_with_a_failing_candidate(self, run):
+        tracer, result = run
+        spans = [s for s in tracer.spans if s.name == "evidence"]
+        assert len(spans) == failing_identifiers(result) > 0
+        assert {s.kind for s in spans} == {"step"}
+        rhs = next(s for s in tracer.spans if s.name == "RHS-Discovery")
+        assert {s.parent_id for s in spans} == {rhs.span_id}
+
+    def test_the_span_adds_no_extension_query(self, run):
+        tracer, result = run
+        evidence = {s.span_id for s in tracer.spans if s.name == "evidence"}
+        assert not [e for e in tracer.events if e.span_id in evidence]
+        assert result.extension_queries == 214
+
+    def test_every_view_shows_time_and_count(self, run):
+        tracer, _ = run
+        count = sum(1 for s in tracer.spans if s.name == "evidence")
+        fold = tracer.live_bus.stats()
+        assert fold.step_runs == {"evidence": count}
+        steps = metrics_summary(tracer)["steps"]
+        assert steps["evidence"]["count"] == count
+        assert steps["evidence"]["duration_ms"] == pytest.approx(
+            fold.step_ms["evidence"], abs=1e-6
+        )
+        assert profile_summary(tracer)["spans"]["evidence"]["count"] == count
+        assert "evidence" not in metrics_summary(tracer)["phases"]
 
 
 #: a manifest ``stats`` dict as written since the working copy got its
@@ -301,6 +349,32 @@ class TestCrossViewAgreement:
             assert set(figures) == set(setup_ms), label
             for name, ms in figures.items():
                 assert ms == pytest.approx(setup_ms[name], abs=1e-6), (label, name)
+
+    def test_step_runs_and_ms(self, views):
+        steps = views["metrics"]["steps"]
+        assert set(steps) == {"evidence"} and steps["evidence"]["count"] > 0
+        runs = {s: r["count"] for s, r in steps.items()}
+        ms = {s: r["duration_ms"] for s, r in steps.items()}
+        assert {s: r["count"] for s, r in views["archived"]["steps"].items()} == runs
+        assert dict(views["manifest"].step_runs) == runs
+        assert views["profile"]["spans"]["evidence"]["count"] == runs["evidence"]
+        assert samples(views["exposition"], "repro_step_runs_total") == {
+            f'{{step="{s}"}}': n for s, n in runs.items()
+        }
+        for figures in (
+            {s: r["duration_ms"] for s, r in views["archived"]["steps"].items()},
+            dict(views["manifest"].step_ms),
+            {"evidence": views["profile"]["spans"]["evidence"]["inclusive_ms"]},
+            {
+                labels[len('{step="'):-2]: value
+                for labels, value in samples(
+                    views["exposition"], "repro_step_latency_ms_total"
+                ).items()
+            },
+        ):
+            assert set(figures) == set(ms)
+            for name, value in figures.items():
+                assert value == pytest.approx(ms[name], abs=1e-6), name
 
     def test_phase_queries(self, views):
         queries = {p: r["queries"] for p, r in views["metrics"]["phases"].items()}

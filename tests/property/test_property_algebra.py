@@ -222,3 +222,81 @@ class TestKernelsMatchNaiveReference:
         t = table3(rows)
         fd = FunctionalDependency("r", lhs, rhs)
         assert satisfaction_ratio(t, fd) == naive_ratio(t, fd.lhs, fd.rhs)
+
+
+# ----------------------------------------------------------------------
+# the memoised LHS grouping behind the RHS evidence never goes stale
+# ----------------------------------------------------------------------
+
+#: one step of a table's life: an evidence query or a mutation
+steps = st.one_of(
+    st.tuples(st.just("evidence"), attr_lists, attr_lists, st.sampled_from([0, 1, 3])),
+    st.tuples(st.just("insert"), st.tuples(cell, cell, cell)),
+    st.tuples(st.just("delete"), st.integers(0, 3)),
+    st.tuples(st.just("replace"), rows3),
+    st.tuples(st.just("rehome")),
+)
+
+
+def assert_evidence_matches_naive(table, lhs, rhs, limit):
+    from repro.dependencies.inference import violation_witnesses
+
+    fd = FunctionalDependency(table.name, lhs, rhs)
+    assert satisfaction_ratio(table, fd) == naive_ratio(table, fd.lhs, fd.rhs)
+    got = violation_witnesses(table, fd, limit=limit)
+    want = naive_violation_pairs(table, fd.lhs, fd.rhs, limit)
+    assert [(id(a), id(b)) for a, b in got] == [(id(a), id(b)) for a, b in want]
+
+
+class TestEvidenceMemoNeverStale:
+    @settings(max_examples=150)
+    @given(rows3, st.lists(steps, max_size=12))
+    def test_alternating_queries_and_mutations(self, rows, script):
+        t = table3(rows)
+        last = None
+        for step in script:
+            if step[0] == "evidence":
+                last = step[1:]
+            elif step[0] == "insert":
+                t.insert(list(step[1]))
+            elif step[0] == "delete":
+                t.delete_where(lambda row, v=step[1]: row["a"] == v)
+            elif step[0] == "replace":
+                t.replace_rows([list(r) for r in step[1]])
+            else:
+                t = t.with_schema(t.schema)
+            if last is not None:
+                # the same LHS again after the write: a stale memo shows
+                assert_evidence_matches_naive(t, *last)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["sqlite", "paged"]), rows3, st.lists(steps, max_size=8))
+    def test_mirrors_through_write_through_and_recreate(self, kind, rows, script):
+        """On a stored backend, writes go through its mirror; ``rehome``
+        drops and recreates the relation, so the next mirror is new."""
+        from repro.backends import create_backend
+        from repro.relational import Database, DatabaseSchema
+
+        schema = table3([]).schema
+        options = {"pool_pages": 8, "page_size": 256} if kind == "paged" else {}
+        db = Database(DatabaseSchema([schema]), backend=create_backend(kind, **options))
+        db.insert_many("r", [list(r) for r in rows])
+        last = None
+        for step in script:
+            if step[0] == "evidence":
+                last = step[1:]
+            elif step[0] == "insert":
+                db.insert("r", list(step[1]))
+            elif step[0] == "delete":
+                db.table("r").delete_where(lambda row, v=step[1]: row["a"] == v)
+            elif step[0] == "replace":
+                db.table("r").replace_rows([list(r) for r in step[1]])
+            else:
+                kept = [row.values for row in db.table("r")]
+                db.drop_relation("r")
+                db.create_relation(schema)
+                db.insert_many("r", kept)
+            if last is not None:
+                assert_evidence_matches_naive(db.table("r"), *last)
+        assert list(db.backend.rows("r")) == [row.values for row in db.table("r")]
+        db.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import create_backend
 from repro.exceptions import ArityError
 from repro.relational.algebra import (
     count_distinct,
@@ -10,15 +11,20 @@ from repro.relational.algebra import (
     fd_violation_pairs,
     functional_maps,
     group_by,
+    lhs_grouping,
     missing_values,
     natural_intersection,
     project,
     select_equal,
     values_subset,
 )
+from repro.dependencies.fd import FunctionalDependency
+from repro.dependencies.inference import satisfaction_ratio, violation_witnesses
+from repro.relational import Database, DatabaseSchema
 from repro.relational.domain import INTEGER, NULL
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
+from tests.property.test_property_algebra import naive_ratio, naive_violation_pairs
 
 
 @pytest.fixture
@@ -143,3 +149,139 @@ class TestGroupBy:
         groups = group_by(orders, ("cust",))
         assert set(groups) == {(10,), (11,), (12,)}
         assert len(groups[(10,)]) == 2
+
+
+# ----------------------------------------------------------------------
+# RHS evidence: one memoised LHS grouping per table, never stale
+# ----------------------------------------------------------------------
+
+#: (lhs, rhs) pairs: NULL-bearing LHS, multi-attribute LHS and RHS
+EVIDENCE_FDS = [
+    (("a",), ("b",)),
+    (("a",), ("b", "c")),
+    (("a", "b"), ("c",)),
+    (("c",), ("a",)),
+]
+
+
+def abc_schema(name="r"):
+    return RelationSchema.build(
+        name, ["a", "b", "c"], types={"a": INTEGER, "b": INTEGER, "c": INTEGER}
+    )
+
+
+def assert_evidence_matches_oracle(table, limit=3):
+    """Alternate ratio and witness calls over every pair; equal the oracles."""
+    for lhs, rhs in EVIDENCE_FDS:
+        fd = FunctionalDependency(table.name, lhs, rhs)
+        assert satisfaction_ratio(table, fd) == naive_ratio(table, lhs, rhs)
+        got = violation_witnesses(table, fd, limit=limit)
+        want = naive_violation_pairs(table, lhs, rhs, limit)
+        assert [(id(x), id(y)) for x, y in got] == [(id(x), id(y)) for x, y in want]
+
+
+SEED_ROWS = [
+    [1, 1, 1], [1, 2, 1], [NULL, 5, 5], [2, 1, 1], [2, 1, 2],
+    [3, NULL, 3], [1, 1, 1], [NULL, NULL, 1], [3, 4, 3],
+]
+
+
+class TestEvidenceMemo:
+    def test_alternating_with_every_mutator(self):
+        t = Table(abc_schema(), SEED_ROWS)
+        assert_evidence_matches_oracle(t)
+        t.insert([2, 1, 1])
+        assert_evidence_matches_oracle(t)
+        t.insert([1, 9, 9])
+        assert_evidence_matches_oracle(t, limit=1)
+        assert t.delete_where(lambda row: row["b"] == 1) > 0
+        assert_evidence_matches_oracle(t)
+        t.replace_rows([[4, 1, 1], [4, 2, 2], [NULL, 1, 1], [5, 1, 1]])
+        assert_evidence_matches_oracle(t)
+        rehomed = t.with_schema(abc_schema())
+        assert_evidence_matches_oracle(rehomed)
+        rehomed.insert([5, 2, 2])
+        assert_evidence_matches_oracle(rehomed)
+        assert_evidence_matches_oracle(t)
+
+    @pytest.mark.parametrize("write", [
+        lambda t: t.insert([1, 9, 9]),
+        lambda t: t.delete_where(lambda row: row["b"] == 2),
+        lambda t: t.replace_rows([[1, 1, 1], [1, 3, 3]]),
+    ], ids=["insert", "delete_where", "replace_rows"])
+    def test_a_write_between_two_calls_on_one_lhs_is_seen(self, write):
+        t = Table(abc_schema(), [[1, 1, 1], [1, 2, 2], [2, 1, 1]])
+        fd = FunctionalDependency("r", ("a",), ("b",))
+        before = satisfaction_ratio(t, fd), violation_witnesses(t, fd, limit=3)
+        write(t)
+        after = satisfaction_ratio(t, fd), violation_witnesses(t, fd, limit=3)
+        assert after != before
+        assert after[0] == naive_ratio(t, ("a",), ("b",))
+        assert after[1] == naive_violation_pairs(t, ("a",), ("b",), 3)
+
+    def test_one_entry_reused_then_replaced(self):
+        t = Table(abc_schema(), SEED_ROWS)
+        grouping = lhs_grouping(t, ("a",))
+        assert lhs_grouping(t, ["a"]) is grouping
+        other = lhs_grouping(t, ("a", "b"))
+        assert other is not grouping
+        assert t.grouping_memo == ((t.version, len(t), ("a", "b")), other)
+        t.insert([1, 1, 1])
+        fresh = lhs_grouping(t, ("a", "b"))
+        assert fresh is not other
+        assert t.grouping_memo == ((t.version, len(t), ("a", "b")), fresh)
+
+    def test_re_homed_table_starts_without_a_memo(self):
+        t = Table(abc_schema(), SEED_ROWS)
+        lhs_grouping(t, ("a",))
+        assert t.with_schema(abc_schema()).grouping_memo is None
+
+    def test_empty_and_all_null_lhs_tables(self):
+        for rows in ([], [[NULL, 1, 1], [NULL, 2, 2]]):
+            t = Table(abc_schema(), rows)
+            fd = FunctionalDependency("r", ("a",), ("b",))
+            assert satisfaction_ratio(t, fd) == 1.0
+            assert violation_witnesses(t, fd, limit=3) == []
+            assert_evidence_matches_oracle(t)
+
+    def test_limit_zero_still_shows_the_first_pair(self):
+        t = Table(abc_schema(), SEED_ROWS)
+        assert_evidence_matches_oracle(t, limit=0)
+        assert len(fd_violation_pairs(t, ("a",), ("b",), limit=0)) == 1
+
+
+@pytest.mark.parametrize("kind", ["sqlite", "paged"])
+class TestEvidenceOnMirrors:
+    """The kernel runs on the hydrated mirrors of the stored backends."""
+
+    def database(self, kind):
+        options = {"pool_pages": 8, "page_size": 256} if kind == "paged" else {}
+        backend = create_backend(kind, **options)
+        db = Database(DatabaseSchema([abc_schema()]), backend=backend)
+        db.insert_many("r", SEED_ROWS)
+        return db
+
+    def test_write_through_inserts(self, kind):
+        db = self.database(kind)
+        mirror = db.table("r")
+        fd = FunctionalDependency("r", ("a",), ("b",))
+        before = satisfaction_ratio(mirror, fd)
+        db.insert("r", [2, 7, 7])
+        assert db.table("r") is mirror
+        assert satisfaction_ratio(mirror, fd) != before
+        assert_evidence_matches_oracle(mirror)
+        mirror.insert([3, 8, 8])
+        assert_evidence_matches_oracle(db.table("r"))
+        mirror.delete_where(lambda row: row["a"] == 1)
+        assert_evidence_matches_oracle(db.table("r"))
+        assert list(db.backend.rows("r")) == [row.values for row in db.table("r")]
+
+    def test_drop_and_recreate(self, kind):
+        db = self.database(kind)
+        assert_evidence_matches_oracle(db.table("r"))
+        db.drop_relation("r")
+        db.create_relation(abc_schema())
+        db.insert_many("r", [[1, 1, 1], [1, 2, 2], [2, 3, 3]])
+        mirror = db.table("r")
+        assert mirror.grouping_memo is None
+        assert_evidence_matches_oracle(mirror)
