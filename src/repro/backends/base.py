@@ -30,7 +30,7 @@ the extension ``E``.  Every backend must implement
   before each primitive so exported traces carry cache hit/miss and
   rows-touched figures; the backends themselves never see the tracer.
 
-Two further members are **optional**.  The first serves the
+Three further members are **optional**.  The first serves the
 :class:`~repro.engine.executor.BatchExecutor`, which sniffs for it and
 falls back to serial primitive calls when it is absent, so third-party
 backends that only implement the required surface keep working:
@@ -51,6 +51,19 @@ without it:
   immutable rows, :class:`~repro.backends.sqlite.SQLiteBackend`
   byte-copies a store it built itself.  Returning None declines, and
   the copy takes the validating path.
+
+The third serves :func:`~repro.service.jobs.database_fingerprint`,
+which hashes every row cold on each call without it:
+
+- ``write_token(relation)`` returns a hashable token that changes on
+  every write to *relation*, through any path the backend can see —
+  the memory table's ``(generation, version)``, the paged write
+  counter, and on SQLite the write counter plus the connection's
+  ``total_changes``, ``schema_version`` and ``data_version`` (raw SQL
+  on this connection, commits by others).  A backend that has it also
+  holds a ``fingerprint_memo`` dict, ``relation -> (write token,
+  digest)``, which only the fingerprint reads and writes; ``close``
+  clears it, and a clone starts with an empty one.
 
 The contract is executable: ``tests/backends/test_contract.py`` runs the
 same assertions over every registered backend, including the batch hook

@@ -35,6 +35,9 @@ class MemoryBackend:
         # layer still counts every *logical* query; the cache only avoids
         # repeated physical scans.
         self._distinct_cache: Dict[tuple, tuple] = {}
+        #: :func:`repro.service.jobs.database_fingerprint`'s memo,
+        #: ``relation -> (write token, digest)``; the backend only holds it
+        self.fingerprint_memo: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -69,6 +72,7 @@ class MemoryBackend:
         """Drop all tables and caches."""
         self._tables.clear()
         self._distinct_cache.clear()
+        self.fingerprint_memo.clear()
 
     # ------------------------------------------------------------------
     # relation lifecycle
@@ -110,6 +114,11 @@ class MemoryBackend:
     def insert_many(self, relation: str, rows: Iterable[RowValues]) -> None:
         """Append many tuples to the relation's table."""
         self.table(relation).insert_many(rows)
+
+    def write_token(self, relation: str) -> Tuple[int, int]:
+        """The table's ``(generation, version)``: every write changes it."""
+        table = self.table(relation)
+        return table.generation, table.version
 
     def rows(self, relation: str) -> Iterator[Tuple[Any, ...]]:
         """Scan the extension in insertion order."""

@@ -120,6 +120,9 @@ class PagedBackend:
         self._versions: Dict[str, int] = {}
         #: distinct-value cache, keyed (relation, attrs), version-guarded
         self._distinct_cache: Dict[tuple, tuple] = {}
+        #: :func:`repro.service.jobs.database_fingerprint`'s memo,
+        #: ``relation -> (write token, digest)``; the backend only holds it
+        self.fingerprint_memo: Dict[str, tuple] = {}
         #: lazily hydrated write-through mirrors for row-level access
         self._mirrors: Dict[str, _PagedTable] = {}
         self._closed = False
@@ -148,6 +151,7 @@ class PagedBackend:
         self._closed = True
         self._mirrors.clear()
         self._distinct_cache.clear()
+        self.fingerprint_memo.clear()
         self._pool.flush_all()
         self._files.close()
         if self._owns_directory and self._cleanup is not None:
@@ -240,6 +244,11 @@ class PagedBackend:
         if wrote:
             self._bump(relation)
             self._files.open(relation).sync_header()
+
+    def write_token(self, relation: str) -> int:
+        """The relation's write counter: every write, mirror ones too, bumps it."""
+        self._require(relation)
+        return self._versions.get(relation, 0)
 
     def rows(self, relation: str) -> Iterator[Tuple[Any, ...]]:
         """Scan the stored extension in insertion (chain) order."""

@@ -205,6 +205,9 @@ class SQLiteBackend:
         #: version-guarded COUNT(*) memo, so the observability probe
         #: does not issue one extra engine query per primitive call
         self._rowcounts: Dict[str, Tuple[int, int]] = {}
+        #: :func:`repro.service.jobs.database_fingerprint`'s memo,
+        #: ``relation -> (write token, digest)``; the backend only holds it
+        self.fingerprint_memo: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -261,6 +264,7 @@ class SQLiteBackend:
         self._statements.clear()
         self._results.clear()
         self._rowcounts.clear()
+        self.fingerprint_memo.clear()
         if self._owns_connection:
             self._conn.close()
 
@@ -346,6 +350,26 @@ class SQLiteBackend:
         rel = self._require(relation)
         self._write_rows(
             relation, [Row(rel, order_values(rel, r)).values for r in rows]
+        )
+
+    def write_token(self, relation: str) -> Tuple[int, int, int, int]:
+        """A token every write to the store changes.
+
+        The relation's write counter covers writes through this
+        backend.  The connection's ``total_changes`` and ``PRAGMA
+        schema_version`` cover raw DML and DDL on this connection, and
+        ``PRAGMA data_version`` covers commits by any other connection
+        to the same file.
+        """
+        self._require(relation)
+        conn = self._conn
+        (schema_version,) = conn.execute("PRAGMA schema_version").fetchone()
+        (data_version,) = conn.execute("PRAGMA data_version").fetchone()
+        return (
+            self._versions.get(relation, 0),
+            conn.total_changes,
+            schema_version,
+            data_version,
         )
 
     def rows(self, relation: str) -> Iterator[Tuple[Any, ...]]:

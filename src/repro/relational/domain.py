@@ -82,13 +82,16 @@ class DataType:
     :data:`DATE`, :data:`BOOLEAN`.
     """
 
-    __slots__ = ("name", "_exact")
+    __slots__ = ("name", "_exact", "_zero")
 
     def __init__(self, name: str) -> None:
         self.name = name
         #: the one Python type this domain stores as-is; a value of
         #: exactly this type (not a subclass) needs no membership test
         self._exact = _EXACT_TYPES.get(name)
+        #: that type's zero; ``value or self._zero`` turns REAL ``-0.0``
+        #: into ``0.0`` and returns every other value as it is
+        self._zero = self._exact() if self._exact is not None else None
 
     def __repr__(self) -> str:
         return self.name
@@ -121,15 +124,16 @@ class DataType:
         """Return *value* normalized into this domain, or raise TypingError.
 
         Ints widen to REAL (as floats, the way SQLite stores them); a
-        float NaN becomes NULL, which is what SQLite stores for it; ISO
-        strings are accepted for DATE; everything else must already belong
-        to the domain.  A value whose type is exactly the one the domain
-        stores (``int`` for INTEGER, ``float`` for REAL, ``str`` for TEXT,
-        ``bool`` for BOOLEAN) is returned without further checks, bar the
-        NaN test (``value == value`` is false only for NaN).
+        float NaN becomes NULL and ``-0.0`` becomes ``0.0``, which is what
+        SQLite stores for them; ISO strings are accepted for DATE;
+        everything else must already belong to the domain.  A value whose
+        type is exactly the one the domain stores (``int`` for INTEGER,
+        ``float`` for REAL, ``str`` for TEXT, ``bool`` for BOOLEAN) is
+        returned without further checks, bar the NaN test (``value ==
+        value`` is false only for NaN) and the zero's sign.
         """
         if type(value) is self._exact:
-            return value if value == value else NULL
+            return (value or self._zero) if value == value else NULL
         if is_null(value):
             return NULL
         if self.contains(value):
@@ -137,7 +141,7 @@ class DataType:
                 return value.isoformat()
             if self.name == "REAL":
                 value = float(value)
-                return value if value == value else NULL
+                return (value or 0.0) if value == value else NULL
             return value
         raise TypingError(f"value {value!r} is not in domain {self.name}")
 

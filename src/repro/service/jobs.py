@@ -16,12 +16,17 @@ Repeat queries are served from a **results cache** keyed by
 — content hashes, not object identities, so resubmitting the same
 database and programs returns the finished result without re-running
 discovery, while touching a single row changes the database fingerprint
-and forces a fresh run.  The cache is consulted twice — at submission
-and again when a runner dequeues the job, so a burst of duplicate
-submissions still collapses to one run.  A cached :class:`Job` is a
-real ledger entry (state ``done``, ``cached`` flag set) pointing at the
-original result, so the ``repro/jobs@1`` export shows cache hits
-explicitly.
+and forces a fresh run.  Like every question the method asks of the
+extension (§2: distinct counts, join cardinalities, FD and inclusion
+tests), the database fingerprint reads each relation as a bag: two
+extensions equal up to row order share it.  Each relation's digest is
+memoised on the backend under its write token, so a repeat submission
+of an unchanged database rehashes no row.  The cache is consulted
+twice — at submission and again when a runner dequeues the job, so a
+burst of duplicate submissions still collapses to one run.  A cached
+:class:`Job` is a real ledger entry (state ``done``, ``cached`` flag
+set) pointing at the original result, so the ``repro/jobs@1`` export
+shows cache hits explicitly.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RunCancelled, UnknownJobError
 from repro.obs.live import RunStats
@@ -68,23 +73,58 @@ _CONFIG_KEYS = ("engine", "translate")
 def database_fingerprint(database: "Database") -> str:
     """A content hash of schema + extension (the cache key's first leg).
 
-    Hashes the ``repro/schema@1`` document and every relation's rows in
-    insertion order, so any schema edit or data change — including a
-    single value — produces a different fingerprint.
+    Hashes the ``repro/schema@1`` document and, per relation, its name
+    and :func:`_relation_digest`.  Any schema edit, single-value edit or
+    duplicated row produces a different fingerprint; a permutation of
+    a relation's rows does not, since no answer of the method depends
+    on row order.
+
+    A backend with the optional ``write_token(relation)`` member keeps
+    each relation's digest in its ``fingerprint_memo`` as ``relation ->
+    (write token, digest)``; a digest whose token still matches is
+    reused without reading a row.  A backend without the member is
+    hashed cold on every call.
     """
-    from repro.relational.domain import is_null
     from repro.storage.serialize import schema_to_dict
 
-    digest = hashlib.sha256()
-    digest.update(
+    backend = database.backend
+    write_token = getattr(backend, "write_token", None)
+    memo = getattr(backend, "fingerprint_memo", None) if write_token else None
+    digest = hashlib.sha256(
         json.dumps(schema_to_dict(database.schema), sort_keys=True).encode("utf-8")
     )
     for name in database.schema.relation_names:
         digest.update(name.encode("utf-8"))
-        for row in database.backend.rows(name):
-            values = [None if is_null(value) else value for value in row]
-            digest.update(repr(values).encode("utf-8"))
+        if memo is None:
+            digest.update(_relation_digest(backend.rows(name)))
+            continue
+        # the token is read before the rows: a write racing the scan
+        # leaves a digest under an older token, which the next call
+        # misses, never a stale digest under the current one
+        token = write_token(name)
+        cached = memo.get(name)
+        if cached is None or cached[0] != token:
+            cached = memo[name] = (token, _relation_digest(backend.rows(name)))
+        digest.update(cached[1])
     return digest.hexdigest()
+
+
+def _relation_digest(rows: Iterable[Tuple[Any, ...]]) -> bytes:
+    """SHA-256 of one extension read as a bag of rows.
+
+    The row count, then each row's ``repr`` in sorted order, one per
+    line (``repr`` escapes newlines, so lines cannot run together).
+    Sorting drops row order and keeps duplicates, so the digest is
+    equal exactly for equal multisets of rows.  The lines are fed one
+    by one rather than joined: as fast, and the sorted list is the only
+    copy of the extension held at once.
+    """
+    lines = sorted(map(repr, rows))
+    digest = hashlib.sha256(str(len(lines)).encode("utf-8"))
+    for line in lines:
+        digest.update(b"\n")
+        digest.update(line.encode("utf-8"))
+    return digest.digest()
 
 
 def workload_fingerprint(
@@ -140,9 +180,9 @@ class Job:
     key: Tuple[str, str, str] = ("", "", "")
     result: Optional["PipelineResult"] = None
     #: the run's tracer (attached at submission for fresh runs, so the
-    #: live bus history is complete from the first span); None for
-    #: cache-hit jobs, which never run, and for restored jobs, whose
-    #: stream lives in the archive
+    #: live bus history is complete from the first span, the submit's
+    #: ``fingerprint``); None for cache-hit jobs, which never run, and
+    #: for restored jobs, whose stream lives in the archive
     trace: Optional[Tracer] = field(default=None, repr=False)
     #: the archive content key, for jobs restored from (or answered out
     #: of) a ``repro/archive@1`` directory; their artifacts are on disk
@@ -306,11 +346,16 @@ class JobManager:
         if (corpus is None) == (equijoins is None):
             raise ValueError("provide exactly one of corpus= or equijoins=")
         config = dict(config or {})
-        key = (
-            database_fingerprint(database),
-            workload_fingerprint(corpus, equijoins),
-            _config_token(config),
-        )
+        # a fresh job's tracer exists before its key, so the key's cost
+        # is the run's first setup span; a cache hit drops the tracer
+        trace = Tracer()
+        trace.live()
+        with trace.span("fingerprint", kind="setup"):
+            key = (
+                database_fingerprint(database),
+                workload_fingerprint(corpus, equijoins),
+                _config_token(config),
+            )
         with self._wakeup:
             if self._stopping:
                 raise RuntimeError("the job manager is shut down")
@@ -338,10 +383,10 @@ class JobManager:
             job.database = database
             job.corpus = corpus
             job.equijoins = list(equijoins) if equijoins is not None else None
-            # attach the live bus now, not at run start: a watcher that
-            # subscribes while the job is still queued misses nothing
-            job.trace = Tracer()
-            job.trace.live()
+            # the live bus was attached before the fingerprint span, not
+            # at run start: a watcher that subscribes while the job is
+            # still queued misses nothing
+            job.trace = trace
             self._queue.append(job)
             self._wakeup.notify()
             return job

@@ -8,8 +8,12 @@ parametrized over the backend registry, so a new backend only has to
 join ``tests/backends/conftest.py`` to inherit the whole contract.
 """
 
+import math
+import sqlite3
+
 import pytest
 
+from repro.backends import MemoryBackend, SQLiteBackend
 from repro.exceptions import (
     ArityError,
     TypingError,
@@ -18,6 +22,7 @@ from repro.exceptions import (
 )
 from repro.relational import Database, DatabaseSchema, RelationSchema
 from repro.relational.domain import INTEGER, NULL, REAL
+from repro.service.jobs import database_fingerprint
 from repro.workloads.paper_example import build_paper_database
 
 
@@ -45,8 +50,6 @@ _MUTATIONS = {
 
 def _observe(db: Database):
     """Rows, cardinalities, per-attribute distinct counts and fingerprint."""
-    from repro.service.jobs import database_fingerprint
-
     names = db.schema.relation_names
     return (
         {n: list(db.backend.rows(n)) for n in names},
@@ -175,8 +178,6 @@ class TestRowAccess:
     def test_values_and_fingerprint_match_memory(self, backend_factory):
         """Regression: a REAL column stored ``2`` on memory but ``2.0`` on
         SQLite, so the same rows fingerprinted differently per backend."""
-        from repro.backends import MemoryBackend
-        from repro.service.jobs import database_fingerprint
 
         def build(backend):
             schema = DatabaseSchema([
@@ -201,8 +202,6 @@ class TestRowAccess:
         """Regression: memory kept each REAL NaN as a distinct non-NULL
         value while SQLite stored NULL, so ``||r[x]||`` read 3 against 1
         and ``k -> x`` failed on memory but held on SQLite."""
-        from repro.backends import SQLiteBackend
-        from repro.service.jobs import database_fingerprint
 
         def build(backend, rows):
             schema = DatabaseSchema([
@@ -221,6 +220,32 @@ class TestRowAccess:
         assert list(here.backend.rows("r")) == [(1, NULL), (1, NULL), (2, 1.5)]
         assert database_fingerprint(here) == database_fingerprint(sqlite)
         assert database_fingerprint(here) == database_fingerprint(nulls)
+
+    def test_negative_zero_is_stored_as_zero(self, backend_factory):
+        """Regression: memory and paged kept a REAL ``-0.0`` while SQLite
+        stored ``0.0``, so the same rows fingerprinted differently per
+        backend."""
+
+        def build(backend, rows):
+            schema = DatabaseSchema([
+                RelationSchema.build("r", ["k", "x"], types={"k": INTEGER, "x": REAL})
+            ])
+            db = Database(schema, backend=backend)
+            db.insert_many("r", rows)
+            return db
+
+        here = build(backend_factory(), [[2, -0.0]])
+        sqlite = build(SQLiteBackend(), [[2, -0.0]])
+        zero = build(backend_factory(), [[2, 0.0]])
+        here.table("r").insert([3, -0.0])
+        zero.table("r").insert([3, 0.0])
+        rows = list(here.backend.rows("r"))
+        assert rows == [(2, 0.0), (3, 0.0)]
+        assert all(math.copysign(1.0, x) == 1.0 for _, x in rows)
+        assert here.count_distinct("r", ("x",)) == 1
+        sqlite.insert("r", [3, -0.0])
+        assert database_fingerprint(here) == database_fingerprint(sqlite)
+        assert database_fingerprint(here) == database_fingerprint(zero)
 
     def test_insert_validates_typing(self, db):
         with pytest.raises(TypingError):
@@ -342,6 +367,99 @@ class TestCopy:
             hit, rows = clone.backend.probe(primitive, relations, attributes)
             assert hit is False
             assert rows == sum(clone.backend.row_count(r) for r in relations)
+
+
+def _cold_fingerprint(db: Database, backend_factory) -> str:
+    """The fingerprint of a fresh database built from *db*'s rows."""
+    fresh = Database(db.schema.copy(), backend=backend_factory())
+    for name in db.schema.relation_names:
+        fresh.insert_many(name, db.backend.rows(name))
+    return database_fingerprint(fresh)
+
+
+#: one raw statement per kind of SQL write, run on the backend's connection
+_RAW_WRITES = {
+    "insert": 'INSERT INTO "Person" ("id", "name") VALUES (99, \'person-99\')',
+    "update": 'UPDATE "Person" SET "name" = \'renamed\' WHERE "id" = 1',
+    "delete": 'DELETE FROM "Assignment"',
+    "drop-create": 'DROP TABLE "Assignment"; CREATE TABLE "Assignment" '
+                   '("emp" INTEGER, "dep" TEXT, "proj" TEXT, "date" TEXT, '
+                   '"project-name" TEXT)',
+}
+
+
+class TestFingerprintMemo:
+    """Each relation's digest is memoised under the backend's write
+    token; after any write, the fingerprint must equal a cold one."""
+
+    def test_every_backend_memoises_every_relation(self, db, monkeypatch):
+        first = database_fingerprint(db)
+        assert set(db.backend.fingerprint_memo) == set(db.schema.relation_names)
+        scanned = []
+        rows = db.backend.rows
+        monkeypatch.setattr(
+            db.backend, "rows", lambda name: scanned.append(name) or rows(name)
+        )
+        assert database_fingerprint(db) == first
+        assert scanned == []
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_each_mutation_refreshes_the_memo(self, backend_factory, mutation):
+        db = build_paper_database(backend=backend_factory())
+        before = database_fingerprint(db)
+        _MUTATIONS[mutation](db)
+        after = database_fingerprint(db)
+        assert after != before
+        assert after == _cold_fingerprint(db, backend_factory)
+
+    def test_writes_through_the_table_view_refresh_the_memo(self, backend_factory):
+        db = build_paper_database(backend=backend_factory())
+        before = database_fingerprint(db)
+        person = db.table("Person")
+        person.insert([99, "person-99", "rue Zéro", 1, "69100", "Rhone"])
+        inserted = database_fingerprint(db)
+        assert inserted != before
+        assert inserted == _cold_fingerprint(db, backend_factory)
+        person.insert_many([[100, "person-100", "rue Un", 2, "69100", "Rhone"]])
+        assert database_fingerprint(db) not in (before, inserted)
+        assert database_fingerprint(db) == _cold_fingerprint(db, backend_factory)
+
+    def test_equal_up_to_row_order_and_across_backends(self, backend_factory):
+        db = build_paper_database(backend=backend_factory())
+        reversed_rows = Database(db.schema.copy(), backend=backend_factory())
+        for name in db.schema.relation_names:
+            reversed_rows.insert_many(name, list(db.backend.rows(name))[::-1])
+        expected = database_fingerprint(build_paper_database())
+        assert database_fingerprint(db) == expected
+        assert database_fingerprint(reversed_rows) == expected
+
+    @staticmethod
+    def _store(path: str = ":memory:") -> Database:
+        """The paper database in a SQLite store with no row mirror, so
+        scans read what raw SQL wrote."""
+        return build_paper_database().copy(backend=SQLiteBackend(path))
+
+    @pytest.mark.parametrize("write", sorted(_RAW_WRITES))
+    def test_raw_sql_on_the_connection_refreshes_the_memo(self, write):
+        db = self._store()
+        before = database_fingerprint(db)
+        db.backend.connection.executescript(_RAW_WRITES[write])
+        after = database_fingerprint(db)
+        assert after != before
+        assert after == _cold_fingerprint(db, SQLiteBackend)
+
+    def test_a_commit_from_another_connection_refreshes_the_memo(self, tmp_path):
+        path = str(tmp_path / "shared.db")
+        db = self._store(path)
+        before = database_fingerprint(db)
+        other = sqlite3.connect(path)
+        other.execute(_RAW_WRITES["insert"])
+        other.commit()
+        other.close()
+        after = database_fingerprint(db)
+        assert after != before
+        assert after == _cold_fingerprint(db, MemoryBackend)
+        db.close()
 
 
 class TestProbeHook:

@@ -4,8 +4,9 @@ metrics@1, the hotspot profile, ``/metrics``, the archive manifest and
 its ``metrics.json``, ``repro history`` and the regression gate's
 figures all render :class:`~repro.obs.live.RunStats`; these tests pin
 that they agree, that repeated phases sum everywhere, that setup spans
-and RHS-Discovery's ``evidence`` step spans reach every view, and that
-manifests written before the fold kept spans still restore.
+(the submit's ``fingerprint`` among them) and RHS-Discovery's
+``evidence`` step spans reach every view, and that manifests written
+before the fold kept spans still restore.
 """
 
 from __future__ import annotations
@@ -170,6 +171,26 @@ class TestEvidenceStep:
         assert "evidence" not in metrics_summary(tracer)["phases"]
 
 
+class TestFingerprintSpan:
+    def test_a_fresh_job_records_its_key_as_its_first_setup_span(self):
+        scenario = build_scenario(WIDE)
+        config = {"expert": scenario.expert}
+        with JobManager(runners=1) as manager:
+            job = manager.submit(scenario.database, corpus=scenario.corpus, config=config)
+            manager.result(job.id, timeout=120)
+            twin = manager.submit(scenario.database, corpus=scenario.corpus, config=config)
+        first = job.trace.spans[0]
+        assert (first.name, first.kind, first.parent_id) == ("fingerprint", "setup", None)
+        assert [s.name for s in job.trace.spans].count("fingerprint") == 1
+        assert not [e for e in job.trace.events if e.span_id == first.span_id]
+        ms = job.live.stats().setup_ms["fingerprint"]
+        assert ms == pytest.approx(first.duration * 1000, abs=1e-3)
+        setup = metrics_summary(job.trace)["setup"]
+        assert setup["fingerprint"]["duration_ms"] == pytest.approx(ms, abs=1e-6)
+        # a cache hit never runs: no tracer, nothing recorded
+        assert twin.cached and twin.trace is None
+
+
 #: a manifest ``stats`` dict as written since the working copy got its
 #: ``setup`` span, in the flat shape of the fold's predecessor
 FLAT_WITH_SETUP = {
@@ -318,7 +339,8 @@ class TestCrossViewAgreement:
         metrics = views["metrics"]
         phase_ms = {p: r["duration_ms"] for p, r in metrics["phases"].items()}
         setup_ms = {s: r["duration_ms"] for s, r in metrics["setup"].items()}
-        assert set(phase_ms) >= {"IND-Discovery", "Restruct"} and set(setup_ms) == {"copy"}
+        assert set(phase_ms) >= {"IND-Discovery", "Restruct"}
+        assert set(setup_ms) == {"copy", "fingerprint"}
         candidates = {
             "profile": {p: r["inclusive_ms"] for p, r in views["profile"]["phases"].items()},
             "archived": {p: r["duration_ms"] for p, r in views["archived"]["phases"].items()},

@@ -1,5 +1,6 @@
 """Job-manager lifecycle edges: cancel, cache, invalidation, failure."""
 
+import sys
 import threading
 
 import pytest
@@ -247,6 +248,37 @@ class TestFingerprints:
     def test_database_fingerprint_is_content_addressed(self):
         assert database_fingerprint(build_paper_database()) == \
             database_fingerprint(build_paper_database())
+
+    def test_concurrent_fingerprints_never_memoise_a_stale_digest(self):
+        """Readers racing a writer on one backend: once the writes stop,
+        the memoised fingerprint must equal a cold one."""
+        from repro.relational import Database
+
+        db = build_paper_database()
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                database_fingerprint(db)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(300):
+                db.insert("Person", [1000 + i, f"p{i}", "rue", i, "69100", "Rhone"])
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        cold = Database(db.schema.copy(), backend=MemoryBackend())
+        for name in db.schema.relation_names:
+            cold.insert_many(name, db.backend.rows(name))
+        assert database_fingerprint(db) == database_fingerprint(cold)
 
     def test_workload_fingerprint_is_order_insensitive(self):
         joins = paper_equijoins()
