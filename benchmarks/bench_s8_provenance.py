@@ -37,13 +37,12 @@ SCENARIO = ScenarioConfig(
 )
 
 
-def _run(provenance, engine="serial"):
+def _run(provenance):
     scenario = build_scenario(SCENARIO)
     pipeline = DBREPipeline(
         scenario.database.copy(),
         scenario.expert,
         provenance=provenance,
-        engine=engine,
     )
     start = time.perf_counter()
     result = pipeline.run(corpus=scenario.corpus)
@@ -118,24 +117,6 @@ def test_s8_ledger_covers_the_whole_run():
     assert evidence
     trace_len = len(result.trace.events)
     assert all(0 <= e["id"] < trace_len for e in evidence)
-
-
-def test_s8_batched_engine_pays_nothing_extra():
-    """The batched engine's physical-call count is provenance-blind."""
-    enabled, _ = _run(provenance=True, engine="batched")
-    disabled, _ = _run(provenance=False, engine="batched")
-    assert _observable(enabled) == _observable(disabled)
-    on, off = enabled.engine_stats, disabled.engine_stats
-    report(
-        "S8 — batched engine, provenance on vs off",
-        ["figure", "on", "off"],
-        [
-            ["logical probes", on.logical_probes, off.logical_probes],
-            ["backend calls", on.backend_calls, off.backend_calls],
-        ],
-    )
-    assert on.logical_probes == off.logical_probes
-    assert on.backend_calls == off.backend_calls
 
 
 def test_s8_wall_clock_overhead_under_tolerance():

@@ -3,14 +3,13 @@
 
 Runs the heads of the S-series benchmarks (a small IND-scalability
 scenario, an end-to-end scenario, the same end-to-end scenario on the
-SQLite pushdown backend and through the batched engine, once more with
-the provenance ledger enabled, and once more with the hotspot-profile
-view computed after the run) under tracing, and emits one JSON
-document
-per run with per-primitive query counts and latencies.  Compared
-against ``benchmarks/BENCH_baseline.json``, the harness **fails (exit
-1) when any head regresses by more than ``--max-ratio`` (default 2x)**
-in either
+SQLite pushdown backend, once more with the provenance ledger enabled,
+and once more with the hotspot-profile view computed after the run)
+under tracing, and emits one JSON document per run with per-primitive
+query counts and latencies.  Compared against
+``benchmarks/BENCH_baseline.json``, the harness **fails (exit 1) when
+any head regresses by more than ``--max-ratio`` (default 2x)** in
+either
 
 - **query count** per primitive — deterministic, so a regression means
   an algorithmic change made the method chattier; or
@@ -120,9 +119,6 @@ def _head_configs(quick: bool) -> List[Dict[str, Any]]:
             ),
             "backend": SQLiteBackend,
         },
-        # the same end-to-end heads through the batched engine: the
-        # logical query stream (and so every gated figure) must match
-        # the serial heads; "engine" extras record the physical savings
         # the s3 head with the provenance ledger enabled: queries are
         # gated (the ledger must stay at zero extra extension queries)
         # and its latency entry tracks the bookkeeping overhead;
@@ -192,32 +188,6 @@ def _head_configs(quick: bool) -> List[Dict[str, Any]]:
             ),
             "backend": MemoryBackend,
             "live": True,
-        },
-        {
-            "name": "s3-end-to-end-head-batched",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "engine": "batched",
-        },
-        {
-            "name": "s6-sqlite-head-batched",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": SQLiteBackend,
-            "engine": "batched",
         },
         # the s3 head with every restruct decomposition re-verified from
         # scratch: certification (chase, preservation split, normal-form
@@ -311,7 +281,6 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
         database,
         scenario.expert,
         tracer=tracer,
-        engine=head.get("engine", "serial"),
         provenance=head.get("provenance", False),
     )
     start = time.perf_counter()
@@ -362,11 +331,6 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
             "dropped": subscription.dropped,
             "counts": RunStats.fold(census).events,
         }
-    if result.engine_stats is not None:
-        # physical-call accounting; informational, not gated per se —
-        # but recorded in the baseline so a pushdown regression (more
-        # backend calls for the same logical stream) is visible
-        measured["engine"] = result.engine_stats.as_dict()
     if head.get("normalization"):
         # certificate census, with every certificate re-verified from
         # scratch; informational — the gated query counts above prove
@@ -469,16 +433,6 @@ def compare(
                 violations.append(
                     f"{name}: {primitive} issued {cur_calls} queries "
                     f"(baseline {base_calls}, limit {max_ratio:.1f}x)"
-                )
-        base_engine = base_head.get("engine")
-        if base_engine and base_engine.get("backend_calls"):
-            base_physical = base_engine["backend_calls"]
-            cur_physical = cur_head.get("engine", {}).get("backend_calls", 0)
-            if cur_physical > max_ratio * base_physical:
-                violations.append(
-                    f"{name}: batched engine made {cur_physical} backend "
-                    f"calls (baseline {base_physical}, limit "
-                    f"{max_ratio:.1f}x) — pushdown/grouping regressed"
                 )
         for primitive, base_units in base_head.get("latency_units", {}).items():
             if base_units < LATENCY_FLOOR_UNITS:

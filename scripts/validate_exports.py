@@ -28,8 +28,8 @@ files:
    buffer-pool counters (hits, misses, evictions, pages read) under
    ``backends.paged.counters``;
 6. ``repro jobs run`` executes a spec file through the job manager —
-   one serial demo, a duplicate that must be served from the results
-   cache, and a batched-engine run — and the ``repro/jobs@1`` ledger
+   one demo, a duplicate that must be served from the results cache,
+   and a demo run with a different config — and the ``repro/jobs@1`` ledger
    export re-reads with matching header counts, every job ``done`` and
    exactly the duplicate flagged ``cached``;
 7. a live service round-trip: a demo job submitted over HTTP is watched
@@ -273,13 +273,14 @@ def main(argv=None) -> int:
     specs_path = os.path.join(args.outdir, "demo.jobs-spec.json")
     jobs_path = os.path.join(args.outdir, "demo.jobs.jsonl")
     specs = [
-        {"demo": True, "label": "demo-serial"},
+        {"demo": True, "label": "demo"},
         # byte-identical spec: must be answered from the results cache
-        {"demo": True, "label": "demo-serial"},
+        {"demo": True, "label": "demo"},
+        # a different config: a cache miss, run afresh
         {
             "demo": True,
-            "label": "demo-batched",
-            "config": {"engine": "batched"},
+            "label": "demo-no-translate",
+            "config": {"translate": False},
         },
     ]
     with open(specs_path, "w", encoding="utf-8") as handle:

@@ -70,7 +70,6 @@ from repro.core import (
     Translate,
 )
 from repro.eer import EERSchema, render_text, to_dot
-from repro.engine import BatchExecutor, EngineStats, Probe, plan_probes
 from repro.obs import Tracer
 from repro.sql import Executor, execute_sql, parse_sql
 from repro.storage import save_sqlite
@@ -113,10 +112,6 @@ __all__ = [
     "EERSchema",
     "render_text",
     "to_dot",
-    "BatchExecutor",
-    "EngineStats",
-    "Probe",
-    "plan_probes",
     "Tracer",
     "Executor",
     "execute_sql",

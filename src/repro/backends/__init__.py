@@ -10,10 +10,7 @@ implementations ship with the reproduction:
   primitives, distinct-value caching);
 - :class:`~repro.backends.sqlite.SQLiteBackend` — pushes every
   primitive down to SQLite as SQL, with per-relation statement caching
-  and version-guarded result invalidation; also implements the optional
-  ``execute_batch`` hook (:class:`~repro.backends.base.
-  BatchCapableBackend`), answering a whole probe chunk from
-  :mod:`repro.engine` in one grouped statement;
+  and version-guarded result invalidation;
 - :class:`~repro.backends.paged.PagedBackend` — the out-of-core
   engine: native page files behind a bounded LRU buffer pool
   (:mod:`repro.storage.paged`), streaming every primitive so
@@ -32,7 +29,7 @@ See ``docs/BACKENDS.md`` for the protocol, the pushdown SQL, the page
 file format, and the dictionary mapping.
 """
 
-from repro.backends.base import BatchCapableBackend, ExtensionBackend
+from repro.backends.base import ExtensionBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.paged import PagedBackend
 from repro.backends.registry import (
@@ -53,7 +50,6 @@ register_backend("sqlite", SQLiteBackend)
 register_backend("paged", PagedBackend)
 
 __all__ = [
-    "BatchCapableBackend",
     "ExtensionBackend",
     "MemoryBackend",
     "PagedBackend",

@@ -30,19 +30,9 @@ the extension ``E``.  Every backend must implement
   before each primitive so exported traces carry cache hit/miss and
   rows-touched figures; the backends themselves never see the tracer.
 
-Three further members are **optional**.  The first serves the
-:class:`~repro.engine.executor.BatchExecutor`, which sniffs for it and
-falls back to serial primitive calls when it is absent, so third-party
-backends that only implement the required surface keep working:
-
-- ``execute_batch(probes)`` (see :class:`BatchCapableBackend`) answers
-  a sequence of :class:`~repro.engine.probes.Probe` requests in one
-  pass — :class:`~repro.backends.sqlite.SQLiteBackend` compiles a chunk
-  into a single grouped statement of scalar subqueries.
-
-The second serves :meth:`~repro.relational.database.Database.copy`,
-which falls back to ``spawn`` plus the validating ``insert_many`` path
-without it:
+Two further members are **optional**.  The first serves
+:meth:`~repro.relational.database.Database.copy`, which falls back to
+``spawn`` plus the validating ``insert_many`` path without it:
 
 - ``clone(schema)`` returns a new backend of the same kind holding a
   copy of the extension under *schema* (a copy of the attached schema),
@@ -52,7 +42,7 @@ without it:
   byte-copies a store it built itself.  Returning None declines, and
   the copy takes the validating path.
 
-The third serves :func:`~repro.service.jobs.database_fingerprint`,
+The second serves :func:`~repro.service.jobs.database_fingerprint`,
 which hashes every row cold on each call without it:
 
 - ``write_token(relation)`` returns a hashable token that changes on
@@ -66,8 +56,7 @@ which hashes every row cold on each call without it:
   clears it, and a clone starts with an empty one.
 
 The contract is executable: ``tests/backends/test_contract.py`` runs the
-same assertions over every registered backend, including the batch hook
-and its serial fallback.
+same assertions over every registered backend.
 """
 
 from __future__ import annotations
@@ -75,7 +64,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.probes import Probe
     from repro.relational.schema import DatabaseSchema, RelationSchema
     from repro.relational.table import Table
 
@@ -188,24 +176,3 @@ class ExtensionBackend(Protocol):
         and 0 when the answer will come from a cache.
         """
 
-
-@runtime_checkable
-class BatchCapableBackend(ExtensionBackend, Protocol):
-    """The optional batch hook of the counting-primitive engine.
-
-    A backend that can answer many probes in one pass — a grouped SQL
-    statement, a vectorized scan — implements :meth:`execute_batch` on
-    top of the base contract.  The hook is discovered structurally
-    (``callable(getattr(backend, "execute_batch", None))``); backends
-    that omit it are driven probe-by-probe through the four primitives.
-    """
-
-    def execute_batch(self, probes: Sequence["Probe"]) -> "Sequence[Any]":
-        """Answer every probe; results align with *probes* by position.
-
-        Each result must be **identical** to what the corresponding
-        serial primitive call would return (``int`` for counting
-        probes, ``bool`` for ``fd_holds``/``inclusion_holds``), and any
-        result memoization must honor the same invalidation rules as
-        the serial path — the differential suite asserts both.
-        """

@@ -471,56 +471,6 @@ class SQLiteBackend:
             relations[1], attributes[1],
         )
 
-    # ------------------------------------------------------------------
-    # the batch hook (repro.engine)
-    # ------------------------------------------------------------------
-    def execute_batch(self, probes) -> List[Any]:
-        """Answer many probes in **one** grouped statement.
-
-        Each uncached probe compiles to the same scalar expression the
-        serial path would run (``(SELECT COUNT(*) ...)``,
-        ``(SELECT NOT EXISTS(...))``); the batch is one
-        ``SELECT expr_1, expr_2, ...`` round trip, so a chunk of N
-        probes costs one engine call instead of N.  Statement text and
-        results share the serial caches — a probe the memo already
-        answers never re-enters the statement, and batch results serve
-        later serial calls (and vice versa) under the same
-        version-token invalidation.  Callers chunk: SQLite allows at
-        most 2000 result columns per statement.
-        """
-        builders = {
-            "count_distinct": self._count_distinct_sql,
-            "join_count": self._join_count_sql,
-            "fd_holds": self._fd_sql,
-            "inclusion_holds": self._inclusion_sql,
-        }
-        out: List[Any] = [None] * len(probes)
-        pending: List[tuple] = []
-        for index, probe in enumerate(probes):
-            key = self._probe_key(probe.primitive, probe.relations, probe.attributes)
-            token = tuple(self._versions.get(r, 0) for r in probe.relations)
-            hit = self._results.get(key)
-            if hit is not None and hit[0] == token:
-                out[index] = hit[1]
-            else:
-                pending.append((index, key, token, probe.primitive))
-        if pending:
-            exprs = []
-            for _, key, _, primitive in pending:
-                sql = self._statements.get(key)
-                if sql is None:
-                    sql = builders[primitive](key)
-                    self._statements[key] = sql
-                exprs.append(f"({sql})")
-            row = self._conn.execute("SELECT " + ", ".join(exprs)).fetchone()
-            for (index, key, token, _), value in zip(pending, row):
-                self._results[key] = (token, value)
-                out[index] = value
-        return [
-            bool(v) if p.primitive in ("fd_holds", "inclusion_holds") else int(v)
-            for p, v in zip(probes, out)
-        ]
-
     def _cached_row_count(self, relation: str) -> int:
         """``COUNT(*)`` memoized under the relation's version counter."""
         version = self._versions.get(relation, 0)

@@ -46,11 +46,6 @@ decision-lineage DAG as JSONL), ``--provenance-dot FILE`` (the same
 DAG as Graphviz DOT) and ``--certificates FILE`` (the Restruct
 decomposition certificates as ``repro/normalization@1`` JSONL); see
 ``docs/OBSERVABILITY.md`` for the formats.
-They also accept
-``--engine {serial,batched}``: ``batched`` routes the discovery phases
-through the :mod:`repro.engine` planner (dedupe, then grouped SQL
-pushdown where the backend supports it; identical results and traces —
-see ``docs/ENGINE.md``).
 
 The database input is a ``.sql`` script (CREATE TABLE + INSERT,
 executed by the built-in engine), a ``.json`` database document
@@ -275,19 +270,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     database = load_database(args.database, args.backend, args.pool_pages, args.page_size)
     corpus = load_corpus(args.programs)
     expert = _make_expert(args)
-    pipeline = DBREPipeline(
-        database, expert,
-        tracer=_make_tracer(args),
-        engine=args.engine,
-    )
+    pipeline = DBREPipeline(database, expert, tracer=_make_tracer(args))
     result = pipeline.run(corpus=corpus)
 
     print(f"{result!r}")
-    if result.engine_stats is not None:
-        stats = result.engine_stats
-        print(f"engine: {result.engine} — {stats.logical_probes} probes, "
-              f"{stats.unique_probes} unique, "
-              f"{stats.backend_calls} backend call(s)")
     print("\n# Restructured schema")
     for relation in result.restructured.schema:
         print(f"  {relation!r}")
@@ -347,11 +333,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         backend=_make_backend(args.backend, args.pool_pages, args.page_size)
     )
     expert = ScriptedExpert(paper_expert_script())
-    pipeline = DBREPipeline(
-        database, expert,
-        tracer=_make_tracer(args),
-        engine=args.engine,
-    )
+    pipeline = DBREPipeline(database, expert, tracer=_make_tracer(args))
     result = pipeline.run(corpus=paper_program_corpus())
     print(session_report(result, pipeline.expert,
                          title="Paper example (Petit et al., ICDE 1996)"))
@@ -797,15 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "files (0 = backend default)",
         )
 
-    def add_engine_option(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--engine", choices=DBREPipeline.ENGINE_MODES, default="serial",
-            help="probe execution: serial (one backend call per probe) "
-                 "or batched (plan, dedupe and group probes; one grouped "
-                 "statement per chunk on SQLite); both modes produce "
-                 "identical results",
-        )
-
     def add_observability_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--trace",
@@ -878,13 +851,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replay-decisions",
                      help="answer expert questions from a previously "
                           "saved decisions document")
-    add_engine_option(run)
     add_observability_options(run)
     run.set_defaults(func=cmd_run)
 
     demo = sub.add_parser("demo", help="run the paper's worked example")
     add_backend_option(demo)
-    add_engine_option(demo)
     add_observability_options(demo)
     demo.set_defaults(func=cmd_demo)
 

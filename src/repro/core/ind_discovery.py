@@ -22,20 +22,12 @@ A conceptualized intersection becomes a real relation in the database,
 keyed by its attributes and populated with the shared values, plus the
 two inclusion dependencies ``R_p[A_p] ≪ R_k[A_k]`` and
 ``R_p[A_p] ≪ R_l[A_l]``.
-
-When an :class:`~repro.engine.executor.BatchExecutor` is supplied, the
-three counts of **every** join are prefetched as one declarative probe
-batch before the classification loop runs.  This is safe because the
-only mutation the loop performs — conceptualizing an intersection —
-creates a *fresh* relation (its name is uniquified), so no later join
-of ``Q`` can observe it; the counts, the classification cases and the
-order of expert questions are exactly those of the serial walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.expert import (
     ConceptualizeIntersection,
@@ -54,7 +46,6 @@ from repro.relational.schema import RelationSchema
 from repro.util.naming import unique_name
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.executor import BatchExecutor
     from repro.obs.provenance import ProvenanceLedger
 
 
@@ -103,56 +94,28 @@ class INDDiscovery:
         self,
         database: Database,
         expert: Optional[Expert] = None,
-        engine: Optional["BatchExecutor"] = None,
         ledger: Optional["ProvenanceLedger"] = None,
     ) -> None:
         self.database = database
         self.expert = expert or Expert()
-        self.engine = engine
         self.ledger = ledger
 
     def run(self, equijoins: Sequence[EquiJoin]) -> INDDiscoveryResult:
         """Process every element of ``Q`` in deterministic order."""
         result = INDDiscoveryResult()
         joins = sorted(set(equijoins), key=lambda j: j.sort_key())
-        counts = self._prefetch(joins)
         for index, join in enumerate(joins, start=1):
-            self._process(join, result, counts.get(join) if counts else None)
+            self._process(join, result)
             self.database.tracer.progress(
                 "equijoin classified", current=index, total=len(joins),
             )
         return result
 
     # ------------------------------------------------------------------
-    def _prefetch(
-        self, joins: Sequence[EquiJoin]
-    ) -> Optional[Dict[EquiJoin, Tuple[int, int, int]]]:
-        """Batch the ``(N_k, N_l, N_kl)`` counts of every live join."""
-        if self.engine is None:
-            return None
-        from repro.engine.probes import Probe
-
-        probes: List[Probe] = []
-        live: List[EquiJoin] = []
-        for join in joins:
-            (k_rel, k_attrs), (l_rel, l_attrs) = join.sides()
-            if (k_rel, k_attrs) == (l_rel, l_attrs):
-                continue  # reflexive: classified without extension access
-            probes.append(Probe.distinct(k_rel, k_attrs))
-            probes.append(Probe.distinct(l_rel, l_attrs))
-            probes.append(Probe.join(k_rel, k_attrs, l_rel, l_attrs))
-            live.append(join)
-        values = self.engine.run(probes)
-        return {
-            join: (values[3 * i], values[3 * i + 1], values[3 * i + 2])
-            for i, join in enumerate(live)
-        }
-
     def _process(
         self,
         join: EquiJoin,
         result: INDDiscoveryResult,
-        counts: Optional[Tuple[int, int, int]] = None,
     ) -> None:
         (k_rel, k_attrs), (l_rel, l_attrs) = join.sides()
         if (k_rel, k_attrs) == (l_rel, l_attrs):
@@ -164,12 +127,9 @@ class INDDiscovery:
             result.outcomes.append(outcome)
             self._emit(outcome)
             return
-        if counts is not None:
-            n_k, n_l, n_kl = counts
-        else:
-            n_k = self.database.count_distinct(k_rel, k_attrs)
-            n_l = self.database.count_distinct(l_rel, l_attrs)
-            n_kl = self.database.join_count(k_rel, k_attrs, l_rel, l_attrs)
+        n_k = self.database.count_distinct(k_rel, k_attrs)
+        n_l = self.database.count_distinct(l_rel, l_attrs)
+        n_kl = self.database.join_count(k_rel, k_attrs, l_rel, l_attrs)
 
         if n_kl == 0:
             # (i) possible data-integrity problem; nothing elicited
@@ -254,7 +214,7 @@ class INDDiscovery:
         Pure bookkeeping over counts the algorithm already computed —
         the ledger issues no extension query of its own; the count
         evidence is resolved against the tracer's event stream by call
-        signature (identical in serial and batched mode).
+        signature.
         """
         if self.ledger is None:
             return
@@ -331,7 +291,6 @@ def discover_inds(
     database: Database,
     equijoins: Sequence[EquiJoin],
     expert: Optional[Expert] = None,
-    engine: Optional["BatchExecutor"] = None,
 ) -> INDDiscoveryResult:
     """One-shot convenience wrapper around :class:`INDDiscovery`."""
-    return INDDiscovery(database, expert, engine=engine).run(equijoins)
+    return INDDiscovery(database, expert).run(equijoins)

@@ -23,15 +23,6 @@ extension-primitive event lands inside the phase that issued it.
 ``result.trace`` exposes the tracer; :mod:`repro.obs.export` turns it
 into JSONL traces and metrics summaries.
 
-``engine="batched"`` routes IND- and RHS-Discovery through one shared
-:class:`~repro.engine.executor.BatchExecutor`: each phase submits its
-probes declaratively, the planner dedupes and groups them, and the
-backend answers them in as few passes as it supports (grouped SQL
-pushdown, or the serial fallback).  The default ``serial`` mode keeps
-the original call-at-a-time behavior; both modes produce identical
-results and identical per-probe trace events — only
-``result.engine_stats`` (and the wall clock) tell them apart.
-
 A pipeline built with a ``cancel`` hook (the job manager's mid-run
 cancellation path) checks it between phases and raises
 :class:`~repro.exceptions.RunCancelled` when it reports True.
@@ -51,7 +42,6 @@ from repro.core.restruct import Restruct, RestructResult
 from repro.core.rhs_discovery import RHSDiscovery, RHSDiscoveryResult
 from repro.core.translate import Translate
 from repro.eer.model import EERSchema
-from repro.engine.executor import BatchExecutor, EngineStats
 from repro.obs.log import get_logger, log_context, new_run_id
 from repro.obs.provenance import ProvenanceLedger
 from repro.obs.tracer import Tracer
@@ -83,8 +73,6 @@ class PipelineResult:
     extension_queries: int = 0
     run_id: Optional[str] = None
     trace: Optional[Tracer] = None
-    engine: str = "serial"
-    engine_stats: Optional[EngineStats] = None
     provenance: Optional[ProvenanceLedger] = None
 
     # convenient views -------------------------------------------------
@@ -123,29 +111,20 @@ class PipelineResult:
 class DBREPipeline:
     """Orchestrates the full method over one database + program corpus."""
 
-    #: recognized values of the *engine* switch
-    ENGINE_MODES = ("serial", "batched")
-
     def __init__(
         self,
         database: Database,
         expert: Optional[Expert] = None,
         tracer: Optional[Tracer] = None,
-        engine: str = "serial",
         provenance: bool = True,
         cancel: Optional[Callable[[], bool]] = None,
     ) -> None:
-        if engine not in self.ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine mode {engine!r}; pick one of {self.ENGINE_MODES}"
-            )
         self.original = database
         self.tracer = tracer if tracer is not None else Tracer()
         # the ledger is pure bookkeeping over counts the phases already
         # computed — it issues no extension query, so it is on by default
         self.ledger = ProvenanceLedger(self.tracer) if provenance else None
         self.expert = RecordingExpert(expert or Expert(), ledger=self.ledger)
-        self.engine_mode = engine
         self._cancel = cancel
 
     def run(
@@ -164,24 +143,15 @@ class DBREPipeline:
 
         result = PipelineResult()
         result.trace = self.tracer
-        result.engine = self.engine_mode
         result.provenance = self.ledger
         result.run_id = new_run_id()
         with log_context(run=result.run_id), \
                 self.tracer.span("pipeline", kind="pipeline") as root:
-            root.attributes["engine"] = self.engine_mode
             # the working copy Restruct may mutate; its own span so the
             # copy's share of a run shows in profiles and /metrics
             with self.tracer.span("copy", kind="setup"):
                 database = self.original.copy(tracer=self.tracer)
             database.counter.reset()
-
-            # one executor is shared by every batching phase, so its
-            # stats describe the whole run
-            engine: Optional[BatchExecutor] = None
-            if self.engine_mode == "batched":
-                engine = BatchExecutor(database)
-                result.engine_stats = engine.stats
 
             # §4: the dictionary-derived sets
             result.key_set = database.schema.key_set()
@@ -206,9 +176,7 @@ class DBREPipeline:
                     "probing candidate inclusion dependencies",
                     total=len(result.equijoins),
                 )
-                ind_step = INDDiscovery(
-                    database, self.expert, engine=engine, ledger=self.ledger
-                )
+                ind_step = INDDiscovery(database, self.expert, ledger=self.ledger)
                 result.ind_result = ind_step.run(result.equijoins)
                 span.attributes["inds"] = len(result.ind_result.inds)
                 log.info(
@@ -248,9 +216,7 @@ class DBREPipeline:
                     "checking candidate functional dependencies",
                     total=len(result.lhs_result.lhs),
                 )
-                rhs_step = RHSDiscovery(
-                    database, self.expert, engine=engine, ledger=self.ledger
-                )
+                rhs_step = RHSDiscovery(database, self.expert, ledger=self.ledger)
                 result.rhs_result = rhs_step.run(
                     result.lhs_result.lhs, result.lhs_result.hidden
                 )
@@ -319,7 +285,6 @@ class DBREPipeline:
             log.info(
                 "pipeline run complete",
                 extra={"data": {
-                    "engine": self.engine_mode,
                     "queries": result.extension_queries,
                     "decisions": result.expert_decisions,
                 }},

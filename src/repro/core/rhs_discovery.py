@@ -12,15 +12,6 @@ For each candidate identifier ``R_i.A`` in ``LHS ∪ H``:
    expert, yields ``R_i : A -> B`` in ``F`` (and leaves ``H`` if it was
    there); an empty one makes ``R_i.A`` a *hidden object* candidate the
    expert may conceptualize into ``H`` (steps iv/v).
-
-When an :class:`~repro.engine.executor.BatchExecutor` is supplied, the
-candidate pruning (pure schema work) runs up front for every identifier
-and all surviving ``A -> b`` checks are submitted as one probe batch.
-This is safe because RHS-Discovery never mutates the database — hidden
-objects are only conceptualized later, by Restruct — so every FD test
-reads the same extension the serial walk reads; the per-identifier loop
-then consumes the prefetched verdicts in the original order, asking the
-expert exactly the serial questions.
 """
 
 from __future__ import annotations
@@ -35,7 +26,6 @@ from repro.relational.attribute import AttributeRef
 from repro.relational.database import Database
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.executor import BatchExecutor
     from repro.obs.provenance import ProvenanceLedger
 
 
@@ -93,14 +83,12 @@ class RHSDiscovery:
         expert: Optional[Expert] = None,
         prune_keys: bool = True,
         prune_not_null: bool = True,
-        engine: Optional["BatchExecutor"] = None,
         ledger: Optional["ProvenanceLedger"] = None,
     ) -> None:
         self.database = database
         self.expert = expert or Expert()
         self.prune_keys = prune_keys
         self.prune_not_null = prune_not_null
-        self.engine = engine
         self.ledger = ledger
 
     def run(
@@ -113,42 +101,12 @@ class RHSDiscovery:
         for ref in hidden:
             result.add_hidden(ref)
         ordered = sorted(set(lhs) | hidden_set, key=lambda r: r.sort_key())
-        verdicts = self._prefetch(ordered)
         for index, ref in enumerate(ordered, start=1):
-            self._process(
-                ref, ref in hidden_set, result,
-                verdicts.get(ref) if verdicts else None,
-            )
+            self._process(ref, ref in hidden_set, result)
             self.database.tracer.progress(
                 "identifier checked", current=index, total=len(ordered),
             )
         return result
-
-    # ------------------------------------------------------------------
-    def _prefetch(
-        self, ordered: Sequence[AttributeRef]
-    ) -> Optional[Dict[AttributeRef, Dict[str, bool]]]:
-        """Batch every surviving ``A -> b`` check across all identifiers."""
-        if self.engine is None:
-            return None
-        from repro.engine.probes import Probe
-
-        probes: List[Probe] = []
-        spans: List[Tuple[AttributeRef, List[str]]] = []
-        for ref in ordered:
-            candidates, _, _ = self._prune(ref)
-            for name in candidates:
-                probes.append(Probe.fd(ref.relation, tuple(ref.attributes), (name,)))
-            spans.append((ref, candidates))
-        values = self.engine.run(probes)
-        verdicts: Dict[AttributeRef, Dict[str, bool]] = {}
-        cursor = 0
-        for ref, candidates in spans:
-            verdicts[ref] = {
-                name: values[cursor + i] for i, name in enumerate(candidates)
-            }
-            cursor += len(candidates)
-        return verdicts
 
     # ------------------------------------------------------------------
     def _not_null_names(self, relation: str) -> Set[str]:
@@ -160,11 +118,7 @@ class RHSDiscovery:
         return names
 
     def _prune(self, ref: AttributeRef) -> Tuple[List[str], List[str], List[str]]:
-        """Step 1: ``(T, pruned keys, pruned not-null)`` for one ``R_i.A``.
-
-        Pure schema work — shared verbatim by the serial walk and the
-        batched prefetch, so both modes test the same candidate set.
-        """
+        """Step 1: ``(T, pruned keys, pruned not-null)`` for one ``R_i.A``."""
         relation = self.database.schema.relation(ref.relation)
 
         # T = X_i - A - K_i  (every declared key's attributes are pruned)
@@ -201,7 +155,6 @@ class RHSDiscovery:
         ref: AttributeRef,
         in_hidden: bool,
         result: RHSDiscoveryResult,
-        verdicts: Optional[Dict[str, bool]] = None,
     ) -> None:
         a_names = tuple(ref.attributes)
         candidates, pruned_keys, pruned_not_null = self._prune(ref)
@@ -215,11 +168,7 @@ class RHSDiscovery:
         # all the failures; then the expert may enforce each failure
         holds: Dict[str, bool] = {}
         for name in candidates:
-            holds[name] = (
-                verdicts[name]
-                if verdicts is not None
-                else self.database.fd_holds(ref.relation, a_names, (name,))
-            )
+            holds[name] = self.database.fd_holds(ref.relation, a_names, (name,))
             if cand_id is not None:
                 # the fd_holds test of A -> name, matched by signature
                 self.ledger.attach_evidence(
@@ -343,7 +292,6 @@ def discover_rhs(
     lhs: Sequence[AttributeRef],
     hidden: Sequence[AttributeRef],
     expert: Optional[Expert] = None,
-    engine: Optional["BatchExecutor"] = None,
 ) -> RHSDiscoveryResult:
     """One-shot convenience wrapper around :class:`RHSDiscovery`."""
-    return RHSDiscovery(database, expert, engine=engine).run(lhs, hidden)
+    return RHSDiscovery(database, expert).run(lhs, hidden)

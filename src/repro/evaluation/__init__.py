@@ -17,7 +17,6 @@ from repro.evaluation.metrics import (
 from repro.evaluation.schema_match import SchemaRecovery, score_schema_recovery
 from repro.evaluation.counters import (
     CostReport,
-    batching_summary,
     cost_report,
     cost_report_from_trace,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SchemaRecovery",
     "score_schema_recovery",
     "CostReport",
-    "batching_summary",
     "cost_report",
     "cost_report_from_trace",
 ]

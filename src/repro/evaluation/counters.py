@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.expert import RecordingExpert
-from repro.engine.executor import EngineStats
 from repro.obs.tracer import Tracer
 from repro.relational.database import QueryCounter
 
@@ -77,26 +76,6 @@ def cost_report(
         expert_decisions=decisions,
         expert_by_kind=by_kind,
     )
-
-
-def batching_summary(stats: EngineStats) -> Dict[str, float]:
-    """Flat figures describing what the batched engine saved.
-
-    ``logical_probes`` is what the serial pipeline would have issued (and
-    what the trace still records, one event per logical probe), so
-    ``call_reduction`` — logical probes per physical backend call — is
-    directly comparable to the serial run's ``CostReport.total_queries``.
-    """
-    calls = stats.backend_calls
-    return {
-        "logical_probes": stats.logical_probes,
-        "unique_probes": stats.unique_probes,
-        "deduped_probes": stats.deduped_probes,
-        "groups": stats.groups,
-        "backend_calls": calls,
-        "batched_calls": stats.batched_calls,
-        "call_reduction": (stats.logical_probes / calls) if calls else 0.0,
-    }
 
 
 def cost_report_from_trace(

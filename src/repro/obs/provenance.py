@@ -202,10 +202,9 @@ class ProvenanceLedger:
     ) -> None:
         """Attach the next unconsumed event matching the signature.
 
-        The tracer records one event per *logical* primitive call in
-        both the serial and the batched engine (identical streams, see
-        ``docs/ENGINE.md``), so consuming matches first-in-first-out
-        yields the same evidence ids in both modes.  Without a tracer —
+        The tracer records one event per primitive call, in call order,
+        so consuming matches first-in-first-out yields the event each
+        decision read.  Without a tracer —
         or when no event matches — the attachment is silently empty:
         provenance degrades, it never fails a run.
         """

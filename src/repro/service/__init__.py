@@ -13,9 +13,8 @@
   :mod:`repro.service.stream` the Server-Sent Events of ``/events``.
 
 Each run is one :class:`~repro.core.pipeline.DBREPipeline` on the
-manager's runner thread; its probes go through the engine the job's
-config names (``serial`` or ``batched``).  ``tests/service`` covers the
-job lifecycle.  See ``docs/SERVICE.md``.
+manager's runner thread, one primitive call per probe.
+``tests/service`` covers the job lifecycle.  See ``docs/SERVICE.md``.
 """
 
 from repro.service.export import (

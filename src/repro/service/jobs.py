@@ -66,7 +66,9 @@ __all__ = [
 #: every state a job can be in, in lifecycle order
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
-#: config keys the ledger records surface (the run-shaping knobs)
+#: config keys the ledger records surface; ``engine`` is no knob any
+#: more, but stays so ``repro/jobs@1`` records keep their shape (it reads
+#: null for new jobs and the engine name for archived ones)
 _CONFIG_KEYS = ("engine", "translate")
 
 
@@ -147,8 +149,8 @@ def workload_fingerprint(
 def _config_token(config: Dict[str, Any]) -> str:
     """The cache key's third leg: the run-affecting config, canonicalized.
 
-    Every JSON-representable config value participates — engine choice,
-    translation, expert thresholds — so two runs that could answer
+    Every JSON-representable config value participates — translation,
+    expert thresholds — so two runs that could answer
     differently never share a cache slot.  Live objects a caller tucks
     into the config (an ``expert`` instance) are not representable and
     are left out.
@@ -250,8 +252,8 @@ class JobManager:
 
     *runners* threads drain the queue; each run gets a fresh
     :class:`~repro.core.pipeline.DBREPipeline` built from the job's
-    config (``engine``, ``translate``), so one manager can serve serial
-    and batched jobs side by side.  Thread-safe; close with
+    config (``expert``, ``translate``), so one manager can serve jobs
+    with different configs side by side.  Thread-safe; close with
     :meth:`shutdown` (or use as a context manager).
 
     *keep_finished* bounds the ledger on a long-lived service: once more
@@ -483,15 +485,13 @@ class JobManager:
         with log_context(job=job.id):
             log.info(
                 "job started",
-                extra={"data": {"label": job.label,
-                                "engine": config.get("engine", "serial")}},
+                extra={"data": {"label": job.label}},
             )
             try:
                 pipeline = DBREPipeline(
                     job.database,
                     expert=config.get("expert"),
                     tracer=job.trace,
-                    engine=config.get("engine", "serial"),
                     cancel=job._cancel.is_set,
                 )
                 result = pipeline.run(

@@ -7,20 +7,21 @@ body to ``repro serve``):
 .. code-block:: json
 
     {"demo": true,
-     "config": {"engine": "batched"}}
+     "config": {"translate": false}}
 
     {"database": "legacy.db",
      "programs": "programs/",
      "backend": "auto",
-     "config": {"engine": "batched", "translate": true}}
+     "config": {"translate": true, "force_threshold": 0.9}}
 
 Exactly one of ``demo`` or ``database`` must be present; ``database``
 specs also need ``programs`` (the corpus directory).  ``config`` takes
-the pipeline knobs (``engine``, ``translate``) plus the AutoExpert
-thresholds (``force_threshold``, ``conceptualize_hidden``); any other
-key, or an ``engine`` outside ``DBREPipeline.ENGINE_MODES``, is
-rejected at submission.  The demo runs under the paper's scripted
-expert, so its output matches ``repro demo`` exactly.
+the pipeline knob ``translate`` plus the AutoExpert thresholds
+(``force_threshold``, ``conceptualize_hidden``); any other key is
+rejected at submission.  The thresholds stay in the config, so they are
+part of the results-cache key: two specs that differ only in a
+threshold never share a cached answer.  The demo runs under the
+paper's scripted expert, so its output matches ``repro demo`` exactly.
 
 Imports from :mod:`repro.cli` happen at call time: the CLI imports this
 package for its verbs, so module-scope imports would cycle.
@@ -49,7 +50,7 @@ _SPEC_KEYS = {
 }
 
 #: ``config`` keys a JSON spec may carry
-_CONFIG_KEYS = {"engine", "translate", "force_threshold", "conceptualize_hidden"}
+_CONFIG_KEYS = {"translate", "force_threshold", "conceptualize_hidden"}
 
 
 def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
@@ -94,8 +95,8 @@ def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
     config.setdefault(
         "expert",
         AutoExpert(
-            force_threshold=float(config.pop("force_threshold", 0.95)),
-            conceptualize_hidden=bool(config.pop("conceptualize_hidden", False)),
+            force_threshold=float(config.get("force_threshold", 0.95)),
+            conceptualize_hidden=bool(config.get("conceptualize_hidden", False)),
         ),
     )
     return manager.submit(
@@ -107,19 +108,11 @@ def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
 
 
 def _checked_config(config: Any) -> Dict[str, Any]:
-    """A copy of a spec's ``config``, refused if a key or engine is unknown."""
-    from repro.core.pipeline import DBREPipeline
-
+    """A copy of a spec's ``config``, refused if a key is unknown."""
     if not isinstance(config, (dict, type(None))):
         raise ValueError(f"a job-spec config must be a JSON object, got {type(config).__name__}")
     config = dict(config or {})
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown job-spec config key(s): {', '.join(unknown)}")
-    engine = config.get("engine", "serial")
-    if engine not in DBREPipeline.ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine {engine!r} in job-spec config; "
-            f"pick one of {', '.join(DBREPipeline.ENGINE_MODES)}"
-        )
     return config

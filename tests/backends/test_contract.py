@@ -531,78 +531,3 @@ class TestProbeHook:
         )
         assert hit is False
         assert rows == db.backend.row_count("Person")
-
-
-class TestBatchContract:
-    """The optional ``execute_batch`` hook and its serial-fallback twin.
-
-    Every backend must produce identical answers through the batch
-    executor, whether it implements the hook (SQLite: one grouped
-    statement) or not (memory: the executor's serial/parallel path).
-    """
-
-    def _probes(self):
-        from repro.engine import Probe
-
-        return [
-            Probe.distinct("Person", ("id",)),
-            Probe.distinct("Department", ("emp", "skill")),
-            Probe.join("HEmployee", ("no",), "Person", ("id",)),
-            Probe.join("Assignment", ("dep",), "Department", ("dep",)),
-            Probe.fd("Department", ("emp",), ("skill", "proj")),
-            Probe.fd("HEmployee", ("no",), ("salary",)),
-            Probe.inclusion("HEmployee", ("no",), "Person", ("id",)),
-            Probe.inclusion("Person", ("id",), "HEmployee", ("no",)),
-        ]
-
-    #: the serial ground truth for the probes above, backend-independent
-    EXPECTED = [22, 6, 15, 6, True, False, True, False]
-
-    def test_executor_answers_match_serial_primitives(self, db):
-        from repro.engine import BatchExecutor
-
-        assert BatchExecutor(db).run(self._probes()) == self.EXPECTED
-
-    def test_hook_when_present_matches_primitives(self, db):
-        hook = getattr(db.backend, "execute_batch", None)
-        if not callable(hook):
-            pytest.skip("backend has no execute_batch hook (fallback path)")
-        assert list(hook(self._probes())) == self.EXPECTED
-
-    def test_hook_results_align_positionally(self, db):
-        hook = getattr(db.backend, "execute_batch", None)
-        if not callable(hook):
-            pytest.skip("backend has no execute_batch hook (fallback path)")
-        probes = self._probes()
-        reversed_answers = hook(list(reversed(probes)))
-        assert list(reversed_answers) == list(reversed(self.EXPECTED))
-
-    def test_hook_sees_mutations(self, db):
-        """Batch answers must honor the same invalidation as primitives."""
-        from repro.engine import BatchExecutor, Probe
-
-        probe = [Probe.distinct("Person", ("id",))]
-        assert BatchExecutor(db).run(probe) == [22]
-        db.insert("Person", [99, "person-99", "rue Zéro", 1, "69100", "Rhone"])
-        assert BatchExecutor(db).run(probe) == [23]
-
-    def test_fallback_matches_hook(self, db):
-        """Hiding the hook must not change a single answer."""
-        from repro.engine import BatchExecutor
-
-        class Veiled:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                if name == "execute_batch":
-                    raise AttributeError(name)
-                return getattr(self._inner, name)
-
-        proxy = type("ProxyDB", (), {
-            "backend": Veiled(db.backend), "tracer": db.tracer,
-        })()
-        engine = BatchExecutor(proxy)
-        assert engine.run(self._probes()) == self.EXPECTED
-        assert engine.stats.batched_calls == 0
-        assert engine.stats.backend_calls == len(self._probes())

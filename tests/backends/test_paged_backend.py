@@ -1,7 +1,7 @@
 """Paged-backend specifics: out-of-core behavior, telemetry, diagnostics.
 
 The cross-backend semantics (primitive answers, NULL conventions,
-lifecycle invalidation, batch fallback) are covered by the contract
+lifecycle invalidation) are covered by the contract
 suite in ``test_contract.py``, which the registry-driven conftest runs
 over this backend too.  Here live the properties only the paged backend
 has: bounded residency under a pool smaller than the extension,
@@ -33,11 +33,9 @@ from repro.workloads.paper_example import (
 SMALL = {"pool_pages": 8, "page_size": 256}
 
 
-def run_pipeline(backend, engine="serial"):
+def run_pipeline(backend):
     db = build_paper_database(backend=backend)
-    pipeline = DBREPipeline(
-        db, ScriptedExpert(paper_expert_script()), engine=engine
-    )
+    pipeline = DBREPipeline(db, ScriptedExpert(paper_expert_script()))
     result = pipeline.run(equijoins=paper_equijoins())
     return pipeline, result
 
@@ -56,28 +54,15 @@ def outcome(result):
 class TestAcceptance:
     """The issue's acceptance run: pool smaller than the extension."""
 
-    @pytest.mark.parametrize("engine", ["serial", "batched"])
-    def test_paper_run_bit_identical_to_memory(self, engine):
-        _, memory_result = run_pipeline(MemoryBackend(), engine)
+    def test_paper_run_bit_identical_to_memory(self):
+        _, memory_result = run_pipeline(MemoryBackend())
         paged = PagedBackend(**SMALL)
-        _, paged_result = run_pipeline(paged, engine)
+        _, paged_result = run_pipeline(paged)
         assert outcome(paged_result) == outcome(memory_result)
         # the run genuinely went out of core: the pool stayed at its
         # capacity and had to evict
         assert len(paged.pool) <= SMALL["pool_pages"]
         assert paged.pool.stats.evictions > 0
-
-    def test_batched_engine_takes_the_serial_fallback(self):
-        """No execute_batch: probes run one by one."""
-        db = build_paper_database(backend=PagedBackend(**SMALL))
-        pipeline = DBREPipeline(
-            db, ScriptedExpert(paper_expert_script()), engine="batched"
-        )
-        result = pipeline.run(equijoins=paper_equijoins())
-        stats = result.engine_stats
-        assert stats is not None
-        assert stats.batched_calls == 0
-        assert stats.backend_calls == stats.unique_probes
 
 
 class TestBoundedResidency:

@@ -1,12 +1,13 @@
-"""The differential harness: batched output must equal serial output.
+"""The differential harness: every backend's output must equal memory's.
 
-Every scenario runs the full pipeline twice — ``engine="serial"`` and
-``engine="batched"`` — on both backends, and the two runs must agree on
-*everything* observable: the elicited dependency sets, every phase's
-audit records, the restructured schema, the rendered EER schema, the
-exact expert-interaction log (same questions, same order, same answers)
-and the extension-query accounting.  Any divergence means the batched
-planner changed the method's semantics, not just its execution.
+Every scenario runs the full pipeline on the memory backend and on each
+other registered backend, and the runs must agree on *everything*
+observable: the elicited dependency sets, every phase's audit records,
+the restructured schema, the rendered EER schema, the exact
+expert-interaction log (same questions, same order, same answers), the
+extension-query accounting and the lineage DAG.  Any divergence means a
+backend changed the method's semantics, not just where the extension
+lives.
 """
 
 import pytest
@@ -40,6 +41,8 @@ def _factory(name):
 
 
 BACKENDS = {name: _factory(name) for name in backend_names()}
+#: the backends compared against the memory reference
+OTHERS = sorted(name for name in BACKENDS if name != "memory")
 
 
 def observable(pipeline, result):
@@ -66,44 +69,51 @@ def observable(pipeline, result):
     }
 
 
-def run_paper(engine, backend_factory):
+def run_paper(backend_factory):
     db = build_paper_database(backend=backend_factory())
-    pipeline = DBREPipeline(
-        db, ScriptedExpert(paper_expert_script()), engine=engine
-    )
+    pipeline = DBREPipeline(db, ScriptedExpert(paper_expert_script()))
     result = pipeline.run(equijoins=paper_equijoins())
     return observable(pipeline, result), result
 
 
-def run_synthetic(engine, backend_factory, config):
+def run_synthetic(backend_factory, config):
     scenario = build_scenario(config)
     db = scenario.database
     kind = getattr(backend_factory, "kind", None)
     if getattr(db.backend, "kind", None) != kind:
         db = db.copy(backend=backend_factory())
-    pipeline = DBREPipeline(
-        db, OracleExpert(scenario.truth), engine=engine
-    )
+    pipeline = DBREPipeline(db, OracleExpert(scenario.truth))
     result = pipeline.run(corpus=scenario.corpus)
     return observable(pipeline, result), result
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
-class TestPaperExample:
-    def test_batched_equals_serial(self, backend):
-        serial, _ = run_paper("serial", BACKENDS[backend])
-        batched, result = run_paper("batched", BACKENDS[backend])
-        assert batched == serial
-        assert result.engine == "batched"
-        stats = result.engine_stats
-        assert stats is not None
-        assert stats.logical_probes == serial["queries"]
-        assert stats.unique_probes < stats.logical_probes
+def comparable_provenance(result):
+    """Provenance records, span ids masked.
 
-    def test_serial_runs_carry_no_engine_stats(self, backend):
-        _, result = run_paper("serial", BACKENDS[backend])
-        assert result.engine == "serial"
-        assert result.engine_stats is None
+    Node span ids are tracer-local bookkeeping; everything else — node
+    ids, labels, attributes, evidence event ids, edges — must match.
+    """
+    from repro.obs.provenance import provenance_records
+
+    rows = []
+    for row in provenance_records(result.provenance):
+        if row.get("type") == "node":
+            row = dict(row, span=None)
+        rows.append(row)
+    return rows
+
+
+def assert_same_run(run, reference):
+    """Two ``(observable, result)`` pairs agree, lineage included."""
+    (seen, result), (expected, expected_result) = run, reference
+    assert seen == expected
+    assert comparable_provenance(result) == comparable_provenance(expected_result)
+
+
+@pytest.mark.parametrize("backend", OTHERS, ids=OTHERS)
+class TestPaperExample:
+    def test_backend_equals_memory(self, backend):
+        assert_same_run(run_paper(BACKENDS[backend]), run_paper(BACKENDS["memory"]))
 
 
 SCENARIOS = {
@@ -128,59 +138,24 @@ def scenario_params():
         yield pytest.param(name, id=name, marks=marks)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
+@pytest.mark.parametrize("backend", OTHERS, ids=OTHERS)
 @pytest.mark.parametrize("scenario_name", list(scenario_params()))
 class TestSyntheticScenarios:
-    def test_batched_equals_serial(self, scenario_name, backend):
+    def test_backend_equals_memory(self, scenario_name, backend):
         config = SCENARIOS[scenario_name]
-        serial, _ = run_synthetic("serial", BACKENDS[backend], config)
-        batched, result = run_synthetic("batched", BACKENDS[backend], config)
-        assert batched == serial
-        stats = result.engine_stats
-        assert stats.logical_probes == serial["queries"]
-        assert stats.backend_calls <= stats.unique_probes
-
-
-def comparable_provenance(result):
-    """Provenance records, span ids masked.
-
-    The batched engine wraps its probes in extra engine spans, so node
-    span ids legitimately differ between modes; everything else — node
-    ids, labels, attributes, evidence event ids, edges — must match.
-    """
-    from repro.obs.provenance import provenance_records
-
-    rows = []
-    for row in provenance_records(result.provenance):
-        if row.get("type") == "node":
-            row = dict(row, span=None)
-        rows.append(row)
-    return rows
-
-
-@pytest.mark.parametrize("backend", sorted(BACKENDS), ids=sorted(BACKENDS))
-class TestProvenanceInvariance:
-    """The lineage DAG is a function of the method, not of the executor."""
-
-    def test_paper_lineage_identical_across_engines(self, backend):
-        _, serial = run_paper("serial", BACKENDS[backend])
-        _, batched = run_paper("batched", BACKENDS[backend])
-        assert comparable_provenance(batched) == comparable_provenance(serial)
-
-    def test_scenario_lineage_identical_across_engines(self, backend):
-        config = SCENARIOS["clean-default"]
-        _, serial = run_synthetic("serial", BACKENDS[backend], config)
-        _, batched = run_synthetic("batched", BACKENDS[backend], config)
-        assert comparable_provenance(batched) == comparable_provenance(serial)
+        assert_same_run(
+            run_synthetic(BACKENDS[backend], config),
+            run_synthetic(BACKENDS["memory"], config),
+        )
 
 
 class TestProvenanceBackendInvariance:
     def test_paper_lineage_identical_across_backends(self):
-        _, memory = run_paper("serial", MemoryBackend)
-        _, sqlite = run_paper("serial", SQLiteBackend)
+        _, memory = run_paper(MemoryBackend)
+        _, sqlite = run_paper(SQLiteBackend)
         assert comparable_provenance(sqlite) == comparable_provenance(memory)
 
-    def test_evidence_event_ids_do_not_depend_on_the_engine(self):
+    def test_evidence_event_ids_do_not_depend_on_the_backend(self):
         def evidence(result):
             return {
                 node.node_id: [e["id"] for e in node.events]
@@ -188,7 +163,7 @@ class TestProvenanceBackendInvariance:
                 if node.events
             }
 
-        _, serial = run_paper("serial", MemoryBackend)
-        _, batched = run_paper("batched", MemoryBackend)
-        assert evidence(serial) == evidence(batched)
-        assert any(evidence(serial).values())
+        _, memory = run_paper(MemoryBackend)
+        _, sqlite = run_paper(SQLiteBackend)
+        assert evidence(sqlite) == evidence(memory)
+        assert any(evidence(memory).values())

@@ -173,9 +173,7 @@ class TestDifferentialScenariosAreCertified:
         self, scenario_name
     ):
         config = SCENARIOS[scenario_name]
-        _obs, result = run_synthetic(
-            "serial", BACKENDS["memory"], config
-        )
+        _obs, result = run_synthetic(BACKENDS["memory"], config)
         fd_splits = [a for a in result.restruct_result.added if a.kind == "fd"]
         sources = {a.source for a in fd_splits}
         assert {c.source for c in result.certificates} == sources

@@ -188,19 +188,18 @@ class TestResultsCache:
     def test_config_change_misses_the_cache(self, manager):
         first = manager.submit(
             build_paper_database(), equijoins=paper_equijoins(),
-            config={"engine": "serial"},
         )
         manager.result(first.id, timeout=30)
         second = manager.submit(
             build_paper_database(), equijoins=paper_equijoins(),
-            config={"engine": "batched"},
+            config={"translate": False},
         )
         assert not second.cached
         manager.result(second.id, timeout=30)
-        # and the batched twin now caches independently
+        # and the untranslated twin now caches independently
         third = manager.submit(
             build_paper_database(), equijoins=paper_equijoins(),
-            config={"engine": "batched"},
+            config={"translate": False},
         )
         assert third.cached
 

@@ -1,10 +1,16 @@
-"""What earlier versions wrote still reads after the worker pool's removal.
+"""What earlier versions wrote still reads after the removal of their engines.
 
 Versions that had the process engine archived jobs whose config named
 ``engine: process`` and ``engine_workers``, manifests whose stats carry
 a ``pool_events`` table, and live streams with ``pool`` records.  Such
 an archive must still restore, list and render, without the pool metric
 family or history column; a ``pool`` record folds as if absent.
+
+Versions that had the batched engine archived jobs whose config named
+``engine: batched``, with an ``engine``-kind span in their stats and
+live streams carrying that span and ``pushdown chunk answered``
+progress records.  Such a run must still list, restore, replay and
+render in ``/metrics`` and ``repro history --archive``.
 """
 
 import json
@@ -170,3 +176,145 @@ def test_a_pool_record_folds_and_is_ignored():
     assert stats.as_dict() == without.as_dict()
     assert stats.primitive_calls == {"count_distinct": 1}
     assert "pool" not in stats.events
+
+
+BATCHED_KEY = "f71e5976580a32ce77e9"
+BATCHED_DATABASE_FP = "85803efa33980bc5825c8541ade11b02282b9cf2d40d96991e7058fa439539fb"
+
+#: a live@1 capture of a batched SQLite run, as those versions wrote it:
+#: an ``engine`` span per probing phase, one pushdown progress record each
+BATCHED_LIVE = [
+    {"attributes": {}, "kind": "pipeline", "name": "pipeline", "parent": None,
+     "seq": 1, "span": 1, "ts_ms": 0.5, "type": "span-open"},
+    {"attributes": {}, "kind": "phase", "name": "IND-Discovery", "parent": 1,
+     "seq": 2, "span": 2, "ts_ms": 0.7, "type": "span-open"},
+    {"attributes": {}, "kind": "engine", "name": "engine", "parent": 2,
+     "seq": 3, "span": 3, "ts_ms": 0.8, "type": "span-open"},
+    {"current": 1, "message": "pushdown chunk answered", "phase": "IND-Discovery",
+     "probes": 13, "seq": 4, "span": 3, "total": 1, "ts_ms": 1.8, "type": "progress"},
+    {"backend": "sqlite", "cache_hit": False, "duration_ms": 0.1,
+     "primitive": "count_distinct", "relations": ["Person"], "rows_touched": 22,
+     "seq": 5, "span": 3, "ts_ms": 1.9, "type": "primitive"},
+    {"attributes": {"groups": 8, "logical": 15, "unique": 13}, "duration_ms": 1.3,
+     "kind": "engine", "name": "engine", "seq": 6, "span": 3, "ts_ms": 2.1,
+     "type": "span-close"},
+    {"attributes": {}, "duration_ms": 1.6, "kind": "phase", "name": "IND-Discovery",
+     "seq": 7, "span": 2, "ts_ms": 2.3, "type": "span-close"},
+    {"attributes": {"decisions": 14, "engine": "batched", "equijoins": 5,
+                    "queries": 26},
+     "duration_ms": 2.0, "kind": "pipeline", "name": "pipeline", "seq": 8, "span": 1,
+     "ts_ms": 2.5, "type": "span-close"},
+    {"error": None, "job": "job-1", "seq": 9, "state": "done", "ts_ms": 2.6,
+     "type": "end"},
+]
+
+#: the manifest of a demo job run with ``engine: batched``
+BATCHED_MANIFEST = {
+    "archived_at": "2026-10-17T21:36:43+00:00",
+    "artifacts": {"live": "live.jsonl"},
+    "config_token": "{\"engine\": \"batched\"}",
+    "database_fingerprint": BATCHED_DATABASE_FP,
+    "eer": "Entity-types:\n  [Person] key(id) [id, name]\n",
+    "format": "repro/archive@1",
+    "key": BATCHED_KEY,
+    "record": {
+        "cached": False,
+        "config": {"engine": "batched", "translate": None},
+        "database_fingerprint": BATCHED_DATABASE_FP,
+        "finished_at": 1792273003.6414008,
+        "id": "job-1",
+        "label": "demo-batched",
+        "started_at": 1792273003.6301103,
+        "state": "done",
+        "submitted_at": 1792273003.629983,
+        "summary": {"decisions": 14, "equijoins": 5, "fds": 2, "hidden": 2,
+                    "inds": 6, "queries": 26, "ric": 10},
+        "type": "job",
+        "workload_fingerprint": WORKLOAD_FP,
+    },
+    "stats": {
+        "backends": {"sqlite": {"calls": 26, "duration_ms": 0.31}},
+        "events": {"end": 1, "primitive": 26, "progress": 18, "span-close": 15,
+                   "span-open": 15},
+        "phases": {
+            "IND-Discovery": {
+                "count_distinct": {"cache_hits": 2, "cache_misses": 8, "calls": 10,
+                                   "duration_ms": 0.17, "rows_touched": 109},
+                "join_count": {"cache_hits": 0, "cache_misses": 5, "calls": 5,
+                               "duration_ms": 0.03, "rows_touched": 169},
+            },
+            "RHS-Discovery": {
+                "fd_holds": {"cache_hits": 0, "cache_misses": 11, "calls": 11,
+                             "duration_ms": 0.12, "rows_touched": 128},
+            },
+        },
+        "primitives": {
+            "count_distinct": {"cache_hits": 2, "cache_misses": 8, "calls": 10,
+                               "duration_ms": 0.17, "rows_touched": 109},
+            "fd_holds": {"cache_hits": 0, "cache_misses": 11, "calls": 11,
+                         "duration_ms": 0.12, "rows_touched": 128},
+            "join_count": {"cache_hits": 0, "cache_misses": 5, "calls": 5,
+                           "duration_ms": 0.03, "rows_touched": 169},
+        },
+        "root_ms": 11.09,
+        "spans": {
+            "IND-Discovery": {"count": 1, "inclusive_ms": 1.95, "kind": "phase",
+                              "open": False, "self_ms": 1.04},
+            "RHS-Discovery": {"count": 1, "inclusive_ms": 2.25, "kind": "phase",
+                              "open": False, "self_ms": 1.2},
+            "engine": {"count": 2, "inclusive_ms": 1.32, "kind": "engine",
+                       "open": False, "self_ms": 1.01},
+            "pipeline": {"count": 1, "inclusive_ms": 11.09, "kind": "pipeline",
+                         "open": False, "self_ms": 2.68},
+        },
+    },
+    "type": "run",
+    "workload_fingerprint": WORKLOAD_FP,
+}
+
+
+@pytest.fixture
+def batched_archive_dir(tmp_path):
+    root = tmp_path / "batched.archive"
+    run_dir = root / "runs" / BATCHED_KEY
+    run_dir.mkdir(parents=True)
+    (run_dir / "record.json").write_text(json.dumps(BATCHED_MANIFEST, indent=2))
+    header = {"counts": RunStats.fold(BATCHED_LIVE).events,
+              "events": len(BATCHED_LIVE), "format": "repro/live@1", "type": "header"}
+    (run_dir / "live.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in [header] + BATCHED_LIVE)
+    )
+    index = [
+        INDEX[0],
+        dict(INDEX[1], database_fingerprint=BATCHED_DATABASE_FP, key=BATCHED_KEY,
+             label="demo-batched", archived_at=BATCHED_MANIFEST["archived_at"]),
+    ]
+    (root / "index.jsonl").write_text("".join(json.dumps(line) + "\n" for line in index))
+    return str(root)
+
+
+def test_a_batched_run_lists_restores_and_replays(batched_archive_dir):
+    (run,) = RunArchive(batched_archive_dir).runs()
+    assert run.record["config"]["engine"] == "batched"
+    assert run.stats.spans["engine"]["kind"] == "engine"
+    with JobManager(runners=1, archive=RunArchive(batched_archive_dir)) as manager:
+        job = manager.job("job-1")
+        record = job.as_record()
+        replay = manager.replay_records(job)
+    assert record["state"] == "done"
+    assert record["archived"] is True
+    assert record["config"] == {"engine": "batched", "translate": None}
+    assert replay == BATCHED_LIVE
+    stats = RunStats.fold(replay)
+    assert stats.primitive_calls == {"count_distinct": 1}
+    assert stats.events["progress"] == 1
+
+
+def test_a_batched_run_renders_in_metrics_and_history(batched_archive_dir, capsys):
+    with JobManager(runners=1, archive=RunArchive(batched_archive_dir)) as manager:
+        text = render_metrics(manager)
+    assert lint_exposition(text) == []
+    assert "repro_jobs_restored_total 1" in text
+    assert 'repro_primitive_calls_total{primitive="fd_holds"} 11' in text
+    assert main(["history", "--archive", batched_archive_dir]) == 0
+    assert "1 runs over 1 fingerprint group(s)" in capsys.readouterr().out

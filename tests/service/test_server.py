@@ -59,7 +59,7 @@ class TestRoutes:
 
     def test_submit_poll_result(self, api):
         status, record = api(
-            "POST", "/jobs", {"demo": True, "config": {"engine": "batched"}}
+            "POST", "/jobs", {"demo": True, "config": {"translate": True}}
         )
         assert status == 201
         assert record["state"] in ("queued", "running", "done")
@@ -149,7 +149,12 @@ class TestErrors:
         assert "nonsense" in body["error"]
         status, body = api("POST", "/jobs", {})
         assert status == 400
-        for config in ({"engnie": "batched"}, {"engine": "process"}, {"engine_workers": 2}):
+        for config in (
+            {"engnie": "batched"},
+            {"engine": "batched"},
+            {"engine": "process"},
+            {"engine_workers": 2},
+        ):
             status, body = api("POST", "/jobs", {"demo": True, "config": config})
             assert status == 400
             assert "\n" not in body["error"]

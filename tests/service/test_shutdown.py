@@ -194,10 +194,10 @@ class TestEvictedWatchers:
         watcher = threading.Thread(target=watch, daemon=True)
         watcher.start()
         wait_streams_active(base)  # attached, idling on heartbeats
-        # a distinct fresh job (another engine, another cache key)
+        # a distinct fresh job (another config, another cache key)
         # finishes -> the target is evicted
         evictor = submit_spec_json(
-            base, {"demo": True, "config": {"engine": "batched"}}
+            base, {"demo": True, "config": {"translate": False}}
         )
         wait_state(base, evictor["id"])
         deadline = time.monotonic() + 30

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.pipeline import DBREPipeline
 from repro.service.jobs import JobManager
 from repro.service.specs import submit_spec
 
@@ -42,18 +41,17 @@ class TestRejected:
             submit_spec(manager, {"demo": True, "config": {key: 2}})
         assert manager.jobs() == []
 
-    @pytest.mark.parametrize("engine", ["process", "parallel", None])
-    def test_engine_outside_the_pipeline_modes(self, manager, engine):
-        with pytest.raises(ValueError, match="unknown engine") as info:
+    # the pipeline has one probe path: every engine choice is refused
+    @pytest.mark.parametrize("engine", ["serial", "batched", "process", "parallel", None])
+    def test_engine_is_an_unknown_key(self, manager, engine):
+        with pytest.raises(ValueError) as info:
             submit_spec(manager, {"demo": True, "config": {"engine": engine}})
-        assert "\n" not in str(info.value)
-        for mode in DBREPipeline.ENGINE_MODES:
-            assert mode in str(info.value)
+        assert str(info.value) == "unknown job-spec config key(s): engine"
         assert manager.jobs() == []
 
     def test_database_spec_config_is_checked_too(self, manager, database_spec):
         spec = dict(database_spec, config={"engine": "process"})
-        with pytest.raises(ValueError, match="process"):
+        with pytest.raises(ValueError, match="engine"):
             submit_spec(manager, spec)
         assert manager.jobs() == []
 
@@ -63,8 +61,8 @@ class TestRejected:
 
 
 class TestAccepted:
-    @pytest.mark.parametrize("config", [None, {}, {"engine": "serial"},
-                                        {"engine": "batched", "translate": True}])
+    @pytest.mark.parametrize("config", [None, {}, {"translate": False},
+                                        {"translate": True, "force_threshold": 0.5}])
     def test_demo_specs(self, manager, config):
         spec = {"demo": True} if config is None else {"demo": True, "config": config}
         job = submit_spec(manager, spec)
@@ -73,10 +71,21 @@ class TestAccepted:
 
     def test_database_spec_with_expert_thresholds(self, manager, database_spec):
         spec = dict(database_spec, config={
-            "engine": "batched", "force_threshold": 0.9,
-            "conceptualize_hidden": True,
+            "force_threshold": 0.9, "conceptualize_hidden": True,
         })
         job = submit_spec(manager, spec)
         manager.result(job.id, timeout=60)
         assert job.state == "done"
-        assert job.as_record()["config"] == {"engine": "batched", "translate": None}
+        assert job.as_record()["config"] == {"engine": None, "translate": None}
+
+    def test_expert_thresholds_are_part_of_the_cache_key(self, manager, database_spec):
+        strict = submit_spec(manager, dict(database_spec, config={"force_threshold": 0.95}))
+        manager.result(strict.id, timeout=60)
+        lenient = submit_spec(manager, dict(database_spec, config={"force_threshold": 0.5}))
+        assert lenient.key[2] != strict.key[2]
+        assert not lenient.cached
+        manager.result(lenient.id, timeout=60)
+        assert lenient.state == "done"
+        # the same threshold again is a hit on its own slot
+        again = submit_spec(manager, dict(database_spec, config={"force_threshold": 0.5}))
+        assert again.cached
