@@ -29,9 +29,12 @@ A gate failure is *attributed*, not just reported: for every failing
 head the harness prints a per-primitive / per-phase table (queries,
 latency units, cache hit-rates, rows scanned, inclusive vs. self time
 — baseline → current, worst delta first), so the violation names the
-phase, primitive or cache that regressed.  Every run also appends one
-``repro/bench-history@1`` record to ``benchmarks/BENCH_history.jsonl``
-(``--history`` / ``--no-history``), persisting the perf trajectory.
+phase, primitive or cache that regressed.  With ``--history PATH`` a
+run also appends one ``repro/bench-history@1`` record to *PATH* and
+prints a drift advisory over it, persisting the perf trajectory; CI
+passes ``--history benchmarks/BENCH_history.jsonl``.  Without it the
+run writes nothing but ``--output``/``--write-baseline``, so a local
+check leaves the tree clean.
 
 The baseline file stores one entry per mode (``quick``/``full``); a run
 only gates against the matching mode.  CI runs ``--quick`` and uploads
@@ -68,7 +71,6 @@ FORMAT = "repro/bench@1"
 BASELINE_FORMAT = "repro/bench-baseline@1"
 HISTORY_FORMAT = "repro/bench-history@1"
 DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "BENCH_baseline.json")
-DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__), "BENCH_history.jsonl")
 
 #: latency gating ignores primitives cheaper than this many calibration
 #: units in the baseline — they are dominated by timer noise
@@ -604,11 +606,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "instead of gating")
     parser.add_argument("--max-ratio", type=float, default=2.0,
                         help="per-primitive regression limit (default 2.0)")
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="append one repro/bench-history@1 record per run "
-                             "here (default benchmarks/BENCH_history.jsonl)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append to the bench-history file")
+    parser.add_argument("--history", metavar="PATH",
+                        help="append one repro/bench-history@1 record for this "
+                             "run to PATH and print a drift advisory over it "
+                             "(CI: benchmarks/BENCH_history.jsonl)")
     args = parser.parse_args(argv)
 
     result = run_all(quick=args.quick)
@@ -619,7 +620,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"metrics written to {args.output}", file=sys.stderr)
 
     def record_history(gate: str, violations: List[str]) -> None:
-        if not args.no_history:
+        if args.history:
             append_history(args.history, result, gate, violations)
             print(f"history appended to {args.history}", file=sys.stderr)
 
@@ -648,7 +649,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     unguarded = unguarded_heads(result, baseline)
     gate = "fail" if violations else ("unguarded" if unguarded else "pass")
     record_history(gate, violations or unguarded)
-    if not args.no_history:
+    if args.history:
         # advisory drift report: the history file now includes this
         # run, so a flagged latest point means *this run* is anomalous
         # against its own trajectory (robust median/MAD z-score).

@@ -18,7 +18,13 @@ the extension ``E``.  Every backend must implement
   skipped by distinct counts and joins, NULL treated as one marked value
   on FD right-hand sides);
 - row access — ``table`` (a live :class:`~repro.relational.table.Table`
-  view), ``insert``/``insert_many`` and ``rows``/``row_count`` scans;
+  view, for row-level consumers), ``insert``/``insert_many``,
+  ``rows``/``row_count``, and ``scan(relation, attrs)``: one uncounted
+  pass in ``rows`` order, returned as a
+  :class:`~repro.relational.table.Scan` whose tuples carry at least
+  *attrs*, without building a ``Table`` view — the read path of the
+  method's row-reading steps (RHS evidence, the NEI fill, Restruct's
+  projections);
 - relation lifecycle — ``create_relation``, ``drop_relation``,
   ``replace_relation`` — each of which must invalidate any derived
   caches for the touched relation;
@@ -65,7 +71,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Se
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relational.schema import DatabaseSchema, RelationSchema
-    from repro.relational.table import Table
+    from repro.relational.table import Scan, Table
 
 RowValues = Union[Sequence[Any], Mapping[str, Any]]
 
@@ -128,6 +134,16 @@ class ExtensionBackend(Protocol):
 
     def rows(self, relation: str) -> Iterator[Tuple[Any, ...]]:
         """Scan the extension in insertion order as value tuples."""
+
+    def scan(self, relation: str, attrs: Sequence[str]) -> "Scan":
+        """One pass in :meth:`rows` order, carrying at least *attrs*.
+
+        No ``Table`` view is built.  The scan's ``layout`` says where
+        each attribute sits in a tuple; tuples must already be what
+        :class:`~repro.relational.table.Row` stores, so a whole-row
+        scan's ``rows`` binds them as rows without touching the store
+        again.  Unknown names raise at the call.
+        """
 
     def row_count(self, relation: str) -> int:
         """``|r|`` — the extension's cardinality (duplicates counted)."""

@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterable, Iterator, Sequence, Tuple
 from repro.exceptions import UnknownRelationError
 from repro.relational import algebra
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.table import Table
+from repro.relational.table import Scan, Table
 from repro.backends.base import RowValues
 
 
@@ -124,6 +124,10 @@ class MemoryBackend:
         """Scan the extension in insertion order."""
         for row in self.table(relation):
             yield row.values
+
+    def scan(self, relation: str, attrs: Sequence[str]) -> Scan:
+        """The stored value tuples, zero-copy: whole rows, whatever *attrs*."""
+        return self.table(relation).scan(attrs)
 
     def row_count(self, relation: str) -> int:
         """``|r|`` for one relation."""

@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from repro.exceptions import StorageError, UnknownRelationError
 from repro.relational.domain import is_null
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.table import Row, Table, order_values
+from repro.relational.table import Row, Scan, Table, order_values
 from repro.backends.base import RowValues
 from repro.storage.paged.buffer import BufferPool
 from repro.storage.paged.codec import decode_row, encode_row
@@ -259,6 +259,13 @@ class PagedBackend:
             return
         for values in self._scan(relation, self._stored_schema(relation)):
             yield values
+
+    def scan(self, relation: str, attrs: Sequence[str]) -> Scan:
+        """:meth:`rows` as a :class:`Scan` of whole rows (no mirror built)."""
+        schema = self._stored_schema(relation)
+        for a in attrs:
+            schema.position(a)  # raises UnknownAttributeError
+        return Scan(schema, schema.attribute_names, self.rows(relation))
 
     def row_count(self, relation: str) -> int:
         """``|r|`` from the page-file header (no scan)."""

@@ -19,11 +19,13 @@ statement executed by the engine:
 Compiled statements are cached per relation and invalidated on any
 schema mutation; query *results* are additionally memoized under a
 per-relation version counter that every write bumps, mirroring the
-in-memory backend's distinct-value cache.  Row-level access hydrates a
-lazy, write-through :class:`Table` mirror so code that walks or mutates
-tuples (the SQL executor, Restruct's projections, violation displays)
-keeps working unchanged — the four counting primitives never touch the
-mirror and scale with the engine, not with Python.
+in-memory backend's distinct-value cache.  The method's row-reading
+steps (RHS evidence, the NEI fill, Restruct's projections) stream
+projected tuples through :meth:`SQLiteBackend.scan`, one cursor each.
+Row-level consumers that walk or mutate whole tuples (the SQL executor,
+CSV import, corruption) hydrate a lazy, write-through :class:`Table`
+mirror instead.  The four counting primitives touch neither and scale
+with the engine, not with Python.
 
 Storage note: backend-created tables declare column types but *no*
 ``UNIQUE``/``NOT NULL`` constraints — the reproduction must be able to
@@ -40,9 +42,9 @@ import sqlite3
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import UnknownRelationError
-from repro.relational.domain import BOOLEAN, is_null, NULL
-from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.table import Row, Table, order_values
+from repro.relational.domain import BOOLEAN, DataType, is_null, NULL
+from repro.relational.schema import DatabaseSchema, RelationSchema, tuple_getter
+from repro.relational.table import Row, Scan, Table, bind_rows, order_values
 from repro.backends.base import RowValues
 
 #: repro domain name → SQLite declared column type
@@ -55,12 +57,16 @@ _SQL_TYPES = {
 }
 
 #: per repro domain, a SQL test (over column ``{c}``) that a stored value
-#: already is what validating it in Python would store: a storage class
-#: the domain keeps as-is, ISO-shaped text for DATE, 0/1 for BOOLEAN.
-#: A same-kind copy byte-copies a store only if every relation passes it.
+#: already is what :func:`_decode` would make of it, bar None for NULL:
+#: the one storage class the domain keeps as-is, ISO-shaped text for
+#: DATE, 0/1 for BOOLEAN (which the decode still turns into ``bool``).
+#: REAL admits ``real`` only: a NUMERIC foreign column stores whole
+#: numbers as ``integer``, and validation widens those to ``float``.
+#: A same-kind copy byte-copies a store only if every relation passes
+#: it, and a scan passes the cursor's tuples through only then.
 _STORED_AS_IS = {
     "INTEGER": "(typeof({c}) = 'integer' OR {c} IS NULL)",
-    "REAL": "(typeof({c}) = 'real' OR typeof({c}) = 'integer' OR {c} IS NULL)",
+    "REAL": "(typeof({c}) = 'real' OR {c} IS NULL)",
     "TEXT": "(typeof({c}) = 'text' OR {c} IS NULL)",
     "DATE": (
         "(typeof({c}) = 'text' AND {c} GLOB "
@@ -68,6 +74,9 @@ _STORED_AS_IS = {
     ),
     "BOOLEAN": "(typeof({c}) = 'integer' AND {c} IN (0, 1) OR {c} IS NULL)",
 }
+
+#: the one decode of a stored BOOLEAN: 0 and 1, nothing else
+_BOOLEANS = {0: False, 1: True}
 
 #: separator for multi-column FD images built from QUOTE() fragments;
 #: the ASCII unit separator cannot collide with QUOTE output
@@ -124,28 +133,25 @@ class _SQLiteTable(Table):
         return removed
 
 
-def _decoder(relation: RelationSchema) -> Callable[[Sequence[Any]], List[Any]]:
-    """Raw SQLite row → repro domain values, for one relation.
+def _decode(dtype: DataType) -> Callable[[Any], Any]:
+    """Stored value → what :class:`Row` stores for *dtype*, or TypingError.
 
-    None becomes NULL; BOOLEAN columns (stored as integers) become
-    ``bool``.  Which columns are BOOLEAN is resolved once, here, not
-    once per value.
+    None becomes NULL and a BOOLEAN ``0``/``1`` becomes ``bool``; then
+    the domain's own ``coerce`` validates, so a ``2`` in a BOOLEAN
+    column or ``'x'`` in an INTEGER column raises here exactly as a
+    validating insert would.
     """
-    booleans = tuple(a.dtype == BOOLEAN for a in relation.attributes)
-    return lambda raw: [
-        NULL if v is None else bool(v) if b else v
-        for v, b in zip(raw, booleans)
-    ]
+    coerce = dtype.coerce
+    if dtype == BOOLEAN:
+        return lambda v: coerce(_BOOLEANS.get(v, v) if type(v) is int else v)
+    return coerce
 
 
-def _select(conn: sqlite3.Connection, relation: RelationSchema) -> sqlite3.Cursor:
-    """The raw rows of one relation, in insertion (rowid) order."""
-    cols = ", ".join(quote_identifier(a) for a in relation.attribute_names)
-    name = quote_identifier(relation.name)
-    try:
-        return conn.execute(f"SELECT {cols} FROM {name} ORDER BY rowid")
-    except sqlite3.OperationalError:  # WITHOUT ROWID tables
-        return conn.execute(f"SELECT {cols} FROM {name}")
+def _denull(raw: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """An as-is cursor tuple, rebuilt only if it holds a None."""
+    if None not in raw:
+        return raw
+    return tuple([NULL if v is None else v for v in raw])
 
 
 def _to_sql(values: Sequence[Any]) -> List[Any]:
@@ -205,6 +211,8 @@ class SQLiteBackend:
         #: version-guarded COUNT(*) memo, so the observability probe
         #: does not issue one extra engine query per primitive call
         self._rowcounts: Dict[str, Tuple[int, int]] = {}
+        #: ``relation -> (write token, passes _STORED_AS_IS?)``
+        self._as_is_memo: Dict[str, Tuple[tuple, bool]] = {}
         #: :func:`repro.service.jobs.database_fingerprint`'s memo,
         #: ``relation -> (write token, digest)``; the backend only holds it
         self.fingerprint_memo: Dict[str, tuple] = {}
@@ -250,9 +258,7 @@ class SQLiteBackend:
         wanted = [
             ("table", r.name, r.name, self._create_table_sql(r)) for r in schema
         ]
-        if stored != wanted or not all(
-            _stored_as_is(self._conn, r) for r in schema
-        ):
+        if stored != wanted or not all(self._as_is(r) for r in schema):
             return None
         twin = self.spawn()
         self._conn.backup(twin._conn)
@@ -264,6 +270,7 @@ class SQLiteBackend:
         self._statements.clear()
         self._results.clear()
         self._rowcounts.clear()
+        self._as_is_memo.clear()
         self.fingerprint_memo.clear()
         if self._owns_connection:
             self._conn.close()
@@ -282,7 +289,7 @@ class SQLiteBackend:
         self._conn.execute(self._create_table_sql(relation))
         self._bump(relation.name)
         self._commit()
-        return self.table(relation.name)
+        return self._mirror(relation, [])
 
     def drop_relation(self, name: str) -> None:
         """DROP TABLE and purge every cache entry about the relation."""
@@ -321,15 +328,22 @@ class SQLiteBackend:
         mirror = self._mirrors.get(name)
         if mirror is None:
             relation = self._require(name)
-            mirror = _SQLiteTable(relation)
-            decode = _decoder(relation)
-            mirror._rows = [
-                Row(relation, decode(raw)) for raw in _select(self._conn, relation)
-            ]
-            mirror.version = len(mirror._rows)
-            mirror._backend = self
-            self._mirrors[name] = mirror
+            mirror = self._mirror(
+                relation, self._stream(relation, relation.attribute_names)
+            )
         return mirror
+
+    def scan(self, relation: str, attrs: Sequence[str]) -> Scan:
+        """One ``SELECT attrs FROM r ORDER BY rowid`` cursor, decoded.
+
+        No mirror is built, and a hydrated one is not read: the store is
+        authoritative, raw SQL writes included.
+        """
+        rel = self._require(relation)
+        attrs = tuple(attrs)
+        for a in attrs:
+            rel.position(a)  # raises UnknownAttributeError
+        return Scan(rel, attrs, self._stream(rel, attrs))
 
     def insert(self, relation: str, values: RowValues) -> None:
         """Append one tuple; typing is validated before the engine sees it."""
@@ -373,16 +387,13 @@ class SQLiteBackend:
         )
 
     def rows(self, relation: str) -> Iterator[Tuple[Any, ...]]:
-        """Scan the stored extension in insertion (rowid) order."""
-        mirror = self._mirrors.get(relation)
-        if mirror is not None:
-            for row in mirror:
-                yield row.values
-            return
+        """Scan the stored extension in insertion (rowid) order.
+
+        Decoded as the mirror is, and read from the store even when a
+        mirror is hydrated.
+        """
         rel = self._require(relation)
-        decode = _decoder(rel)
-        for raw in _select(self._conn, rel):
-            yield tuple(decode(raw))
+        yield from self._stream(rel, rel.attribute_names)
 
     def row_count(self, relation: str) -> int:
         """``SELECT COUNT(*)`` (served from the mirror when hydrated)."""
@@ -564,6 +575,57 @@ class SQLiteBackend:
         self._results[key] = (token, value)
         return value
 
+    def _mirror(
+        self, relation: RelationSchema, values: Iterable[Tuple[Any, ...]]
+    ) -> _SQLiteTable:
+        """Register a write-through mirror holding decoded *values*."""
+        mirror = _SQLiteTable(relation)
+        mirror._rows = bind_rows(relation, values)
+        mirror.version = len(mirror._rows)
+        mirror._backend = self
+        self._mirrors[relation.name] = mirror
+        return mirror
+
+    def _stream(
+        self, relation: RelationSchema, attrs: Sequence[str]
+    ) -> Iterator[Tuple[Any, ...]]:
+        """The stored tuples of *attrs*, decoded, in insertion (rowid) order.
+
+        The one read path of stored values: :meth:`rows`, :meth:`scan`
+        and mirror hydration all take it.  When the relation passes
+        :data:`_STORED_AS_IS` and no column read is BOOLEAN, the
+        cursor's tuples go out as they are, a tuple holding a None
+        rebuilt with NULL; otherwise every value goes through
+        :func:`_decode`.
+        """
+        name = quote_identifier(relation.name)
+        if not attrs:  # one empty tuple per row
+            return map(tuple_getter(()), self._conn.execute(f"SELECT NULL FROM {name}"))
+        dtypes = [relation.attribute(a).dtype for a in attrs]
+        as_is = BOOLEAN not in dtypes and self._as_is(relation)
+        cols = ", ".join(quote_identifier(a) for a in attrs)
+        sql = f"SELECT {cols} FROM {name}"
+        try:
+            cursor = self._conn.execute(sql + " ORDER BY rowid")
+        except sqlite3.OperationalError:  # WITHOUT ROWID tables
+            cursor = self._conn.execute(sql)
+        if as_is:
+            return map(_denull, cursor)
+        decoders = [_decode(d) for d in dtypes]
+        return map(
+            lambda raw: tuple([f(v) for f, v in zip(decoders, raw)]), cursor
+        )
+
+    def _as_is(self, relation: RelationSchema) -> bool:
+        """:func:`_stored_as_is`, memoised under the relation's write token."""
+        token = self.write_token(relation.name)
+        hit = self._as_is_memo.get(relation.name)
+        if hit is None or hit[0] != token:
+            hit = self._as_is_memo[relation.name] = (
+                token, _stored_as_is(self._conn, relation),
+            )
+        return hit[1]
+
     def _require(self, name: str) -> RelationSchema:
         """The schema of *name*, or UnknownRelationError."""
         if name not in self._schema:
@@ -609,6 +671,7 @@ class SQLiteBackend:
         if mirror is not None:
             mirror._backend = None
         self._rowcounts.pop(relation, None)
+        self._as_is_memo.pop(relation, None)
         for cache in (self._statements, self._results):
             stale = [k for k in cache if relation in k]
             for k in stale:

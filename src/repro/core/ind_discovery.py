@@ -275,8 +275,8 @@ class INDDiscovery:
         self.database.create_relation(new_rel)
 
         shared = natural_intersection(
-            self.database.table(k_rel), k_attrs,
-            self.database.table(l_rel), l_attrs,
+            self.database.scan(k_rel, k_attrs), k_attrs,
+            self.database.scan(l_rel, l_attrs), l_attrs,
         )
         self.database.insert_many(name, sorted(shared, key=repr))
 

@@ -19,7 +19,11 @@ each step against the paper.
 The run is traced: the pipeline opens one root ``pipeline`` span and one
 ``phase`` span per algorithm on its :class:`~repro.obs.tracer.Tracer`,
 and shares that tracer with the working database copy, so every
-extension-primitive event lands inside the phase that issued it.
+extension-primitive event lands inside the phase that issued it.  Three
+``step`` spans time work no primitive covers: ``extract`` (Q from the
+corpus), ``evidence`` (the expert's ratio and witnesses, in
+RHS-Discovery) and ``certify`` (each decomposition's certificate, in
+Restruct).
 ``result.trace`` exposes the tracer; :mod:`repro.obs.export` turns it
 into JSONL traces and metrics summaries.
 
@@ -160,7 +164,8 @@ class DBREPipeline:
             # §4: the set Q
             if corpus is not None:
                 extractor = EquiJoinExtractor(database.schema)
-                result.extraction = extractor.extract_from_corpus(corpus)
+                with self.tracer.span("extract", kind="step"):
+                    result.extraction = extractor.extract_from_corpus(corpus)
                 result.equijoins = list(result.extraction.joins)
             else:
                 result.equijoins = sorted(

@@ -298,15 +298,16 @@ class Restruct:
                         "restruct-split", f"{fd!r} -> {added.name}"
                     )
                 )
-            certificate = certify_decomposition(
-                source,
-                universe,
-                fragments,
-                input_fds,
-                target="3nf",
-                steps=steps,
-                meta={"phase": "restruct"},
-            )
+            with self.database.tracer.span("certify", kind="step", relation=source):
+                certificate = certify_decomposition(
+                    source,
+                    universe,
+                    fragments,
+                    input_fds,
+                    target="3nf",
+                    steps=steps,
+                    meta={"phase": "restruct"},
+                )
             result.certificates.append(certificate)
             if self.ledger is not None:
                 dec_id = self.ledger.node(
@@ -334,8 +335,8 @@ class Restruct:
         self, relation: str, attrs: Tuple[str, ...]
     ) -> List[Tuple[object, ...]]:
         """Distinct fully-non-NULL projections, deterministic order."""
-        table = self.database.table(relation)
-        return sorted(distinct_values(table, attrs), key=repr)
+        scan = self.database.scan(relation, attrs)
+        return sorted(distinct_values(scan, attrs), key=repr)
 
     def _grouped_projection(
         self,
@@ -350,12 +351,11 @@ class Restruct:
         exist for one A_i; the first (in table order) wins and a warning
         records the conflict.
         """
-        table = self.database.table(relation)
-        key_of = table.schema.projector(lhs)
-        image_of = table.schema.projector(rhs)
+        scan = self.database.scan(relation, lhs + rhs)
+        key_of = scan.projector(lhs)
+        image_of = scan.projector(rhs)
         chosen: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
-        for row in table:
-            values = row.values
+        for values in scan:
             key = key_of(values)
             image = image_of(values)
             first = chosen.setdefault(key, image)

@@ -22,8 +22,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.expert import Expert, FDContext
 from repro.dependencies.fd import FunctionalDependency
 from repro.dependencies.inference import satisfaction_ratio, violation_witnesses
+from repro.relational.algebra import lhs_grouping
 from repro.relational.attribute import AttributeRef
 from repro.relational.database import Database
+from repro.relational.table import Scan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.provenance import ProvenanceLedger
@@ -90,6 +92,9 @@ class RHSDiscovery:
         self.prune_keys = prune_keys
         self.prune_not_null = prune_not_null
         self.ledger = ledger
+        #: the whole-row scan of the relation whose identifiers are in
+        #: progress (see :meth:`_relation_scan`); None between runs
+        self._scan: Optional[Scan] = None
 
     def run(
         self,
@@ -101,11 +106,14 @@ class RHSDiscovery:
         for ref in hidden:
             result.add_hidden(ref)
         ordered = sorted(set(lhs) | hidden_set, key=lambda r: r.sort_key())
-        for index, ref in enumerate(ordered, start=1):
-            self._process(ref, ref in hidden_set, result)
-            self.database.tracer.progress(
-                "identifier checked", current=index, total=len(ordered),
-            )
+        try:
+            for index, ref in enumerate(ordered, start=1):
+                self._process(ref, ref in hidden_set, result)
+                self.database.tracer.progress(
+                    "identifier checked", current=index, total=len(ordered),
+                )
+        finally:
+            self._scan = None
         return result
 
     # ------------------------------------------------------------------
@@ -252,29 +260,46 @@ class RHSDiscovery:
 
         The ratio and up to three witness pairs per candidate, read from
         the relation's extension under one ``evidence`` span per
-        identifier; both come from one grouping of the extension by
-        ``A``, memoised on the table.  No extension query is counted.
+        identifier; both come from one grouping by ``A``, which the
+        identifier owns, of the relation's whole-row scan, and the
+        witness rows are the scanned tuples bound as rows.  No extension
+        query is counted.
         """
         if not failing:
             return {}
         a_names = tuple(ref.attributes)
         contexts: Dict[str, FDContext] = {}
         with self.database.tracer.span("evidence", kind="step", candidates=len(failing)):
-            table = self.database.table(ref.relation)
+            grouping = lhs_grouping(self._relation_scan(ref.relation), a_names)
             for name in failing:
                 fd = FunctionalDependency(ref.relation, a_names, (name,))
                 contexts[name] = FDContext(
                     fd,
-                    satisfaction_ratio(table, fd),
+                    satisfaction_ratio(grouping, fd),
                     tuple(
                         f"{a!r} / {b!r}"
-                        for a, b in violation_witnesses(table, fd, limit=3)
+                        for a, b in violation_witnesses(grouping, fd, limit=3)
                     ),
                 )
-            # no other identifier groups by this LHS: release the grouping
-            # so the tables a finished run keeps do not hold it too
-            table.grouping_memo = None
         return contexts
+
+    def _relation_scan(self, relation: str) -> Scan:
+        """One whole-row scan of *relation*, shared by its identifiers.
+
+        Identifiers are processed relation by relation, and a relation
+        often has several with failing candidates (one per merged
+        entity); scanning it once for all of them costs less than one
+        narrow scan each, whose values a backend like SQLite builds
+        anew every time.  The listed scan is kept until the next
+        relation's first failing identifier, and dropped when the run
+        ends.  RHS-Discovery writes nothing, so it stays current.
+        """
+        if self._scan is None or self._scan.relation != relation:
+            names = self.database.schema.relation(relation).attribute_names
+            scan = self.database.scan(relation, names)
+            scan.tuples = list(scan)
+            self._scan = scan
+        return self._scan
 
     def _handle_empty(
         self, ref: AttributeRef, in_hidden: bool, result: RHSDiscoveryResult

@@ -8,10 +8,10 @@ data.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from repro.dependencies.fd import FunctionalDependency
-from repro.relational.algebra import fd_violation_pairs, functional_maps, lhs_grouping
+from repro.relational.algebra import LHSGrouping, functional_maps, lhs_grouping
 from repro.relational.database import Database
 from repro.relational.table import Row, Table
 
@@ -38,14 +38,30 @@ def violating_fds(
     return [fd for fd in fds if not fd_satisfied_in(database, fd)]
 
 
+def _grouping(source: Union[Table, LHSGrouping], fd: FunctionalDependency) -> LHSGrouping:
+    """*source* if it is a grouping by ``fd.lhs``, else *source* grouped so."""
+    if not isinstance(source, LHSGrouping):
+        return lhs_grouping(source, fd.lhs)
+    if source.lhs != tuple(fd.lhs):
+        raise ValueError(
+            f"a grouping by {list(source.lhs)} cannot answer {fd!r}"
+        )
+    return source
+
+
 def violation_witnesses(
-    table: Table, fd: FunctionalDependency, limit: int = 5
+    source: Union[Table, LHSGrouping], fd: FunctionalDependency, limit: int = 5
 ) -> List[Tuple[Row, Row]]:
-    """Tuple pairs proving *fd* fails — shown to the expert user."""
-    return fd_violation_pairs(table, tuple(fd.lhs), tuple(fd.rhs), limit)
+    """Tuple pairs proving *fd* fails — shown to the expert user.
+
+    *source* is a table, or a grouping by ``fd.lhs``
+    (:func:`~repro.relational.algebra.lhs_grouping`) whose scan carries
+    ``fd.rhs``.
+    """
+    return _grouping(source, fd).witnesses(tuple(fd.rhs), limit)
 
 
-def satisfaction_ratio(table: Table, fd: FunctionalDependency) -> float:
+def satisfaction_ratio(source: Union[Table, LHSGrouping], fd: FunctionalDependency) -> float:
     """Fraction of LHS groups that are single-valued on the RHS.
 
     1.0 means the FD holds; values just under 1.0 suggest a true
@@ -53,8 +69,8 @@ def satisfaction_ratio(table: Table, fd: FunctionalDependency) -> float:
     the paper lets the expert *enforce* the dependency (RHS-Discovery
     step (ii)).  An empty table (or all-NULL LHS) yields 1.0.
 
-    Answered from the table's memoised LHS grouping
-    (:func:`~repro.relational.algebra.lhs_grouping`), which the
-    dependency's :func:`violation_witnesses` then reuse.
+    *source* is as for :func:`violation_witnesses`; RHS-Discovery hands
+    both one grouping per identifier, so a dependency's ratio and
+    witnesses share one mismatch mask.
     """
-    return lhs_grouping(table, fd.lhs).ratio(fd.rhs)
+    return _grouping(source, fd).ratio(tuple(fd.rhs))

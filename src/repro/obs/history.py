@@ -8,7 +8,7 @@ the repo accumulates —
   grouped by the database/workload fingerprints the results cache keys
   on, and
 - the ``repro/bench-history@1`` trajectory that
-  ``benchmarks/regression.py`` appends per run —
+  ``benchmarks/regression.py --history PATH`` appends per run —
 
 and renders trend tables (per-phase latency, primitive cache hit-rate,
 per-head wall time) with **robust drift detection**:

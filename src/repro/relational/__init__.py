@@ -30,7 +30,7 @@ from repro.relational.domain import (
 )
 from repro.relational.attribute import Attribute, AttributeRef, AttributeSet
 from repro.relational.schema import RelationSchema, DatabaseSchema
-from repro.relational.table import Row, Table
+from repro.relational.table import Row, Scan, Table
 from repro.relational.constraints import (
     UniqueConstraint,
     NotNullConstraint,
@@ -66,6 +66,7 @@ __all__ = [
     "RelationSchema",
     "DatabaseSchema",
     "Row",
+    "Scan",
     "Table",
     "UniqueConstraint",
     "NotNullConstraint",

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 from itertools import compress, count, islice
 from operator import itemgetter, ne
-from typing import Any, FrozenSet, List, Sequence, Set, Tuple
+from typing import Any, FrozenSet, List, Sequence, Set, Tuple, Union
 
 from repro.exceptions import ArityError
 from repro.relational.domain import has_null, is_null
-from repro.relational.schema import RelationSchema
-from repro.relational.table import Row, Table
+from repro.relational.table import Row, Scan, Table
 
 ValueTuple = Tuple[Any, ...]
+
+
+def _scan_of(source: Union[Table, Scan], attrs: Sequence[str]) -> Scan:
+    """*source* itself if it is a scan, else a zero-copy scan of the table."""
+    return source if isinstance(source, Scan) else source.scan(attrs)
 
 
 def project(table: Table, attrs: Sequence[str]) -> List[ValueTuple]:
@@ -29,14 +33,15 @@ def project(table: Table, attrs: Sequence[str]) -> List[ValueTuple]:
     return [key_of(row.values) for row in table]
 
 
-def distinct_values(table: Table, attrs: Sequence[str]) -> Set[ValueTuple]:
-    """The distinct, fully non-NULL projections of *table* on *attrs*.
+def distinct_values(source: Union[Table, Scan], attrs: Sequence[str]) -> Set[ValueTuple]:
+    """The distinct, fully non-NULL projections of *source* on *attrs*.
 
-    Tuples with a NULL in any projected position are excluded, matching
-    SQL ``count(distinct ...)`` and FK-join behaviour.
+    *source* is a table or a :class:`~repro.relational.table.Scan`
+    carrying *attrs*.  Tuples with a NULL in any projected position are
+    excluded, matching SQL ``count(distinct ...)`` and FK-join behaviour.
     """
-    key_of = table.schema.projector(attrs)
-    projections = {key_of(row.values) for row in table}
+    scan = _scan_of(source, attrs)
+    projections = set(map(scan.projector(attrs), scan))
     return {values for values in projections if not has_null(values)}
 
 
@@ -65,12 +70,15 @@ def equijoin_match_count(
 
 
 def natural_intersection(
-    left: Table,
+    left: Union[Table, Scan],
     left_attrs: Sequence[str],
-    right: Table,
+    right: Union[Table, Scan],
     right_attrs: Sequence[str],
 ) -> Set[ValueTuple]:
-    """The shared distinct value combinations of the two sides."""
+    """The shared distinct value combinations of the two sides.
+
+    Each side is a table or a scan carrying its attributes.
+    """
     if len(left_attrs) != len(right_attrs):
         raise ArityError(
             f"equi-join arity mismatch: {list(left_attrs)} vs {list(right_attrs)}"
@@ -151,47 +159,45 @@ def fd_violation_pairs(
 
 
 class LHSGrouping:
-    """The rows of one table grouped by an LHS: the RHS-evidence kernel.
+    """One scan of a relation grouped by an LHS: the RHS-evidence kernel.
 
-    Rows with a NULL in the LHS are dropped.  ``rows`` keeps the others
-    in scan order (``values`` their value tuples), ``firsts[i]`` is the
-    position in ``rows`` of the first row of row ``i``'s group, and
-    ``groups`` counts the groups.  Each RHS is answered from one
-    *mismatch mask* — ``mask[i]`` is true when row ``i``'s RHS image
-    differs from its group's first image — built and read by C-level
-    passes; the last mask is kept, so the ratio and the witnesses of one
-    dependency share it.
+    Tuples with a NULL in the LHS are dropped.  ``values`` keeps the
+    others in scan order, ``firsts[i]`` is the position in ``values`` of
+    the first tuple of tuple ``i``'s group, and ``groups`` counts the
+    groups.  Each RHS is answered from one *mismatch mask* — ``mask[i]``
+    is true when tuple ``i``'s RHS image differs from its group's first
+    image — built and read by C-level passes; the last mask is kept, so
+    the ratio and the witnesses of one dependency share it.  The scan
+    must carry every RHS asked about, and whole rows for witnesses;
+    RHS-Discovery groups one whole-row scan per relation, once per
+    identifier.
     """
 
-    __slots__ = ("schema", "rows", "values", "firsts", "groups", "_last")
+    __slots__ = ("lhs", "scan", "values", "firsts", "groups", "_last")
 
-    def __init__(self, table: Table, lhs: Tuple[str, ...]) -> None:
-        schema = table.schema
-        rows = list(table)
-        values = [row.values for row in rows]
-        positions = [schema.position(a) for a in lhs]
-        key_of = _column(schema, lhs)
+    def __init__(self, scan: Scan, lhs: Tuple[str, ...]) -> None:
+        values = list(scan)
+        key_of = scan.column(lhs)
+        positions = [scan.position(a) for a in lhs]
         if any(has_null(map(itemgetter(p), values)) for p in positions):
-            project = schema.projector(lhs)
-            kept = [i for i, v in enumerate(values) if not has_null(project(v))]
-            rows = [rows[i] for i in kept]
-            values = [values[i] for i in kept]
+            project = scan.projector(lhs)
+            values = [v for v in values if not has_null(project(v))]
         keys = list(map(key_of, values))
         # filled back to front, so each key keeps its first position
         first_of = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        self.schema: RelationSchema = schema
-        self.rows: List[Row] = rows
+        self.lhs = lhs
+        self.scan = scan
         self.values: List[ValueTuple] = values
         self.firsts: List[int] = list(map(first_of.__getitem__, keys))
         self.groups = len(first_of)
         self._last: Any = None
 
     def mask(self, rhs: Sequence[str]) -> List[bool]:
-        """Per kept row: does its RHS image differ from its group's first?"""
+        """Per kept tuple: does its RHS image differ from its group's first?"""
         rhs = tuple(rhs)
         if self._last is not None and self._last[0] == rhs:
             return self._last[1]
-        column = list(map(_column(self.schema, rhs), self.values))
+        column = list(map(self.scan.column(rhs), self.values))
         mask = list(map(ne, column, map(column.__getitem__, self.firsts)))
         self._last = (rhs, mask)
         return mask
@@ -204,37 +210,21 @@ class LHSGrouping:
         return (self.groups - dirty) / self.groups
 
     def witnesses(self, rhs: Sequence[str], limit: int) -> List[Tuple[Row, Row]]:
-        """The first ``max(limit, 1)`` mismatching rows, with their firsts."""
-        rows, firsts = self.rows, self.firsts
-        mismatches = compress(count(), self.mask(rhs))
-        return [(rows[firsts[i]], rows[i]) for i in islice(mismatches, max(limit, 1))]
+        """The first ``max(limit, 1)`` mismatching rows, with their firsts.
+
+        Only the picked tuples become rows (:meth:`Scan.rows`), so the
+        scan must carry whole rows.
+        """
+        values, firsts = self.values, self.firsts
+        mismatches = islice(compress(count(), self.mask(rhs)), max(limit, 1))
+        rows = self.scan.rows([values[j] for i in mismatches for j in (firsts[i], i)])
+        return list(zip(rows[::2], rows[1::2]))
 
 
-def _column(schema: RelationSchema, attrs: Tuple[str, ...]):
-    """A row-values getter: the bare value for one attribute, else a tuple.
-
-    Bare values compare as tuple components do — NULL equals only NULL —
-    now that no stored value is NaN (REAL coerces it to NULL).
-    """
-    if len(attrs) == 1:
-        return itemgetter(schema.position(attrs[0]))
-    return schema.projector(attrs)
-
-
-def lhs_grouping(table: Table, lhs: Sequence[str]) -> LHSGrouping:
-    """*table* grouped by *lhs*, memoised on the table.
-
-    The table holds one entry, guarded by its ``(version, row count)``
-    and the LHS; any write, or a grouping by another LHS, replaces it.
-    """
+def lhs_grouping(source: Union[Table, Scan], lhs: Sequence[str]) -> LHSGrouping:
+    """*source* (a table, or a scan carrying *lhs*) grouped by *lhs*."""
     lhs = tuple(lhs)
-    token = (table.version, len(table), lhs)
-    memo = table.grouping_memo
-    if memo is not None and memo[0] == token:
-        return memo[1]
-    grouping = LHSGrouping(table, lhs)
-    table.grouping_memo = (token, grouping)
-    return grouping
+    return LHSGrouping(_scan_of(source, lhs), lhs)
 
 
 def missing_values(

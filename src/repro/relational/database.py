@@ -25,7 +25,7 @@ from repro.obs.instrument import InstrumentedBackend
 from repro.obs.tracer import Tracer
 from repro.relational.catalog import Catalog
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.table import Table
+from repro.relational.table import Scan, Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import ExtensionBackend
@@ -173,6 +173,15 @@ class Database:
 
     def table(self, name: str) -> Table:
         return self.backend.table(name)
+
+    def scan(self, relation: str, attrs: Sequence[str]) -> Scan:
+        """One uncounted pass over *relation*, carrying at least *attrs*.
+
+        Not one of the paper's counting primitives: RHS evidence, the
+        NEI fill and Restruct's projections read the extension through
+        it, and no :class:`Table` mirror is built on the way.
+        """
+        return self.backend.scan(relation, tuple(attrs))
 
     def insert(self, relation: str, values: Union[Sequence[Any], Mapping[str, Any]]) -> None:
         self.backend.insert(relation, values)

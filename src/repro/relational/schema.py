@@ -29,6 +29,18 @@ from repro.relational.domain import DataType, TEXT
 from repro.util.naming import is_valid_identifier
 
 
+def tuple_getter(
+    positions: Sequence[int],
+) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+    """A function mapping a value tuple to the tuple at *positions*."""
+    if len(positions) < 2:
+        # a one-index itemgetter returns the bare value; a slice keeps
+        # the tuple
+        start = positions[0] if positions else 0
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
 class RelationSchema:
     """The intension of one relation: name, attributes, declared constraints."""
 
@@ -142,13 +154,7 @@ class RelationSchema:
         ``projector(attrs)`` before its loop and applies the result to each
         ``row.values``; unknown names raise now rather than per row.
         """
-        positions = tuple(self.position(a) for a in attrs)
-        if len(positions) < 2:
-            # a one-index itemgetter returns the bare value; a slice keeps
-            # the tuple
-            start = positions[0] if positions else 0
-            return itemgetter(slice(start, start + len(positions)))
-        return itemgetter(*positions)
+        return tuple_getter([self.position(a) for a in attrs])
 
     def keys(self) -> List[KeyConstraint]:
         """The key constraints derivable from the unique declarations."""

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.exceptions import ArityError, UnknownAttributeError
 from repro.relational.domain import NULL, is_null
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import RelationSchema, tuple_getter
 
 
 def order_values(
@@ -88,7 +89,7 @@ class Row:
         return f"({inner})"
 
 
-def _bind_rows(
+def bind_rows(
     schema: RelationSchema, values: Iterable[Tuple[Any, ...]]
 ) -> List[Row]:
     """Rows over already-validated value tuples, bound to *schema*.
@@ -108,6 +109,80 @@ def _bind_rows(
         row._values = vals
         append(row)
     return rows
+
+
+#: a row's value tuple
+_VALUES = attrgetter("_values")
+
+
+class Scan:
+    """One pass over a relation's extension, in the backend's row order.
+
+    ``tuples`` yields one value tuple per stored row, laid out as
+    ``layout`` says: position ``i`` holds attribute ``layout[i]``.  A
+    backend may hand out more attributes than were asked for — the
+    memory backend hands out its stored tuples, zero-copy — so consumers
+    read the tuples through :meth:`column` and :meth:`projector`, never
+    by raw position.  The tuples can be iterated once unless a consumer
+    lists them.  :meth:`rows` turns some tuples of a whole-row scan back
+    into :class:`Row` objects (the witnesses shown to the expert)
+    without touching the store again.
+    """
+
+    __slots__ = ("schema", "layout", "tuples", "_index")
+
+    def __init__(
+        self,
+        schema: RelationSchema,
+        layout: Sequence[str],
+        tuples: Iterable[Tuple[Any, ...]],
+    ) -> None:
+        self.schema = schema
+        self.layout: Tuple[str, ...] = tuple(layout)
+        self.tuples = tuples
+        self._index = {a: i for i, a in enumerate(self.layout)}
+
+    @property
+    def relation(self) -> str:
+        return self.schema.name
+
+    def position(self, attr: str) -> int:
+        """Where *attr* sits in each tuple."""
+        try:
+            return self._index[attr]
+        except KeyError:
+            raise UnknownAttributeError(self.schema.name, attr) from None
+
+    def column(self, attrs: Sequence[str]) -> Callable[[Tuple[Any, ...]], Any]:
+        """A tuple getter: the bare value for one attribute, else a tuple.
+
+        Bare values compare as tuple components do — NULL equals only
+        NULL — now that no stored value is NaN (REAL coerces it to NULL).
+        """
+        if len(attrs) == 1:
+            return itemgetter(self.position(attrs[0]))
+        return self.projector(attrs)
+
+    def projector(self, attrs: Iterable[str]) -> Callable[[Tuple[Any, ...]], Tuple[Any, ...]]:
+        """A tuple getter returning the projection on *attrs*, as a tuple."""
+        return tuple_getter([self.position(a) for a in attrs])
+
+    def rows(self, picked: Sequence[Tuple[Any, ...]]) -> List[Row]:
+        """The *picked* tuples of a whole-row scan as rows of its relation.
+
+        The tuples were decoded on the way out of the store, so they are
+        bound as they are; a scan that carries only some attributes
+        cannot rebuild a row and raises ValueError.
+        """
+        if self.layout != self.schema.attribute_names:
+            raise ValueError(
+                f"rows need a whole-row scan of {self.schema.name}, "
+                f"not one of {list(self.layout)}"
+            )
+        return bind_rows(self.schema, picked)
+
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+        return iter(self.tuples)
 
 
 class Table:
@@ -136,10 +211,6 @@ class Table:
         #: inserts → version 3 either way), so caches must key on the
         #: (generation, version) pair, never on the version alone
         self.generation = next(Table._generations)
-        #: :func:`repro.relational.algebra.lhs_grouping`'s one memo entry,
-        #: ``((version, row count, lhs), grouping)``; the table only holds
-        #: it, and a re-homed or recreated table starts without one
-        self.grouping_memo = None
         for r in rows:
             self.insert(r)
 
@@ -226,9 +297,20 @@ class Table:
             if coercers:
                 values = [_coerced(v, coercers) for v in values]
         table = Table(schema)
-        table._rows = _bind_rows(schema, values)
+        table._rows = bind_rows(schema, values)
         table.version = self.version + len(table._rows)
         return table
+
+    def scan(self, attrs: Sequence[str] = ()) -> "Scan":
+        """The stored value tuples, zero-copy, as a :class:`Scan`.
+
+        Every tuple is a whole row, whatever *attrs* asks for; *attrs*
+        only checks that the names exist.
+        """
+        schema = self._schema
+        for a in attrs:
+            schema.position(a)  # raises UnknownAttributeError
+        return Scan(schema, schema.attribute_names, map(_VALUES, self._rows))
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)

@@ -21,7 +21,9 @@ the pipeline knob ``translate`` plus the AutoExpert thresholds
 rejected at submission.  The thresholds stay in the config, so they are
 part of the results-cache key: two specs that differ only in a
 threshold never share a cached answer.  The demo runs under the
-paper's scripted expert, so its output matches ``repro demo`` exactly.
+paper's scripted expert, so its output matches ``repro demo`` exactly;
+a demo spec that names a threshold is refused, since the threshold
+would change nothing but the cache key.
 
 Imports from :mod:`repro.cli` happen at call time: the CLI imports this
 package for its verbs, so module-scope imports would cycle.
@@ -49,8 +51,11 @@ _SPEC_KEYS = {
     "config",
 }
 
+#: the AutoExpert thresholds a database spec's ``config`` may carry
+_EXPERT_KEYS = {"force_threshold", "conceptualize_hidden"}
+
 #: ``config`` keys a JSON spec may carry
-_CONFIG_KEYS = {"translate", "force_threshold", "conceptualize_hidden"}
+_CONFIG_KEYS = {"translate"} | _EXPERT_KEYS
 
 
 def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
@@ -65,6 +70,12 @@ def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
     config = _checked_config(spec.get("config"))
 
     if spec.get("demo"):
+        thresholds = sorted(set(config) & _EXPERT_KEYS)
+        if thresholds:
+            raise ValueError(
+                "a demo spec runs the paper's scripted expert and takes no "
+                f"expert threshold: {', '.join(thresholds)}"
+            )
         from repro.core.expert import ScriptedExpert
         from repro.workloads.paper_example import (
             build_paper_database,

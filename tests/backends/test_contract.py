@@ -21,7 +21,7 @@ from repro.exceptions import (
     UnknownRelationError,
 )
 from repro.relational import Database, DatabaseSchema, RelationSchema
-from repro.relational.domain import INTEGER, NULL, REAL
+from repro.relational.domain import BOOLEAN, DATE, INTEGER, NULL, REAL
 from repro.service.jobs import database_fingerprint
 from repro.workloads.paper_example import build_paper_database
 
@@ -271,6 +271,83 @@ class TestRowAccess:
             db.count_distinct("Person", ("not-there",))
         with pytest.raises(UnknownAttributeError):
             db.fd_holds("Person", ("id",), ("not-there",))
+
+
+def _projected(scan, attrs):
+    """A scan's tuples projected on *attrs*, in scan order."""
+    project = scan.projector(attrs)
+    return [project(t) for t in scan]
+
+
+def _mirror_projection(db, relation, attrs):
+    return [row.project(attrs) for row in db.table(relation)]
+
+
+class TestScan:
+    """``scan(r, attrs)`` is the projection of the mirror's rows, in order,
+    without building the mirror."""
+
+    @pytest.mark.parametrize("relation, attrs", [
+        ("Person", ("id",)),
+        ("Department", ("emp",)),                 # two NULLs
+        ("Department", ("emp", "skill")),         # composite, NULL-bearing
+        ("HEmployee", ("date", "no")),            # composite, out of order
+        ("Assignment", ()),
+    ])
+    def test_projection_of_the_rows_in_order(self, db, relation, attrs):
+        hydrated = set(getattr(db.backend, "_mirrors", {}))
+        scan = db.scan(relation, attrs)
+        got = _projected(scan, attrs)
+        assert set(getattr(db.backend, "_mirrors", {})) == hydrated
+        assert got == _mirror_projection(db, relation, attrs)
+
+    def test_typed_values_and_nulls(self, backend_factory):
+        schema = DatabaseSchema([RelationSchema.build(
+            "t", ["k", "r", "b", "d", "s"],
+            types={"k": INTEGER, "r": REAL, "b": BOOLEAN, "d": DATE},
+        )])
+        db = Database(schema, backend=backend_factory())
+        db.insert_many("t", [
+            [1, 2, True, "2020-01-02", "x"], [2, NULL, False, NULL, NULL],
+            [NULL, 2.5, NULL, "1999-12-31", "y"], [3, -0.0, True, NULL, "z"],
+        ])
+        for attrs in (("k", "r", "b", "d", "s"), ("b",), ("r", "k"), ("d", "b")):
+            got = _projected(db.scan("t", attrs), attrs)
+            want = _mirror_projection(db, "t", attrs)
+            assert got == want
+            assert [tuple(map(type, t)) for t in got] == [
+                tuple(map(type, t)) for t in want
+            ]
+
+    def test_writes_through_the_mirror_are_seen(self, db):
+        mirror = db.table("Department")
+        mirror.insert(["D9", NULL, "S9", "L9", "P9"])
+        mirror.delete_where(lambda row: row["dep"] == "D2")
+        attrs = ("dep", "emp")
+        assert _projected(db.scan("Department", attrs), attrs) == [
+            row.project(attrs) for row in mirror
+        ]
+
+    def test_rows_rebuilds_picked_tuples_without_a_mirror(self, db):
+        hydrated = set(getattr(db.backend, "_mirrors", {}))
+        scan = db.scan("Person", db.schema.relation("Person").attribute_names)
+        picked = list(scan)[2:5]
+        rows = scan.rows(picked[::-1])
+        assert set(getattr(db.backend, "_mirrors", {})) == hydrated
+        assert rows == list(db.table("Person"))[2:5][::-1]
+        assert [repr(r) for r in rows] == [repr(r) for r in list(db.table("Person"))[2:5][::-1]]
+        assert scan.rows([]) == []
+
+    def test_unknown_relation_and_attribute(self, db):
+        with pytest.raises(UnknownRelationError):
+            db.scan("Nobody", ("x",))
+        with pytest.raises(UnknownAttributeError):
+            db.scan("Person", ("id", "not-there"))
+
+    def test_a_scan_is_not_counted(self, db):
+        db.counter.reset()
+        list(db.scan("Person", ("id",)))
+        assert db.counter.total() == 0
 
 
 class TestRelationLifecycle:

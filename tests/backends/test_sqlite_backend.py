@@ -431,7 +431,7 @@ class TestSameKindCopy:
         conn = sqlite3.connect(":memory:", isolation_level=None)
         conn.execute("CREATE TABLE t (k INTEGER, b BOOLEAN, r REAL, n NUMERIC)")
         conn.execute(
-            "INSERT INTO t VALUES (1, 2, 1, 3), (2, 'yes', 2.5, 4.0), "
+            "INSERT INTO t VALUES (1, 1, 1, 3), (2, 1, 2.5, 4.0), "
             "(3, 0, NULL, NULL), (4, NULL, 7, 2.5)"
         )
         conn.execute("CREATE TABLE w (k INTEGER PRIMARY KEY, v TEXT) WITHOUT ROWID")
@@ -441,20 +441,30 @@ class TestSameKindCopy:
         slow = db.copy(backend=SQLiteBackend())
         assert _contents(fast) == _contents(slow)
         assert [row[1] for row in fast.backend.rows("t")] == [True, True, False, NULL]
+        # NUMERIC stores whole numbers as integers; the REAL domain widens them
+        assert [row[3] for row in fast.backend.rows("t")] == [3.0, 4.0, NULL, 2.5]
+        assert {type(row[3]) for row in db.backend.rows("t")} == {float, type(NULL)}
         assert fast.count_distinct("t", ("b",)) == slow.count_distinct("t", ("b",)) == 2
         assert list(fast.backend.rows("w")) == [(1, "a"), (2, "b")]
 
-    def test_unnormalized_values_in_a_backend_store_are_rewritten(self):
+    @pytest.mark.parametrize("stored", ["2", "'no'", "1.5"])
+    def test_out_of_domain_booleans_raise(self, stored):
         schema = DatabaseSchema([
             RelationSchema.build("t", ["k", "b"], types={"k": INTEGER, "b": BOOLEAN})
         ])
         db = Database(schema, backend=SQLiteBackend())
         db.insert_many("t", [[1, True], [2, False]])
-        db.backend.connection.execute("INSERT INTO t VALUES (3, 2), (4, 'no')")
-        fast = db.copy()
-        assert _master(fast) == _master(db)
-        assert _contents(fast) == _contents(db.copy(backend=SQLiteBackend()))
-        assert fast.count_distinct("t", ("b",)) == 2
+        db.backend.connection.execute(f"INSERT INTO t VALUES (3, {stored})")
+        errors = []
+        for read in (
+            db.copy, lambda: db.copy(backend=SQLiteBackend()),
+            lambda: list(db.backend.rows("t")), lambda: db.table("t"),
+            lambda: list(db.scan("t", ("b",))),
+        ):
+            with pytest.raises(TypingError) as caught:
+                read()
+            errors.append(str(caught.value))
+        assert len(set(errors)) == 1 and "BOOLEAN" in errors[0]
 
     def test_boolean_and_null_rows_survive_hydration(self):
         schema = DatabaseSchema([
@@ -503,3 +513,133 @@ class TestWriteThrough:
         assert db.replace_relation(narrowed) is None
         assert "Person" not in db.backend._mirrors
         assert db.backend.row_count("Person") == 22
+
+
+def _foreign(*statements):
+    """A foreign store: raw DDL/DML on a fresh connection, then opened."""
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    for statement in statements:
+        conn.execute(statement)
+    return open_sqlite(conn)
+
+
+def _scanned(db, relation, attrs):
+    scan = db.scan(relation, attrs)
+    project = scan.projector(attrs)
+    return [project(t) for t in scan]
+
+
+class TestScan:
+    """The projected cursor behind RHS evidence, the NEI fill and Restruct:
+    it reads the store with the mirror's one decoder and builds no mirror."""
+
+    def test_numeric_foreign_column_reads_as_real(self):
+        db = _foreign(
+            "CREATE TABLE t (k INTEGER, n NUMERIC, d DEC(9, 2), b BOOLEAN)",
+            "INSERT INTO t VALUES (1, 3, 4, 1), (2, 2.5, NULL, 0), (3, NULL, 7, NULL)",
+        )
+        got = _scanned(db, "t", ("n", "d", "b"))
+        assert not db.backend._mirrors
+        assert got == [(3.0, 4.0, True), (2.5, NULL, False), (NULL, 7.0, NULL)]
+        assert [type(t[0]) for t in got] == [float, float, type(NULL)]
+        assert got == [row.project(("n", "d", "b")) for row in db.table("t")]
+        assert [r[1] for r in db.backend.rows("t")] == [3.0, 2.5, NULL]
+
+    @pytest.mark.parametrize("column, stored", [
+        ("k INTEGER", "'x'"), ("k DATE", "'not-a-date'"), ("k BOOLEAN", "2"),
+        ("k BOOLEAN", "'yes'"), ("k", "2.5"),   # untyped: TEXT, holding a real
+    ])
+    def test_every_read_raises_what_validation_raises(self, column, stored):
+        db = _foreign(
+            f"CREATE TABLE t ({column}, v TEXT)",
+            f"INSERT INTO t VALUES ({stored}, 'a')",
+        )
+        messages = set()
+        for read in (
+            lambda: list(db.backend.rows("t")),
+            lambda: list(db.scan("t", ("k",))),
+            lambda: db.table("t"),
+        ):
+            with pytest.raises(TypingError) as caught:
+                read()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        # a scan that leaves the bad column out reads the rest
+        assert _scanned(db, "t", ("v",)) == [("a",)]
+
+    def test_without_rowid_tables_scan_in_rows_order(self):
+        db = _foreign(
+            "CREATE TABLE w (k INTEGER PRIMARY KEY, v TEXT) WITHOUT ROWID",
+            "INSERT INTO w VALUES (2, 'b'), (1, 'a'), (3, NULL)",
+        )
+        assert _scanned(db, "w", ("v",)) == [("a",), ("b",), (NULL,)]
+        scan = db.scan("w", ("k", "v"))
+        tuples = list(scan)
+        assert tuples == list(db.backend.rows("w")) == [(1, "a"), (2, "b"), (3, NULL)]
+        assert scan.rows(tuples[1:]) == list(db.table("w"))[1:]
+
+    def test_rows_need_a_whole_row_scan(self):
+        db = Database(
+            DatabaseSchema([RelationSchema.build(
+                "t", ["k", "v", "b"], types={"k": INTEGER, "b": BOOLEAN}
+            )]),
+            backend=SQLiteBackend(),
+        )
+        db.backend.insert_many("t", [[i, f"v{i}", i % 2 == 0] for i in range(50)])
+        narrow = db.scan("t", ("k",))
+        assert narrow.layout == ("k",)
+        with pytest.raises(ValueError, match="whole-row"):
+            narrow.rows(list(narrow)[:1])
+        whole = db.scan("t", ("k", "v", "b"))
+        tuples = list(whole)
+        picked = [tuples[40], tuples[3], tuples[40]]
+        assert not db.backend._mirrors
+        assert whole.rows(picked) == [db.table("t")[i] for i in (40, 3, 40)]
+        assert [type(r["b"]) for r in whole.rows(picked)] == [bool, bool, bool]
+
+    def test_raw_sql_writes_on_the_connection_are_seen(self):
+        schema = DatabaseSchema([
+            RelationSchema.build("t", ["k", "r"], types={"k": INTEGER, "r": REAL})
+        ])
+        db = Database(schema, backend=SQLiteBackend())
+        db.insert_many("t", [[1, 1.5], [2, NULL]])
+        assert _scanned(db, "t", ("k", "r")) == [(1, 1.5), (2, NULL)]
+        conn = db.backend.connection
+        conn.execute("INSERT INTO t VALUES (3, 4)")           # REAL affinity: 4.0
+        conn.execute("UPDATE t SET r = 2.5 WHERE k = 2")
+        got = _scanned(db, "t", ("k", "r"))
+        assert got == [(1, 1.5), (2, 2.5), (3, 4.0)]
+        assert got == [row.project(("k", "r")) for row in db.table("t")]
+        # the as-is test is redone after a raw write, so a bad value raises
+        conn.execute("INSERT INTO t VALUES ('bad', 1.0)")
+        with pytest.raises(TypingError):
+            _scanned(db, "t", ("k",))
+
+    def test_a_pipeline_run_hydrates_no_stored_relation(self, monkeypatch):
+        from repro.workloads.scenario import ScenarioConfig, build_scenario
+
+        generated = build_scenario(ScenarioConfig(
+            seed=900, n_entities=7, n_one_to_many=6, merges=2, parent_rows=100,
+        ))
+        source = generated.database
+        db = Database(source.schema.copy(), backend=SQLiteBackend())
+        for name in source.schema.relation_names:
+            db.insert_many(name, list(source.backend.rows(name)))
+        hydrated = []
+        table = SQLiteBackend.table
+
+        def spy(backend, name):
+            hydrated.append(name)
+            return table(backend, name)
+
+        monkeypatch.setattr(SQLiteBackend, "table", spy)
+        result = DBREPipeline(db, generated.expert).run(corpus=generated.corpus)
+        assert result.rhs_result.outcomes and result.restruct_result.added
+        assert hydrated == []
+        assert not db.backend._mirrors
+        # only relations the run created hold a (write-through) mirror
+        working = result.restruct_result.database.backend
+        assert set(working._mirrors) <= (
+            {a.name for a in result.restruct_result.added}
+            | {r.name for r in result.ind_result.new_relations}
+        )

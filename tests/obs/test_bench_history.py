@@ -9,6 +9,7 @@ harness's ``run_all`` (no real heads run), and asserts the gate exits
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -173,17 +174,28 @@ class TestForcedRegression:
     def test_no_history_flag_suppresses_the_append(
         self, tmp_path, monkeypatch, capsys
     ):
+        """Without ``--history`` nothing is appended and no advisory runs,
+        so a local check leaves the tracked history file untouched."""
         baseline_path = str(tmp_path / "baseline.json")
-        history_path = str(tmp_path / "history.jsonl")
         regression.write_baseline(baseline_path, run_doc(**{"s3-head": head()}))
         monkeypatch.setattr(
             regression, "run_all", lambda quick: run_doc(**{"s3-head": head()})
         )
-        code = regression.main(
-            ["--quick", "--baseline", baseline_path,
-             "--history", history_path, "--no-history"]
-        )
-        assert code == 0
-        import os
 
-        assert not os.path.exists(history_path)
+        def refuse(*args, **kwargs):
+            raise AssertionError("history appended without --history")
+
+        monkeypatch.setattr(regression, "append_history", refuse)
+        monkeypatch.chdir(tmp_path)
+        code = regression.main(["--quick", "--baseline", baseline_path])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "history appended" not in captured.err
+        assert "drift advisory" not in captured.out
+        assert sorted(os.listdir(tmp_path)) == ["baseline.json"]
+
+    def test_the_no_history_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            regression.main(["--quick", "--no-history"])
+        assert info.value.code == 2
+        assert "--no-history" in capsys.readouterr().err

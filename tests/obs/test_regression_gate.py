@@ -91,7 +91,7 @@ class TestUnguardedHeads:
         current["heads"]["s11"]["wall_ms"] = 1.0
         current["heads"]["s11"]["cache_hits"] = 0
         monkeypatch.setattr(regression, "run_all", lambda quick: current)
-        code = regression.main(["--baseline", path, "--no-history"])
+        code = regression.main(["--baseline", path])
         assert code == regression.EXIT_UNGUARDED_HEADS
         out = capsys.readouterr().out
         assert "s11" in out
@@ -111,7 +111,7 @@ class TestUnguardedHeads:
             current["heads"][name]["wall_ms"] = 1.0
             current["heads"][name]["cache_hits"] = 0
         monkeypatch.setattr(regression, "run_all", lambda quick: current)
-        assert regression.main(["--baseline", path, "--no-history"]) == 1
+        assert regression.main(["--baseline", path]) == 1
 
 
 class TestShape:

@@ -4,9 +4,9 @@ metrics@1, the hotspot profile, ``/metrics``, the archive manifest and
 its ``metrics.json``, ``repro history`` and the regression gate's
 figures all render :class:`~repro.obs.live.RunStats`; these tests pin
 that they agree, that repeated phases sum everywhere, that setup spans
-(the submit's ``fingerprint`` among them) and RHS-Discovery's
-``evidence`` step spans reach every view, and that manifests written
-before the fold kept spans still restore.
+(the submit's ``fingerprint`` among them) and the ``extract``,
+``evidence`` and ``certify`` step spans reach every view, and that
+manifests written before the fold kept spans still restore.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class TestEvidenceStep:
         tracer, _ = run
         count = sum(1 for s in tracer.spans if s.name == "evidence")
         fold = tracer.live_bus.stats()
-        assert fold.step_runs == {"evidence": count}
+        assert fold.step_runs["evidence"] == count
         steps = metrics_summary(tracer)["steps"]
         assert steps["evidence"]["count"] == count
         assert steps["evidence"]["duration_ms"] == pytest.approx(
@@ -169,6 +169,56 @@ class TestEvidenceStep:
         )
         assert profile_summary(tracer)["spans"]["evidence"]["count"] == count
         assert "evidence" not in metrics_summary(tracer)["phases"]
+
+
+class TestExtractAndCertifySteps:
+    """Q extraction and each decomposition's certificate: one step span
+    each, with no per-view code, and no extension query inside."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        scenario = build_scenario(WIDE)
+        tracer = Tracer()
+        tracer.live()
+        result = DBREPipeline(scenario.database, scenario.expert, tracer=tracer).run(
+            corpus=scenario.corpus
+        )
+        return tracer, result
+
+    def test_one_extract_span_under_the_root(self, run):
+        tracer, result = run
+        (span,) = [s for s in tracer.spans if s.name == "extract"]
+        root = next(s for s in tracer.spans if s.name == "pipeline")
+        assert (span.kind, span.parent_id) == ("step", root.span_id)
+        assert result.extraction is not None
+        # a precomputed Q skips extraction, and so the span
+        scenario = build_scenario(WIDE)
+        rerun = DBREPipeline(scenario.database, scenario.expert).run(equijoins=result.equijoins)
+        assert "extract" not in {s.name for s in rerun.trace.spans}
+
+    def test_one_certify_span_per_certificate_inside_restruct(self, run):
+        tracer, result = run
+        spans = [s for s in tracer.spans if s.name == "certify"]
+        certificates = result.restruct_result.certificates
+        assert len(spans) == len(certificates) > 0
+        restruct = next(s for s in tracer.spans if s.name == "Restruct")
+        assert {(s.kind, s.parent_id) for s in spans} == {("step", restruct.span_id)}
+        assert [s.attributes["relation"] for s in spans] == [
+            c.source for c in certificates
+        ]
+
+    @pytest.mark.parametrize("name", ["extract", "certify"])
+    def test_every_view_shows_time_and_count(self, run, name):
+        tracer, _ = run
+        spans = [s for s in tracer.spans if s.name == name]
+        assert not [e for e in tracer.events if e.span_id in {s.span_id for s in spans}]
+        fold = tracer.live_bus.stats()
+        assert fold.step_runs[name] == len(spans)
+        steps = metrics_summary(tracer)["steps"]
+        assert steps[name]["count"] == len(spans)
+        assert steps[name]["duration_ms"] == pytest.approx(fold.step_ms[name], abs=1e-6)
+        assert profile_summary(tracer)["spans"][name]["count"] == len(spans)
+        assert name not in metrics_summary(tracer)["phases"]
 
 
 class TestFingerprintSpan:
@@ -374,19 +424,21 @@ class TestCrossViewAgreement:
 
     def test_step_runs_and_ms(self, views):
         steps = views["metrics"]["steps"]
-        assert set(steps) == {"evidence"} and steps["evidence"]["count"] > 0
+        assert set(steps) == {"extract", "evidence", "certify"}
+        assert all(r["count"] > 0 for r in steps.values())
         runs = {s: r["count"] for s, r in steps.items()}
         ms = {s: r["duration_ms"] for s, r in steps.items()}
         assert {s: r["count"] for s, r in views["archived"]["steps"].items()} == runs
         assert dict(views["manifest"].step_runs) == runs
-        assert views["profile"]["spans"]["evidence"]["count"] == runs["evidence"]
+        for name, count in runs.items():
+            assert views["profile"]["spans"][name]["count"] == count
         assert samples(views["exposition"], "repro_step_runs_total") == {
             f'{{step="{s}"}}': n for s, n in runs.items()
         }
         for figures in (
             {s: r["duration_ms"] for s, r in views["archived"]["steps"].items()},
             dict(views["manifest"].step_ms),
-            {"evidence": views["profile"]["spans"]["evidence"]["inclusive_ms"]},
+            {s: views["profile"]["spans"][s]["inclusive_ms"] for s in ms},
             {
                 labels[len('{step="'):-2]: value
                 for labels, value in samples(

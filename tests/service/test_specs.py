@@ -59,10 +59,25 @@ class TestRejected:
         with pytest.raises(ValueError, match="JSON object"):
             submit_spec(manager, {"demo": True, "config": ["batched"]})
 
+    # the demo runs the scripted expert: a threshold would only split the
+    # cache key, so it is refused rather than ignored
+    @pytest.mark.parametrize("config", [
+        {"translate": True, "force_threshold": 0.5},
+        {"conceptualize_hidden": True},
+        {"force_threshold": 0.9, "conceptualize_hidden": False},
+    ], ids=["force_threshold", "conceptualize_hidden", "both"])
+    def test_expert_thresholds_on_a_demo_spec(self, manager, config):
+        with pytest.raises(ValueError) as info:
+            submit_spec(manager, {"demo": True, "config": config})
+        message = str(info.value)
+        assert "\n" not in message and "scripted expert" in message
+        for key in set(config) - {"translate"}:
+            assert key in message
+        assert manager.jobs() == []
+
 
 class TestAccepted:
-    @pytest.mark.parametrize("config", [None, {}, {"translate": False},
-                                        {"translate": True, "force_threshold": 0.5}])
+    @pytest.mark.parametrize("config", [None, {}, {"translate": False}])
     def test_demo_specs(self, manager, config):
         spec = {"demo": True} if config is None else {"demo": True, "config": config}
         job = submit_spec(manager, spec)
