@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional
 
 from datetime import datetime, timezone
 
-from repro.backends import MemoryBackend, PagedBackend, SQLiteBackend
+from repro.backends import MemoryBackend, SQLiteBackend
 from repro.core import DBREPipeline
 from repro.obs import Tracer, trace_records
 from repro.obs.export import metrics_from_stats, replay_trace
@@ -154,24 +154,6 @@ def _head_configs(quick: bool) -> List[Dict[str, Any]]:
             ),
             "backend": MemoryBackend,
             "profile": True,
-        },
-        # the s3 head on the out-of-core paged backend with a pool far
-        # smaller than the extension: queries are gated (paging must
-        # not change the logical stream) and its latency entry tracks
-        # the eviction/re-read overhead; "storage" extras record the
-        # buffer-pool counters so a thrash regression names itself
-        {
-            "name": "s10-paged-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": PagedBackend,
-            "backend_options": {"pool_pages": 8, "page_size": 512},
         },
         # the s3 head with a live subscriber attached for the whole run:
         # queries are gated (telemetry must never ask the extension
@@ -274,9 +256,7 @@ def gate_figures(stats: RunStats) -> Dict[str, Any]:
 def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     """One traced pipeline run; returns the head's measured figures."""
     scenario = build_scenario(head["config"])
-    database = scenario.database.copy(
-        backend=head["backend"](**head.get("backend_options", {}))
-    )
+    database = scenario.database.copy(backend=head["backend"]())
     tracer = Tracer()
     subscription = tracer.subscribe() if head.get("live") else None
     pipeline = DBREPipeline(
@@ -290,8 +270,6 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     wall_ms = (time.perf_counter() - start) * 1000.0
     records = trace_records(tracer)
     stats = RunStats.fold(replay_trace(records))
-    telemetry = getattr(database.backend, "telemetry", None)
-    storage = telemetry() if callable(telemetry) else None
     database.close()
 
     measured = {
@@ -313,15 +291,6 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
             "hottest_span": hottest[0],
             "hottest_self_ms": hottest[1]["self_ms"],
         }
-    if storage is not None:
-        # buffer-pool counters; informational — the gated query counts
-        # and latency above already bound the damage, but a hit-rate
-        # collapse recorded here names the cause (pool thrash)
-        hits = storage.get("pool_hits", 0)
-        fetches = hits + storage.get("pool_misses", 0)
-        measured["storage"] = dict(
-            storage, pool_hit_rate=round(hits / fetches, 4) if fetches else 0.0
-        )
     if subscription is not None:
         # stream census; informational — the gated query counts above
         # prove the bus asked the extension nothing, and the head's

@@ -9,10 +9,9 @@ files:
    and the metrics JSON equals the metrics re-derived from those
    records (``repro/trace@1`` / ``repro/metrics@1``);
 1b. ``repro profile`` renders the hotspot view of that trace and its
-    flamegraph exports are well-formed: every collapsed-stack line is
-    ``stack <integer>``, and the speedscope JSON (``repro/profile@1``)
-    has balanced, properly nested open/close events over valid frames;
-    ``repro trace diff`` of the trace against itself exits cleanly;
+    flamegraph export is well-formed: every collapsed-stack line is
+    ``stack <integer>``; ``repro trace diff`` of the trace against
+    itself exits cleanly;
 2. the provenance JSONL re-reads to exactly the ledger's records, its
    header counts match, and every edge endpoint resolves to a node
    (``repro/provenance@1``);
@@ -23,21 +22,17 @@ files:
    source query — for every referential integrity constraint;
 4. the DOT export and the HTML audit report are written and
    well-formed;
-5. a second demo run on the paged backend (pool smaller than the
-   extension) re-derives its metrics the same way and exports nonzero
-   buffer-pool counters (hits, misses, evictions, pages read) under
-   ``backends.paged.counters``;
-6. ``repro jobs run`` executes a spec file through the job manager —
+5. ``repro jobs run`` executes a spec file through the job manager —
    one demo, a duplicate that must be served from the results cache,
    and a demo run with a different config — and the ``repro/jobs@1`` ledger
    export re-reads with matching header counts, every job ``done`` and
    exactly the duplicate flagged ``cached``;
-7. a live service round-trip: a demo job submitted over HTTP is watched
+6. a live service round-trip: a demo job submitted over HTTP is watched
    through the real SSE endpoint, the captured stream carries every
    phase boundary and ends with the ``end`` sentinel, it re-reads from
    a ``repro/live@1`` JSONL capture byte-for-byte, and the ``/metrics``
    exposition both lints clean and reflects the finished job;
-8. a durable-archive round-trip: a demo job runs under a manager
+7. a durable-archive round-trip: a demo job runs under a manager
    writing through to a ``repro/archive@1`` directory, a fresh manager
    restores from it, the restored ``repro/jobs@1`` ledger is
    byte-identical to the archived one, and a repeat of the same spec
@@ -86,7 +81,6 @@ def main(argv=None) -> int:
     trace_path = os.path.join(args.outdir, "demo.trace.jsonl")
     metrics_path = os.path.join(args.outdir, "demo.metrics.json")
     collapsed_path = os.path.join(args.outdir, "demo.collapsed")
-    speedscope_path = os.path.join(args.outdir, "demo.speedscope.json")
     prov_path = os.path.join(args.outdir, "demo.provenance.jsonl")
     dot_path = os.path.join(args.outdir, "demo.lineage.dot")
     report_path = os.path.join(args.outdir, "demo.report.html")
@@ -121,14 +115,8 @@ def main(argv=None) -> int:
         fail("metrics JSON does not re-derive from the trace records")
     summarize_trace(trace)  # must render without raising
 
-    # 1b. profile + flamegraph exports ---------------------------------
-    code = repro(
-        [
-            "profile", trace_path,
-            "--flame", collapsed_path,
-            "--speedscope", speedscope_path,
-        ]
-    )
+    # 1b. profile + flamegraph export ----------------------------------
+    code = repro(["profile", trace_path, "--flame", collapsed_path])
     if code != 0:
         fail(f"profile command exited {code}")
     with open(collapsed_path, encoding="utf-8") as handle:
@@ -141,21 +129,6 @@ def main(argv=None) -> int:
             fail(f"malformed collapsed-stack line: {line!r}")
     if not any(";" in line for line in stacks):
         fail("collapsed stacks have no nested frames")
-    with open(speedscope_path, encoding="utf-8") as handle:
-        speedscope = json.load(handle)
-    if speedscope.get("exporter") != "repro/profile@1":
-        fail("speedscope export is not tagged repro/profile@1")
-    frames = speedscope["shared"]["frames"]
-    open_frames = []
-    for entry in speedscope["profiles"][0]["events"]:
-        if not 0 <= entry["frame"] < len(frames):
-            fail("speedscope event references a missing frame")
-        if entry["type"] == "O":
-            open_frames.append(entry["frame"])
-        elif not open_frames or open_frames.pop() != entry["frame"]:
-            fail("speedscope events are not properly nested")
-    if open_frames:
-        fail("speedscope open/close events are unbalanced")
     code = repro(["trace", "diff", trace_path, trace_path])
     if code != 0:
         fail(f"self trace diff exited {code}")
@@ -237,37 +210,7 @@ def main(argv=None) -> int:
         if needle not in document:
             fail(f"audit report is missing {needle!r}")
 
-    # 5. paged backend: pool counters flow into the exports ------------
-    paged_trace_path = os.path.join(args.outdir, "demo-paged.trace.jsonl")
-    paged_metrics_path = os.path.join(args.outdir, "demo-paged.metrics.json")
-    code = repro(
-        [
-            "demo",
-            "--backend", "paged",
-            "--pool-pages", "8",
-            "--page-size", "256",
-            "--trace", paged_trace_path,
-            "--metrics", paged_metrics_path,
-        ]
-    )
-    if code != 0:
-        fail(f"paged demo run exited {code}")
-    paged_trace = read_trace_jsonl(paged_trace_path)
-    with open(paged_metrics_path, encoding="utf-8") as handle:
-        paged_metrics = json.load(handle)
-    if paged_metrics != metrics_from_records(paged_trace):
-        fail("paged metrics JSON does not re-derive from the trace records")
-    counters = (
-        paged_metrics.get("backends", {}).get("paged", {}).get("counters", {})
-    )
-    for key in ("pool_hits", "pool_misses", "pool_evictions", "pages_read"):
-        if not counters.get(key):
-            fail(
-                f"paged run exported no {key}: buffer-pool telemetry "
-                f"is not reaching repro/metrics@1 (counters: {counters})"
-            )
-
-    # 6. job service: repro/jobs@1 ledger round-trip -------------------
+    # 5. job service: repro/jobs@1 ledger round-trip -------------------
     from repro.service.export import JOBS_FORMAT, read_jobs_jsonl
 
     specs_path = os.path.join(args.outdir, "demo.jobs-spec.json")
@@ -308,7 +251,7 @@ def main(argv=None) -> int:
             f"got {cached} (header says {jobs_header['cached']})"
         )
 
-    # 7. live service: SSE capture + repro/live@1 + /metrics lint ------
+    # 6. live service: SSE capture + repro/live@1 + /metrics lint ------
     import threading
     import urllib.request
 
@@ -369,7 +312,7 @@ def main(argv=None) -> int:
             server.server_close()
             thread.join(timeout=10)
 
-    # 8. durable archive: write -> restore -> byte-compare -------------
+    # 7. durable archive: write -> restore -> byte-compare -------------
     import time as time_mod
 
     from repro.obs.archive import RunArchive
@@ -434,7 +377,6 @@ def main(argv=None) -> int:
         f"{len(nodes)} lineage nodes, {len(edges)} edges, "
         f"{len(rics)} constraint chain(s) verified, "
         f"{len(certificates)} decomposition certificate(s) verified, "
-        f"paged pool counters {counters}, "
         f"{jobs_header['jobs']} jobs ({jobs_header['cached']} cached), "
         f"{len(stream)} live SSE records captured, /metrics lint clean, "
         f"archive restore byte-identical (cache re-seeded, metrics agree); "

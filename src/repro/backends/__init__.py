@@ -2,7 +2,7 @@
 
 The reverse-engineering method only ever talks to the extension through
 four counting/checking primitives plus row scans and inserts
-(:class:`~repro.backends.base.ExtensionBackend`).  Three
+(:class:`~repro.backends.base.ExtensionBackend`).  Two
 implementations ship with the reproduction:
 
 - :class:`~repro.backends.memory.MemoryBackend` — the original
@@ -10,11 +10,8 @@ implementations ship with the reproduction:
   primitives, distinct-value caching);
 - :class:`~repro.backends.sqlite.SQLiteBackend` — pushes every
   primitive down to SQLite as SQL, with per-relation statement caching
-  and version-guarded result invalidation;
-- :class:`~repro.backends.paged.PagedBackend` — the out-of-core
-  engine: native page files behind a bounded LRU buffer pool
-  (:mod:`repro.storage.paged`), streaming every primitive so
-  extensions larger than the pool are analyzed with bounded memory.
+  and version-guarded result invalidation; on a ``.db`` file it is
+  also the out-of-core store.
 
 Backends register themselves in :mod:`repro.backends.registry`
 (name → factory); the CLI's ``--backend`` choices, the contract suite,
@@ -25,13 +22,12 @@ and the differential harness discover them there
 file, reading the paper's ``K``/``N`` input sets straight from SQLite's
 data dictionary (``PRAGMA table_info`` / ``index_list``).
 
-See ``docs/BACKENDS.md`` for the protocol, the pushdown SQL, the page
-file format, and the dictionary mapping.
+See ``docs/BACKENDS.md`` for the protocol, the pushdown SQL and the
+dictionary mapping.
 """
 
 from repro.backends.base import ExtensionBackend
 from repro.backends.memory import MemoryBackend
-from repro.backends.paged import PagedBackend
 from repro.backends.registry import (
     backend_factory,
     backend_names,
@@ -47,12 +43,10 @@ from repro.backends.introspect import (
 
 register_backend("memory", MemoryBackend)
 register_backend("sqlite", SQLiteBackend)
-register_backend("paged", PagedBackend)
 
 __all__ = [
     "ExtensionBackend",
     "MemoryBackend",
-    "PagedBackend",
     "SQLiteBackend",
     "backend_factory",
     "backend_names",

@@ -53,8 +53,8 @@ which hashes every row cold on each call without it:
 
 - ``write_token(relation)`` returns a hashable token that changes on
   every write to *relation*, through any path the backend can see —
-  the memory table's ``(generation, version)``, the paged write
-  counter, and on SQLite the write counter plus the connection's
+  the memory table's ``(generation, version)``, and on SQLite the
+  write counter plus the connection's
   ``total_changes``, ``schema_version`` and ``data_version`` (raw SQL
   on this connection, commits by others).  A backend that has it also
   holds a ``fingerprint_memo`` dict, ``relation -> (write token,

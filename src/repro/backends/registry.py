@@ -7,7 +7,7 @@ ExtensionBackend` becomes reachable everywhere with one
 :func:`register_backend` call.
 
 A factory is any zero-or-keyword-argument callable returning a fresh
-backend; construction options (``pool_pages=8``) pass through
+backend; construction options (``path="legacy.db"`` for SQLite) pass through
 :func:`create_backend` as keyword arguments.
 """
 

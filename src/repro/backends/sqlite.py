@@ -17,9 +17,10 @@ statement executed by the engine:
   rhs-projection``.
 
 Compiled statements are cached per relation and invalidated on any
-schema mutation; query *results* are additionally memoized under a
-per-relation version counter that every write bumps, mirroring the
-in-memory backend's distinct-value cache.  The method's row-reading
+schema mutation; query *results* are additionally memoized under each
+relation's :meth:`~SQLiteBackend.write_token`, which every write moves,
+raw SQL on the connection included, mirroring the in-memory backend's
+distinct-value cache.  The method's row-reading
 steps (RHS evidence, the NEI fill, Restruct's projections) stream
 projected tuples through :meth:`SQLiteBackend.scan`, one cursor each.
 Row-level consumers that walk or mutate whole tuples (the SQL executor,
@@ -39,6 +40,7 @@ reads them back).
 from __future__ import annotations
 
 import sqlite3
+from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import UnknownRelationError
@@ -201,16 +203,19 @@ class SQLiteBackend:
         #: never resets — a dropped-and-recreated relation continues the
         #: count, so memoized results can never alias across lifetimes
         self._versions: Dict[str, int] = {}
+        #: the connection's row changes made by writes through this
+        #: backend; ``total_changes`` beyond them were made by raw SQL
+        self._own_changes = 0
         #: compiled SQL text per (primitive, relations, attrs)
         self._statements: Dict[tuple, str] = {}
-        #: memoized primitive results, guarded by the version counters
-        #: of every relation the statement reads
+        #: memoized primitive results, guarded by the write tokens of
+        #: every relation the statement reads
         self._results: Dict[tuple, tuple] = {}
         #: lazily hydrated write-through mirrors for row-level access
         self._mirrors: Dict[str, _SQLiteTable] = {}
-        #: version-guarded COUNT(*) memo, so the observability probe
+        #: write-token-guarded COUNT(*) memo, so the observability probe
         #: does not issue one extra engine query per primitive call
-        self._rowcounts: Dict[str, Tuple[int, int]] = {}
+        self._rowcounts: Dict[str, Tuple[tuple, int]] = {}
         #: ``relation -> (write token, passes _STORED_AS_IS?)``
         self._as_is_memo: Dict[str, Tuple[tuple, bool]] = {}
         #: :func:`repro.service.jobs.database_fingerprint`'s memo,
@@ -286,18 +291,16 @@ class SQLiteBackend:
     def create_relation(self, relation: RelationSchema) -> Table:
         """CREATE TABLE and return the (empty) write-through mirror."""
         self._invalidate(relation.name)
-        self._conn.execute(self._create_table_sql(relation))
-        self._bump(relation.name)
-        self._commit()
+        with self._writing(relation.name):
+            self._conn.execute(self._create_table_sql(relation))
         return self._mirror(relation, [])
 
     def drop_relation(self, name: str) -> None:
         """DROP TABLE and purge every cache entry about the relation."""
         self._require(name)
         self._invalidate(name)
-        self._conn.execute(f"DROP TABLE {quote_identifier(name)}")
-        self._bump(name)
-        self._commit()
+        with self._writing(name):
+            self._conn.execute(f"DROP TABLE {quote_identifier(name)}")
 
     def replace_relation(self, relation: RelationSchema) -> None:
         """Project the stored extension onto a modified schema, in SQL.
@@ -310,15 +313,14 @@ class SQLiteBackend:
         name = quote_identifier(relation.name)
         tmp = quote_identifier("__repro_restruct__")
         cols = ", ".join(quote_identifier(a) for a in relation.attribute_names)
-        self._conn.execute(f"DROP TABLE IF EXISTS {tmp}")
-        self._conn.execute(
-            self._create_table_sql(relation, table_name="__repro_restruct__")
-        )
-        self._conn.execute(f"INSERT INTO {tmp} SELECT {cols} FROM {name}")
-        self._conn.execute(f"DROP TABLE {name}")
-        self._conn.execute(f"ALTER TABLE {tmp} RENAME TO {name}")
-        self._bump(relation.name)
-        self._commit()
+        with self._writing(relation.name):
+            self._conn.execute(f"DROP TABLE IF EXISTS {tmp}")
+            self._conn.execute(
+                self._create_table_sql(relation, table_name="__repro_restruct__")
+            )
+            self._conn.execute(f"INSERT INTO {tmp} SELECT {cols} FROM {name}")
+            self._conn.execute(f"DROP TABLE {name}")
+            self._conn.execute(f"ALTER TABLE {tmp} RENAME TO {name}")
 
     # ------------------------------------------------------------------
     # row access
@@ -370,10 +372,11 @@ class SQLiteBackend:
         """A token every write to the store changes.
 
         The relation's write counter covers writes through this
-        backend.  The connection's ``total_changes`` and ``PRAGMA
-        schema_version`` cover raw DML and DDL on this connection, and
-        ``PRAGMA data_version`` covers commits by any other connection
-        to the same file.
+        backend.  The connection's ``total_changes`` beyond the
+        backend's own and ``PRAGMA schema_version`` cover raw DML and
+        DDL on this connection, and ``PRAGMA data_version`` covers
+        commits by any other connection to the same file.  A write
+        through the backend moves only its relation's token.
         """
         self._require(relation)
         conn = self._conn
@@ -381,7 +384,7 @@ class SQLiteBackend:
         (data_version,) = conn.execute("PRAGMA data_version").fetchone()
         return (
             self._versions.get(relation, 0),
-            conn.total_changes,
+            conn.total_changes - self._own_changes,
             schema_version,
             data_version,
         )
@@ -396,10 +399,7 @@ class SQLiteBackend:
         yield from self._stream(rel, rel.attribute_names)
 
     def row_count(self, relation: str) -> int:
-        """``SELECT COUNT(*)`` (served from the mirror when hydrated)."""
-        mirror = self._mirrors.get(relation)
-        if mirror is not None:
-            return len(mirror)
+        """``SELECT COUNT(*)``, read from the store."""
         self._require(relation)
         sql = f"SELECT COUNT(*) FROM {quote_identifier(relation)}"
         return int(self._conn.execute(sql).fetchone()[0])
@@ -454,12 +454,12 @@ class SQLiteBackend:
         """``(cache hit?, rows touched)`` for an imminent primitive call.
 
         Reconstructs the primitive's memo key and checks the result
-        cache under the current version token — the same test
+        cache under the current write tokens — the same test
         :meth:`_memoized` is about to make.  A miss reaches the engine
         and scans every involved relation once.
         """
         key = self._probe_key(primitive, relations, attributes)
-        token = tuple(self._versions.get(r, 0) for r in relations)
+        token = tuple(self.write_token(r) for r in relations)
         hit = self._results.get(key)
         if hit is not None and hit[0] == token:
             return True, 0
@@ -483,13 +483,13 @@ class SQLiteBackend:
         )
 
     def _cached_row_count(self, relation: str) -> int:
-        """``COUNT(*)`` memoized under the relation's version counter."""
-        version = self._versions.get(relation, 0)
+        """``COUNT(*)`` memoized under the relation's write token."""
+        token = self.write_token(relation)
         hit = self._rowcounts.get(relation)
-        if hit is not None and hit[0] == version:
+        if hit is not None and hit[0] == token:
             return hit[1]
         count = self.row_count(relation)
-        self._rowcounts[relation] = (version, count)
+        self._rowcounts[relation] = (token, count)
         return count
 
     # ------------------------------------------------------------------
@@ -562,8 +562,13 @@ class SQLiteBackend:
     # internals
     # ------------------------------------------------------------------
     def _memoized(self, key: tuple, relations: Tuple[str, ...], build) -> Any:
-        """Execute the statement for *key*, reusing text and result caches."""
-        token = tuple(self._versions.get(r, 0) for r in relations)
+        """Execute the statement for *key*, reusing text and result caches.
+
+        A result is reused only while every relation it reads keeps its
+        :meth:`write_token`, so raw SQL on the connection invalidates it
+        as a write through the backend does.
+        """
+        token = tuple(self.write_token(r) for r in relations)
         hit = self._results.get(key)
         if hit is not None and hit[0] == token:
             return hit[1]
@@ -650,20 +655,29 @@ class SQLiteBackend:
         """Append already-validated tuples: one statement, one commit."""
         if not rows:
             return
-        _insert(self._conn, quote_identifier(relation), [_to_sql(r) for r in rows])
-        self._bump(relation)
-        self._commit()
+        with self._writing(relation):
+            _insert(self._conn, quote_identifier(relation), [_to_sql(r) for r in rows])
 
     def _rewrite(self, relation: str, rows: Sequence[Sequence[Any]]) -> None:
         """Replace the whole stored extension (UPDATE/DELETE write-through)."""
         name = quote_identifier(relation)
-        self._conn.execute(f"DELETE FROM {name}")
-        _insert(self._conn, name, [_to_sql(r) for r in rows])
-        self._bump(relation)
-        self._commit()
+        with self._writing(relation):
+            self._conn.execute(f"DELETE FROM {name}")
+            _insert(self._conn, name, [_to_sql(r) for r in rows])
 
-    def _bump(self, relation: str) -> None:
+    @contextmanager
+    def _writing(self, relation: str) -> Iterator[None]:
+        """One write through the backend to *relation*, then commit.
+
+        Bumps the relation's write counter and books the row changes the
+        write made on the connection as the backend's own, so they move
+        only this relation's :meth:`write_token`.
+        """
+        before = self._conn.total_changes
+        yield
+        self._own_changes += self._conn.total_changes - before
         self._versions[relation] = self._versions.get(relation, 0) + 1
+        self._commit()
 
     def _invalidate(self, relation: str) -> None:
         """Detach the mirror and purge statement/result caches (DDL)."""

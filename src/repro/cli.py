@@ -21,8 +21,8 @@ Commands:
   cache-hit-rate deltas as explanations;
 - ``profile``  — hotspot attribution of one recorded trace: inclusive
   vs. exclusive time per span, per-phase primitive breakdowns, and
-  optional flamegraph exports (``--flame`` collapsed stacks for
-  flamegraph.pl, ``--speedscope`` JSON for speedscope.app);
+  an optional flamegraph export (``--flame`` collapsed stacks, read by
+  flamegraph.pl and speedscope.app alike);
 - ``explain``  — print the derivation chain of one artifact from a
   ``--provenance`` export (query evidence, counts, expert answers);
 - ``report``   — render a trace + provenance pair as one self-contained
@@ -54,9 +54,8 @@ produced by :mod:`repro.storage.serialize`, or a SQLite ``.db`` /
 ``K``/``N`` sets read from SQLite's data dictionary and every extension
 query pushed down to the engine.  ``--backend`` overrides where the
 extension is held for any input kind; the choices come from the backend
-registry (:mod:`repro.backends.registry`): ``auto``, ``memory``,
-``sqlite``, or ``paged`` (out-of-core page files behind a buffer pool
-sized by ``--pool-pages``).
+registry (:mod:`repro.backends.registry`): ``auto``, ``memory`` or
+``sqlite``.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ from repro.obs.profile import (
     render_profile,
     view_from_export,
     write_collapsed,
-    write_speedscope,
 )
 from repro.obs.tracer import Tracer
 from repro.obs.provenance import (
@@ -115,29 +113,19 @@ from repro.util.text import format_table
 SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 
-def _make_backend(name: str, pool_pages: int = 0, page_size: int = 0):
+def _make_backend(name: str):
     """Resolve a ``--backend`` value to a fresh backend (None = memory).
 
-    Any registered backend name resolves through the registry;
-    *pool_pages* and *page_size* are forwarded to the paged backend
-    when nonzero.
+    Any registered backend name resolves through the registry.
     """
     if name in ("auto", "memory"):
         return None
     from repro.backends import create_backend
 
-    options = {}
-    if name == "paged":
-        if pool_pages:
-            options["pool_pages"] = pool_pages
-        if page_size:
-            options["page_size"] = page_size
-    return create_backend(name, **options)
+    return create_backend(name)
 
 
-def load_database(
-    path: str, backend: str = "auto", pool_pages: int = 0, page_size: int = 0
-) -> Database:
+def load_database(path: str, backend: str = "auto") -> Database:
     """Load a database from ``.sql``, ``.json`` or SQLite ``.db`` input.
 
     *backend* picks the extension store: ``auto`` keeps SQLite files on
@@ -150,16 +138,16 @@ def load_database(
         database = open_sqlite(path)
         if backend in ("auto", "sqlite"):
             return database
-        target = _make_backend(backend, pool_pages, page_size) or MemoryBackend()
+        target = _make_backend(backend) or MemoryBackend()
         return database.copy(backend=target)
     if path.endswith(".json"):
         document = database_from_dict(load_json(path))
         if backend in ("auto", "memory"):
             return document
-        return document.copy(backend=_make_backend(backend, pool_pages, page_size))
+        return document.copy(backend=_make_backend(backend))
     with open(path, "r", encoding="utf-8") as handle:
         script = handle.read()
-    database = Database(backend=_make_backend(backend, pool_pages, page_size))
+    database = Database(backend=_make_backend(backend))
     Executor(database).run_script(script)
     return database
 
@@ -226,7 +214,7 @@ def _make_expert(args: argparse.Namespace) -> Expert:
 # commands
 # ----------------------------------------------------------------------
 def cmd_inspect(args: argparse.Namespace) -> int:
-    database = load_database(args.database, args.backend, args.pool_pages, args.page_size)
+    database = load_database(args.database, args.backend)
     print("# Relations")
     for relation in database.schema:
         print(f"  {relation!r}  ({len(database.table(relation.name))} rows)")
@@ -251,7 +239,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    database = load_database(args.database, args.backend, args.pool_pages, args.page_size)
+    database = load_database(args.database, args.backend)
     corpus = load_corpus(args.programs)
     report = extract_equijoins(corpus, database.schema)
     print(f"# Q — {len(report.joins)} equi-join(s) from "
@@ -267,7 +255,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    database = load_database(args.database, args.backend, args.pool_pages, args.page_size)
+    database = load_database(args.database, args.backend)
     corpus = load_corpus(args.programs)
     expert = _make_expert(args)
     pipeline = DBREPipeline(database, expert, tracer=_make_tracer(args))
@@ -329,9 +317,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         paper_program_corpus,
     )
 
-    database = build_paper_database(
-        backend=_make_backend(args.backend, args.pool_pages, args.page_size)
-    )
+    database = build_paper_database(backend=_make_backend(args.backend))
     expert = ScriptedExpert(paper_expert_script())
     pipeline = DBREPipeline(database, expert, tracer=_make_tracer(args))
     result = pipeline.run(corpus=paper_program_corpus())
@@ -348,9 +334,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     from repro.normalization import normalize, write_certificates_jsonl
     from repro.storage.serialize import dependencies_from_dict
 
-    database = load_database(
-        args.database, args.backend, args.pool_pages, args.page_size
-    )
+    database = load_database(args.database, args.backend)
     fds = [FunctionalDependency.parse(text) for text in args.fd or []]
     if args.fds_json:
         loaded, _inds = dependencies_from_dict(load_json(args.fds_json))
@@ -673,11 +657,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.flame:
         write_collapsed(records, args.flame)
         print(f"\ncollapsed stacks written to {args.flame}")
-    if args.speedscope:
-        write_speedscope(
-            records, args.speedscope, name=os.path.basename(args.trace_file)
-        )
-        print(f"speedscope profile written to {args.speedscope}")
     return 0
 
 
@@ -767,16 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend", choices=("auto",) + backend_names(), default="auto",
             help="extension store: auto (SQLite files stay on the engine, "
                  "scripts/documents in memory) or any registered backend",
-        )
-        command.add_argument(
-            "--pool-pages", type=int, default=0, metavar="N",
-            help="paged backend only: buffer-pool capacity in pages "
-                 "(0 = backend default)",
-        )
-        command.add_argument(
-            "--page-size", type=int, default=0, metavar="BYTES",
-            help="paged backend only: page size of newly created page "
-                 "files (0 = backend default)",
         )
 
     def add_observability_options(command: argparse.ArgumentParser) -> None:
@@ -1003,11 +972,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("trace_file", help="a --trace JSONL file")
     profile.add_argument(
         "--flame", metavar="FILE",
-        help="write collapsed stacks (flamegraph.pl input) here",
-    )
-    profile.add_argument(
-        "--speedscope", metavar="FILE",
-        help="write a speedscope-compatible JSON profile here",
+        help="write collapsed stacks here (flamegraph.pl input; "
+             "speedscope.app imports the file as is)",
     )
     profile.set_defaults(func=cmd_profile)
 

@@ -55,16 +55,6 @@ class ConstraintViolationError(DataError):
         self.detail = detail
 
 
-class StorageError(DataError):
-    """A storage file is missing, truncated, or not in the expected format.
-
-    Raised by the paged storage engine (:mod:`repro.storage.paged`) with
-    one-line diagnostics that name the offending file and byte offset,
-    so a damaged page file surfaces as ``error: ...`` at the CLI instead
-    of a traceback.
-    """
-
-
 class TypingError(DataError):
     """A value does not belong to the domain of its attribute."""
 

@@ -12,9 +12,9 @@ end:
 - :mod:`repro.obs.export` — JSONL trace and flat metrics-JSON writers,
   readers, and the ``repro trace summarize`` rendering;
 - :mod:`repro.obs.profile` — hotspot aggregation (inclusive vs.
-  exclusive time, per-phase primitive breakdowns), collapsed-stack and
-  speedscope flamegraph exporters (``repro/profile@1``), and the trace
-  diff engine behind ``repro profile`` / ``repro trace diff``;
+  exclusive time, per-phase primitive breakdowns), the collapsed-stack
+  flamegraph exporter, and the trace diff engine behind
+  ``repro profile`` / ``repro trace diff``;
 - :mod:`repro.obs.provenance` — :class:`ProvenanceLedger`, the
   decision-lineage DAG linking every elicited artifact (IND, FD, RIC,
   EER construct) to the extension counts, source queries and expert
@@ -71,7 +71,6 @@ from repro.obs.export import (
     write_trace_jsonl,
 )
 from repro.obs.profile import (
-    PROFILE_FORMAT,
     collapsed_stacks,
     detect_export_kind,
     diff_views,
@@ -80,10 +79,8 @@ from repro.obs.profile import (
     profile_summary,
     render_diff,
     render_profile,
-    speedscope_document,
     view_from_export,
     write_collapsed,
-    write_speedscope,
 )
 from repro.obs.provenance import (
     NODE_KINDS,
@@ -127,7 +124,6 @@ __all__ = [
     "trace_records",
     "write_metrics_json",
     "write_trace_jsonl",
-    "PROFILE_FORMAT",
     "collapsed_stacks",
     "detect_export_kind",
     "diff_views",
@@ -136,10 +132,8 @@ __all__ = [
     "profile_summary",
     "render_diff",
     "render_profile",
-    "speedscope_document",
     "view_from_export",
     "write_collapsed",
-    "write_speedscope",
     "NODE_KINDS",
     "PROVENANCE_FORMAT",
     "ProvEdge",

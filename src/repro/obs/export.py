@@ -76,7 +76,7 @@ def trace_records(tracer: "Tracer") -> List[Dict[str, Any]]:
             row["open"] = True
         rows.append(row)
     for event in tracer.events:
-        row = {
+        rows.append({
             "type": "event",
             "span": event.span_id,
             "primitive": event.primitive,
@@ -87,12 +87,7 @@ def trace_records(tracer: "Tracer") -> List[Dict[str, Any]]:
             "duration_ms": _ms(event.duration),
             "cache_hit": event.cache_hit,
             "rows_touched": event.rows_touched,
-        }
-        if event.counters:
-            # storage telemetry deltas (buffer pool / page I/O); omitted
-            # when empty so traces from other backends are unchanged
-            row["counters"] = dict(event.counters)
-        rows.append(row)
+        })
     rows.sort(key=lambda r: (r["start_ms"], 0 if r["type"] == "span" else 1))
     header = {
         "type": "trace",
@@ -156,10 +151,7 @@ def metrics_from_stats(stats: RunStats) -> Dict[str, Any]:
     """The flat metrics document rendered from one fold."""
 
     def rounded(row: Dict[str, Any]) -> Dict[str, Any]:
-        out = dict(row, duration_ms=round(row["duration_ms"], 6))
-        if "counters" in row:
-            out["counters"] = dict(row["counters"])
-        return out
+        return dict(row, duration_ms=round(row["duration_ms"], 6))
 
     return {
         "format": METRICS_FORMAT,

@@ -26,24 +26,7 @@ from repro.obs.tracer import Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import ExtensionBackend
 
-__all__ = ["InstrumentedBackend", "telemetry_delta"]
-
-
-def telemetry_delta(before: Any, after: Any) -> Any:
-    """The nonzero counter movement between two ``telemetry()`` snapshots.
-
-    Returns None (→ an empty ``counters`` on the event) when the backend
-    has no telemetry hook or nothing moved, so backends without storage
-    counters keep emitting exactly the events they always did.
-    """
-    if before is None or after is None:
-        return None
-    delta = {
-        key: after[key] - before.get(key, 0)
-        for key in after
-        if after[key] != before.get(key, 0)
-    }
-    return delta or None
+__all__ = ["InstrumentedBackend"]
 
 
 class InstrumentedBackend:
@@ -128,7 +111,6 @@ class InstrumentedBackend:
         call: Callable[[], Any],
     ) -> Any:
         cache_hit, rows_touched = self._profile(primitive, relations, attributes)
-        before = self._telemetry()
         start = self._tracer.now()
         value = call()
         duration = self._tracer.now() - start
@@ -141,14 +123,8 @@ class InstrumentedBackend:
             duration=duration,
             cache_hit=cache_hit,
             rows_touched=rows_touched,
-            counters=telemetry_delta(before, self._telemetry()),
         )
         return value
-
-    def _telemetry(self) -> Any:
-        """The backend's monotonic storage counters, or None without them."""
-        hook = getattr(self._inner, "telemetry", None)
-        return hook() if hook is not None else None
 
     def _profile(
         self,

@@ -168,12 +168,13 @@ class RunStats:
     - ``primitives`` — per primitive ``calls``, ``duration_ms``,
       ``cache_hits``, ``cache_misses``, ``rows_touched``; ``phases`` —
       the same rollup per phase name, over the primitives under it;
-    - ``backends`` — per backend ``calls``, ``duration_ms`` and storage
-      ``counters`` (buffer pool, page I/O) when it has any;
+    - ``backends`` — per backend ``calls`` and ``duration_ms``;
     - ``events`` (records by type), ``root_ms``.
 
     A record of a type outside :data:`LIVE_EVENT_TYPES` (the ``pool``
-    records of captures written by older versions) is ignored.
+    records of captures written by older versions) is ignored, and so
+    is the storage ``counters`` field such captures' primitive records
+    may carry.
 
     Repeated names sum; :meth:`merge` adds a fold in (ledger eviction,
     archive restore).  ``phase_ms`` and the other flat totals below are
@@ -245,8 +246,6 @@ class RunStats:
                 }
             backend["calls"] += 1
             backend["duration_ms"] += ms
-            if record.get("counters"):
-                _fold_into(backend.setdefault("counters", {}), record["counters"])
 
     @classmethod
     def fold(cls, records: Iterable[Dict[str, Any]]) -> "RunStats":
@@ -266,14 +265,6 @@ class RunStats:
     primitive_cache_hits = property(
         lambda self: _Column(self.primitives, "cache_hits", _ROLLUP, nonzero=True)
     )
-
-    @property
-    def storage_counters(self) -> Dict[str, int]:
-        """Storage telemetry deltas summed over every backend."""
-        totals: Dict[str, int] = {}
-        for backend in self.backends.values():
-            _fold_into(totals, backend.get("counters", {}))
-        return totals
 
     def totals(self) -> Dict[str, Any]:
         """Run-level rollups: the ``totals`` of metrics@1."""
@@ -308,20 +299,20 @@ class RunStats:
         """Rebuild a fold from :meth:`as_dict` output (archive restore).
 
         Manifests from before the fold kept spans carry the flat totals
-        instead; they restore into the same tables (storage counters
-        under the unnamed backend ``""``).
+        instead; they restore into the same tables.  The storage
+        counters older manifests carry (``storage_counters``, a
+        backend's ``counters``) are dropped.
         """
         stats = cls()
         _fold_into(stats._tables(), {t: document.get(t) or {} for t in cls.TABLES})
+        for backend in stats.backends.values():
+            backend.pop("counters", None)
         stats.root_ms = document.get("root_ms", 0.0)
         for name in ("phase_runs", "phase_ms", "setup_ms", "primitive_calls",
                      "primitive_cache_hits"):
             column = getattr(stats, name)
             for key, value in (document.get(name) or {}).items():
                 column[key] = value
-        if document.get("storage_counters"):
-            stats.backends[""] = {"calls": 0, "duration_ms": 0.0,
-                                  "counters": dict(document["storage_counters"])}
         return stats
 
     def __repr__(self) -> str:

@@ -10,12 +10,11 @@ into *attribution*:
   from the :class:`~repro.obs.live.RunStats` fold of an in-memory
   :class:`~repro.obs.tracer.Tracer` or a re-read ``repro/trace@1``
   JSONL file;
-- **flamegraph exporters** — collapsed-stack lines for ``flamegraph.pl``
-  (:func:`collapsed_stacks`) and a speedscope-compatible JSON document
-  (:func:`speedscope_document`, tagged ``repro/profile@1`` in its
-  ``exporter`` field), both walking the trace's span-by-span replay
+- **flamegraph export** — collapsed-stack lines
+  (:func:`collapsed_stacks`), walking the trace's span-by-span replay
   (:func:`~repro.obs.export.replay_trace`) with the primitive events
-  folded in as leaf frames;
+  folded in as leaf frames; ``flamegraph.pl`` renders the file, and
+  https://speedscope.app imports it as is;
 - **trace diffing** (:func:`diff_views` / :func:`render_diff`) — two
   traces (or two ``repro/metrics@1`` files) compared, regressions
   ranked by absolute self-time delta, with cache-hit-rate, call-count
@@ -53,25 +52,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
 
 __all__ = [
-    "PROFILE_FORMAT",
-    "SPEEDSCOPE_SCHEMA",
     "profile_from_stats",
     "profile_from_records",
     "profile_summary",
     "render_profile",
     "collapsed_stacks",
     "write_collapsed",
-    "speedscope_document",
-    "write_speedscope",
     "detect_export_kind",
     "load_export",
     "view_from_export",
     "diff_views",
     "render_diff",
 ]
-
-PROFILE_FORMAT = "repro/profile@1"
-SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
 def _ms(value: float) -> float:
@@ -236,79 +228,6 @@ def write_collapsed(records: List[Dict[str, Any]], path: str) -> None:
             handle.write("\n")
 
 
-def speedscope_document(
-    records: List[Dict[str, Any]], name: str = "repro trace"
-) -> Dict[str, Any]:
-    """The trace as a speedscope-compatible *evented* profile.
-
-    Open/close events follow the trace's replay (each span's primitive
-    events and child spans in start order), so the stream is properly
-    nested by construction even when recorded timestamps jitter at the
-    rounding edge; child frames are clamped into their parent's window
-    and primitives outside any span are not drawn.  The document
-    carries ``exporter: repro/profile@1`` — load it at
-    https://speedscope.app.
-    """
-    frames: List[Dict[str, Any]] = []
-    frame_index: Dict[str, int] = {}
-    out: List[Dict[str, Any]] = []
-    end_value = 0.0
-
-    def emit(kind: str, label: str, at: float) -> None:
-        nonlocal end_value
-        if label not in frame_index:
-            frame_index[label] = len(frames)
-            frames.append({"name": label})
-        end_value = max(end_value, at)
-        out.append({"type": kind, "frame": frame_index[label], "at": _ms(at)})
-
-    windows: List[List[float]] = []  # per open span: [its end, cursor]
-    for record in replay_trace(records):
-        start, until = record["start_ms"], record["start_ms"] + record["duration_ms"]
-        if record["type"] == "span-close":
-            emit("C", record["name"], windows.pop()[0])
-        elif record["type"] == "span-open":
-            hi, lo = windows[-1] if windows else (until, start)
-            at = min(max(start, lo), hi)
-            emit("O", record["name"], at)
-            windows.append([min(max(at, until), hi), at])
-            continue
-        elif windows:
-            hi, cursor = windows[-1]
-            at = min(max(start, cursor), hi)
-            emit("O", record["primitive"], at)
-            emit("C", record["primitive"], min(max(at, until), hi))
-        if windows:  # the parent's cursor moves past this leaf or child
-            windows[-1][1] = min(max(windows[-1][1], until), windows[-1][0])
-
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA,
-        "exporter": PROFILE_FORMAT,
-        "name": name,
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "evented",
-                "name": name,
-                "unit": "milliseconds",
-                "startValue": 0.0,
-                "endValue": _ms(end_value),
-                "events": out,
-            }
-        ],
-    }
-
-
-def write_speedscope(
-    records: List[Dict[str, Any]], path: str, name: str = "repro trace"
-) -> None:
-    """Write the speedscope JSON document to *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(speedscope_document(records, name=name), handle, sort_keys=True)
-        handle.write("\n")
-
-
 # ----------------------------------------------------------------------
 # export-kind detection (shared by profile / summarize / diff verbs)
 # ----------------------------------------------------------------------
@@ -317,7 +236,8 @@ _KIND_LABELS = {
     TRACE_FORMAT: "trace",
     METRICS_FORMAT: "metrics",
     PROVENANCE_FORMAT: "provenance",
-    PROFILE_FORMAT: "profile",
+    # the speedscope documents earlier versions wrote
+    "repro/profile@1": "profile",
     LIVE_FORMAT: "live-capture",
     "repro/bench@1": "bench-metrics",
     "repro/bench-baseline@1": "bench-baseline",

@@ -115,13 +115,6 @@ class PrimitiveEvent:
     ``(lhs, rhs)`` attribute tuples for ``fd_holds``.  ``rows_touched``
     is the number of stored rows a cold evaluation scans — 0 when the
     backend answered from a cache.
-
-    ``counters`` carries per-call storage telemetry deltas when the
-    backend exposes a monotonic ``telemetry()`` hook (the paged
-    backend's buffer pool: ``pool_hits``, ``pool_misses``,
-    ``pool_evictions``, ``pool_write_backs``, ``pages_read``,
-    ``pages_written``).  Empty for backends without the hook, so
-    existing traces are unchanged.
     """
 
     span_id: Optional[int]
@@ -133,7 +126,6 @@ class PrimitiveEvent:
     duration: float
     cache_hit: bool
     rows_touched: int
-    counters: Dict[str, int] = field(default_factory=dict)
 
     def __repr__(self) -> str:
         rels = ",".join(self.relations)
@@ -294,7 +286,6 @@ class Tracer:
         duration: float,
         cache_hit: bool,
         rows_touched: int,
-        counters: Optional[Dict[str, int]] = None,
     ) -> PrimitiveEvent:
         """Append one primitive event, attributed to the open span."""
         event = PrimitiveEvent(
@@ -307,22 +298,19 @@ class Tracer:
             duration=duration,
             cache_hit=cache_hit,
             rows_touched=rows_touched,
-            counters=dict(counters) if counters else {},
         )
         self.events.append(event)
         if self._live is not None:
-            record: Dict[str, Any] = {
-                "span": event.span_id,
-                "primitive": event.primitive,
-                "backend": event.backend,
-                "relations": list(event.relations),
-                "duration_ms": round(event.duration * 1000.0, 6),
-                "cache_hit": event.cache_hit,
-                "rows_touched": event.rows_touched,
-            }
-            if event.counters:
-                record["counters"] = dict(event.counters)
-            self._live.publish("primitive", **record)
+            self._live.publish(
+                "primitive",
+                span=event.span_id,
+                primitive=event.primitive,
+                backend=event.backend,
+                relations=list(event.relations),
+                duration_ms=round(event.duration * 1000.0, 6),
+                cache_hit=event.cache_hit,
+                rows_touched=event.rows_touched,
+            )
         return event
 
     # ------------------------------------------------------------------

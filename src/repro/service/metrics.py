@@ -21,9 +21,6 @@ trimming and ledger eviction):
   ``setup`` spans (its working ``copy``), summed per step name;
 - ``repro_primitive_calls_total`` / ``repro_primitive_cache_hits_total``
   — per extension primitive, from the ``primitive`` records;
-- ``repro_storage_counter_total{counter=...}`` — buffer-pool and page
-  I/O telemetry (the paged backend's ``pool_hits`` etc.), summed from
-  the per-call counter deltas;
 - ``repro_live_events_total{type=...}`` / ``repro_live_dropped_total``
   — the bus's own accounting;
 - ``repro_sse_streams_active`` — watchers connected right now.
@@ -206,11 +203,6 @@ def render_metrics(
         "repro_primitive_cache_hits_total", "counter",
         "Primitive calls answered from a cache, by primitive.",
         [({"primitive": p}, n) for p, n in sorted(totals.primitive_cache_hits.items())],
-    )
-    exposition.family(
-        "repro_storage_counter_total", "counter",
-        "Storage telemetry deltas (buffer pool, page I/O), by counter.",
-        [({"counter": c}, n) for c, n in sorted(totals.storage_counters.items())],
     )
     exposition.family(
         "repro_live_events_total", "counter",

@@ -45,8 +45,6 @@ _SPEC_KEYS = {
     "database",
     "programs",
     "backend",
-    "pool_pages",
-    "page_size",
     "label",
     "config",
 }
@@ -96,12 +94,7 @@ def submit_spec(manager: "JobManager", spec: Dict[str, Any]) -> "Job":
     from repro.cli import load_corpus, load_database
     from repro.core.expert import AutoExpert
 
-    database = load_database(
-        spec["database"],
-        backend=spec.get("backend", "auto"),
-        pool_pages=int(spec.get("pool_pages", 0) or 0),
-        page_size=int(spec.get("page_size", 0) or 0),
-    )
+    database = load_database(spec["database"], backend=spec.get("backend", "auto"))
     corpus = load_corpus(spec["programs"])
     config.setdefault(
         "expert",

@@ -2,38 +2,18 @@
 
 The factories come from the backend registry
 (:mod:`repro.backends.registry`) — registering a new backend makes the
-whole contract suite run over it with no test edits.  Per-backend
-construction options live in ``TEST_BACKEND_OPTIONS``: the paged
-backend gets a tiny pool (8 frames of 256-byte pages), so the paper
-example does not fit resident and every scan exercises eviction and
-write-back, not just the cache-warm path.
+whole contract suite run over it with no test edits.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends import backend_names, create_backend
-
-TEST_BACKEND_OPTIONS = {
-    "paged": {"pool_pages": 8, "page_size": 256},
-}
+from repro.backends import backend_factory as registered_factory
+from repro.backends import backend_names
 
 
-def _factory(name):
-    options = TEST_BACKEND_OPTIONS.get(name, {})
-
-    def build():
-        return create_backend(name, **options)
-
-    build.kind = name
-    return build
-
-
-BACKEND_FACTORIES = {name: _factory(name) for name in backend_names()}
-
-
-@pytest.fixture(params=sorted(BACKEND_FACTORIES), ids=sorted(BACKEND_FACTORIES))
+@pytest.fixture(params=sorted(backend_names()), ids=sorted(backend_names()))
 def backend_factory(request):
     """A zero-argument constructor for one registered backend kind."""
-    return BACKEND_FACTORIES[request.param]
+    return registered_factory(request.param)

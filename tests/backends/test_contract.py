@@ -222,7 +222,7 @@ class TestRowAccess:
         assert database_fingerprint(here) == database_fingerprint(nulls)
 
     def test_negative_zero_is_stored_as_zero(self, backend_factory):
-        """Regression: memory and paged kept a REAL ``-0.0`` while SQLite
+        """Regression: memory kept a REAL ``-0.0`` while SQLite
         stored ``0.0``, so the same rows fingerprinted differently per
         backend."""
 
@@ -454,6 +454,12 @@ def _cold_fingerprint(db: Database, backend_factory) -> str:
     return database_fingerprint(fresh)
 
 
+def _sqlite_store(path: str = ":memory:") -> Database:
+    """The paper database in a SQLite store with no row mirror, so
+    scans read what raw SQL wrote."""
+    return build_paper_database().copy(backend=SQLiteBackend(path))
+
+
 #: one raw statement per kind of SQL write, run on the backend's connection
 _RAW_WRITES = {
     "insert": 'INSERT INTO "Person" ("id", "name") VALUES (99, \'person-99\')',
@@ -510,15 +516,9 @@ class TestFingerprintMemo:
         assert database_fingerprint(db) == expected
         assert database_fingerprint(reversed_rows) == expected
 
-    @staticmethod
-    def _store(path: str = ":memory:") -> Database:
-        """The paper database in a SQLite store with no row mirror, so
-        scans read what raw SQL wrote."""
-        return build_paper_database().copy(backend=SQLiteBackend(path))
-
     @pytest.mark.parametrize("write", sorted(_RAW_WRITES))
     def test_raw_sql_on_the_connection_refreshes_the_memo(self, write):
-        db = self._store()
+        db = _sqlite_store()
         before = database_fingerprint(db)
         db.backend.connection.executescript(_RAW_WRITES[write])
         after = database_fingerprint(db)
@@ -527,7 +527,7 @@ class TestFingerprintMemo:
 
     def test_a_commit_from_another_connection_refreshes_the_memo(self, tmp_path):
         path = str(tmp_path / "shared.db")
-        db = self._store(path)
+        db = _sqlite_store(path)
         before = database_fingerprint(db)
         other = sqlite3.connect(path)
         other.execute(_RAW_WRITES["insert"])
@@ -537,6 +537,33 @@ class TestFingerprintMemo:
         assert after != before
         assert after == _cold_fingerprint(db, MemoryBackend)
         db.close()
+
+
+class TestRawWritesOnSQLite:
+    """Every SQLite memo is keyed on the relation's write token, so raw
+    SQL on the connection reaches the primitives as it reaches
+    ``rows()``: neither a hydrated row mirror nor an answer cached
+    before the write hides it."""
+
+    #: (relation, lhs, rhs) per relation the raw writes touch
+    PROBES = [("Person", ("name",), ("id",)), ("Assignment", ("emp",), ("dep",))]
+
+    @pytest.mark.parametrize("write", sorted(_RAW_WRITES))
+    def test_primitives_agree_with_rows_after_a_raw_write(self, write):
+        db = _sqlite_store()
+        for relation, lhs, rhs in self.PROBES:
+            db.table(relation)  # hydrate the row mirror
+            db.backend.row_count(relation)
+            db.count_distinct(relation, rhs)
+            db.fd_holds(relation, lhs, rhs)
+        db.backend.connection.executescript(_RAW_WRITES[write])
+        fresh = Database(db.schema.copy(), backend=MemoryBackend())
+        for name in db.schema.relation_names:
+            fresh.insert_many(name, db.backend.rows(name))
+        for relation, lhs, rhs in self.PROBES:
+            assert db.backend.row_count(relation) == len(list(db.backend.rows(relation)))
+            assert db.count_distinct(relation, rhs) == fresh.count_distinct(relation, rhs)
+            assert db.fd_holds(relation, lhs, rhs) == fresh.fd_holds(relation, lhs, rhs)
 
 
 class TestProbeHook:

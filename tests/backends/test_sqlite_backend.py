@@ -206,8 +206,12 @@ class TestStatementCaching:
         return build_paper_database(backend=SQLiteBackend())
 
     def _traced(self, db):
+        """The statements the connection runs from now on, except the
+        write-token PRAGMAs every memo lookup reads."""
         statements = []
-        db.backend.connection.set_trace_callback(statements.append)
+        db.backend.connection.set_trace_callback(
+            lambda sql: sql.startswith("PRAGMA") or statements.append(sql)
+        )
         return statements
 
     def test_repeat_query_hits_the_result_memo(self, db):

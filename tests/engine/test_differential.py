@@ -12,7 +12,8 @@ lives.
 
 import pytest
 
-from repro.backends import MemoryBackend, SQLiteBackend, backend_names, create_backend
+from repro.backends import MemoryBackend, SQLiteBackend, backend_names
+from repro.backends import backend_factory as registered_factory
 from repro.core.expert import ScriptedExpert
 from repro.core.pipeline import DBREPipeline
 from repro.eer.render import render_text
@@ -24,23 +25,8 @@ from repro.workloads.paper_example import (
 )
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-# registry-driven: adding a backend registers it into this harness too.
-# The paged backend runs with a pool far smaller than the extensions so
-# the differential guarantee covers the evicting, write-back path.
-_BACKEND_OPTIONS = {"paged": {"pool_pages": 8, "page_size": 512}}
-
-
-def _factory(name):
-    options = _BACKEND_OPTIONS.get(name, {})
-
-    def build():
-        return create_backend(name, **options)
-
-    build.kind = name
-    return build
-
-
-BACKENDS = {name: _factory(name) for name in backend_names()}
+# registry-driven: adding a backend registers it into this harness too
+BACKENDS = {name: registered_factory(name) for name in backend_names()}
 #: the backends compared against the memory reference
 OTHERS = sorted(name for name in BACKENDS if name != "memory")
 

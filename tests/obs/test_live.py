@@ -244,18 +244,20 @@ class TestLiveStats:
         assert RunStats.from_dict({"phase_ms": {"Restruct": 1.0}}).setup_ms == {}
 
     def test_cache_hits_and_storage_counters(self):
-        stats = RunStats()
-        stats.observe({
-            "type": "primitive", "primitive": "join_count",
-            "cache_hit": True, "counters": {"pool_hits": 3},
-        })
-        stats.observe({
-            "type": "primitive", "primitive": "join_count",
-            "cache_hit": False, "counters": {"pool_hits": 2},
-        })
+        """Cache hits count; the storage ``counters`` older captures'
+        primitive records carry fold as if absent."""
+        records = [
+            {"type": "primitive", "primitive": "join_count",
+             "cache_hit": True, "counters": {"pool_hits": 3}},
+            {"type": "primitive", "primitive": "join_count",
+             "cache_hit": False, "counters": {"pool_hits": 2}},
+        ]
+        stats = RunStats.fold(records)
         assert stats.primitive_calls == {"join_count": 2}
         assert stats.primitive_cache_hits == {"join_count": 1}
-        assert stats.storage_counters == {"pool_hits": 5}
+        without = [{k: v for k, v in r.items() if k != "counters"} for r in records]
+        assert stats.as_dict() == RunStats.fold(without).as_dict()
+        assert "counters" not in stats.backends[""]
 
 
 class TestFileFormat:

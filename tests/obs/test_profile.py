@@ -1,27 +1,21 @@
-"""Hotspot-profile unit tests: exclusive-time math and the exporters.
+"""Hotspot-profile unit tests: exclusive-time math and the exporter.
 
 Driven by a manual clock so every duration is exact: the tests pin the
 inclusive/self arithmetic for nested, overlapping, zero-duration and
-still-open spans, then the two flamegraph exports derived from it.
+still-open spans, then the flamegraph export derived from it.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.obs import Tracer, trace_records
 from repro.obs.profile import (
-    PROFILE_FORMAT,
-    SPEEDSCOPE_SCHEMA,
     collapsed_stacks,
     profile_from_records,
     profile_summary,
     render_profile,
-    speedscope_document,
     write_collapsed,
-    write_speedscope,
 )
 
 
@@ -206,60 +200,6 @@ class TestCollapsedStacks:
         event(tracer, "fd_holds", start=0.0, duration=1.0)
         lines = collapsed_stacks(trace_records(tracer))
         assert lines == [f"(no span);fd_holds {1_000_000}"]
-
-
-class TestSpeedscope:
-    def build(self, tracer, clock):
-        root = tracer.start_span("pipeline")           # 0 .. 10
-        clock.t = 1.0
-        phase = tracer.start_span("IND-Discovery", kind="phase")  # 1 .. 8
-        event(tracer, "count_distinct", start=2.0, duration=3.0)
-        clock.t = 8.0
-        tracer.end_span(phase)
-        clock.t = 10.0
-        tracer.end_span(root)
-
-    def test_document_shape_and_tags(self, tracer, clock):
-        self.build(tracer, clock)
-        document = speedscope_document(trace_records(tracer), name="unit")
-        assert document["$schema"] == SPEEDSCOPE_SCHEMA
-        assert document["exporter"] == PROFILE_FORMAT
-        assert document["profiles"][0]["unit"] == "milliseconds"
-        names = [f["name"] for f in document["shared"]["frames"]]
-        assert names == ["pipeline", "IND-Discovery", "count_distinct"]
-
-    def test_events_are_balanced_and_properly_nested(self, tracer, clock):
-        self.build(tracer, clock)
-        document = speedscope_document(trace_records(tracer))
-        stack = []
-        last_at = 0.0
-        for entry in document["profiles"][0]["events"]:
-            assert entry["at"] >= last_at
-            last_at = entry["at"]
-            if entry["type"] == "O":
-                stack.append(entry["frame"])
-            else:
-                assert entry["type"] == "C"
-                assert stack.pop() == entry["frame"]
-        assert stack == []
-        assert document["profiles"][0]["endValue"] == 10000.0
-
-    def test_open_spans_are_closed_at_elapsed_so_far(self, tracer, clock):
-        tracer.start_span("pipeline")
-        clock.t = 1.0
-        tracer.start_span("IND-Discovery", kind="phase")
-        clock.t = 4.0
-        document = speedscope_document(trace_records(tracer))
-        opens = sum(1 for e in document["profiles"][0]["events"] if e["type"] == "O")
-        closes = sum(1 for e in document["profiles"][0]["events"] if e["type"] == "C")
-        assert opens == closes == 2
-
-    def test_write_speedscope_emits_valid_json(self, tracer, clock, tmp_path):
-        self.build(tracer, clock)
-        path = tmp_path / "trace.speedscope.json"
-        write_speedscope(trace_records(tracer), str(path))
-        document = json.loads(path.read_text())
-        assert document["exporter"] == PROFILE_FORMAT
 
 
 class TestFromFile:

@@ -286,16 +286,15 @@ class TestEvidenceMemoNeverStale:
                 assert_evidence_matches_naive(t, *last)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["sqlite", "paged"]), rows3, st.lists(steps, max_size=8))
-    def test_mirrors_through_write_through_and_recreate(self, kind, rows, script):
-        """On a stored backend, writes go through its mirror; ``rehome``
-        drops and recreates the relation, so the next mirror is new."""
+    @given(rows3, st.lists(steps, max_size=8))
+    def test_mirrors_through_write_through_and_recreate(self, rows, script):
+        """On SQLite, writes go through its mirror; ``rehome`` drops and
+        recreates the relation, so the next mirror is new."""
         from repro.backends import create_backend
         from repro.relational import Database, DatabaseSchema
 
         schema = table3([]).schema
-        options = {"pool_pages": 8, "page_size": 256} if kind == "paged" else {}
-        db = Database(DatabaseSchema([schema]), backend=create_backend(kind, **options))
+        db = Database(DatabaseSchema([schema]), backend=create_backend("sqlite"))
         db.insert_many("r", [list(r) for r in rows])
         last = None
         for step in script:

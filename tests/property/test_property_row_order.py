@@ -2,8 +2,8 @@
 
 §2's four questions — ``count distinct``, equi-join cardinality, FD and
 inclusion tests — read each extension as a bag.  Whatever the random
-scenario, loading every relation's rows in another order, on memory,
-SQLite or paged, must leave the recovered IND, FD, RIC and EER, the
+scenario, loading every relation's rows in another order, on memory
+or SQLite, must leave the recovered IND, FD, RIC and EER, the
 query and decision counts, and the database fingerprint identical; a
 duplicated row or a single edited value must change the fingerprint.
 """
@@ -21,7 +21,7 @@ from repro.relational.domain import is_null
 from repro.service.jobs import database_fingerprint
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 
-BACKENDS = ("memory", "sqlite", "paged")
+BACKENDS = ("memory", "sqlite")
 
 scenario_configs = st.builds(
     ScenarioConfig,

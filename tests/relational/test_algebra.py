@@ -251,14 +251,13 @@ class TestEvidenceMemo:
         assert len(fd_violation_pairs(t, ("a",), ("b",), limit=0)) == 1
 
 
-@pytest.mark.parametrize("kind", ["sqlite", "paged"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 class TestEvidenceOnMirrors:
-    """The kernel runs on the hydrated mirrors of the stored backends, and
-    on their scans, which read the store the mirrors write through to."""
+    """The kernel runs on the hydrated mirrors of the stored backend, and
+    on its scans, which read the store the mirrors write through to."""
 
     def database(self, kind):
-        options = {"pool_pages": 8, "page_size": 256} if kind == "paged" else {}
-        backend = create_backend(kind, **options)
+        backend = create_backend(kind)
         db = Database(DatabaseSchema([abc_schema()]), backend=backend)
         db.insert_many("r", SEED_ROWS)
         return db

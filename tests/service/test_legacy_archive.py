@@ -11,6 +11,14 @@ Versions that had the batched engine archived jobs whose config named
 live streams carrying that span and ``pushdown chunk answered``
 progress records.  Such a run must still list, restore, replay and
 render in ``/metrics`` and ``repro history --archive``.
+
+Versions that had the paged backend attached buffer-pool ``counters``
+to every primitive record and trace event, and archived manifests whose
+stats carry ``backends.paged.counters`` and a flat ``storage_counters``
+map.  Such a run must still list, restore, replay and render in
+``/metrics``, ``repro history`` and ``repro explain``, with no storage
+family anywhere in the output; a record's ``counters`` folds as if
+absent.
 """
 
 import json
@@ -18,11 +26,21 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.expert import ScriptedExpert
+from repro.core.pipeline import DBREPipeline
 from repro.obs.archive import RunArchive
+from repro.obs.export import metrics_from_stats, trace_records
 from repro.obs.history import archive_trends
-from repro.obs.live import RunStats
+from repro.obs.live import RunStats, live_records
+from repro.obs.provenance import provenance_records
+from repro.obs.tracer import Tracer
 from repro.service.jobs import JobManager
 from repro.service.metrics import lint_exposition, render_metrics
+from repro.workloads.paper_example import (
+    build_paper_database,
+    paper_expert_script,
+    paper_program_corpus,
+)
 
 KEY = "a12d914b8caf6b18d31d"
 DATABASE_FP = "aecde108a28f44e30d5b1ae6b58e742b3c1b2b548f1d8a6f9c2e2c86bd4252e8"
@@ -318,3 +336,102 @@ def test_a_batched_run_renders_in_metrics_and_history(batched_archive_dir, capsy
     assert 'repro_primitive_calls_total{primitive="fd_holds"} 11' in text
     assert main(["history", "--archive", batched_archive_dir]) == 0
     assert "1 runs over 1 fingerprint group(s)" in capsys.readouterr().out
+
+
+PAGED_DATABASE_FP = "0c5e2a7d1f4b8e9a3d6c0b7f2e5a8d1c4b7e0a3d6f9c2b5e8a1d4c7f0b3e6a9d"
+PAGED_CONFIG_TOKEN = "{\"translate\": null}"
+
+#: the buffer-pool deltas a paged-era primitive record carried
+PAGED_COUNTERS = {"pages_read": 2, "pool_evictions": 1, "pool_hits": 5,
+                  "pool_misses": 2}
+
+
+def _paged(record):
+    """A primitive record or trace event as the paged backend wrote it."""
+    return dict(record, backend="paged", counters=dict(PAGED_COUNTERS))
+
+
+@pytest.fixture
+def paged_archive_dir(tmp_path):
+    """A demo run archived the way versions with the paged backend did.
+
+    The run is real (paper example, scripted expert, provenance kept);
+    its trace events and live primitive records then get the paged
+    backend's name and ``counters``, its manifest stats
+    ``backends.paged.counters`` plus a flat ``storage_counters`` map,
+    and its metrics@1 the same per-backend rollup.
+    """
+    tracer = Tracer()
+    bus = tracer.live()
+    result = DBREPipeline(
+        build_paper_database(), ScriptedExpert(paper_expert_script()), tracer=tracer
+    ).run(corpus=paper_program_corpus())
+    live = [r if r["type"] != "primitive" else _paged(r) for r in live_records(bus)[1:]]
+    trace = [r if r.get("type") != "event" else _paged(r) for r in trace_records(tracer)]
+    stats = RunStats.fold(live)
+    calls = stats.backends["paged"]["calls"]
+    metrics = metrics_from_stats(stats)
+    storage = {key: value * calls for key, value in PAGED_COUNTERS.items()}
+    metrics["backends"]["paged"]["counters"] = storage
+    record = dict(MANIFEST["record"], label="demo-paged", config={"translate": None},
+                  database_fingerprint=PAGED_DATABASE_FP)
+    archive = RunArchive(str(tmp_path / "paged.archive"))
+    key = archive.store(
+        record, (PAGED_DATABASE_FP, WORKLOAD_FP, PAGED_CONFIG_TOKEN),
+        trace=trace, metrics=metrics, live=live_records(live),
+        provenance=provenance_records(result.provenance), stats=stats,
+        eer=MANIFEST["eer"],
+    )
+    manifest_path = tmp_path / "paged.archive" / "runs" / key / "record.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["stats"]["backends"]["paged"]["counters"] = storage
+    manifest["stats"]["storage_counters"] = storage
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    return archive.root, key, live
+
+
+def _no_storage_family(text):
+    for needle in ("counters", "storage", "pool_", "pages_read"):
+        assert needle not in text, needle
+
+
+def test_a_paged_run_lists_restores_and_replays(paged_archive_dir):
+    root, key, live = paged_archive_dir
+    (run,) = RunArchive(root).runs()
+    assert run.key == key
+    assert set(run.stats.backends) == {"paged"}
+    assert "counters" not in run.stats.backends["paged"]
+    assert "storage_counters" not in run.stats.as_dict()
+    with JobManager(runners=1, archive=RunArchive(root)) as manager:
+        job = manager.job("job-1")
+        record = job.as_record()
+        replay = manager.replay_records(job)
+    assert record["state"] == "done"
+    assert record["archived"] is True
+    assert replay == live
+    stripped = [{k: v for k, v in r.items() if k != "counters"} for r in replay]
+    assert RunStats.fold(replay).as_dict() == RunStats.fold(stripped).as_dict()
+
+
+def test_a_paged_run_renders_in_metrics_history_and_explain(paged_archive_dir, capsys):
+    root, key, _ = paged_archive_dir
+    with JobManager(runners=1, archive=RunArchive(root)) as manager:
+        text = render_metrics(manager)
+    assert lint_exposition(text) == []
+    assert "repro_jobs_restored_total 1" in text
+    assert 'repro_primitive_calls_total{primitive="count_distinct"}' in text
+    _no_storage_family(text)
+
+    assert main(["history", "--archive", root]) == 0
+    out = capsys.readouterr().out
+    assert "1 runs over 1 fingerprint group(s)" in out
+    _no_storage_family(out)
+
+    run_dir = f"{root}/runs/{key}"
+    ric = "Assignment[emp] << HEmployee[no]"
+    assert main(["explain", f"{run_dir}/provenance.jsonl", ric]) == 0
+    out = capsys.readouterr().out
+    assert "source query:" in out
+    _no_storage_family(out)
+    assert main(["profile", f"{run_dir}/trace.jsonl"]) == 0
+    _no_storage_family(capsys.readouterr().out)

@@ -160,6 +160,18 @@ class TestErrors:
             assert "\n" not in body["error"]
         assert api.manager.jobs() == []
 
+    def test_paged_spec_400(self, api, tmp_path):
+        schema = tmp_path / "schema.sql"
+        schema.write_text("CREATE TABLE t (a INT);")
+        spec = {"database": str(schema), "programs": str(tmp_path)}
+        for extra, needle in (({"pool_pages": 8}, "pool_pages"),
+                              ({"page_size": 256}, "page_size"),
+                              ({"backend": "paged"}, "unknown backend: 'paged'")):
+            status, body = api("POST", "/jobs", dict(spec, **extra))
+            assert status == 400
+            assert "\n" not in body["error"] and needle in body["error"]
+        assert api.manager.jobs() == []
+
     def test_empty_body_400(self, api):
         status, _ = api("POST", "/jobs", None)  # empty body -> {} -> invalid spec
         assert status == 400

@@ -55,6 +55,22 @@ class TestRejected:
             submit_spec(manager, spec)
         assert manager.jobs() == []
 
+    # the keys and the name of the deleted paged backend
+    @pytest.mark.parametrize("key", ["pool_pages", "page_size"])
+    def test_paged_spec_key_is_unknown(self, manager, database_spec, key):
+        with pytest.raises(ValueError) as info:
+            submit_spec(manager, dict(database_spec, backend="sqlite", **{key: 8}))
+        assert str(info.value) == f"unknown job-spec key(s): {key}"
+        assert manager.jobs() == []
+
+    def test_paged_backend_is_unknown(self, manager, database_spec):
+        with pytest.raises(Exception) as info:
+            submit_spec(manager, dict(database_spec, backend="paged"))
+        message = str(info.value)
+        assert "\n" not in message
+        assert "unknown backend: 'paged'" in message
+        assert manager.jobs() == []
+
     def test_config_must_be_an_object(self, manager):
         with pytest.raises(ValueError, match="JSON object"):
             submit_spec(manager, {"demo": True, "config": ["batched"]})
