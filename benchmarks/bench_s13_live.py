@@ -7,10 +7,10 @@ Three claims pay for the ``repro.obs.live`` bus:
    so ``live_bus`` stays ``None`` after a full run (asserted
    structurally, at any speed), and the wall clock of a run with the
    hooks compiled in stays within noise of the pre-bus figure.  The
-   wall-clock half of the claim is enforced by the ``s13-live-head``
-   latency entry in the regression gate (calibration units, ≤ 2x of a
-   baseline recorded from the same code path), not by a flaky inline
-   ratio; here we print the measured delta for the record.
+   regression gate's ``s3-all-features-head`` runs watched, with the
+   ledger on; its latency entries are held to ≤ 2x of a baseline in
+   calibration units where they clear the gate's noise floor (only in
+   full mode).  Here we print the measured delta for the record.
 2. **A watcher sees everything** — with one subscriber attached from
    submit, the stream carries every phase boundary of the run, at
    least one progress tick per discovery phase, and the terminal
@@ -96,7 +96,7 @@ def test_s13_overhead_with_and_without_a_watcher():
         ],
     )
     # generous inline bound — the calibrated ≤ 2x bar lives in
-    # benchmarks/regression.py under the s13-live-head latency entry
+    # benchmarks/regression.py under the s3-all-features-head entries
     assert ratio < 5.0, (
         f"a single live watcher cost {ratio:.2f}x wall clock — "
         f"publish has left the fast path"

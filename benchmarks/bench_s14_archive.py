@@ -7,9 +7,9 @@ Two claims pay for the persistent observability tier:
    fresh manager reproduces the ledger record and re-seeds the results
    cache (a repeat submission is answered ``cached`` with **zero** new
    extension queries), and the store+restore round-trip costs file I/O
-   only — the ``s14-archive-head`` entry in the regression gate pins
-   its query counts to the plain s3 figures, so durability can never
-   make the method chattier.
+   only — the ``s3-all-features-head`` entry in the regression gate
+   archives and restores its run and must ask exactly the plain s3
+   head's queries, so durability can never make the method chattier.
 2. **Restart survives SIGKILL semantics** — the index line is the
    commit point: a run directory without its index line (the crash
    window) is ignored on restore, never half-loaded; this file

@@ -1,23 +1,37 @@
 #!/usr/bin/env python
 """S-series benchmark-regression harness — the CI gate.
 
-Runs the heads of the S-series benchmarks (a small IND-scalability
-scenario, an end-to-end scenario, the same end-to-end scenario on the
-SQLite pushdown backend, once more with the provenance ledger enabled,
-and once more with the hotspot-profile view computed after the run)
-under tracing, and emits one JSON document per run with per-primitive
-query counts and latencies.  Compared against
-``benchmarks/BENCH_baseline.json``, the harness **fails (exit 1) when
-any head regresses by more than ``--max-ratio`` (default 2x)** in
-either
+Runs four heads of the S-series benchmarks under tracing and emits one
+JSON document per run with per-primitive query counts and latencies:
 
-- **query count** per primitive — deterministic, so a regression means
-  an algorithmic change made the method chattier; or
-- **latency** per primitive — measured in *calibration units* (the
-  run's wall time divided by the time of a fixed pure-Python workload
-  measured in the same process), so baselines recorded on one machine
-  gate runs on another.  Primitives whose baseline cost is below the
-  noise floor are not latency-gated.
+- ``s1-ind-head``, a small IND-scalability scenario;
+- ``s3-end-to-end-head``, an end-to-end scenario on memory;
+- ``s6-sqlite-head``, the same scenario on the SQLite pushdown backend;
+- ``s3-all-features-head``, the same scenario once more with the
+  provenance ledger on and a live subscriber attached; after the run it
+  computes the hotspot profile, re-verifies every certificate, and
+  stores the run in a ``repro/archive@1`` directory and restores it.
+
+Compared against ``benchmarks/BENCH_baseline.json``, the harness
+**fails (exit 1)** on any of
+
+- **query count** per primitive or expert ``decisions`` that differs
+  from the baseline, in either direction — both are deterministic, so
+  any change means the method now asks a different question;
+- **the same work, in the same run**: ``s6-sqlite-head`` and
+  ``s3-all-features-head`` must issue exactly ``s3-end-to-end-head``'s
+  queries and decisions, so neither the backend nor any feature adds a
+  query;
+- **the all-features facts**: every certificate verifies, the live
+  subscriber dropped nothing, the profile saw every query, the archive
+  restored exactly one run, and the provenance DAG has the baseline's
+  node and edge counts;
+- **latency** per primitive beyond ``--max-ratio`` (default 2x) —
+  measured in *calibration units* (the run's wall time divided by the
+  time of a fixed pure-Python workload measured in the same process),
+  so baselines recorded on one machine gate runs on another.
+  Primitives whose baseline cost is below ``LATENCY_FLOOR_UNITS`` are
+  not latency-gated, and each run prints how many entries clear it.
 
 Usage::
 
@@ -29,12 +43,8 @@ A gate failure is *attributed*, not just reported: for every failing
 head the harness prints a per-primitive / per-phase table (queries,
 latency units, cache hit-rates, rows scanned, inclusive vs. self time
 — baseline → current, worst delta first), so the violation names the
-phase, primitive or cache that regressed.  With ``--history PATH`` a
-run also appends one ``repro/bench-history@1`` record to *PATH* and
-prints a drift advisory over it, persisting the perf trajectory; CI
-passes ``--history benchmarks/BENCH_history.jsonl``.  Without it the
-run writes nothing but ``--output``/``--write-baseline``, so a local
-check leaves the tree clean.
+phase, primitive or cache that regressed.  A run writes nothing but
+``--output``/``--write-baseline``.
 
 The baseline file stores one entry per mode (``quick``/``full``); a run
 only gates against the matching mode.  CI runs ``--quick`` and uploads
@@ -42,7 +52,7 @@ the metrics JSON as an artifact (see ``.github/workflows/ci.yml`` and
 ``docs/OBSERVABILITY.md``).
 
 Exit codes: **0** gate passed (or skipped / baseline written), **1**
-at least one head regressed past the ratio, **3** the current run
+at least one head violated a rule above, **3** the current run
 produced a head the baseline does not know — a new bench head landed
 without ``--write-baseline``, so it would ride along ungated.
 """
@@ -53,14 +63,15 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
-from typing import Any, Dict, List, Optional
-
-from datetime import datetime, timezone
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.backends import MemoryBackend, SQLiteBackend
 from repro.core import DBREPipeline
+from repro.normalization import verify_certificate
 from repro.obs import Tracer, trace_records
+from repro.obs.archive import RunArchive
 from repro.obs.export import metrics_from_stats, replay_trace
 from repro.obs.live import RunStats
 from repro.obs.profile import profile_from_stats
@@ -69,7 +80,6 @@ from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 FORMAT = "repro/bench@1"
 BASELINE_FORMAT = "repro/bench-baseline@1"
-HISTORY_FORMAT = "repro/bench-history@1"
 DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "BENCH_baseline.json")
 
 #: latency gating ignores primitives cheaper than this many calibration
@@ -79,6 +89,29 @@ LATENCY_FLOOR_UNITS = 0.05
 #: exit code when the run produces heads the baseline lacks — distinct
 #: from 1 (regression) so CI can say "re-record the baseline", not "perf"
 EXIT_UNGUARDED_HEADS = 3
+
+#: head -> the head whose queries and decisions it must match in the
+#: same run: they replay its scenario, so a backend or a feature that
+#: asks the extension anything extra shows up here
+SAME_WORK_AS = {
+    "s6-sqlite-head": "s3-end-to-end-head",
+    "s3-all-features-head": "s3-end-to-end-head",
+}
+
+#: all-features figures that must equal the baseline's exactly
+EXACT_FEATURES = ("provenance_nodes", "provenance_edges")
+
+
+def _s3_config(quick: bool) -> ScenarioConfig:
+    scale = 0 if quick else 2
+    return ScenarioConfig(
+        seed=700,
+        n_entities=5 + scale,
+        n_one_to_many=4 + scale,
+        n_many_to_many=1,
+        merges=2,
+        parent_rows=20 if quick else 60,
+    )
 
 
 def _head_configs(quick: bool) -> List[Dict[str, Any]]:
@@ -97,119 +130,12 @@ def _head_configs(quick: bool) -> List[Dict[str, Any]]:
             ),
             "backend": MemoryBackend,
         },
-        {
-            "name": "s3-end-to-end-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-        },
-        {
-            "name": "s6-sqlite-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": SQLiteBackend,
-        },
-        # the s3 head with the provenance ledger enabled: queries are
-        # gated (the ledger must stay at zero extra extension queries)
-        # and its latency entry tracks the bookkeeping overhead;
-        # "provenance" extras record the lineage DAG's size
-        {
-            "name": "s8-provenance-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "provenance": True,
-        },
-        # the s3 head with the hotspot profile computed after the run:
-        # profiling is a pure view over the event stream, so its gated
-        # query counts must stay identical to s3's; "profile" extras
-        # record the attribution figures the view derives
-        {
-            "name": "s9-profile-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "profile": True,
-        },
-        # the s3 head with a live subscriber attached for the whole run:
-        # queries are gated (telemetry must never ask the extension
-        # anything) and its latency entry tracks the publish overhead —
-        # this is the ≤ 2x calibrated bar behind the "within noise when
-        # watched" claim; "live" extras record the stream census
-        {
-            "name": "s13-live-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "live": True,
-        },
-        # the s3 head with every restruct decomposition re-verified from
-        # scratch: certification (chase, preservation split, normal-form
-        # diagnosis) is pure schema computation, so the gated query
-        # counts must stay at s3's figures; "normalization" extras
-        # record the certificate census (all must verify, losses must
-        # stay attributed)
-        {
-            "name": "s12-synthesis-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "normalization": True,
-        },
-        # the s3 head written through to a repro/archive@1 directory
-        # and restored again: archival is file I/O strictly after the
-        # run, so the gated query counts must stay at s3's figures;
-        # "archive" extras record the store/restore round-trip cost so
-        # a durability-layer slowdown names itself
-        {
-            "name": "s14-archive-head",
-            "config": ScenarioConfig(
-                seed=700,
-                n_entities=5 + scale,
-                n_one_to_many=4 + scale,
-                n_many_to_many=1,
-                merges=2,
-                parent_rows=20 if quick else 60,
-            ),
-            "backend": MemoryBackend,
-            "archive": True,
-        },
+        {"name": "s3-end-to-end-head", "config": _s3_config(quick),
+         "backend": MemoryBackend},
+        {"name": "s6-sqlite-head", "config": _s3_config(quick),
+         "backend": SQLiteBackend},
+        {"name": "s3-all-features-head", "config": _s3_config(quick),
+         "backend": MemoryBackend, "all_features": True},
     ]
 
 
@@ -258,12 +184,10 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     scenario = build_scenario(head["config"])
     database = scenario.database.copy(backend=head["backend"]())
     tracer = Tracer()
-    subscription = tracer.subscribe() if head.get("live") else None
+    all_features = head.get("all_features", False)
+    subscription = tracer.subscribe() if all_features else None
     pipeline = DBREPipeline(
-        database,
-        scenario.expert,
-        tracer=tracer,
-        provenance=head.get("provenance", False),
+        database, scenario.expert, tracer=tracer, provenance=all_features
     )
     start = time.perf_counter()
     result = pipeline.run(corpus=scenario.corpus)
@@ -277,90 +201,47 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
         **gate_figures(stats),
         "decisions": result.expert_decisions,
     }
-    if head.get("profile"):
-        # the hotspot view re-derived after the run; recording it here
-        # proves (via the gated query counts staying at s3's figures)
-        # that profiling aggregation issued zero extension queries
-        profile = profile_from_stats(stats)
-        hottest = max(
-            profile["spans"].items(), key=lambda kv: kv[1]["self_ms"]
+    if all_features:
+        measured["features"] = _feature_figures(
+            head["name"], result, records, stats, subscription
         )
-        measured["profile"] = {
-            "spans": profile["totals"]["spans"],
-            "queries_seen": profile["totals"]["queries"],
-            "hottest_span": hottest[0],
-            "hottest_self_ms": hottest[1]["self_ms"],
-        }
-    if subscription is not None:
-        # stream census; informational — the gated query counts above
-        # prove the bus asked the extension nothing, and the head's
-        # latency entry bounds the publish overhead — but a watcher
-        # that started dropping or missing events shows up here
-        census = subscription.drain()
-        measured["live"] = {
-            "events": len(census),
-            "dropped": subscription.dropped,
-            "counts": RunStats.fold(census).events,
-        }
-    if head.get("normalization"):
-        # certificate census, with every certificate re-verified from
-        # scratch; informational — the gated query counts above prove
-        # certification asked the extension nothing extra — but a
-        # certificate that stops verifying, or an unexplained loss,
-        # shows up here by name
-        from repro.normalization import verify_certificate
-
-        certificates = result.certificates
-        measured["normalization"] = {
-            "certificates": len(certificates),
-            "verified": sum(1 for c in certificates if verify_certificate(c) == []),
-            "lossless": sum(1 for c in certificates if c.lossless),
-            "repaired": sum(1 for c in certificates if c.repaired),
-            "lost_fds": sum(len(c.lost) for c in certificates),
-        }
-    if result.provenance is not None:
-        # lineage-DAG size; informational — the gated figures above
-        # already prove the ledger added no query and little latency
-        ledger = result.provenance
-        measured["provenance"] = {
-            "nodes": len(ledger.nodes),
-            "edges": len(ledger.edges),
-            "evidence": sum(len(n.events) for n in ledger.nodes.values()),
-        }
-    if head.get("archive"):
-        # durability round trip; informational — the gated query counts
-        # above prove archival asked the extension nothing (it runs
-        # strictly after the pipeline) — but a store or restore that
-        # starts costing real time shows up here by name
-        import shutil
-        import tempfile
-
-        from repro.obs.archive import RunArchive
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-s14-")
-        try:
-            archive = RunArchive(tmp)
-            t0 = time.perf_counter()
-            archive.store(
-                {"type": "job", "id": "job-1", "label": head["name"],
-                 "state": "done", "cached": False},
-                ("bench-db", "bench-wl", "{}"),
-                trace=records,
-                metrics=metrics_from_stats(stats),
-            )
-            store_ms = (time.perf_counter() - t0) * 1000
-            t0 = time.perf_counter()
-            runs = archive.runs()
-            restore_ms = (time.perf_counter() - t0) * 1000
-            measured["archive"] = {
-                "runs_restored": len(runs),
-                "trace_records": len(records),
-                "store_ms": round(store_ms, 3),
-                "restore_ms": round(restore_ms, 3),
-            }
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
     return measured
+
+
+def _feature_figures(
+    name: str,
+    result: Any,
+    records: List[Dict[str, Any]],
+    stats: RunStats,
+    subscription: Any,
+) -> Dict[str, Any]:
+    """What the all-features head's views derived after its one run.
+
+    Every figure is deterministic, and :func:`_feature_violations` and
+    :data:`EXACT_FEATURES` gate them.
+    """
+    certificates = result.certificates
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        archive = RunArchive(tmp)
+        archive.store(
+            {"type": "job", "id": "job-1", "label": name,
+             "state": "done", "cached": False},
+            ("bench-db", "bench-wl", "{}"),
+            trace=records,
+            metrics=metrics_from_stats(stats),
+        )
+        runs_restored = len(archive.runs())
+    return {
+        "certificates": len(certificates),
+        "certificates_verified": sum(
+            1 for c in certificates if verify_certificate(c) == []
+        ),
+        "live_dropped": subscription.dropped,
+        "profile_queries_seen": profile_from_stats(stats)["totals"]["queries"],
+        "provenance_nodes": len(result.provenance.nodes),
+        "provenance_edges": len(result.provenance.edges),
+        "runs_restored": runs_restored,
+    }
 
 
 def run_all(quick: bool) -> Dict[str, Any]:
@@ -398,12 +279,14 @@ def compare(
         if cur_head is None:
             violations.append(f"{name}: head missing from this run")
             continue
-        for primitive, base_calls in base_head.get("queries", {}).items():
-            cur_calls = cur_head["queries"].get(primitive, 0)
-            if base_calls and cur_calls > max_ratio * base_calls:
+        violations += _work_differences(name, cur_head, base_head, "baseline")
+        base_features = base_head.get("features", {})
+        cur_features = cur_head.get("features", {})
+        for key in EXACT_FEATURES:
+            if key in base_features and cur_features.get(key) != base_features[key]:
                 violations.append(
-                    f"{name}: {primitive} issued {cur_calls} queries "
-                    f"(baseline {base_calls}, limit {max_ratio:.1f}x)"
+                    f"{name}: {key} {cur_features.get(key)} "
+                    f"(baseline {base_features[key]})"
                 )
         for primitive, base_units in base_head.get("latency_units", {}).items():
             if base_units < LATENCY_FLOOR_UNITS:
@@ -414,7 +297,69 @@ def compare(
                     f"{name}: {primitive} latency {cur_units:.3f} units "
                     f"(baseline {base_units:.3f}, limit {max_ratio:.1f}x)"
                 )
+    heads = current.get("heads", {})
+    for name, reference in SAME_WORK_AS.items():
+        if name in heads and reference in heads:
+            violations += _work_differences(
+                name, heads[name], heads[reference], reference
+            )
+    for name, head in sorted(heads.items()):
+        violations += _feature_violations(name, head)
     return violations
+
+
+def _work_differences(
+    name: str, head: Dict[str, Any], reference: Dict[str, Any], against: str
+) -> List[str]:
+    """Where *head*'s query counts or decisions differ from *reference*'s."""
+    differences = []
+    cur_queries = head.get("queries", {})
+    ref_queries = reference.get("queries", {})
+    for primitive in sorted(set(cur_queries) | set(ref_queries)):
+        cur_calls = cur_queries.get(primitive, 0)
+        ref_calls = ref_queries.get(primitive, 0)
+        if cur_calls != ref_calls:
+            differences.append(
+                f"{name}: {primitive} issued {cur_calls} queries "
+                f"({against} {ref_calls})"
+            )
+    if head.get("decisions") != reference.get("decisions"):
+        differences.append(
+            f"{name}: {head.get('decisions')} expert decisions "
+            f"({against} {reference.get('decisions')})"
+        )
+    return differences
+
+
+def _feature_violations(name: str, head: Dict[str, Any]) -> List[str]:
+    """The all-features facts that do not hold in *head*'s own figures."""
+    features = head.get("features")
+    if features is None:
+        return []
+    queries = sum(head.get("queries", {}).values())
+    facts = [
+        (features["certificates_verified"] == features["certificates"],
+         f"{features['certificates_verified']} of "
+         f"{features['certificates']} certificates verify"),
+        (features["live_dropped"] == 0,
+         f"the live subscriber dropped {features['live_dropped']} records"),
+        (features["profile_queries_seen"] == queries,
+         f"the profile saw {features['profile_queries_seen']} of "
+         f"{queries} queries"),
+        (features["runs_restored"] == 1,
+         f"the archive restored {features['runs_restored']} runs, not 1"),
+    ]
+    return [f"{name}: {message}" for holds, message in facts if not holds]
+
+
+def latency_coverage(baseline: Dict[str, Any]) -> Tuple[int, int]:
+    """``(gated, all)`` baseline latency entries: gated ones clear the floor."""
+    units = [
+        value
+        for head in baseline.get("heads", {}).values()
+        for value in head.get("latency_units", {}).values()
+    ]
+    return sum(1 for u in units if u >= LATENCY_FLOOR_UNITS), len(units)
 
 
 def unguarded_heads(
@@ -500,40 +445,6 @@ def attribution_report(
     return "\n".join(lines)
 
 
-def append_history(
-    path: str, result: Dict[str, Any], gate: str, violations: List[str]
-) -> Dict[str, Any]:
-    """Append one ``repro/bench-history@1`` record for this run.
-
-    One JSON line per run — mode, calibration constant, gate outcome,
-    the violations verbatim, and a condensed per-head summary — so the
-    perf trajectory persists across runs instead of living only in CI
-    artifacts.  Returns the record that was written.
-    """
-    record = {
-        "format": HISTORY_FORMAT,
-        "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "mode": result["mode"],
-        "calibration_ms": result["calibration_ms"],
-        "commit": os.environ.get("GITHUB_SHA"),
-        "gate": gate,
-        "violations": list(violations),
-        "heads": {
-            name: {
-                "wall_ms": head["wall_ms"],
-                "queries": sum(head.get("queries", {}).values()),
-                "cache_hits": head.get("cache_hits", 0),
-                "latency_units": head.get("latency_units", {}),
-            }
-            for name, head in sorted(result["heads"].items())
-        },
-    }
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True))
-        handle.write("\n")
-    return record
-
-
 def load_baseline(path: str, mode: str) -> Optional[Dict[str, Any]]:
     """The baseline entry for *mode*, or None when absent."""
     if not os.path.exists(path):
@@ -574,11 +485,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="record this run as the baseline for its mode "
                              "instead of gating")
     parser.add_argument("--max-ratio", type=float, default=2.0,
-                        help="per-primitive regression limit (default 2.0)")
-    parser.add_argument("--history", metavar="PATH",
-                        help="append one repro/bench-history@1 record for this "
-                             "run to PATH and print a drift advisory over it "
-                             "(CI: benchmarks/BENCH_history.jsonl)")
+                        help="per-primitive latency limit (default 2.0); "
+                             "query counts and decisions are gated exactly")
     args = parser.parse_args(argv)
 
     result = run_all(quick=args.quick)
@@ -588,15 +496,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
         print(f"metrics written to {args.output}", file=sys.stderr)
 
-    def record_history(gate: str, violations: List[str]) -> None:
-        if args.history:
-            append_history(args.history, result, gate, violations)
-            print(f"history appended to {args.history}", file=sys.stderr)
-
     if args.write_baseline:
         write_baseline(args.baseline, result)
         print(f"baseline ({result['mode']}) written to {args.baseline}")
-        record_history("baseline-written", [])
         return 0
 
     baseline = load_baseline(args.baseline, result["mode"])
@@ -605,7 +507,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"no {result['mode']} baseline in {args.baseline}: gate skipped "
             f"(run with --write-baseline to record one)"
         )
-        record_history("skipped", [])
         return 0
 
     violations = compare(result, baseline, max_ratio=args.max_ratio)
@@ -615,24 +516,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{head}: {total} queries, {measured['wall_ms']:.0f} ms wall, "
             f"{measured['cache_hits']} cache hits"
         )
+    gated, entries = latency_coverage(baseline)
+    print(
+        f"latency: {gated} of {entries} primitive entries above the floor "
+        f"(gated)"
+    )
     unguarded = unguarded_heads(result, baseline)
-    gate = "fail" if violations else ("unguarded" if unguarded else "pass")
-    record_history(gate, violations or unguarded)
-    if args.history:
-        # advisory drift report: the history file now includes this
-        # run, so a flagged latest point means *this run* is anomalous
-        # against its own trajectory (robust median/MAD z-score).
-        # Advisory only — the ratio gate above is the only thing that
-        # decides the exit code.
-        from repro.obs.history import bench_drift_report, load_bench_history
-
-        drifted = bench_drift_report(
-            load_bench_history(args.history, mode=result["mode"])
-        )
-        if drifted:
-            print("\ndrift advisory (informational, not gated):")
-            for message in drifted:
-                print(f"  - {message}")
     if violations:
         print("\nREGRESSION GATE FAILED:")
         for violation in violations:

@@ -203,9 +203,11 @@ class SQLiteBackend:
         #: never resets — a dropped-and-recreated relation continues the
         #: count, so memoized results can never alias across lifetimes
         self._versions: Dict[str, int] = {}
-        #: the connection's row changes made by writes through this
-        #: backend; ``total_changes`` beyond them were made by raw SQL
+        #: the connection's row changes and ``schema_version`` moves
+        #: made by writes through this backend; any beyond them were
+        #: made by raw SQL
         self._own_changes = 0
+        self._own_schema_changes = 0
         #: compiled SQL text per (primitive, relations, attrs)
         self._statements: Dict[tuple, str] = {}
         #: memoized primitive results, guarded by the write tokens of
@@ -267,6 +269,13 @@ class SQLiteBackend:
             return None
         twin = self.spawn()
         self._conn.backup(twin._conn)
+        # the twin holds the very bytes that just passed, so it inherits
+        # the verdicts instead of re-running the typing scans
+        twin.attach(schema)
+        for relation in schema:
+            twin._as_is_memo[relation.name] = (
+                twin.write_token(relation.name), True,
+            )
         return twin
 
     def close(self) -> None:
@@ -372,20 +381,19 @@ class SQLiteBackend:
         """A token every write to the store changes.
 
         The relation's write counter covers writes through this
-        backend.  The connection's ``total_changes`` beyond the
-        backend's own and ``PRAGMA schema_version`` cover raw DML and
-        DDL on this connection, and ``PRAGMA data_version`` covers
-        commits by any other connection to the same file.  A write
-        through the backend moves only its relation's token.
+        backend.  The connection's ``total_changes`` and ``PRAGMA
+        schema_version`` beyond the backend's own cover raw DML and DDL
+        on this connection, and ``PRAGMA data_version`` covers commits
+        by any other connection to the same file.  A write through the
+        backend, DDL included, moves only its relation's token.
         """
         self._require(relation)
         conn = self._conn
-        (schema_version,) = conn.execute("PRAGMA schema_version").fetchone()
         (data_version,) = conn.execute("PRAGMA data_version").fetchone()
         return (
             self._versions.get(relation, 0),
             conn.total_changes - self._own_changes,
-            schema_version,
+            self._schema_version() - self._own_schema_changes,
             data_version,
         )
 
@@ -669,15 +677,20 @@ class SQLiteBackend:
     def _writing(self, relation: str) -> Iterator[None]:
         """One write through the backend to *relation*, then commit.
 
-        Bumps the relation's write counter and books the row changes the
-        write made on the connection as the backend's own, so they move
-        only this relation's :meth:`write_token`.
+        Bumps the relation's write counter and books the row changes and
+        ``schema_version`` moves the write made on the connection as the
+        backend's own, so they move only this relation's
+        :meth:`write_token`.
         """
-        before = self._conn.total_changes
+        changes, schema_version = self._conn.total_changes, self._schema_version()
         yield
-        self._own_changes += self._conn.total_changes - before
+        self._own_changes += self._conn.total_changes - changes
+        self._own_schema_changes += self._schema_version() - schema_version
         self._versions[relation] = self._versions.get(relation, 0) + 1
         self._commit()
+
+    def _schema_version(self) -> int:
+        return self._conn.execute("PRAGMA schema_version").fetchone()[0]
 
     def _invalidate(self, relation: str) -> None:
         """Detach the mirror and purge statement/result caches (DDL)."""

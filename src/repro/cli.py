@@ -593,33 +593,20 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    """Cross-run trend tables + drift flags (archive and bench history)."""
-    from repro.obs.history import (
-        load_bench_history,
-        render_archive_trends,
-        render_bench_trends,
-    )
+    """Cross-run trend tables + drift flags over the run archive."""
+    from repro.obs.archive import RunArchive
+    from repro.obs.history import render_archive_trends
 
-    shown = False
-    if args.archive:
-        from repro.obs.archive import RunArchive
-
-        try:
-            print(
-                render_archive_trends(
-                    RunArchive(args.archive), threshold=args.threshold
-                ),
-                end="",
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        shown = True
-    records = load_bench_history(args.bench, mode=args.mode)
-    if records or not shown:
-        if shown:
-            print()
-        print(render_bench_trends(records, threshold=args.threshold), end="")
+    try:
+        print(
+            render_archive_trends(
+                RunArchive(args.archive), threshold=args.threshold
+            ),
+            end="",
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -894,17 +881,10 @@ def build_parser() -> argparse.ArgumentParser:
     history_cmd = sub.add_parser(
         "history",
         help="cross-run trend tables with robust (median/MAD) drift "
-             "detection over the run archive and the bench history",
+             "detection over the run archive",
     )
-    history_cmd.add_argument("--archive", metavar="DIR",
+    history_cmd.add_argument("--archive", metavar="DIR", required=True,
                              help="a repro/archive@1 directory to analyze")
-    history_cmd.add_argument("--bench", metavar="FILE",
-                             default="benchmarks/BENCH_history.jsonl",
-                             help="a repro/bench-history@1 file (default "
-                                  "benchmarks/BENCH_history.jsonl)")
-    history_cmd.add_argument("--mode", choices=("quick", "full"),
-                             default=None,
-                             help="restrict bench trends to one mode")
     history_cmd.add_argument("--threshold", type=float, default=3.5,
                              metavar="Z",
                              help="robust z-score drift cut (default 3.5)")

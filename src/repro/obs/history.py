@@ -1,18 +1,12 @@
-"""Cross-run analytics: trends and drift over archived runs and bench history.
+"""Cross-run analytics: trends and drift over archived runs.
 
 One run tells you what the method did; a *series* of runs tells you
-what changed.  This module reads the two persistent evidence stores
-the repo accumulates —
-
-- the ``repro/archive@1`` run archive (``repro serve --archive``),
-  grouped by the database/workload fingerprints the results cache keys
-  on, and
-- the ``repro/bench-history@1`` trajectory that
-  ``benchmarks/regression.py --history PATH`` appends per run —
-
-and renders trend tables (per-phase latency, primitive cache hit-rate,
-per-head wall time) with **robust drift detection**:
-each series is scored with the median/MAD z-score
+what changed.  This module reads the ``repro/archive@1`` run archive
+(``repro serve --archive``), grouped by the database/workload
+fingerprints the results cache keys on, and renders trend tables
+(per-phase latency, primitive cache hit-rate) with **robust drift
+detection**: each group's wall-time series is scored with the
+median/MAD z-score
 
     z_i = 0.6745 * (x_i - median) / MAD
 
@@ -24,18 +18,13 @@ flags a run as drifted.  When MAD is zero (over half the series is
 identical) the mean absolute deviation stands in; a series that never
 varies at all cannot drift.
 
-Surfaced as ``repro history`` (tables + flags) and as an *advisory*
-drift report inside the regression gate — advisory because drift is a
-question ("did something change?"), not a verdict; the ratio gate
-stays the only thing that fails CI.
+Surfaced as ``repro history --archive DIR`` (tables + flags); drift is
+a question ("did something change?"), not a verdict.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from repro.obs.live import RunStats
 from repro.util.text import format_table
@@ -45,13 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DRIFT_THRESHOLD",
-    "SeriesDrift",
     "archive_trends",
-    "bench_drift_report",
     "detect_drift",
-    "load_bench_history",
     "render_archive_trends",
-    "render_bench_trends",
     "robust_zscores",
 ]
 
@@ -60,8 +45,6 @@ DRIFT_THRESHOLD = 3.5
 
 #: series shorter than this cannot meaningfully drift
 _MIN_SERIES = 4
-
-_HISTORY_FORMAT = "repro/bench-history@1"
 
 
 def _median(values: Sequence[float]) -> float:
@@ -113,159 +96,6 @@ def detect_drift(
     ]
 
 
-@dataclass
-class SeriesDrift:
-    """One metric series over runs, with its drift verdict."""
-
-    name: str
-    values: List[float] = field(default_factory=list)
-    flagged: List[Tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def drifted(self) -> bool:
-        return bool(self.flagged)
-
-    @property
-    def latest_drifted(self) -> bool:
-        """Did the *most recent* run drift? (The actionable case.)"""
-        return any(index == len(self.values) - 1 for index, _ in self.flagged)
-
-
-def _series(name: str, values: Sequence[float], threshold: float) -> SeriesDrift:
-    values = [float(v) for v in values]
-    return SeriesDrift(
-        name=name, values=values, flagged=detect_drift(values, threshold)
-    )
-
-
-# ----------------------------------------------------------------------
-# the bench-history side
-# ----------------------------------------------------------------------
-def load_bench_history(
-    path: str, mode: Optional[str] = None
-) -> List[Dict[str, Any]]:
-    """The ``repro/bench-history@1`` records in *path*, oldest first.
-
-    Filters to *mode* (``quick``/``full``) when given — drift across
-    modes would compare different scenario sizes.  Unreadable lines
-    and foreign formats are skipped (the history file is append-only
-    and may span harness versions).
-    """
-    if not os.path.exists(path):
-        return []
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if record.get("format") != _HISTORY_FORMAT:
-                continue
-            if mode is not None and record.get("mode") != mode:
-                continue
-            records.append(record)
-    return records
-
-
-def _bench_series(
-    records: Sequence[Dict[str, Any]], threshold: float
-) -> Dict[str, Dict[str, SeriesDrift]]:
-    """head name → metric name → its series across *records*."""
-    heads: Dict[str, Dict[str, List[float]]] = {}
-    for record in records:
-        for name, head in (record.get("heads") or {}).items():
-            metrics = heads.setdefault(
-                name, {"wall_ms": [], "queries": [], "cache_hits": []}
-            )
-            metrics["wall_ms"].append(float(head.get("wall_ms", 0.0)))
-            metrics["queries"].append(float(head.get("queries", 0)))
-            metrics["cache_hits"].append(float(head.get("cache_hits", 0)))
-    return {
-        name: {
-            metric: _series(metric, values, threshold)
-            for metric, values in metrics.items()
-        }
-        for name, metrics in heads.items()
-    }
-
-
-def render_bench_trends(
-    records: Sequence[Dict[str, Any]], threshold: float = DRIFT_THRESHOLD
-) -> str:
-    """The per-head trend table over a bench-history series."""
-    if not records:
-        return "no bench history\n"
-    rows = []
-    drifted_any = False
-    for name, metrics in sorted(_bench_series(records, threshold).items()):
-        wall = metrics["wall_ms"]
-        if not wall.values:
-            continue
-        scores = robust_zscores(wall.values)
-        flags = []
-        for metric, series in sorted(metrics.items()):
-            if series.latest_drifted:
-                flags.append(metric)
-                drifted_any = True
-        rows.append([
-            name,
-            str(len(wall.values)),
-            f"{_median(wall.values):.1f}",
-            f"{wall.values[-1]:.1f}",
-            f"{scores[-1]:+.2f}" if scores else "-",
-            f"{metrics['queries'].values[-1]:.0f}",
-            f"{metrics['cache_hits'].values[-1]:.0f}",
-            "DRIFT:" + ",".join(flags) if flags else "ok",
-        ])
-    lines = [
-        f"bench history: {len(records)} runs "
-        f"(drift = |median/MAD z| >= {threshold})",
-        format_table(
-            ["head", "runs", "median ms", "last ms", "z(last)",
-             "queries", "hits", "verdict"],
-            rows,
-        ),
-    ]
-    if drifted_any:
-        lines.append(
-            "drifted series are advisory: check the flagged run before "
-            "trusting its figures"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def bench_drift_report(
-    records: Sequence[Dict[str, Any]], threshold: float = DRIFT_THRESHOLD
-) -> List[str]:
-    """Advisory messages for heads whose *latest* run drifted.
-
-    Only the latest run is reported — the gate runs after appending the
-    current run, so "the newest point is anomalous against its own
-    history" is the case a CI log can act on.
-    """
-    messages: List[str] = []
-    for name, metrics in sorted(_bench_series(records, threshold).items()):
-        for metric, series in sorted(metrics.items()):
-            if not series.latest_drifted:
-                continue
-            z = next(
-                z for i, z in series.flagged if i == len(series.values) - 1
-            )
-            messages.append(
-                f"{name}: {metric} {series.values[-1]:g} drifts from its "
-                f"history (median {_median(series.values):g}, "
-                f"robust z {z:+.2f}, cut {threshold})"
-            )
-    return messages
-
-
-# ----------------------------------------------------------------------
-# the archive side
-# ----------------------------------------------------------------------
 def archive_trends(
     archive: "RunArchive", threshold: float = DRIFT_THRESHOLD
 ) -> List[Dict[str, Any]]:

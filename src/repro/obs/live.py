@@ -30,9 +30,9 @@ one-event-stream design observable while the run is still going:
 
 The bus costs nothing when unused: a tracer without subscribers carries
 ``_live = None`` and every hot-path hook is a single attribute test —
-the S13 benchmark and the ``s13-live-head`` regression gate enforce
-that the no-subscriber pipeline stays within noise of the pre-bus
-baseline.
+the S13 benchmark enforces it, and the regression gate's
+``s3-all-features-head`` runs watched and must ask exactly the
+unwatched head's queries.
 
 Record shapes (all carry ``type``, ``seq`` and ``ts_ms`` — milliseconds
 since the bus attached):

@@ -241,6 +241,7 @@ _KIND_LABELS = {
     LIVE_FORMAT: "live-capture",
     "repro/bench@1": "bench-metrics",
     "repro/bench-baseline@1": "bench-baseline",
+    # the per-run history earlier versions of the gate appended
     "repro/bench-history@1": "bench-history",
 }
 

@@ -236,6 +236,32 @@ class TestStatementCaching:
         assert db.count_distinct("Department", ("dep",)) == 8
         assert statements == []  # Department memo survived the Person write
 
+    @pytest.mark.parametrize("ddl", ["drop", "create", "replace"])
+    def test_ddl_on_one_relation_keeps_other_memos(self, db, ddl):
+        """The backend's own DDL moves the connection-wide schema
+        version; it is booked like its row changes, so only the
+        written relation's token moves."""
+        db.count_distinct("Department", ("dep",))
+        token = db.backend.write_token("Department")
+        if ddl == "drop":
+            db.drop_relation("Person")
+        elif ddl == "create":
+            db.create_relation(RelationSchema.build("Extra", ["x"], types={"x": INTEGER}))
+        else:
+            person = db.schema.relation("Person")
+            db.backend.replace_relation(
+                RelationSchema("Person", [person.attributes[0]])
+            )
+        statements = self._traced(db)
+        assert db.backend.write_token("Department") == token
+        assert db.count_distinct("Department", ("dep",)) == 8
+        assert statements == []  # Department memo survived the DDL
+
+    def test_raw_ddl_still_moves_every_token(self, db):
+        token = db.backend.write_token("Department")
+        db.backend.connection.execute("CREATE TABLE raw_extra (x INTEGER)")
+        assert db.backend.write_token("Department") != token
+
     def test_join_memo_guards_both_relations(self, db):
         assert db.join_count("HEmployee", ("no",), "Person", ("id",)) == 15
         db.insert("Person", [200, "x", "y", 1, "69100", "Rhone"])
@@ -346,6 +372,18 @@ class TestSameKindCopy:
             "INSERT INTO \"Person\" (\"id\") VALUES ('abc')"
         )
         assert db.backend.clone(db.schema.copy()) is None
+
+    def test_the_twin_inherits_the_typing_verdicts(self):
+        """The byte copy passed every ``_STORED_AS_IS`` scan, so the
+        twin's first scan of each relation runs no typing scan again."""
+        db = build_paper_database(backend=SQLiteBackend())
+        clone = db.copy()
+        statements = []
+        clone.backend.connection.set_trace_callback(statements.append)
+        for relation in clone.schema:
+            scan = clone.backend.scan(relation.name, relation.attribute_names)
+            assert list(scan.tuples) == list(db.backend.rows(relation.name))
+        assert statements and not [s for s in statements if "typeof" in s]
 
     @pytest.fixture
     def constrained(self, tmp_path):

@@ -1,14 +1,12 @@
-"""Regression-gate attribution and bench-history persistence tests.
+"""Regression-gate attribution tests.
 
 The forced-regression test doctors a baseline, monkeypatches the
 harness's ``run_all`` (no real heads run), and asserts the gate exits
-1, prints the attribution table for the failing head, and appends a
-``repro/bench-history@1`` record — the issue's acceptance scenario.
+1 and prints the attribution table for the failing head.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -86,50 +84,17 @@ class TestAttributionReport:
         assert "fd_holds" in text
 
 
-class TestHistory:
-    def test_append_writes_one_schema_tagged_line_per_run(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        result = run_doc(s1=head())
-        regression.append_history(path, result, "pass", [])
-        regression.append_history(path, result, "fail", ["s1: too slow"])
-        lines = [
-            json.loads(line)
-            for line in open(path, encoding="utf-8").read().splitlines()
-        ]
-        assert len(lines) == 2
-        for record in lines:
-            assert record["format"] == regression.HISTORY_FORMAT
-            assert record["mode"] == "quick"
-            assert record["recorded_at"]
-            assert record["heads"]["s1"]["queries"] == 30
-            assert record["heads"]["s1"]["latency_units"] == {
-                "count_distinct": 0.5, "fd_holds": 1.0,
-            }
-        assert lines[0]["gate"] == "pass" and lines[0]["violations"] == []
-        assert lines[1]["gate"] == "fail"
-        assert lines[1]["violations"] == ["s1: too slow"]
-
-    def test_the_returned_record_matches_the_written_line(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        record = regression.append_history(path, run_doc(s1=head()), "pass", [])
-        written = json.loads(open(path, encoding="utf-8").read())
-        assert written == json.loads(json.dumps(record))
-
-
 class TestForcedRegression:
-    """The acceptance scenario: gate fails, attributes, persists."""
+    """The acceptance scenario: the gate fails and attributes."""
 
     def force(self, tmp_path, monkeypatch, capsys, current, baseline_head):
         baseline_path = str(tmp_path / "baseline.json")
-        history_path = str(tmp_path / "history.jsonl")
         regression.write_baseline(baseline_path, run_doc(**{"s3-head": baseline_head}))
         monkeypatch.setattr(regression, "run_all", lambda quick: current)
-        code = regression.main(
-            ["--quick", "--baseline", baseline_path, "--history", history_path]
-        )
-        return code, capsys.readouterr(), history_path
+        code = regression.main(["--quick", "--baseline", baseline_path])
+        return code, capsys.readouterr()
 
-    def test_gate_failure_prints_attribution_and_appends_history(
+    def test_gate_failure_prints_attribution(
         self, tmp_path, monkeypatch, capsys
     ):
         regressed = head(
@@ -142,25 +107,23 @@ class TestForcedRegression:
                 },
             ),
         )
-        code, captured, history_path = self.force(
+        code, captured = self.force(
             tmp_path, monkeypatch, capsys,
             current=run_doc(**{"s3-head": regressed}),
             baseline_head=head(),
         )
         assert code == 1
         assert "REGRESSION GATE FAILED" in captured.out
+        assert "s3-head: count_distinct issued 50 queries (baseline 10)" \
+            in captured.out
         assert "attribution for s3-head" in captured.out
         assert "10 -> 50" in captured.out          # the query blow-up, named
         assert "80% -> 0%" in captured.out         # the cache explanation
-        record = json.loads(open(history_path, encoding="utf-8").read())
-        assert record["format"] == "repro/bench-history@1"
-        assert record["gate"] == "fail"
-        assert any("count_distinct" in v for v in record["violations"])
 
-    def test_passing_gate_appends_a_pass_record_without_attribution(
+    def test_passing_gate_prints_no_attribution(
         self, tmp_path, monkeypatch, capsys
     ):
-        code, captured, history_path = self.force(
+        code, captured = self.force(
             tmp_path, monkeypatch, capsys,
             current=run_doc(**{"s3-head": head()}),
             baseline_head=head(),
@@ -168,30 +131,17 @@ class TestForcedRegression:
         assert code == 0
         assert "regression gate passed" in captured.out
         assert "attribution" not in captured.out
-        record = json.loads(open(history_path, encoding="utf-8").read())
-        assert record["gate"] == "pass" and record["violations"] == []
 
-    def test_no_history_flag_suppresses_the_append(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """Without ``--history`` nothing is appended and no advisory runs,
-        so a local check leaves the tracked history file untouched."""
+    def test_a_gate_run_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        """Without ``--output`` a gate run writes nothing, so a local
+        check leaves the tree clean."""
         baseline_path = str(tmp_path / "baseline.json")
         regression.write_baseline(baseline_path, run_doc(**{"s3-head": head()}))
         monkeypatch.setattr(
             regression, "run_all", lambda quick: run_doc(**{"s3-head": head()})
         )
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("history appended without --history")
-
-        monkeypatch.setattr(regression, "append_history", refuse)
         monkeypatch.chdir(tmp_path)
-        code = regression.main(["--quick", "--baseline", baseline_path])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "history appended" not in captured.err
-        assert "drift advisory" not in captured.out
+        assert regression.main(["--quick", "--baseline", baseline_path]) == 0
         assert sorted(os.listdir(tmp_path)) == ["baseline.json"]
 
     def test_the_no_history_flag_is_gone(self, tmp_path, capsys):
@@ -199,3 +149,10 @@ class TestForcedRegression:
             regression.main(["--quick", "--no-history"])
         assert info.value.code == 2
         assert "--no-history" in capsys.readouterr().err
+
+    def test_the_history_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            regression.main(["--quick", "--history", str(tmp_path / "h.jsonl")])
+        assert info.value.code == 2
+        assert "--history" in capsys.readouterr().err
+        assert not (tmp_path / "h.jsonl").exists()

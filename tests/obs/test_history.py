@@ -1,35 +1,17 @@
-"""Cross-run analytics: robust drift scores, bench trends, archive trends."""
+"""Cross-run analytics: robust drift scores and archive trends."""
 
-import json
+import pytest
 
+from repro.cli import main
 from repro.obs.archive import RunArchive
 from repro.obs.history import (
     DRIFT_THRESHOLD,
     archive_trends,
-    bench_drift_report,
     detect_drift,
-    load_bench_history,
     render_archive_trends,
-    render_bench_trends,
     robust_zscores,
 )
 from repro.obs.live import RunStats
-
-
-def history_record(mode="quick", wall_ms=10.0, queries=30, hits=5):
-    return {
-        "format": "repro/bench-history@1",
-        "mode": mode,
-        "gate": "pass",
-        "heads": {
-            "s1-head": {
-                "wall_ms": wall_ms,
-                "queries": queries,
-                "cache_hits": hits,
-                "latency_units": {},
-            }
-        },
-    }
 
 
 class TestRobustScores:
@@ -59,45 +41,6 @@ class TestRobustScores:
     def test_empty_series(self):
         assert robust_zscores([]) == []
         assert detect_drift([]) == []
-
-
-class TestBenchHistory:
-    def test_load_filters_mode_and_skips_garbage(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        lines = [
-            json.dumps(history_record(mode="quick")),
-            "not json at all {",
-            json.dumps({"format": "something-else@1"}),
-            json.dumps(history_record(mode="full")),
-            json.dumps(history_record(mode="quick", wall_ms=11.0)),
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        records = load_bench_history(str(path), mode="quick")
-        assert len(records) == 2
-        assert load_bench_history(str(path)) and len(
-            load_bench_history(str(path))
-        ) == 3
-
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert load_bench_history(str(tmp_path / "absent.jsonl")) == []
-
-    def test_drift_report_flags_only_the_latest_run(self, tmp_path):
-        records = [history_record(wall_ms=w) for w in
-                   (10.0, 10.5, 40.0, 10.2, 10.4, 10.1, 10.3)]
-        # the index-2 spike is history, not news: not reported
-        assert bench_drift_report(records) == []
-        records.append(history_record(wall_ms=45.0))
-        messages = bench_drift_report(records)
-        assert len(messages) == 1
-        assert "s1-head" in messages[0] and "wall_ms" in messages[0]
-
-    def test_render_marks_drift(self):
-        records = [history_record(wall_ms=w) for w in
-                   (10.0, 10.5, 10.2, 10.4, 10.1, 45.0)]
-        rendered = render_bench_trends(records)
-        assert "DRIFT:wall_ms" in rendered
-        assert "s1-head" in rendered
-        assert render_bench_trends([]) == "no bench history\n"
 
 
 def archived_run(archive, job_id, key, phase_ms, calls=10, hits=5):
@@ -149,3 +92,22 @@ class TestArchiveTrends:
             RunArchive(str(tmp_path))
         ) == "archive is empty\n"
         assert DRIFT_THRESHOLD == 3.5
+
+
+class TestHistoryCommand:
+    def test_without_an_archive_it_exits_2_with_one_error_line(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["history"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == [
+            "repro history: error: the following arguments are required: "
+            "--archive"
+        ]
+
+    def test_the_bench_options_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["history", "--bench", "history.jsonl"])
+        assert info.value.code == 2
