@@ -1,8 +1,8 @@
 """S13 — live-telemetry overhead and stream completeness.
 
-Three claims pay for the ``repro.obs.live`` bus:
+Two claims pay for the ``repro.obs.live`` bus:
 
-1. **No subscriber, no cost** — a tracer that never attached a bus
+1. **No bus, no cost** — a tracer that never attached a bus
    publishes nothing: every hot-path hook is a single ``is None`` test,
    so ``live_bus`` stays ``None`` after a full run (asserted
    structurally, at any speed), and the wall clock of a run with the
@@ -11,15 +11,12 @@ Three claims pay for the ``repro.obs.live`` bus:
    ledger on; its latency entries are held to ≤ 2x of a baseline in
    calibration units where they clear the gate's noise floor (only in
    full mode).  Here we print the measured delta for the record.
-2. **A watcher sees everything** — with one subscriber attached from
-   submit, the stream carries every phase boundary of the run, at
-   least one progress tick per discovery phase, and the terminal
-   record, all in one monotonic sequence.
-3. **A slow watcher never stalls the run** — a bounded subscription
-   keeps the publishing side non-blocking: the run's wall clock with a
-   never-drained maxsize-8 subscriber stays within noise of the
-   drained-watcher run, the excess is counted, and the gap is
-   recoverable by replay.
+2. **A watcher sees everything** — with the bus attached before the
+   run, its history carries every phase boundary of the run, at least
+   one progress tick per discovery phase, and the terminal record, all
+   in one contiguous sequence.  A reader pages that history by
+   ``seq``; there is no per-reader queue that could fill, so a slow
+   reader cannot stall the run or lose a record.
 
 Like S7/S10/S11 this file runs as a plain smoke test with
 ``time.perf_counter`` loops, not the pytest-benchmark fixture.
@@ -50,30 +47,31 @@ PHASES = (
 )
 
 
-def _run(subscribe=False, maxsize=0):
+def _run(watched=False):
     scenario = build_scenario(SCENARIO)
     tracer = Tracer()
-    subscription = tracer.subscribe(maxsize=maxsize) if subscribe else None
+    if watched:
+        tracer.live()
     pipeline = DBREPipeline(scenario.database, scenario.expert, tracer=tracer)
     start = time.perf_counter()
     pipeline.run(corpus=scenario.corpus)
     wall = time.perf_counter() - start
-    return tracer, subscription, wall
+    return tracer, wall
 
 
-def _best_wall(subscribe=False, maxsize=0, rounds=ROUNDS):
-    return min(_run(subscribe, maxsize)[2] for _ in range(rounds))
+def _best_wall(watched=False, rounds=ROUNDS):
+    return min(_run(watched)[1] for _ in range(rounds))
 
 
-def test_s13_no_subscriber_publishes_nothing():
+def test_s13_unwatched_run_publishes_nothing():
     """The hot path stays a None test: no bus, no records, ever."""
-    tracer, _, wall = _run(subscribe=False)
+    tracer, wall = _run(watched=False)
     assert tracer.live_bus is None, (
-        "a run without subscribers attached a live bus — the zero-"
-        "overhead claim is structurally broken"
+        "an unwatched run attached a live bus — the zero-overhead "
+        "claim is structurally broken"
     )
     report(
-        "S13 — no-subscriber run (bus never attached)",
+        "S13 — unwatched run (bus never attached)",
         ["observable", "value"],
         [
             ["live_bus", "None"],
@@ -84,15 +82,15 @@ def test_s13_no_subscriber_publishes_nothing():
 
 def test_s13_overhead_with_and_without_a_watcher():
     """Wall clocks side by side; the hard gate rides the regression head."""
-    quiet = _best_wall(subscribe=False)
-    watched = _best_wall(subscribe=True)
+    quiet = _best_wall(watched=False)
+    watched = _best_wall(watched=True)
     ratio = watched / quiet if quiet else float("inf")
     report(
-        f"S13 — wall clock, no subscriber vs one watcher (best of {ROUNDS})",
+        f"S13 — wall clock, no bus vs a watched bus (best of {ROUNDS})",
         ["mode", "wall ms", "ratio"],
         [
-            ["no subscriber", f"{quiet * 1000:.1f}", "1.00x"],
-            ["one watcher", f"{watched * 1000:.1f}", f"{ratio:.2f}x"],
+            ["no bus", f"{quiet * 1000:.1f}", "1.00x"],
+            ["watched", f"{watched * 1000:.1f}", f"{ratio:.2f}x"],
         ],
     )
     # generous inline bound — the calibrated ≤ 2x bar lives in
@@ -104,13 +102,12 @@ def test_s13_overhead_with_and_without_a_watcher():
 
 
 def test_s13_watcher_sees_every_phase_and_the_terminus():
-    """One subscriber, full stream: boundaries, progress, monotonic seq."""
-    tracer, subscription, _ = _run(subscribe=True)
-    records = subscription.drain()
-    assert subscription.dropped == 0
-    sequences = [r["seq"] for r in records]
-    assert sequences == sorted(sequences)
-    assert len(set(sequences)) == len(sequences)
+    """The bus history, full stream: boundaries, progress, contiguous seq."""
+    tracer, _ = _run(watched=True)
+    bus = tracer.live()
+    records = bus.history()
+    assert bus.trimmed == 0
+    assert [r["seq"] for r in records] == list(range(1, bus.last_seq + 1))
     # a direct run's terminus is the pipeline span closing (the job
     # service adds its own ``end`` sentinel on top)
     assert records[-1]["type"] == "span-close"
@@ -130,35 +127,7 @@ def test_s13_watcher_sees_every_phase_and_the_terminus():
     for phase in ("IND-Discovery", "LHS-Discovery", "RHS-Discovery"):
         assert progress.get(phase, 0) >= 1, f"no progress tick in {phase}"
     report(
-        "S13 — one watcher, stream census",
+        "S13 — the watched bus, stream census",
         ["event type", "records"],
         sorted(RunStats.fold(records).events.items()),
-    )
-
-
-def test_s13_slow_watcher_never_stalls_the_run():
-    """A bounded never-drained subscription drops, counts, and replays."""
-    drained_wall = _best_wall(subscribe=True)
-    tracer, slow, stalled_wall = _run(subscribe=True, maxsize=8)
-    bus = tracer.live_bus
-    kept = slow.drain()
-    assert len(kept) == 8
-    assert slow.dropped == bus.last_seq - 8
-    # the history is complete: replay recovers everything the queue shed
-    recovered = bus.subscribe(replay_from=kept[-1]["seq"]).drain()
-    assert recovered[-1]["seq"] == bus.last_seq
-    ratio = stalled_wall / drained_wall if drained_wall else float("inf")
-    report(
-        "S13 — slow watcher (maxsize 8, never drained)",
-        ["observable", "value"],
-        [
-            ["records kept", len(kept)],
-            ["records dropped", slow.dropped],
-            ["recovered by replay", len(recovered)],
-            ["wall vs drained watcher", f"{ratio:.2f}x"],
-        ],
-    )
-    assert ratio < 5.0, (
-        f"a stalled subscriber cost {ratio:.2f}x wall clock — "
-        f"publish is blocking on a full queue"
     )

@@ -8,9 +8,10 @@ JSON document per run with per-primitive query counts and latencies:
 - ``s3-end-to-end-head``, an end-to-end scenario on memory;
 - ``s6-sqlite-head``, the same scenario on the SQLite pushdown backend;
 - ``s3-all-features-head``, the same scenario once more with the
-  provenance ledger on and a live subscriber attached; after the run it
+  provenance ledger on and a live bus attached; after the run it
   computes the hotspot profile, re-verifies every certificate, and
-  stores the run in a ``repro/archive@1`` directory and restores it.
+  stores the run (its live capture and fold) in a ``repro/archive@1``
+  directory and restores it.
 
 Compared against ``benchmarks/BENCH_baseline.json``, the harness
 **fails (exit 1)** on any of
@@ -23,9 +24,10 @@ Compared against ``benchmarks/BENCH_baseline.json``, the harness
   queries and decisions, so neither the backend nor any feature adds a
   query;
 - **the all-features facts**: every certificate verifies, the live
-  subscriber dropped nothing, the profile saw every query, the archive
-  restored exactly one run, and the provenance DAG has the baseline's
-  node and edge counts;
+  history holds every published record and one ``primitive`` record
+  per query, the profile saw every query, the archive restored exactly
+  one run, and the provenance DAG has the baseline's node and edge
+  counts;
 - **latency** per primitive beyond ``--max-ratio`` (default 2x) —
   measured in *calibration units* (the run's wall time divided by the
   time of a fixed pure-Python workload measured in the same process),
@@ -72,8 +74,8 @@ from repro.core import DBREPipeline
 from repro.normalization import verify_certificate
 from repro.obs import Tracer, trace_records
 from repro.obs.archive import RunArchive
-from repro.obs.export import metrics_from_stats, replay_trace
-from repro.obs.live import RunStats
+from repro.obs.export import replay_trace
+from repro.obs.live import RunStats, live_records
 from repro.obs.profile import profile_from_stats
 from repro.util.text import format_table
 from repro.workloads.scenario import ScenarioConfig, build_scenario
@@ -185,7 +187,7 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     database = scenario.database.copy(backend=head["backend"]())
     tracer = Tracer()
     all_features = head.get("all_features", False)
-    subscription = tracer.subscribe() if all_features else None
+    bus = tracer.live() if all_features else None
     pipeline = DBREPipeline(
         database, scenario.expert, tracer=tracer, provenance=all_features
     )
@@ -203,17 +205,13 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     }
     if all_features:
         measured["features"] = _feature_figures(
-            head["name"], result, records, stats, subscription
+            head["name"], result, stats, bus
         )
     return measured
 
 
 def _feature_figures(
-    name: str,
-    result: Any,
-    records: List[Dict[str, Any]],
-    stats: RunStats,
-    subscription: Any,
+    name: str, result: Any, stats: RunStats, bus: Any
 ) -> Dict[str, Any]:
     """What the all-features head's views derived after its one run.
 
@@ -221,14 +219,15 @@ def _feature_figures(
     :data:`EXACT_FEATURES` gate them.
     """
     certificates = result.certificates
+    history = bus.history()
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         archive = RunArchive(tmp)
         archive.store(
             {"type": "job", "id": "job-1", "label": name,
              "state": "done", "cached": False},
             ("bench-db", "bench-wl", "{}"),
-            trace=records,
-            metrics=metrics_from_stats(stats),
+            live=live_records(history),
+            stats=bus.stats(),
         )
         runs_restored = len(archive.runs())
     return {
@@ -236,7 +235,10 @@ def _feature_figures(
         "certificates_verified": sum(
             1 for c in certificates if verify_certificate(c) == []
         ),
-        "live_dropped": subscription.dropped,
+        "live_last_seq": bus.last_seq,
+        "live_primitives": sum(1 for r in history if r["type"] == "primitive"),
+        "live_retained": len(history),
+        "live_trimmed": bus.trimmed,
         "profile_queries_seen": profile_from_stats(stats)["totals"]["queries"],
         "provenance_nodes": len(result.provenance.nodes),
         "provenance_edges": len(result.provenance.edges),
@@ -341,8 +343,14 @@ def _feature_violations(name: str, head: Dict[str, Any]) -> List[str]:
         (features["certificates_verified"] == features["certificates"],
          f"{features['certificates_verified']} of "
          f"{features['certificates']} certificates verify"),
-        (features["live_dropped"] == 0,
-         f"the live subscriber dropped {features['live_dropped']} records"),
+        (features["live_trimmed"] == 0
+         and features["live_retained"] == features["live_last_seq"],
+         f"the live history holds {features['live_retained']} of "
+         f"{features['live_last_seq']} records "
+         f"({features['live_trimmed']} trimmed)"),
+        (features["live_primitives"] == queries,
+         f"the live history holds {features['live_primitives']} of "
+         f"{queries} primitive records"),
         (features["profile_queries_seen"] == queries,
          f"the profile saw {features['profile_queries_seen']} of "
          f"{queries} queries"),

@@ -36,7 +36,10 @@ files:
    writing through to a ``repro/archive@1`` directory, a fresh manager
    restores from it, the restored ``repro/jobs@1`` ledger is
    byte-identical to the archived one, and a repeat of the same spec
-   is answered from the restored results cache (summary included).
+   is answered from the restored results cache (summary included); the
+   run directory holds no ``trace.jsonl`` or ``metrics.json``, the fold
+   of its ``live.jsonl`` equals the manifest's ``stats``, and both
+   render the metrics@1 document the job's own trace replays to.
 
 Exit status is non-zero on the first violation, so CI fails loudly.
 The artifacts are left in ``--outdir`` for upload.
@@ -316,7 +319,8 @@ def main(argv=None) -> int:
     import time as time_mod
 
     from repro.obs.archive import RunArchive
-    from repro.obs.export import metrics_from_stats
+    from repro.obs.export import metrics_from_stats, trace_records
+    from repro.obs.live import RunStats
     from repro.service.export import jobs_to_records
     from repro.service.specs import submit_spec
 
@@ -332,6 +336,8 @@ def main(argv=None) -> int:
         ledger_before = json.dumps(
             jobs_to_records(manager), sort_keys=True, default=str
         )
+        # the trace replay, taken in-process: nothing archives it
+        replayed = metrics_from_records(trace_records(job.trace))
     with JobManager(runners=1, archive=RunArchive(archive_dir)) as restored:
         if restored.restored()["jobs"] != 1:
             fail("the archive did not restore the demo job's ledger entry")
@@ -356,20 +362,21 @@ def main(argv=None) -> int:
                 "the restored cache hit does not carry the archived "
                 "run's summary"
             )
-        # the live fold and the trace replay must not drift apart: the
-        # archived metrics.json (rendered from the job's bus) equals the
-        # archived trace re-derived, and the restored fold agrees
+        # the live capture is the one stored stream: its fold is the
+        # manifest's, and the live fold and the trace replay must not
+        # drift apart
         archive = RunArchive(archive_dir)
-        archived = archive.read_metrics(job.archived)
-        if archived != metrics_from_records(
-            archive.read_artifact(job.archived, "trace")
-        ):
-            fail("the archived metrics.json does not re-derive from the archived trace")
-        restored_metrics = metrics_from_stats(restored.restored()["stats"])
-        for section, field in (("phases", "duration_ms"), ("primitives", "calls")):
-            figures = {k: v[field] for k, v in restored_metrics[section].items()}
-            if figures != {k: v[field] for k, v in archived[section].items()}:
-                fail(f"the restored stats render other {section} {field} than metrics.json")
+        stored = sorted(os.listdir(os.path.join(archive_dir, "runs", job.archived)))
+        if "trace.jsonl" in stored or "metrics.json" in stored:
+            fail(f"the archived run stores its stream twice: {stored}")
+        live_fold = RunStats.fold(archive.read_artifact(job.archived, "live")[1:])
+        manifest_stats = archive.load(job.archived).stats
+        if live_fold.as_dict() != manifest_stats.as_dict():
+            fail("the fold of the archived live.jsonl is not the manifest's stats")
+        if metrics_from_stats(live_fold) != replayed:
+            fail("the archived live fold does not equal the job's trace replay")
+        if metrics_from_stats(restored.restored()["stats"]) != replayed:
+            fail("the restored stats do not equal the job's trace replay")
 
     print(
         f"validate_exports: OK — {len(spans)} spans, {len(events)} events, "
@@ -379,7 +386,8 @@ def main(argv=None) -> int:
         f"{len(certificates)} decomposition certificate(s) verified, "
         f"{jobs_header['jobs']} jobs ({jobs_header['cached']} cached), "
         f"{len(stream)} live SSE records captured, /metrics lint clean, "
-        f"archive restore byte-identical (cache re-seeded, metrics agree); "
+        f"archive restore byte-identical (cache re-seeded, live fold = "
+        f"manifest = trace replay); "
         f"artifacts in {args.outdir}/"
     )
     return 0

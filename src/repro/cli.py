@@ -16,10 +16,11 @@ Commands:
   ``repro/normalization@1`` decomposition certificates
   (``docs/NORMALIZATION.md``);
 - ``trace``    — work with recorded traces: ``trace summarize FILE``
-  renders the span tree, ``trace diff A B`` compares two traces (or two
-  metrics files) and ranks regressions by self-time delta with
-  cache-hit-rate deltas as explanations;
-- ``profile``  — hotspot attribution of one recorded trace: inclusive
+  renders the span tree, ``trace diff A B`` compares two traces, live
+  captures or metrics files and ranks regressions by self-time delta
+  with cache-hit-rate deltas as explanations;
+- ``profile``  — hotspot attribution of one recorded trace or live
+  capture (an archived run's ``live.jsonl``): inclusive
   vs. exclusive time per span, per-phase primitive breakdowns, and
   an optional flamegraph export (``--flame`` collapsed stacks, read by
   flamegraph.pl and speedscope.app alike);
@@ -593,17 +594,17 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    """Cross-run trend tables + drift flags over the run archive."""
+    """Cross-run trend tables over the run archive."""
     from repro.obs.archive import RunArchive
     from repro.obs.history import render_archive_trends
 
+    # opening a RunArchive creates its directory: check first, so a
+    # mistyped path is an error, not a fresh empty archive
+    if not os.path.isdir(args.archive):
+        print(f"error: no archive at {args.archive!r}", file=sys.stderr)
+        return 1
     try:
-        print(
-            render_archive_trends(
-                RunArchive(args.archive), threshold=args.threshold
-            ),
-            end="",
-        )
+        print(render_archive_trends(RunArchive(args.archive)), end="")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -635,8 +636,14 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.obs.live import LIVE_FORMAT
+
     try:
-        records = load_export(args.trace_file, TRACE_FORMAT)
+        # a live capture (an archived run's live.jsonl) profiles as its
+        # trace does; any other export kind is a one-line error
+        kind, records = detect_export_kind(args.trace_file)
+        if kind not in (TRACE_FORMAT, LIVE_FORMAT):
+            records = load_export(args.trace_file, TRACE_FORMAT)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -880,14 +887,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     history_cmd = sub.add_parser(
         "history",
-        help="cross-run trend tables with robust (median/MAD) drift "
-             "detection over the run archive",
+        help="cross-run trend tables over the run archive",
     )
     history_cmd.add_argument("--archive", metavar="DIR", required=True,
                              help="a repro/archive@1 directory to analyze")
-    history_cmd.add_argument("--threshold", type=float, default=3.5,
-                             metavar="Z",
-                             help="robust z-score drift cut (default 3.5)")
     history_cmd.set_defaults(func=cmd_history)
 
     jobs = sub.add_parser(
@@ -937,19 +940,23 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.set_defaults(func=cmd_trace_summarize)
     diff = trace_sub.add_parser(
         "diff",
-        help="compare two traces (or two metrics files): regressions "
-             "ranked by self-time delta, cache-hit-rate deltas attached",
+        help="compare two traces, live captures or metrics files: "
+             "regressions ranked by self-time delta, cache-hit-rate "
+             "deltas attached",
     )
-    diff.add_argument("trace_a", help="the before trace/metrics file")
-    diff.add_argument("trace_b", help="the after trace/metrics file")
+    diff.add_argument("trace_a", help="the before trace/live/metrics file")
+    diff.add_argument("trace_b", help="the after trace/live/metrics file")
     diff.set_defaults(func=cmd_trace_diff)
 
     profile = sub.add_parser(
         "profile",
-        help="hotspot attribution of a recorded trace (inclusive vs. "
-             "self time, per-phase primitive breakdown, flamegraphs)",
+        help="hotspot attribution of a recorded trace or live capture "
+             "(inclusive vs. self time, per-phase primitive breakdown, "
+             "flamegraphs)",
     )
-    profile.add_argument("trace_file", help="a --trace JSONL file")
+    profile.add_argument(
+        "trace_file", help="a --trace JSONL file or a repro/live@1 capture"
+    )
     profile.add_argument(
         "--flame", metavar="FILE",
         help="write collapsed stacks here (flamegraph.pl input; "

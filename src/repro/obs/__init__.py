@@ -24,10 +24,15 @@ end:
   (``repro report``) combining trace, metrics, expert dialogue and the
   lineage graph;
 - :mod:`repro.obs.live` — the real-time event bus: a tracer publishes
-  span boundaries, primitive events and progress ticks
-  to bounded subscribers the moment they happen (``repro/live@1``),
-  at zero cost while nobody subscribes — this is what the service's
-  SSE endpoint and ``repro jobs watch`` consume;
+  span boundaries, primitive events and progress ticks into a bounded
+  record history the moment they happen (``repro/live@1``), at zero
+  cost while no bus is attached; readers page the history by ``seq``
+  and wait on the bus for more — this is what the service's SSE
+  endpoint and ``repro jobs watch`` consume, and an archived run's
+  one stored stream;
+- :mod:`repro.obs.archive` / :mod:`repro.obs.history` — the durable
+  run archive (each run's live capture, fold, provenance and ledger
+  record) and the ``repro history`` trend tables over it;
 - :mod:`repro.obs.log` — JSON-lines structured logging with run/job
   correlation IDs carried through ``contextvars``.
 
@@ -48,7 +53,6 @@ from repro.obs.live import (
     LIVE_EVENT_TYPES,
     LIVE_FORMAT,
     LiveBus,
-    LiveSubscription,
     live_records,
     read_live_jsonl,
     write_live_jsonl,
@@ -107,7 +111,6 @@ __all__ = [
     "LIVE_EVENT_TYPES",
     "LIVE_FORMAT",
     "LiveBus",
-    "LiveSubscription",
     "live_records",
     "read_live_jsonl",
     "write_live_jsonl",

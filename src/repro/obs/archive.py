@@ -1,8 +1,8 @@
 """The durable run archive: ``repro/archive@1`` on disk.
 
-Everything the telemetry layer produces for a run — the trace, the
-metrics summary, the live capture, the provenance DAG, the job's ledger
-record — died with the server process until now.  This module gives the
+Everything the telemetry layer produces for a run — the live capture,
+its fold, the provenance DAG, the job's ledger record — died with the
+server process until now.  This module gives the
 service a **content-addressed on-disk archive**: each finished run is
 stored under a key derived from the same content fingerprints the
 results cache uses, so the archive *is* a persistent results cache —
@@ -17,10 +17,16 @@ Layout (everything under one root directory)::
       runs/<key>/
         record.json          # the run's manifest (ledger record, stats,
                              # rendered EER, fingerprints, artifact map)
-        trace.jsonl          # repro/trace@1
-        metrics.json         # repro/metrics@1
         live.jsonl           # repro/live@1 (the retained stream)
         provenance.jsonl     # repro/provenance@1 (when the run kept one)
+
+The live capture is the run's one stored stream and the manifest's
+``stats`` its fold: ``repro profile``, ``repro trace diff`` and
+``repro trace summarize`` read ``live.jsonl`` directly, and the
+metrics@1 document is rendered from the fold on demand.  Archives
+written by earlier versions also carry ``trace.jsonl`` and
+``metrics.json``; they list, restore and replay as before, and those
+files stay readable by the same commands.
 
 ``<key>`` is :func:`run_key` — a hash of (database fingerprint,
 workload fingerprint, config token), i.e. the results-cache key.  Two
@@ -65,8 +71,6 @@ _RUNS_DIR = "runs"
 
 #: artifact name → file name inside a run directory
 _ARTIFACT_FILES = {
-    "trace": "trace.jsonl",
-    "metrics": "metrics.json",
     "live": "live.jsonl",
     "provenance": "provenance.jsonl",
 }
@@ -131,8 +135,6 @@ class RunArchive:
         self,
         record: Dict[str, Any],
         cache_key: Tuple[str, str, str],
-        trace: Optional[List[Dict[str, Any]]] = None,
-        metrics: Optional[Dict[str, Any]] = None,
         live: Optional[List[Dict[str, Any]]] = None,
         provenance: Optional[List[Dict[str, Any]]] = None,
         stats: Optional[RunStats] = None,
@@ -140,34 +142,21 @@ class RunArchive:
     ) -> str:
         """Archive one finished run; returns its content key.
 
-        *record* is the job's ``repro/jobs@1`` ledger record; the
-        artifact streams are the already-rendered export records
-        (header included).  Artifacts land first, the manifest second,
-        the index line last — the commit point.
+        *record* is the job's ``repro/jobs@1`` ledger record; *live*
+        and *provenance* are the already-rendered export records
+        (header included), and *stats* the fold of *live*.  Artifacts
+        land first, the manifest second, the index line last — the
+        commit point.
         """
         key = run_key(*cache_key)
         run_dir = os.path.join(self.root, _RUNS_DIR, key)
         os.makedirs(run_dir, exist_ok=True)
         artifacts: Dict[str, str] = {}
-        streams: Dict[str, Optional[List[Dict[str, Any]]]] = {
-            "trace": trace,
-            "live": live,
-            "provenance": provenance,
-        }
-        for name, records in streams.items():
+        for name, records in (("live", live), ("provenance", provenance)):
             if records is None:
                 continue
             save_jsonl(records, os.path.join(run_dir, _ARTIFACT_FILES[name]))
             artifacts[name] = _ARTIFACT_FILES[name]
-        if metrics is not None:
-            with open(
-                os.path.join(run_dir, _ARTIFACT_FILES["metrics"]),
-                "w",
-                encoding="utf-8",
-            ) as handle:
-                json.dump(metrics, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            artifacts["metrics"] = _ARTIFACT_FILES["metrics"]
         manifest = {
             "format": ARCHIVE_FORMAT,
             "type": "run",
@@ -300,10 +289,9 @@ class RunArchive:
     def read_artifact(self, key: str, name: str) -> Optional[List[Dict[str, Any]]]:
         """A run's JSONL artifact records (header included), or None.
 
-        *name* is ``trace`` / ``live`` / ``provenance``.  The metrics
-        document is JSON, not JSONL — read it via :meth:`read_metrics`.
+        *name* is ``live`` or ``provenance``.
         """
-        if name not in ("trace", "live", "provenance"):
+        if name not in _ARTIFACT_FILES:
             raise ValueError(f"unknown JSONL artifact {name!r}")
         path = os.path.join(self.root, _RUNS_DIR, key, _ARTIFACT_FILES[name])
         if not os.path.exists(path):
@@ -311,15 +299,4 @@ class RunArchive:
         try:
             return load_jsonl(path)
         except ValueError:
-            return None
-
-    def read_metrics(self, key: str) -> Optional[Dict[str, Any]]:
-        """A run's archived ``repro/metrics@1`` document, or None."""
-        path = os.path.join(self.root, _RUNS_DIR, key, _ARTIFACT_FILES["metrics"])
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
             return None

@@ -4,42 +4,42 @@ The tracer's spans and primitive events were, until now, visible only
 post-hoc — a JSONL export after the run.  This module makes the *same*
 one-event-stream design observable while the run is still going:
 
-- :class:`LiveBus` — a thread-safe publish/subscribe hub one
+- :class:`LiveBus` — a thread-safe, append-only record history one
   :class:`~repro.obs.tracer.Tracer` can attach.  Every span open, span
   close, primitive call and progress tick becomes
   one ``repro/live@1`` dict with a monotonically increasing ``seq``;
-  the bus keeps a **bounded** record history (``history_limit``, oldest
-  first to go) so late consumers can replay from a sequence number (the
-  SSE endpoint's ``Last-Event-ID``) without the bus growing without
-  bound on a long-lived service.
+  the history is **bounded** (``history_limit``, oldest first to go),
+  so a long-lived service does not grow without bound.
 - :class:`RunStats` — the one fold of a run's telemetry (per span
   name, per phase, per primitive, per backend) the bus
   maintains on every publish, so a metrics scrape reads the totals in
   O(1) instead of rescanning the history — and the totals survive
   history trimming.  Every metrics view renders it.
-- :class:`LiveSubscription` — one consumer's **bounded** queue.  A slow
-  consumer never stalls the pipeline: when the queue is full the bus
-  drops the record and counts it (``subscription.dropped``), and the
-  retained history lets the consumer re-sync by replay.  Replaying a
-  long backlog should page :meth:`LiveBus.history` directly (as the
-  SSE endpoint does) rather than funnel it through the bounded queue.
-- **Snapshot-then-tail** — a subscriber that attaches mid-run first
-  receives a ``span-open`` record for every span still open (in stack
-  order), so its view of the run starts consistent, then tails new
-  records as they are published.
+- **The cursor contract** — a reader keeps the ``seq`` of the last
+  record it has seen and pages :meth:`LiveBus.history` past it; the
+  page costs O(records returned), not O(retained history).  When the
+  page is empty, :meth:`LiveBus.wait` blocks until a record past the
+  cursor is published or a timeout elapses.  Readers never slow the
+  publisher and cannot miss a retained record: there is no per-reader
+  queue to overflow.  The SSE endpoint (``Last-Event-ID`` is the
+  cursor) and every in-process watcher read this way.
+- **A consistent start** — a bus attached mid-run first records a
+  ``span-open`` (flagged ``snapshot``) for every span still open, in
+  stack order, so its history starts from a consistent view.
 
-The bus costs nothing when unused: a tracer without subscribers carries
-``_live = None`` and every hot-path hook is a single attribute test —
-the S13 benchmark enforces it, and the regression gate's
+The bus costs nothing when unused: a tracer that never attached one
+carries ``_live = None`` and every hot-path hook is a single attribute
+test — the S13 benchmark enforces it, and the regression gate's
 ``s3-all-features-head`` runs watched and must ask exactly the
-unwatched head's queries.
+unwatched head's queries.  Publishing with nobody waiting takes no
+more than the lock, the append and the fold.
 
 Record shapes (all carry ``type``, ``seq`` and ``ts_ms`` — milliseconds
 since the bus attached):
 
 - ``span-open`` — ``span``, ``parent``, ``name``, ``kind``,
   ``attributes`` (+ ``snapshot: true`` when synthesized for a mid-run
-  attach or subscribe);
+  attach);
 - ``span-close`` — ``span``, ``name``, ``kind``, ``duration_ms``,
   ``attributes`` (the attributes as of close, counts included);
 - ``primitive`` — ``span``, ``primitive``, ``backend``, ``relations``,
@@ -60,7 +60,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 import threading
 
@@ -72,10 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LIVE_FORMAT",
     "LIVE_EVENT_TYPES",
-    "DEFAULT_QUEUE_SIZE",
     "DEFAULT_HISTORY_LIMIT",
     "RunStats",
-    "LiveSubscription",
     "LiveBus",
     "live_records",
     "write_live_jsonl",
@@ -94,9 +92,6 @@ LIVE_EVENT_TYPES = (
     "progress",
     "end",
 )
-
-#: per-subscriber queue bound; past it the bus drops (and counts) records
-DEFAULT_QUEUE_SIZE = 1024
 
 #: per-bus history bound; past it the oldest records are trimmed (the
 #: fold in :class:`RunStats` keeps counting what was trimmed)
@@ -192,7 +187,7 @@ class RunStats:
             setattr(self, table, {})
         self.root_ms = 0.0
         #: open span id -> [its span-open record, enclosing phase
-        #: names, child ms]; the bus snapshots open spans from it
+        #: names, child ms]
         self._open: Dict[Any, List[Any]] = {}
 
     def observe(self, record: Dict[str, Any]) -> None:
@@ -319,88 +314,15 @@ class RunStats:
         return f"RunStats(events={sum(self.events.values())})"
 
 
-class LiveSubscription:
-    """One consumer's bounded view of a :class:`LiveBus`.
-
-    Records arrive in publication order.  :meth:`get` blocks up to a
-    timeout; :meth:`drain` empties the queue without blocking.  When the
-    queue is full the *bus* drops the newest record and increments
-    :attr:`dropped` — the producing pipeline never waits on a consumer.
-    A dropped record is recoverable while the bounded bus history still
-    retains it: page :meth:`LiveBus.history` from the last seen seq (as
-    the SSE endpoint does when it detects a gap).
-    """
-
-    def __init__(self, bus: "LiveBus", maxsize: int = DEFAULT_QUEUE_SIZE) -> None:
-        self._bus = bus
-        self.maxsize = max(1, maxsize)
-        self._queue: deque = deque()
-        self._ready = threading.Condition(threading.Lock())
-        #: records the bus dropped because this queue was full
-        self.dropped = 0
-        self.closed = False
-
-    # -- bus side ------------------------------------------------------
-    def _offer(self, record: Dict[str, Any]) -> None:
-        """Enqueue *record*, or count a drop when the queue is full."""
-        with self._ready:
-            if self.closed:
-                return
-            if len(self._queue) >= self.maxsize:
-                self.dropped += 1
-                return
-            self._queue.append(record)
-            self._ready.notify()
-
-    # -- consumer side -------------------------------------------------
-    def get(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """The next record, or None when *timeout* elapses first."""
-        with self._ready:
-            if not self._queue:
-                self._ready.wait(timeout)
-            if self._queue:
-                return self._queue.popleft()
-            return None
-
-    def drain(self) -> List[Dict[str, Any]]:
-        """Every queued record, without blocking."""
-        with self._ready:
-            records = list(self._queue)
-            self._queue.clear()
-            return records
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        """Iterate queued records until the queue is momentarily empty."""
-        while True:
-            record = self.get(timeout=0)
-            if record is None:
-                return
-            yield record
-
-    def close(self) -> None:
-        """Detach from the bus; pending records are discarded."""
-        self._bus.unsubscribe(self)
-
-    def __enter__(self) -> "LiveSubscription":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else f"{len(self._queue)} queued"
-        return f"LiveSubscription({state}, dropped={self.dropped})"
-
-
 class LiveBus:
-    """Thread-safe fan-out of one tracer's live telemetry.
+    """Thread-safe, append-only history of one tracer's live telemetry.
 
     Publication assigns each record a ``seq`` (1-based, monotonic) and a
     ``ts_ms`` relative to the bus' attach time, appends it to the
-    history, folds it into the running :class:`RunStats`, and offers it
-    to every subscription.  All of that happens under one lock, so
-    subscribers observe a single total order — the same order the
-    history records.
+    history and folds it into the running :class:`RunStats`, all under
+    one lock, so every reader sees the single total order the history
+    records.  Readers page :meth:`history` by cursor and block in
+    :meth:`wait`; publishing wakes them only when one is waiting.
 
     The history is bounded by *history_limit*: past it the oldest
     records are trimmed (``seq`` stays contiguous among the retained
@@ -416,13 +338,14 @@ class LiveBus:
     ) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._subscriptions: List[LiveSubscription] = []
+        #: signalled on publish, and only while :attr:`_waiting` > 0
+        self._published = threading.Condition(self._lock)
+        self._waiting = 0
         self._history: deque = deque()
         self._history_limit = max(1, history_limit)
         self._trimmed = 0
         self._stats = RunStats()
         self._seq = 0
-        self._dropped_detached = 0
         self._base = clock()
 
     # -- publication (the tracer side) ---------------------------------
@@ -438,11 +361,11 @@ class LiveBus:
             record.update(fields)
             self._history.append(record)
             self._stats.observe(record)
-            while len(self._history) > self._history_limit:
+            if len(self._history) > self._history_limit:
                 self._history.popleft()
                 self._trimmed += 1
-            for subscription in self._subscriptions:
-                subscription._offer(record)
+            if self._waiting:
+                self._published.notify_all()
             return record
 
     def span_opened(self, span: "SpanRecord", snapshot: bool = False) -> None:
@@ -469,59 +392,40 @@ class LiveBus:
             attributes=dict(span.attributes),
         )
 
-    # -- subscription (the consumer side) ------------------------------
-    def subscribe(
-        self,
-        maxsize: int = DEFAULT_QUEUE_SIZE,
-        replay_from: Optional[int] = None,
-    ) -> LiveSubscription:
-        """Attach one consumer; snapshot-then-tail by default.
+    # -- reading (the consumer side) -----------------------------------
+    def history(self, since: int = 0) -> List[Dict[str, Any]]:
+        """Every *retained* record with ``seq > since``, oldest first.
 
-        With ``replay_from=N`` the subscription is pre-filled with every
-        history record whose ``seq`` exceeds *N* (the SSE endpoint's
-        ``Last-Event-ID`` resume).  Without it, the subscription is
-        pre-filled with the ``span-open`` records of every span still
-        open — a consistent starting view for a mid-run attach — and
-        then tails.
+        Costs O(records returned): the page is read off the newest end
+        of the history.  Records already trimmed by the history bound
+        are gone for good: when ``since`` predates :attr:`trimmed`, the
+        page starts at the oldest retained record (its ``seq`` exceeds
+        ``since + 1``).
         """
         with self._lock:
-            subscription = LiveSubscription(self, maxsize=maxsize)
-            if replay_from is not None:
-                backlog = [
-                    record
-                    for record in self._history
-                    if record["seq"] > replay_from
-                ]
-            else:
-                backlog = [
-                    dict(opened[0], snapshot=True)
-                    for opened in sorted(
-                        self._stats._open.values(), key=lambda o: o[0]["seq"]
-                    )
-                ]
-            for record in backlog:
-                subscription._offer(record)
-            self._subscriptions.append(subscription)
-            return subscription
+            count = min(len(self._history), self._seq - max(0, since))
+            if count <= 0:
+                return []
+            page = list(islice(reversed(self._history), count))
+        page.reverse()
+        return page
 
-    def unsubscribe(self, subscription: LiveSubscription) -> None:
-        """Detach *subscription*; publishing to it stops immediately."""
+    def wait(self, after_seq: int, timeout: float) -> bool:
+        """Block until a record past *after_seq* exists, or *timeout* ends.
+
+        Returns True when :attr:`last_seq` exceeds *after_seq* (at once
+        if it already does), False on timeout.
+        """
         with self._lock:
-            subscription.closed = True
+            if self._seq > after_seq:
+                return True
+            self._waiting += 1
             try:
-                self._subscriptions.remove(subscription)
-            except ValueError:
-                pass
-            else:
-                # keep the detached consumer's drops in the bus total
-                self._dropped_detached += subscription.dropped
-
-    # -- introspection -------------------------------------------------
-    @property
-    def subscribers(self) -> int:
-        """How many subscriptions are currently attached."""
-        with self._lock:
-            return len(self._subscriptions)
+                return self._published.wait_for(
+                    lambda: self._seq > after_seq, timeout
+                )
+            finally:
+                self._waiting -= 1
 
     @property
     def last_seq(self) -> int:
@@ -535,41 +439,14 @@ class LiveBus:
         with self._lock:
             return self._trimmed
 
-    def history(self, since: int = 0) -> List[Dict[str, Any]]:
-        """Every *retained* record with ``seq > since``, oldest first.
-
-        Records already trimmed by the history bound are gone for good:
-        when ``since`` predates :attr:`trimmed`, the returned page
-        starts at the oldest retained record (its ``seq`` exceeds
-        ``since + 1`` — a detectable gap).
-        """
-        with self._lock:
-            # retained seqs are contiguous: _trimmed+1 .. _seq
-            start = max(0, since - self._trimmed)
-            if start == 0:
-                return list(self._history)
-            if start >= len(self._history):
-                return []
-            return list(islice(self._history, start, None))
-
     def stats(self) -> RunStats:
         """A snapshot of the running aggregates (trim-proof totals)."""
         with self._lock:
             return self._stats.copy()
 
-    def dropped(self) -> int:
-        """Records dropped across every subscription, ever attached."""
-        with self._lock:
-            return self._dropped_detached + sum(
-                s.dropped for s in self._subscriptions
-            )
-
     def __repr__(self) -> str:
         with self._lock:
-            return (
-                f"LiveBus(seq={self._seq}, "
-                f"subscribers={len(self._subscriptions)})"
-            )
+            return f"LiveBus(seq={self._seq}, retained={len(self._history)})"
 
 
 # ----------------------------------------------------------------------

@@ -8,17 +8,23 @@ into *attribution*:
   inclusive vs. exclusive (self) time and per-phase primitive
   breakdowns (calls, wall time, cache hit-rate, rows scanned), rendered
   from the :class:`~repro.obs.live.RunStats` fold of an in-memory
-  :class:`~repro.obs.tracer.Tracer` or a re-read ``repro/trace@1``
-  JSONL file;
+  :class:`~repro.obs.tracer.Tracer`, a re-read ``repro/trace@1``
+  JSONL file or a ``repro/live@1`` capture (an archived run's
+  ``live.jsonl``);
 - **flamegraph export** — collapsed-stack lines
-  (:func:`collapsed_stacks`), walking the trace's span-by-span replay
-  (:func:`~repro.obs.export.replay_trace`) with the primitive events
-  folded in as leaf frames; ``flamegraph.pl`` renders the file, and
-  https://speedscope.app imports it as is;
+  (:func:`collapsed_stacks`), walking the run's span-by-span stream
+  with the primitive events folded in as leaf frames;
+  ``flamegraph.pl`` renders the file, and https://speedscope.app
+  imports it as is;
 - **trace diffing** (:func:`diff_views` / :func:`render_diff`) — two
-  traces (or two ``repro/metrics@1`` files) compared, regressions
-  ranked by absolute self-time delta, with cache-hit-rate, call-count
-  and rows-scanned deltas as the explanation column.
+  traces, live captures or ``repro/metrics@1`` files compared,
+  regressions ranked by absolute self-time delta, with
+  cache-hit-rate, call-count and rows-scanned deltas as the
+  explanation column.
+
+A trace and a live capture are read the same way: a trace replays
+(:func:`~repro.obs.export.replay_trace`) into exactly the records a
+live capture already holds, so both feed the one fold.
 
 Everything here is a *pure view* over recorded data — like
 :func:`repro.evaluation.counters.cost_report_from_trace`, profiling a
@@ -35,7 +41,7 @@ and must not go negative.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Tuple, TYPE_CHECKING
 
 from repro.obs.export import (
     METRICS_FORMAT,
@@ -64,6 +70,10 @@ __all__ = [
     "diff_views",
     "render_diff",
 ]
+
+#: the live@1 record types a profile folds (progress and end carry no
+#: time of their own)
+_TIMED = ("span-open", "span-close", "primitive")
 
 
 def _ms(value: float) -> float:
@@ -124,9 +134,20 @@ def profile_from_stats(stats: RunStats) -> Dict[str, Any]:
     }
 
 
+def _stream(records: List[Dict[str, Any]]) -> Iterable[Dict[str, Any]]:
+    """A trace's or a live capture's span and primitive records, in order.
+
+    A ``repro/live@1`` capture (header first) already holds them; a
+    ``repro/trace@1`` list is replayed into the same shape.
+    """
+    if records and records[0].get("format") == LIVE_FORMAT:
+        return (r for r in records if r.get("type") in _TIMED)
+    return replay_trace(records)
+
+
 def profile_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The hotspot profile of one trace's records."""
-    return profile_from_stats(RunStats.fold(replay_trace(records)))
+    """The hotspot profile of one trace's or live capture's records."""
+    return profile_from_stats(RunStats.fold(_stream(records)))
 
 
 def profile_summary(tracer: "Tracer") -> Dict[str, Any]:
@@ -190,7 +211,7 @@ def render_profile(profile: Dict[str, Any]) -> str:
 # flamegraph exporters
 # ----------------------------------------------------------------------
 def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
-    """The trace as collapsed-stack lines for ``flamegraph.pl``.
+    """A trace or live capture as collapsed-stack lines for ``flamegraph.pl``.
 
     One line per unique stack — span names root-to-leaf joined by
     ``;``, primitive events folded in as leaf frames — with the stack's
@@ -204,7 +225,7 @@ def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
     def add(stack_name: str, ms: float) -> None:
         weights[stack_name] = weights.get(stack_name, 0) + int(round(ms * 1000))
 
-    for record in replay_trace(records):
+    for record in _stream(records):
         if record["type"] == "span-open":
             name = f"{stack[-1][0]};{record['name']}" if stack else record["name"]
             stack.append([name, 0.0])
@@ -297,17 +318,17 @@ def load_export(path: str, expected: str) -> Any:
 # trace diffing
 # ----------------------------------------------------------------------
 def view_from_export(kind: str, payload: Any) -> Dict[str, Any]:
-    """Reduce a trace or metrics export to one comparable *view*.
+    """Reduce a trace, live capture or metrics export to one *view*.
 
-    A view has ``spans`` (name → self/inclusive ms; traces only, empty
-    for metrics files), ``phases`` and ``setup`` (name → duration) and
+    A view has ``spans`` (name → self/inclusive ms; empty for metrics
+    files), ``phases`` and ``setup`` (name → duration) and
     ``primitives`` (name → calls/duration/hit-rate/rows) — the common
     denominator the diff engine ranks over.
     """
-    if kind == TRACE_FORMAT:
+    if kind in (TRACE_FORMAT, LIVE_FORMAT):
         profile = profile_from_records(payload)
         return {
-            "source": "trace",
+            "source": "trace" if kind == TRACE_FORMAT else "live",
             "spans": profile["spans"],
             "phases": {name: stats["inclusive_ms"] for name, stats in profile["phases"].items()},
             "setup": {

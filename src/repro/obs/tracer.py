@@ -26,12 +26,11 @@ Timestamps come from an injectable monotonic clock (default
 clock and assert exact durations.
 
 The tracer can additionally stream both streams *live*: attaching a
-:class:`~repro.obs.live.LiveBus` (:meth:`Tracer.live`, or implicitly
-via :meth:`Tracer.subscribe`) publishes one ``repro/live@1`` record per
-span open, span close and primitive event, plus :meth:`progress` ticks,
-to every bounded subscriber queue.  Without
-a bus every hook is a single ``is None`` test, so the no-subscriber
-pipeline pays nothing (the S13 benchmark enforces it).
+:class:`~repro.obs.live.LiveBus` (:meth:`Tracer.live`) publishes one
+``repro/live@1`` record per span open, span close and primitive event,
+plus :meth:`progress` ticks, into the bus history, which readers page
+by ``seq``.  Without a bus every hook is a single ``is None`` test, so
+the unwatched pipeline pays nothing (the S13 benchmark enforces it).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.live import LiveBus, LiveSubscription
+    from repro.obs.live import LiveBus
 
 __all__ = ["SpanRecord", "PrimitiveEvent", "Tracer", "PHASE_NAMES", "PRIMITIVES"]
 
@@ -159,7 +158,7 @@ class Tracer:
         self.spans: List[SpanRecord] = []
         #: primitive events, ordered by occurrence
         self.events: List[PrimitiveEvent] = []
-        #: the live-telemetry bus; None until a subscriber attaches, so
+        #: the live-telemetry bus; None until :meth:`live` attaches one, so
         #: every publishing hook below is a single attribute test
         self._live: Optional["LiveBus"] = None
         self._tracemalloc = None
@@ -334,27 +333,8 @@ class Tracer:
 
     @property
     def live_bus(self) -> Optional["LiveBus"]:
-        """The attached bus, or None when nothing ever subscribed."""
+        """The attached bus, or None when none was ever attached."""
         return self._live
-
-    def subscribe(
-        self, maxsize: int = 0, replay_from: Optional[int] = None
-    ) -> "LiveSubscription":
-        """Attach a bounded live subscriber (snapshot-then-tail).
-
-        See :meth:`repro.obs.live.LiveBus.subscribe`; *maxsize* 0 means
-        the default queue bound.
-        """
-        from repro.obs.live import DEFAULT_QUEUE_SIZE
-
-        return self.live().subscribe(
-            maxsize=maxsize or DEFAULT_QUEUE_SIZE, replay_from=replay_from
-        )
-
-    def unsubscribe(self, subscription: "LiveSubscription") -> None:
-        """Detach *subscription* from the live bus."""
-        if self._live is not None:
-            self._live.unsubscribe(subscription)
 
     def progress(
         self,
@@ -365,7 +345,7 @@ class Tracer:
     ) -> None:
         """Publish one ``progress`` tick under the open span.
 
-        A no-op (one attribute test) when no subscriber ever attached —
+        A no-op (one attribute test) when no bus was ever attached —
         instrumented loops can call it unconditionally.  The record
         carries the innermost open span id and the innermost enclosing
         *phase* name, so consumers can render per-phase progress without

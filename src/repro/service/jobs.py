@@ -293,7 +293,6 @@ class JobManager:
         )
         self._evicted_jobs = 0
         self._evicted_cached = 0
-        self._evicted_dropped = 0
         self._evicted_stats = RunStats()
         self._archive = archive
         self._restored_jobs = 0
@@ -386,7 +385,7 @@ class JobManager:
             job.corpus = corpus
             job.equijoins = list(equijoins) if equijoins is not None else None
             # the live bus was attached before the fingerprint span, not
-            # at run start: a watcher that subscribes while the job is
+            # at run start: a watcher that connects while the job is
             # still queued misses nothing
             job.trace = trace
             self._queue.append(job)
@@ -579,15 +578,12 @@ class JobManager:
         if self._archive is None or job.trace is None:
             return
         try:
-            from repro.obs.export import metrics_from_stats, trace_records
             from repro.obs.live import live_records
 
-            # the bus folded every record as it was published: metrics@1
-            # renders that fold, the manifest stores it
+            # the live capture is the run's one stored stream, and the
+            # fold the bus kept of it as it was published is the manifest's
             bus = job.live
             stats = bus.stats()
-            trace = trace_records(job.trace)
-            metrics = metrics_from_stats(stats)
             live = live_records(bus)
             provenance = eer = None
             result = job.result
@@ -602,8 +598,6 @@ class JobManager:
             key = self._archive.store(
                 job.as_record(),
                 job.key,
-                trace=trace,
-                metrics=metrics,
                 live=live,
                 provenance=provenance,
                 stats=stats,
@@ -652,7 +646,7 @@ class JobManager:
     def evicted(self) -> Dict[str, Any]:
         """What ledger eviction has retired so far.
 
-        ``jobs``/``cached``/``dropped`` are counts; ``stats`` is the
+        ``jobs``/``cached`` are counts; ``stats`` is the
         :class:`~repro.obs.live.RunStats` fold of every evicted job's
         telemetry totals — ``/metrics`` adds them back in so its
         counters never move backwards when the ledger is bounded.
@@ -661,7 +655,6 @@ class JobManager:
             return {
                 "jobs": self._evicted_jobs,
                 "cached": self._evicted_cached,
-                "dropped": self._evicted_dropped,
                 "stats": self._evicted_stats.copy(),
             }
 
@@ -681,7 +674,6 @@ class JobManager:
             bus = job.live
             if bus is not None:
                 self._evicted_stats.merge(bus.stats())
-                self._evicted_dropped += bus.dropped()
             self._evicted_jobs += 1
             if job.cached:
                 self._evicted_cached += 1

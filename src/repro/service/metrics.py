@@ -21,8 +21,7 @@ trimming and ledger eviction):
   ``setup`` spans (its working ``copy``), summed per step name;
 - ``repro_primitive_calls_total`` / ``repro_primitive_cache_hits_total``
   — per extension primitive, from the ``primitive`` records;
-- ``repro_live_events_total{type=...}`` / ``repro_live_dropped_total``
-  — the bus's own accounting;
+- ``repro_live_events_total{type=...}`` — the bus's own accounting;
 - ``repro_sse_streams_active`` — watchers connected right now.
 
 :func:`lint_exposition` checks the text format the way a scraper
@@ -127,17 +126,13 @@ def render_metrics(
     restored = manager.restored()
     by_state = {state: 0 for state in JOB_STATES}
     cached = evicted["cached"]
-    dropped = evicted["dropped"]
     totals: "RunStats" = evicted["stats"]
     totals.merge(restored["stats"])
     for job in jobs:
         by_state[job.state] = by_state.get(job.state, 0) + 1
         cached += 1 if job.cached else 0
-        bus = job.live
-        if bus is None:
-            continue
-        dropped += bus.dropped()
-        totals.merge(bus.stats())
+        if job.live is not None:
+            totals.merge(job.live.stats())
 
     exposition = _Exposition()
     exposition.family(
@@ -208,10 +203,6 @@ def render_metrics(
         "repro_live_events_total", "counter",
         "Live telemetry records published, by record type.",
         [({"type": t}, n) for t, n in sorted(totals.events.items())],
-    )
-    exposition.family(
-        "repro_live_dropped_total", "counter",
-        "Live records dropped on full subscriber queues.", [({}, dropped)],
     )
     exposition.family(
         "repro_sse_streams_active", "gauge",

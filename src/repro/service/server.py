@@ -14,10 +14,9 @@ runs anywhere the library does.  Routes:
   Server-Sent Events: retained history then tail by default,
   ``Last-Event-ID`` resumes after a reconnect, idle streams carry
   heartbeat comments, and the ``end`` sentinel closes the stream
-  cleanly.  The backlog pages straight from the bus history (never
-  through the bounded tail queue, so replays of any length complete),
-  and when a slow client's queue drops records mid-tail the handler
-  detects the ``seq`` gap and re-syncs from history before continuing.
+  cleanly.  Backlog and tail are one loop: page the bus history past
+  the last ``seq`` written, then wait on the bus for the next record,
+  so a stream of any length arrives complete and in order.
 - ``DELETE /jobs/<id>`` — cancel; answers whether it took effect.
 - ``GET /metrics`` — a Prometheus-style text exposition aggregated
   from the same live streams (:mod:`repro.service.metrics`).
@@ -46,7 +45,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.exceptions import UnknownJobError
-from repro.obs.live import DEFAULT_QUEUE_SIZE
 from repro.obs.log import get_logger
 from repro.service.export import jobs_to_records
 from repro.service.jobs import Job, JobManager
@@ -223,24 +221,19 @@ class _JobsHandler(BaseHTTPRequestHandler):
 
         stopping = self.server.stopping  # type: ignore[attr-defined]
         heartbeat = self.server.heartbeat  # type: ignore[attr-defined]
-        subscription = None
         self.server.stream_opened()  # type: ignore[attr-defined]
         try:
-            # the backlog pages straight from the bus history — never
-            # through the bounded subscriber queue, so a replay longer
-            # than the queue (or a finished job's whole stream) arrives
-            # complete, end sentinel included
-            cursor, alive, ended = self._page_history(bus, cursor)
-            if not alive or ended:
-                return
-            # tail live from exactly where the paging stopped; records
-            # published in between are pre-filled by subscribe itself
-            subscription = bus.subscribe(
-                maxsize=self.server.stream_queue,  # type: ignore[attr-defined]
-                replay_from=cursor,
-            )
+            # the cursor is the seq of the last record written: page the
+            # bus history past it, and wait on the bus when it is empty
             last_write = time.monotonic()
             while True:
+                for record in bus.history(since=cursor):
+                    if not self._write_frame(format_event(record)):
+                        return
+                    cursor = record["seq"]
+                    last_write = time.monotonic()
+                    if record.get("type") == "end":
+                        return
                 if stopping.is_set():
                     # the graceful-shutdown drain: tell the watcher the
                     # stream is over even though the job may not be
@@ -250,61 +243,14 @@ class _JobsHandler(BaseHTTPRequestHandler):
                         "reason": "server shutting down",
                     }))
                     return
-                record = subscription.get(timeout=min(heartbeat, _STREAM_TICK))
-                if record is None:
-                    if bus.last_seq > cursor:
-                        # the queue ran dry but the bus is ahead: records
-                        # (possibly the end sentinel itself) were dropped
-                        # on the full queue — re-sync from history
-                        cursor, alive, ended = self._page_history(bus, cursor)
-                        if not alive or ended:
-                            return
-                        last_write = time.monotonic()
-                    elif time.monotonic() - last_write >= heartbeat:
-                        if not self._write_frame(format_comment()):
-                            return
-                        last_write = time.monotonic()
+                if bus.wait(cursor, min(heartbeat, _STREAM_TICK)):
                     continue
-                seq = record.get("seq", 0)
-                if seq <= cursor:
-                    # already delivered by a history refill
-                    continue
-                if seq > cursor + 1:
-                    # the queue dropped records mid-tail: refill the gap
-                    # (this record included) from history, in seq order
-                    cursor, alive, ended = self._page_history(bus, cursor)
-                    if not alive or ended:
+                if time.monotonic() - last_write >= heartbeat:
+                    if not self._write_frame(format_comment()):
                         return
                     last_write = time.monotonic()
-                    continue
-                if not self._write_frame(format_event(record)):
-                    return
-                cursor = seq
-                last_write = time.monotonic()
-                if record.get("type") == "end":
-                    return
         finally:
-            if subscription is not None:
-                subscription.close()
             self.server.stream_closed()  # type: ignore[attr-defined]
-
-    def _page_history(self, bus: Any, cursor: int) -> Tuple[int, bool, bool]:
-        """Write every retained history record past *cursor* to the client.
-
-        Re-queries the bus until a page comes back empty, so records
-        published while earlier pages were being written are included.
-        Returns ``(cursor, client alive, end sentinel written)``.
-        """
-        while True:
-            page = bus.history(since=cursor)
-            if not page:
-                return cursor, True, False
-            for record in page:
-                if not self._write_frame(format_event(record)):
-                    return cursor, False, False
-                cursor = record["seq"]
-                if record.get("type") == "end":
-                    return cursor, True, True
 
     def _write_frame(self, frame: bytes) -> bool:
         """One SSE frame to the client; False when the client is gone."""
@@ -355,7 +301,6 @@ class _ServiceServer(ThreadingHTTPServer):
         #: set once shutdown begins; SSE loops drain, ``/readyz`` flips 503
         self.stopping = threading.Event()
         self.heartbeat = DEFAULT_HEARTBEAT
-        self.stream_queue = DEFAULT_QUEUE_SIZE
         self.started = time.time()
         self._streams_lock = threading.Lock()
         self.active_streams = 0
@@ -375,20 +320,16 @@ def build_server(
     port: int = 0,
     verbose: bool = False,
     heartbeat: float = DEFAULT_HEARTBEAT,
-    stream_queue: int = DEFAULT_QUEUE_SIZE,
 ) -> _ServiceServer:
     """A ready-to-serve HTTP server bound to *manager* (port 0 = ephemeral).
 
     *heartbeat* is the idle-stream comment cadence in seconds (the SSE
-    tests shrink it to assert cadence without waiting); *stream_queue*
-    is each SSE watcher's live-tail queue bound (the tests shrink it to
-    force drops and assert the history re-sync).
+    tests shrink it to assert cadence without waiting).
     """
     server = _ServiceServer((host, port), _JobsHandler)
     server.manager = manager  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
     server.heartbeat = heartbeat
-    server.stream_queue = max(1, stream_queue)
     return server
 
 

@@ -17,6 +17,7 @@ from repro.backends import backend_factory as registered_factory
 from repro.core.expert import ScriptedExpert
 from repro.core.pipeline import DBREPipeline
 from repro.eer.render import render_text
+from repro.relational.database import Database
 from repro.workloads.oracle import OracleExpert
 from repro.workloads.paper_example import (
     build_paper_database,
@@ -62,6 +63,27 @@ def run_paper(backend_factory):
     return observable(pipeline, result), result
 
 
+#: edge extensions of the paper database: ``Assignment`` (the relation
+#: behind three of the five equi-joins) emptied, or with every cell NULL
+EDGE_ASSIGNMENTS = {
+    "assignment-empty": lambda rows: [],
+    "assignment-all-null": lambda rows: [(None,) * len(row) for row in rows],
+}
+
+
+def run_paper_edge(backend_factory, edge):
+    source = build_paper_database()
+    db = Database(source.schema.copy(), backend=backend_factory())
+    for name in source.schema.relation_names:
+        rows = list(source.backend.rows(name))
+        if name == "Assignment":
+            rows = EDGE_ASSIGNMENTS[edge](rows)
+        db.insert_many(name, rows)
+    pipeline = DBREPipeline(db, ScriptedExpert(paper_expert_script()))
+    result = pipeline.run(equijoins=paper_equijoins())
+    return observable(pipeline, result), result
+
+
 def run_synthetic(backend_factory, config):
     scenario = build_scenario(config)
     db = scenario.database
@@ -100,6 +122,16 @@ def assert_same_run(run, reference):
 class TestPaperExample:
     def test_backend_equals_memory(self, backend):
         assert_same_run(run_paper(BACKENDS[backend]), run_paper(BACKENDS["memory"]))
+
+
+@pytest.mark.parametrize("backend", OTHERS, ids=OTHERS)
+@pytest.mark.parametrize("edge", sorted(EDGE_ASSIGNMENTS))
+class TestPaperEdgeExtensions:
+    def test_backend_equals_memory(self, edge, backend):
+        assert_same_run(
+            run_paper_edge(BACKENDS[backend], edge),
+            run_paper_edge(BACKENDS["memory"], edge),
+        )
 
 
 SCENARIOS = {

@@ -26,8 +26,6 @@ def store_run(archive, job_id="job-1", state="done", key=("db", "wl", "{}")):
         {"type": "job", "id": job_id, "label": job_id, "state": state,
          "cached": False, "summary": {"fds": 3}},
         key,
-        trace=[{"format": "repro/trace@1"}, {"type": "span"}],
-        metrics={"format": "repro/metrics@1", "totals": {}},
         live=[{"format": "repro/live@1"},
               {"type": "progress", "seq": 1},
               {"type": "end", "seq": 2, "state": state}],
@@ -56,7 +54,9 @@ class TestRoundTrip:
         assert run.record["summary"] == {"fds": 3}
         assert run.eer == "ENTITY a\n"
         assert run.stats.primitive_calls["count_distinct"] == 9
-        assert set(run.artifacts) == {"trace", "metrics", "live"}
+        assert set(run.artifacts) == {"live"}
+        files = os.listdir(os.path.join(str(tmp_path), "runs", key))
+        assert sorted(files) == ["live.jsonl", "record.json"]
 
     def test_artifacts_read_back(self, tmp_path):
         archive = RunArchive(str(tmp_path))
@@ -64,13 +64,13 @@ class TestRoundTrip:
         live = archive.read_artifact(key, "live")
         assert live[0]["format"] == "repro/live@1"
         assert live[-1]["type"] == "end"
-        assert archive.read_metrics(key)["format"] == "repro/metrics@1"
         assert archive.read_artifact(key, "provenance") is None
 
     def test_unknown_artifact_name_raises(self, tmp_path):
         archive = RunArchive(str(tmp_path))
-        with pytest.raises(ValueError):
-            archive.read_artifact("whatever", "metrics")
+        for name in ("metrics", "trace"):
+            with pytest.raises(ValueError):
+                archive.read_artifact("whatever", name)
 
     def test_index_resolves_latest_per_key(self, tmp_path):
         archive = RunArchive(str(tmp_path))
@@ -131,6 +131,11 @@ class TestManagerRestore:
             manager.result(job.id, timeout=60)
             assert wait_archived(job)
             record = job.as_record()
+        # the live capture and the manifest's fold are the one stored copy
+        run_dir = os.path.join(str(tmp_path), "runs", job.archived)
+        assert sorted(os.listdir(run_dir)) == [
+            "live.jsonl", "provenance.jsonl", "record.json",
+        ]
 
         with JobManager(runners=1, archive=RunArchive(str(tmp_path))) as mgr:
             assert mgr.restored()["jobs"] == 1

@@ -1,46 +1,13 @@
-"""Cross-run analytics: robust drift scores and archive trends."""
+"""Cross-run analytics: archive trend tables and ``repro history``."""
+
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.obs.archive import RunArchive
-from repro.obs.history import (
-    DRIFT_THRESHOLD,
-    archive_trends,
-    detect_drift,
-    render_archive_trends,
-    robust_zscores,
-)
+from repro.obs.history import archive_trends, render_archive_trends
 from repro.obs.live import RunStats
-
-
-class TestRobustScores:
-    def test_outlier_scores_high_without_inflating_its_own_yardstick(self):
-        values = [10, 11, 10, 10.5, 11, 10, 30]
-        scores = robust_zscores(values)
-        assert scores[-1] > 10  # mean/stddev would give ~2.2 here
-        assert all(abs(score) < 1.5 for score in scores[:-1])
-
-    def test_mad_zero_falls_back_to_mean_absolute_deviation(self):
-        flagged = detect_drift([1, 1, 1, 1, 1, 50])
-        assert flagged and flagged[0][0] == 5
-
-    def test_constant_series_cannot_drift(self):
-        assert robust_zscores([3, 3, 3, 3]) == [0.0, 0.0, 0.0, 0.0]
-        assert detect_drift([3, 3, 3, 3]) == []
-
-    def test_short_series_are_never_flagged(self):
-        assert detect_drift([1, 100]) == []
-        assert detect_drift([1, 1, 100]) == []
-
-    def test_threshold_is_respected(self):
-        values = [10, 11, 10, 10.5, 11, 10, 14]
-        assert detect_drift(values, threshold=100.0) == []
-        assert detect_drift(values, threshold=1.0)
-
-    def test_empty_series(self):
-        assert robust_zscores([]) == []
-        assert detect_drift([]) == []
 
 
 def archived_run(archive, job_id, key, phase_ms, calls=10, hits=5):
@@ -70,28 +37,31 @@ class TestArchiveTrends:
         assert first["phase_ms"]["IND"] == 22.0
         assert first["cache_hit_rate"] == 0.5
 
-    def test_drift_flags_an_anomalous_run_on_the_same_fingerprint(
-        self, tmp_path
-    ):
+    def test_a_group_lists_one_problem_under_distinct_configs(self, tmp_path):
         archive = RunArchive(str(tmp_path))
-        walls = (10.0, 10.5, 10.2, 10.4, 10.1, 60.0)
+        walls = (10.0, 10.5, 60.0)
         for index, wall in enumerate(walls):
             archived_run(
                 archive, f"job-{index}", ("db", "wl", str(index)),
                 {"IND": wall},
             )
-        rows = archive_trends(archive)
-        assert len(rows) == 1
-        assert rows[0]["drift"], "the 6x run on the same fingerprint " \
-                                 "was not flagged"
-        rendered = render_archive_trends(archive)
-        assert "DRIFT" in rendered
+        # a re-run under a config already archived takes over its slot
+        archived_run(archive, "job-9", ("db", "wl", "0"), {"IND": 11.0})
+        (row,) = archive_trends(archive)
+        assert row["runs"] == 3
+        assert row["labels"] == ["job-9", "job-1", "job-2"]
+        assert row["wall_ms"] == [11.0, 10.5, 60.0]
+        assert "drift" not in row
+        header = render_archive_trends(archive).splitlines()[1]
+        assert header.split() == [
+            "database", "workload", "runs", "labels", "slowest", "phase",
+            "hit-rate",
+        ]
 
     def test_empty_archive_renders(self, tmp_path):
         assert render_archive_trends(
             RunArchive(str(tmp_path))
         ) == "archive is empty\n"
-        assert DRIFT_THRESHOLD == 3.5
 
 
 class TestHistoryCommand:
@@ -110,4 +80,21 @@ class TestHistoryCommand:
     def test_the_bench_options_are_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["history", "--bench", "history.jsonl"])
+        assert info.value.code == 2
+
+    def test_a_missing_archive_is_one_error_line_and_creates_nothing(
+        self, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "nope" / "archive")
+        assert main(["history", "--archive", missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: no archive at {missing!r}"
+        ]
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_the_threshold_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["history", "--archive", str(tmp_path), "--threshold", "2"])
         assert info.value.code == 2

@@ -1,4 +1,8 @@
-"""The live bus: ordering, snapshots, bounded queues, the file format."""
+"""The live bus: ordering, snapshots, cursor reads, the file format."""
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -30,19 +34,18 @@ def run_traced(tracer):
 class TestBusSemantics:
     def test_sequence_is_monotonic_and_total(self):
         tracer = Tracer()
-        subscription = tracer.subscribe()
+        bus = tracer.live()
         run_traced(tracer)
-        records = subscription.drain()
+        records = bus.history()
         sequences = [record["seq"] for record in records]
-        assert sequences == sorted(sequences)
-        assert len(set(sequences)) == len(sequences)
-        assert tracer.live_bus.last_seq == max(sequences)
+        assert sequences == list(range(1, len(records) + 1))
+        assert bus.last_seq == max(sequences)
 
     def test_stream_carries_every_phase_boundary_and_progress(self):
         tracer = Tracer()
-        subscription = tracer.subscribe()
+        bus = tracer.live()
         run_traced(tracer)
-        records = subscription.drain()
+        records = bus.history()
         opens = [r["name"] for r in records
                  if r["type"] == "span-open" and r["kind"] == "phase"]
         closes = [r["name"] for r in records
@@ -63,49 +66,36 @@ class TestBusSemantics:
         tracer.progress("ignored")
         assert tracer.live_bus is None
 
-    def test_unsubscribe_stops_delivery(self):
-        tracer = Tracer()
-        subscription = tracer.subscribe()
-        with tracer.span("pipeline", kind="pipeline"):
-            pass
-        subscription.close()
-        before = len(subscription.drain())
-        with tracer.span("again", kind="pipeline"):
-            pass
-        assert len(subscription.drain()) == 0
-        assert before >= 0
-        assert tracer.live_bus.subscribers == 0
-
 
 class TestMidRunAttach:
-    """The satellite regression: already-open spans arrive on subscribe."""
+    """A bus attached mid-run starts from the spans already open."""
 
     def test_subscriber_attached_mid_run_gets_open_span_snapshot(self):
         tracer = Tracer()
-        tracer.live()  # bus attached from the start
+        bus = tracer.live()  # bus attached from the start
         with tracer.span("pipeline", kind="pipeline"):
             with tracer.span("RHS-Discovery", kind="phase"):
-                subscription = tracer.subscribe()
-                snapshot = subscription.drain()
-                # both open spans, in stack order, flagged as snapshot
+                # a reader that starts paging mid-run sees both open
+                # spans, in stack order, as they were published live
+                snapshot = bus.history(since=0)
                 assert [r["name"] for r in snapshot] == [
                     "pipeline", "RHS-Discovery",
                 ]
                 assert all(r["type"] == "span-open" for r in snapshot)
-                assert all(r["snapshot"] for r in snapshot)
-                # ...then the tail: the close events still arrive
+                assert not any(r.get("snapshot") for r in snapshot)
+                cursor = snapshot[-1]["seq"]
                 tracer.progress("mid-run tick")
-        tail = subscription.drain()
+        # ...then the tail after its cursor: the close events still arrive
+        tail = bus.history(since=cursor)
         assert [r["type"] for r in tail] == [
             "progress", "span-close", "span-close",
         ]
-        assert not any(r.get("snapshot") for r in tail)
 
     def test_bus_attached_mid_run_synthesizes_open_spans(self):
         tracer = Tracer()
         with tracer.span("pipeline", kind="pipeline"):
             with tracer.span("Restruct", kind="phase"):
-                # nothing was ever subscribed; live() attaches now and
+                # no bus was ever attached; live() attaches now and
                 # must reconstruct the open stack into the history
                 bus = tracer.live()
                 history = bus.history()
@@ -113,6 +103,12 @@ class TestMidRunAttach:
                     "pipeline", "Restruct",
                 ]
                 assert all(r["snapshot"] for r in history)
+                tracer.progress("mid-run tick")
+        tail = bus.history(since=2)
+        assert [r["type"] for r in tail] == [
+            "progress", "span-close", "span-close",
+        ]
+        assert not any(r.get("snapshot") for r in tail)
 
     def test_replay_from_resumes_after_a_gap(self):
         tracer = Tracer()
@@ -120,39 +116,112 @@ class TestMidRunAttach:
         run_traced(tracer)
         full = tracer.live_bus.history()
         cut = full[3]["seq"]
-        resumed = tracer.subscribe(replay_from=cut).drain()
+        resumed = tracer.live_bus.history(since=cut)
         assert [r["seq"] for r in resumed] == [
             r["seq"] for r in full if r["seq"] > cut
         ]
 
 
-class TestBoundedQueues:
-    def test_slow_subscriber_drops_and_counts_without_stalling(self):
+class TestCursorReads:
+    """Readers page the history by seq and wait on the bus for more."""
+
+    def test_a_reader_that_never_reads_never_stalls_the_publisher(self):
         tracer = Tracer()
-        subscription = tracer.subscribe(maxsize=3)
+        bus = tracer.live()
         with tracer.span("pipeline", kind="pipeline"):
             for tick in range(50):
                 tracer.progress("tick", current=tick, total=50)
-        # the queue stayed bounded, the excess was counted, and the
-        # publishing side never blocked
-        assert len(subscription.drain()) == 3
-        assert subscription.dropped > 0
-        assert tracer.live_bus.dropped() == subscription.dropped
-        # the history is complete: a re-sync by replay recovers the gap
-        assert tracer.live_bus.last_seq == len(tracer.live_bus.history())
+        # nothing was read, nothing was lost: a late reader gets it all
+        assert bus.last_seq == len(bus.history()) == 52
 
-    def test_dropped_records_recoverable_by_replay(self):
-        tracer = Tracer()
-        subscription = tracer.subscribe(maxsize=2)
-        with tracer.span("pipeline", kind="pipeline"):
-            for tick in range(10):
-                tracer.progress("tick", current=tick)
-        seen = subscription.drain()
-        last_seen = seen[-1]["seq"]
-        recovered = tracer.subscribe(replay_from=last_seen).drain()
-        assert recovered
-        assert recovered[0]["seq"] == last_seen + 1
-        assert recovered[-1]["seq"] == tracer.live_bus.last_seq
+    def test_a_cursor_page_costs_the_records_it_returns(self):
+        bus = LiveBus()
+        for tick in range(1000):
+            bus.publish("progress", message="tick", current=tick)
+        history = bus._history
+
+        class Counting(type(history)):
+            visited = 0
+
+            def __iter__(self):
+                for record in super().__iter__():
+                    Counting.visited += 1
+                    yield record
+
+            def __reversed__(self):
+                for record in super().__reversed__():
+                    Counting.visited += 1
+                    yield record
+
+        bus._history = Counting(history)
+        assert [r["seq"] for r in bus.history(since=997)] == [998, 999, 1000]
+        assert Counting.visited <= 3
+
+    def test_wait_returns_at_once_when_the_bus_is_ahead(self):
+        bus = LiveBus()
+        bus.publish("progress", message="a")
+        assert bus.wait(0, timeout=0.0) is True
+
+    def test_wait_times_out_on_an_idle_bus(self):
+        bus = LiveBus()
+        bus.publish("progress", message="a")
+        assert bus.wait(1, timeout=0.01) is False
+
+    def test_wait_wakes_on_publish(self):
+        bus = LiveBus()
+        woke = []
+        reader = threading.Thread(
+            target=lambda: woke.append(bus.wait(0, timeout=30))
+        )
+        reader.start()
+        deadline = time.monotonic() + 10
+        while not bus._waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        started = time.monotonic()
+        bus.publish("progress", message="wake up")
+        reader.join(timeout=10)
+        assert woke == [True]
+        assert time.monotonic() - started < 5
+        assert bus._waiting == 0
+
+
+    def test_concurrent_tailers_each_see_every_record_once(self):
+        """More readers than cores, a short switch interval: no record
+        is lost or repeated and no waiter is left counted."""
+        bus = LiveBus()
+        total = 2000
+        seen = [[] for _ in range(4)]
+
+        def tail(bucket):
+            cursor = 0
+            while True:
+                for record in bus.history(since=cursor):
+                    bucket.append(record["seq"])
+                    cursor = record["seq"]
+                    if record["type"] == "end":
+                        return
+                bus.wait(cursor, timeout=5)
+
+        def publish():
+            for tick in range(total - 1):
+                bus.publish("progress", message="tick", current=tick)
+            bus.publish("end", job="job-1", state="done")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=tail, args=(b,)) for b in seen]
+            threads.append(threading.Thread(target=publish))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for bucket in seen:
+            assert bucket == list(range(1, total + 1))
+        assert bus._waiting == 0
 
 
 class TestBoundedHistory:
@@ -180,19 +249,9 @@ class TestBoundedHistory:
         # jump from cursor+1 to the first seq is the detectable gap
         page = bus.history(since=3)
         assert page[0]["seq"] == 16
+        assert len(page) == 10
         assert bus.history(since=25) == []
         assert bus.history(since=99) == []
-
-    def test_dropped_total_survives_unsubscribe(self):
-        tracer = Tracer()
-        subscription = tracer.subscribe(maxsize=2)
-        with tracer.span("pipeline", kind="pipeline"):
-            for tick in range(10):
-                tracer.progress("tick", current=tick)
-        dropped = subscription.dropped
-        assert dropped > 0
-        subscription.close()
-        assert tracer.live_bus.dropped() == dropped
 
 
 class TestLiveStats:

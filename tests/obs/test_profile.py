@@ -248,3 +248,43 @@ class TestMemoryProfiling:
         write_trace_jsonl(tracer, str(path))
         spans = [r for r in read_trace_jsonl(str(path)) if r.get("type") == "span"]
         assert spans[0]["attributes"]["mem_peak_kb"] >= 0.0
+
+
+class TestLiveCapture:
+    """A live capture profiles, flames and diffs exactly as its trace."""
+
+    def build(self, tracer, clock):
+        bus = tracer.live()
+        TestPhaseBreakdown().build(tracer, clock)
+        tracer.progress("after the run")
+        bus.publish("end", job="job-1", state="done")
+        return bus
+
+    def test_profile_and_stacks_equal_the_trace(self, tracer, clock):
+        from repro.obs.live import live_records
+
+        bus = self.build(tracer, clock)
+        capture = live_records(bus)
+        assert profile_from_records(capture) == profile_summary(tracer)
+        assert collapsed_stacks(capture) == collapsed_stacks(trace_records(tracer))
+
+    def test_cli_profile_and_diff_accept_a_capture(self, tracer, clock, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import write_trace_jsonl
+        from repro.obs.live import write_live_jsonl
+
+        bus = self.build(tracer, clock)
+        trace_path, live_path = tmp_path / "run.jsonl", tmp_path / "live.jsonl"
+        write_trace_jsonl(tracer, str(trace_path))
+        write_live_jsonl(bus, str(live_path))
+        outputs = []
+        for path in (trace_path, live_path):
+            flame = tmp_path / f"{path.stem}.collapsed"
+            assert main(["profile", str(path), "--flame", str(flame)]) == 0
+            outputs.append(capsys.readouterr().out.replace(str(flame), "FLAME"))
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "run.collapsed").read_bytes() == (
+            tmp_path / "live.collapsed"
+        ).read_bytes()
+        assert main(["trace", "diff", str(trace_path), str(live_path)]) == 0
+        assert "+0.000" in capsys.readouterr().out

@@ -30,7 +30,8 @@ def run_doc(**heads):
 def features(**overrides):
     figures = {
         "certificates": 2, "certificates_verified": 2,
-        "live_dropped": 0,
+        "live_last_seq": 83, "live_retained": 83, "live_trimmed": 0,
+        "live_primitives": 34,
         "profile_queries_seen": 34,
         "provenance_nodes": 82, "provenance_edges": 86,
         "runs_restored": 1,
@@ -120,7 +121,11 @@ class TestSameWorkInOneRun:
 
     def test_a_forced_extra_query_on_the_all_features_head_fails(self):
         baseline = run_doc(**s3_run())
-        current = run_doc(**s3_run(profile_queries_seen=35))
+        # one more query is one more primitive record on the live bus
+        current = run_doc(**s3_run(
+            profile_queries_seen=35, live_primitives=35,
+            live_last_seq=84, live_retained=84,
+        ))
         current["heads"][ALL]["queries"]["fd_holds"] += 1
         violations = regression.compare(current, baseline)
         assert violations == [
@@ -141,7 +146,12 @@ class TestAllFeaturesFacts:
         "override, message",
         [
             ({"certificates_verified": 1}, "1 of 2 certificates verify"),
-            ({"live_dropped": 3}, "the live subscriber dropped 3 records"),
+            ({"live_trimmed": 3, "live_retained": 80},
+             "the live history holds 80 of 83 records (3 trimmed)"),
+            ({"live_retained": 82},
+             "the live history holds 82 of 83 records (0 trimmed)"),
+            ({"live_primitives": 33},
+             "the live history holds 33 of 34 primitive records"),
             ({"profile_queries_seen": 30}, "the profile saw 30 of 34 queries"),
             ({"runs_restored": 0}, "the archive restored 0 runs, not 1"),
         ],

@@ -1,7 +1,7 @@
 """The one telemetry fold (RunStats) and the views that render it.
 
 metrics@1, the hotspot profile, ``/metrics``, the archive manifest and
-its ``metrics.json``, ``repro history`` and the regression gate's
+its ``live.jsonl``, ``repro history`` and the regression gate's
 figures all render :class:`~repro.obs.live.RunStats`; these tests pin
 that they agree, that repeated phases sum everywhere, that setup spans
 (the submit's ``fingerprint`` among them) and the ``extract``,
@@ -20,7 +20,7 @@ import pytest
 from repro.core import DBREPipeline
 from repro.obs import Tracer, metrics_summary, trace_records
 from repro.obs.archive import RunArchive
-from repro.obs.export import metrics_from_records, write_metrics_json
+from repro.obs.export import metrics_from_records, metrics_from_stats, write_metrics_json
 from repro.obs.history import archive_trends, render_archive_trends
 from repro.obs.live import RunStats
 from repro.obs.profile import (
@@ -362,7 +362,9 @@ class TestCrossViewAgreement:
             "profile": profile_from_records(trace),
             "exposition": exposition,
             "manifest": run.stats,
-            "archived": archive.read_metrics(job.archived),
+            "archived": metrics_from_stats(
+                RunStats.fold(archive.read_artifact(job.archived, "live"))
+            ),
             "gate": gate_figures(RunStats.fold(replay_trace(trace))),
         }
 

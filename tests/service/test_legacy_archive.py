@@ -19,6 +19,12 @@ map.  Such a run must still list, restore, replay and render in
 ``/metrics``, ``repro history`` and ``repro explain``, with no storage
 family anywhere in the output; a record's ``counters`` folds as if
 absent.
+
+Versions before the live capture became a run's one stored stream also
+archived a ``trace.jsonl`` and a ``metrics.json`` beside it (the paged
+fixture carries both).  Nothing reads them back, but such a run lists,
+restores and replays as any other, and ``repro profile`` reads either
+stream.
 """
 
 import json
@@ -32,6 +38,7 @@ from repro.obs.archive import RunArchive
 from repro.obs.export import metrics_from_stats, trace_records
 from repro.obs.history import archive_trends
 from repro.obs.live import RunStats, live_records
+from repro.util.jsonl import save_jsonl
 from repro.obs.provenance import provenance_records
 from repro.obs.tracer import Tracer
 from repro.service.jobs import JobManager
@@ -184,7 +191,7 @@ def test_history_renders_without_the_pool_column(archive_dir, capsys):
     assert main(["history", "--archive", archive_dir]) == 0
     out = capsys.readouterr().out
     assert "1 runs over 1 fingerprint group(s)" in out
-    header = next(line for line in out.splitlines() if "verdict" in line)
+    header = next(line for line in out.splitlines() if "hit-rate" in line)
     assert "pool" not in header
 
 
@@ -359,7 +366,9 @@ def paged_archive_dir(tmp_path):
     its trace events and live primitive records then get the paged
     backend's name and ``counters``, its manifest stats
     ``backends.paged.counters`` plus a flat ``storage_counters`` map,
-    and its metrics@1 the same per-backend rollup.
+    and its metrics@1 the same per-backend rollup.  The trace and the
+    metrics@1 document are written beside the live capture, as those
+    versions did.
     """
     tracer = Tracer()
     bus = tracer.live()
@@ -378,15 +387,18 @@ def paged_archive_dir(tmp_path):
     archive = RunArchive(str(tmp_path / "paged.archive"))
     key = archive.store(
         record, (PAGED_DATABASE_FP, WORKLOAD_FP, PAGED_CONFIG_TOKEN),
-        trace=trace, metrics=metrics, live=live_records(live),
+        live=live_records(live),
         provenance=provenance_records(result.provenance), stats=stats,
         eer=MANIFEST["eer"],
     )
-    manifest_path = tmp_path / "paged.archive" / "runs" / key / "record.json"
-    manifest = json.loads(manifest_path.read_text())
+    run_dir = tmp_path / "paged.archive" / "runs" / key
+    save_jsonl(trace, str(run_dir / "trace.jsonl"))
+    (run_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
+    manifest = json.loads((run_dir / "record.json").read_text())
+    manifest["artifacts"].update(trace="trace.jsonl", metrics="metrics.json")
     manifest["stats"]["backends"]["paged"]["counters"] = storage
     manifest["stats"]["storage_counters"] = storage
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    (run_dir / "record.json").write_text(json.dumps(manifest, indent=2))
     return archive.root, key, live
 
 
@@ -399,6 +411,7 @@ def test_a_paged_run_lists_restores_and_replays(paged_archive_dir):
     root, key, live = paged_archive_dir
     (run,) = RunArchive(root).runs()
     assert run.key == key
+    assert set(run.artifacts) == {"live", "metrics", "provenance", "trace"}
     assert set(run.stats.backends) == {"paged"}
     assert "counters" not in run.stats.backends["paged"]
     assert "storage_counters" not in run.stats.as_dict()
@@ -434,4 +447,7 @@ def test_a_paged_run_renders_in_metrics_history_and_explain(paged_archive_dir, c
     assert "source query:" in out
     _no_storage_family(out)
     assert main(["profile", f"{run_dir}/trace.jsonl"]) == 0
-    _no_storage_family(capsys.readouterr().out)
+    from_trace = capsys.readouterr().out
+    _no_storage_family(from_trace)
+    assert main(["profile", f"{run_dir}/live.jsonl"]) == 0
+    assert capsys.readouterr().out == from_trace

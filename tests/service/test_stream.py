@@ -169,25 +169,20 @@ class TestStreaming:
 
 
 class TestHistoryReplay:
-    """Backlogs page from bus history, never through the bounded queue."""
+    """Backlog and tail are one loop over the bus history."""
 
-    def test_replay_longer_than_the_queue_bound_completes(self, service):
-        from repro.obs.live import DEFAULT_QUEUE_SIZE
-
+    def test_a_late_watcher_gets_every_record_once(self, service):
         manager, base, _server = service
         database, backend = gated_database()
         job = manager.submit(database, equijoins=paper_equijoins())
         assert backend.entered.wait(timeout=30)
-        # flood the stream far past the subscriber queue bound while the
-        # run is parked inside IND-Discovery
-        for tick in range(DEFAULT_QUEUE_SIZE + 500):
+        # a long stream: well past any page a reader might buffer
+        for tick in range(1500):
             job.trace.progress("flood", current=tick)
         backend.release.set()
         manager.result(job.id, timeout=30)
 
-        # a watcher connecting after the fact must receive the whole
-        # backlog and the end sentinel — the old queue-funnelled replay
-        # delivered the first 1024 records and heartbeat forever
+        # a watcher that reads nothing until the job has finished
         captured = []
 
         def watch():
@@ -198,19 +193,15 @@ class TestHistoryReplay:
         watcher = threading.Thread(target=watch, daemon=True)
         watcher.start()
         watcher.join(timeout=30)
-        assert not watcher.is_alive(), (
-            "the watcher hung: the replay backlog dropped the end sentinel"
+        assert not watcher.is_alive(), "the watcher hung before the end"
+        assert [r["seq"] for r in captured] == list(
+            range(1, job.live.last_seq + 1)
         )
-        assert len(captured) > DEFAULT_QUEUE_SIZE
+        assert captured == job.live.history()
         assert captured[-1]["type"] == "end"
-        sequences = [r["seq"] for r in captured]
-        assert sequences == list(
-            range(sequences[0], sequences[0] + len(sequences))
-        )
 
-    def test_mid_tail_drops_are_refilled_from_history(self, service):
-        manager, base, server = service
-        server.stream_queue = 4  # mid-tail drops are certain
+    def test_a_burst_mid_tail_arrives_complete_and_in_order(self, service):
+        manager, base, _server = service
         database, backend = gated_database()
         job = manager.submit(database, equijoins=paper_equijoins())
         assert backend.entered.wait(timeout=30)
@@ -231,23 +222,39 @@ class TestHistoryReplay:
         watcher.join(timeout=30)
         assert not watcher.is_alive()
         assert captured[-1]["type"] == "end"
-        # no silent gaps, no duplicates: every seq between the first
-        # delivered record and the end sentinel arrived exactly once
-        sequences = [r["seq"] for r in captured]
-        assert sequences == list(
-            range(sequences[0], sequences[0] + len(sequences))
+        # no gaps, no duplicates: every seq from the first record to
+        # the end sentinel arrived exactly once
+        assert [r["seq"] for r in captured] == list(
+            range(1, job.live.last_seq + 1)
         )
 
 
 class TestSlowClients:
     def test_slow_subscriber_never_stalls_the_run(self, service):
         manager, base, _server = service
+        database, backend = gated_database()
+        job = manager.submit(database, equijoins=paper_equijoins())
+        assert backend.entered.wait(timeout=30)
+        # a watcher connects and then never reads: its socket buffers
+        # fill and its handler thread blocks on the write, not the run
+        request = urllib.request.Request(f"{base}/jobs/{job.id}/events")
+        response = urllib.request.urlopen(request, timeout=10)
+        try:
+            for tick in range(5000):
+                job.trace.progress("flood " + "x" * 200, current=tick)
+            backend.release.set()
+            assert manager.result(job.id, timeout=30) is not None
+        finally:
+            response.close()
+        assert job.live.history()[-1]["type"] == "end"
+
+
+class TestJobsWatch:
+    def test_watch_of_a_finished_job_exits_zero(self, service, capsys):
+        from repro.cli import main
+
+        manager, base, _server = service
         job = submit_paper_job(manager)
-        result = manager.result(job.id, timeout=30)
-        assert result is not None
-        # the job's own bus enforces the bound; a crawling SSE client
-        # maps to a bounded subscription with a drop counter
-        slow = job.live.subscribe(maxsize=2, replay_from=0)
-        drained = slow.drain()
-        assert len(drained) == 2
-        assert slow.dropped == job.live.last_seq - 2
+        manager.result(job.id, timeout=30)
+        assert main(["jobs", "watch", job.id, "--url", base]) == 0
+        assert f"{job.id} finished: done" in capsys.readouterr().out
