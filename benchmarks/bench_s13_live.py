@@ -6,11 +6,12 @@ Two claims pay for the ``repro.obs.live`` bus:
    publishes nothing: every hot-path hook is a single ``is None`` test,
    so ``live_bus`` stays ``None`` after a full run (asserted
    structurally, at any speed), and the wall clock of a run with the
-   hooks compiled in stays within noise of the pre-bus figure.  The
-   regression gate's ``s3-all-features-head`` runs watched, with the
-   ledger on; its latency entries are held to ≤ 2x of a baseline in
-   calibration units where they clear the gate's noise floor (only in
-   full mode).  Here we print the measured delta for the record.
+   hooks compiled in stays within noise of the pre-bus figure.  A
+   watched run asks exactly the unwatched run's queries and decisions
+   (asserted here).  Every regression-gate head runs watched; its
+   latency entries are held to ≤ 2x of a baseline in calibration units
+   where they clear the gate's noise floor (only in full mode).  Here
+   we print the measured delta for the record.
 2. **A watcher sees everything** — with the bus attached before the
    run, its history carries every phase boundary of the run, at least
    one progress tick per discovery phase, and the terminal record, all
@@ -54,18 +55,26 @@ def _run(watched=False):
         tracer.live()
     pipeline = DBREPipeline(scenario.database, scenario.expert, tracer=tracer)
     start = time.perf_counter()
-    pipeline.run(corpus=scenario.corpus)
+    result = pipeline.run(corpus=scenario.corpus)
     wall = time.perf_counter() - start
-    return tracer, wall
+    return tracer, wall, result
 
 
 def _best_wall(watched=False, rounds=ROUNDS):
     return min(_run(watched)[1] for _ in range(rounds))
 
 
+def _work(tracer, result):
+    """The queries per primitive and the expert decisions of one run."""
+    queries = {}
+    for event in tracer.events:
+        queries[event.primitive] = queries.get(event.primitive, 0) + 1
+    return queries, result.expert_decisions
+
+
 def test_s13_unwatched_run_publishes_nothing():
     """The hot path stays a None test: no bus, no records, ever."""
-    tracer, wall = _run(watched=False)
+    tracer, wall, _ = _run(watched=False)
     assert tracer.live_bus is None, (
         "an unwatched run attached a live bus — the zero-overhead "
         "claim is structurally broken"
@@ -101,12 +110,30 @@ def test_s13_overhead_with_and_without_a_watcher():
     )
 
 
+def test_s13_a_watched_run_asks_the_unwatched_runs_queries():
+    """Attaching the bus adds no query and no decision."""
+    quiet = _work(*_run(watched=False)[::2])
+    watched = _work(*_run(watched=True)[::2])
+    assert watched == quiet, (
+        f"the watched run asked {watched}, the unwatched run {quiet}"
+    )
+    queries, decisions = quiet
+    report(
+        "S13 — the same work, watched or not",
+        ["figure", "unwatched", "watched"],
+        [
+            ["extension queries", sum(queries.values()), sum(watched[0].values())],
+            ["expert decisions", decisions, watched[1]],
+        ],
+    )
+
+
 def test_s13_watcher_sees_every_phase_and_the_terminus():
     """The bus history, full stream: boundaries, progress, contiguous seq."""
-    tracer, _ = _run(watched=True)
+    tracer, _, _ = _run(watched=True)
     bus = tracer.live()
     records = bus.history()
-    assert bus.trimmed == 0
+    assert len(records) == bus.last_seq
     assert [r["seq"] for r in records] == list(range(1, bus.last_seq + 1))
     # a direct run's terminus is the pipeline span closing (the job
     # service adds its own ``end`` sentinel on top)

@@ -17,7 +17,7 @@ import time
 from benchmarks.conftest import report
 from repro.core import DBREPipeline
 from repro.eer.render import render_text
-from repro.obs import Tracer, metrics_summary, trace_records
+from repro.obs import Tracer, live_records, metrics_from_stats
 from repro.obs.profile import (
     collapsed_stacks,
     diff_views,
@@ -41,6 +41,7 @@ SCENARIO = ScenarioConfig(
 def _run(profile_memory=False):
     scenario = build_scenario(SCENARIO)
     tracer = Tracer(profile_memory=profile_memory)
+    tracer.live()
     pipeline = DBREPipeline(scenario.database.copy(), scenario.expert, tracer=tracer)
     start = time.perf_counter()
     result = pipeline.run(corpus=scenario.corpus)
@@ -66,14 +67,15 @@ def test_s9_profiling_issues_no_extension_queries():
     events_before = len(tracer.events)
     spans_before = len(tracer.spans)
 
-    records = trace_records(tracer)
+    records = live_records(tracer.live_bus)
     profile = profile_from_records(records)
     stacks = collapsed_stacks(records)
-    view = view_from_export("repro/trace@1", records)
+    view = view_from_export("repro/live@1", records)
     diff = diff_views(view, view)
 
-    # a pure view: the trace streams and the query counter are untouched
+    # a pure view: the recorded streams and the query counter are untouched
     assert result.extension_queries == queries_before
+    assert tracer.live_bus.last_seq == len(records) - 1
     assert len(tracer.events) == events_before
     assert len(tracer.spans) == spans_before
     assert profile["totals"]["queries"] == events_before
@@ -93,9 +95,9 @@ def test_s9_profiling_issues_no_extension_queries():
 def test_s9_profile_totals_agree_with_metrics():
     """The hotspot view and the metrics document never disagree."""
     _, tracer, _ = _run()
-    records = trace_records(tracer)
+    records = live_records(tracer.live_bus)
     profile = profile_from_records(records)
-    metrics = metrics_summary(tracer)
+    metrics = metrics_from_stats(tracer.live_bus.stats())
     assert profile["totals"]["queries"] == metrics["totals"]["queries"]
     assert profile["totals"]["spans"] == metrics["totals"]["spans"]
     for primitive, stats in metrics["primitives"].items():
@@ -111,7 +113,7 @@ def test_s9_profile_totals_agree_with_metrics():
 def test_s9_aggregation_cost_is_a_fraction_of_the_run():
     """Computing the full profile suite costs less than one pipeline run."""
     _, tracer, run_wall = _run()
-    records = trace_records(tracer)
+    records = live_records(tracer.live_bus)
     best = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()

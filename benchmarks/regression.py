@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """S-series benchmark-regression harness — the CI gate.
 
-Runs four heads of the S-series benchmarks under tracing and emits one
-JSON document per run with per-primitive query counts and latencies:
+Runs four heads of the S-series benchmarks, each recorded by a live
+bus attached before the run (its fold gives every figure), and emits
+one JSON document per run with per-primitive query counts and
+latencies:
 
 - ``s1-ind-head``, a small IND-scalability scenario;
 - ``s3-end-to-end-head``, an end-to-end scenario on memory;
 - ``s6-sqlite-head``, the same scenario on the SQLite pushdown backend;
 - ``s3-all-features-head``, the same scenario once more with the
-  provenance ledger on and a live bus attached; after the run it
+  provenance ledger on; after the run it
   computes the hotspot profile, re-verifies every certificate, and
   stores the run (its live capture and fold) in a ``repro/archive@1``
   directory and restores it.
@@ -72,9 +74,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.backends import MemoryBackend, SQLiteBackend
 from repro.core import DBREPipeline
 from repro.normalization import verify_certificate
-from repro.obs import Tracer, trace_records
+from repro.obs import Tracer
 from repro.obs.archive import RunArchive
-from repro.obs.export import replay_trace
 from repro.obs.live import RunStats, live_records
 from repro.obs.profile import profile_from_stats
 from repro.util.text import format_table
@@ -186,16 +187,15 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     scenario = build_scenario(head["config"])
     database = scenario.database.copy(backend=head["backend"]())
     tracer = Tracer()
+    bus = tracer.live()
     all_features = head.get("all_features", False)
-    bus = tracer.live() if all_features else None
     pipeline = DBREPipeline(
         database, scenario.expert, tracer=tracer, provenance=all_features
     )
     start = time.perf_counter()
     result = pipeline.run(corpus=scenario.corpus)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    records = trace_records(tracer)
-    stats = RunStats.fold(replay_trace(records))
+    stats = bus.stats()
     database.close()
 
     measured = {
@@ -238,7 +238,6 @@ def _feature_figures(
         "live_last_seq": bus.last_seq,
         "live_primitives": sum(1 for r in history if r["type"] == "primitive"),
         "live_retained": len(history),
-        "live_trimmed": bus.trimmed,
         "profile_queries_seen": profile_from_stats(stats)["totals"]["queries"],
         "provenance_nodes": len(result.provenance.nodes),
         "provenance_edges": len(result.provenance.edges),
@@ -343,11 +342,9 @@ def _feature_violations(name: str, head: Dict[str, Any]) -> List[str]:
         (features["certificates_verified"] == features["certificates"],
          f"{features['certificates_verified']} of "
          f"{features['certificates']} certificates verify"),
-        (features["live_trimmed"] == 0
-         and features["live_retained"] == features["live_last_seq"],
+        (features["live_retained"] == features["live_last_seq"],
          f"the live history holds {features['live_retained']} of "
-         f"{features['live_last_seq']} records "
-         f"({features['live_trimmed']} trimmed)"),
+         f"{features['live_last_seq']} records"),
         (features["live_primitives"] == queries,
          f"the live history holds {features['live_primitives']} of "
          f"{queries} primitive records"),

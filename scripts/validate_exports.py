@@ -5,10 +5,11 @@ Runs the paper demo once through the real CLI with every export enabled,
 then proves the artifacts are usable by a consumer that only has the
 files:
 
-1. the trace JSONL re-reads to exactly the records the run produced,
-   and the metrics JSON equals the metrics re-derived from those
-   records (``repro/trace@1`` / ``repro/metrics@1``);
-1b. ``repro profile`` renders the hotspot view of that trace and its
+1. the ``--trace`` file re-reads as a ``repro/live@1`` capture whose
+   header counts match its records, every span it opens it closes, and
+   the metrics JSON equals the metrics re-derived from those records
+   (``repro/metrics@1``);
+1b. ``repro profile`` renders the hotspot view of that capture and its
     flamegraph export is well-formed: every collapsed-stack line is
     ``stack <integer>``; ``repro trace diff`` of the trace against
     itself exits cleanly;
@@ -38,8 +39,10 @@ files:
    byte-identical to the archived one, and a repeat of the same spec
    is answered from the restored results cache (summary included); the
    run directory holds no ``trace.jsonl`` or ``metrics.json``, the fold
-   of its ``live.jsonl`` equals the manifest's ``stats``, and both
-   render the metrics@1 document the job's own trace replays to.
+   of its ``live.jsonl`` equals the manifest's ``stats`` and the
+   restored stats, and its span count and per-primitive calls, cache
+   hits and rows touched equal the job tracer's own span and event
+   lists.
 
 Exit status is non-zero on the first violation, so CI fails loudly.
 The artifacts are left in ``--outdir`` for upload.
@@ -76,8 +79,8 @@ def main(argv=None) -> int:
     from repro.cli import main as repro
     from repro.obs import (
         metrics_from_records,
+        read_live_jsonl,
         read_provenance_jsonl,
-        read_trace_jsonl,
         summarize_trace,
     )
 
@@ -103,13 +106,18 @@ def main(argv=None) -> int:
     if code != 0:
         fail(f"demo run exited {code}")
 
-    # 1. trace + metrics round-trip ------------------------------------
-    trace = read_trace_jsonl(trace_path)
+    # 1. trace capture + metrics round-trip ----------------------------
+    trace = read_live_jsonl(trace_path)  # checks the header's event count
     header = trace[0]
-    spans = [r for r in trace if r.get("type") == "span"]
-    events = [r for r in trace if r.get("type") == "event"]
-    if header["spans"] != len(spans) or header["events"] != len(events):
+    counts = {}
+    for record in trace[1:]:
+        counts[record["type"]] = counts.get(record["type"], 0) + 1
+    if header["counts"] != counts:
         fail("trace header counts disagree with the record stream")
+    spans = [r for r in trace if r.get("type") == "span-close"]
+    events = [r for r in trace if r.get("type") == "primitive"]
+    if counts.get("span-open") != len(spans):
+        fail("the trace capture opens spans it never closes")
     if not events:
         fail("the demo run recorded no primitive events")
     with open(metrics_path, encoding="utf-8") as handle:
@@ -319,7 +327,7 @@ def main(argv=None) -> int:
     import time as time_mod
 
     from repro.obs.archive import RunArchive
-    from repro.obs.export import metrics_from_stats, trace_records
+    from repro.obs.export import metrics_from_stats
     from repro.obs.live import RunStats
     from repro.service.export import jobs_to_records
     from repro.service.specs import submit_spec
@@ -336,8 +344,16 @@ def main(argv=None) -> int:
         ledger_before = json.dumps(
             jobs_to_records(manager), sort_keys=True, default=str
         )
-        # the trace replay, taken in-process: nothing archives it
-        replayed = metrics_from_records(trace_records(job.trace))
+        # the tracer's own lists, taken in-process: nothing archives them
+        recorded_spans = len(job.trace.spans)
+        recorded = {}
+        for event in job.trace.events:
+            row = recorded.setdefault(
+                event.primitive, {"calls": 0, "cache_hits": 0, "rows_touched": 0}
+            )
+            row["calls"] += 1
+            row["cache_hits"] += int(event.cache_hit)
+            row["rows_touched"] += event.rows_touched
     with JobManager(runners=1, archive=RunArchive(archive_dir)) as restored:
         if restored.restored()["jobs"] != 1:
             fail("the archive did not restore the demo job's ledger entry")
@@ -363,8 +379,7 @@ def main(argv=None) -> int:
                 "run's summary"
             )
         # the live capture is the one stored stream: its fold is the
-        # manifest's, and the live fold and the trace replay must not
-        # drift apart
+        # manifest's, and it holds what the job's tracer recorded
         archive = RunArchive(archive_dir)
         stored = sorted(os.listdir(os.path.join(archive_dir, "runs", job.archived)))
         if "trace.jsonl" in stored or "metrics.json" in stored:
@@ -373,10 +388,20 @@ def main(argv=None) -> int:
         manifest_stats = archive.load(job.archived).stats
         if live_fold.as_dict() != manifest_stats.as_dict():
             fail("the fold of the archived live.jsonl is not the manifest's stats")
-        if metrics_from_stats(live_fold) != replayed:
-            fail("the archived live fold does not equal the job's trace replay")
-        if metrics_from_stats(restored.restored()["stats"]) != replayed:
-            fail("the restored stats do not equal the job's trace replay")
+        if live_fold.totals()["spans"] != recorded_spans:
+            fail(
+                f"the archived live fold closes {live_fold.totals()['spans']} "
+                f"spans; the job's tracer recorded {recorded_spans}"
+            )
+        folded = {
+            name: {key: row[key] for key in ("calls", "cache_hits", "rows_touched")}
+            for name, row in live_fold.primitives.items()
+        }
+        if folded != recorded:
+            fail("the archived live fold does not equal the job's tracer events")
+        live_metrics = metrics_from_stats(live_fold)
+        if metrics_from_stats(restored.restored()["stats"]) != live_metrics:
+            fail("the restored stats do not equal the archived live fold")
 
     print(
         f"validate_exports: OK — {len(spans)} spans, {len(events)} events, "
@@ -387,7 +412,7 @@ def main(argv=None) -> int:
         f"{jobs_header['jobs']} jobs ({jobs_header['cached']} cached), "
         f"{len(stream)} live SSE records captured, /metrics lint clean, "
         f"archive restore byte-identical (cache re-seeded, live fold = "
-        f"manifest = trace replay); "
+        f"manifest = tracer lists); "
         f"artifacts in {args.outdir}/"
     )
     return 0

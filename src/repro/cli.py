@@ -15,18 +15,19 @@ Commands:
   ``--certificate FILE`` writes the machine-checkable
   ``repro/normalization@1`` decomposition certificates
   (``docs/NORMALIZATION.md``);
-- ``trace``    — work with recorded traces: ``trace summarize FILE``
-  renders the span tree, ``trace diff A B`` compares two traces, live
-  captures or metrics files and ranks regressions by self-time delta
-  with cache-hit-rate deltas as explanations;
-- ``profile``  — hotspot attribution of one recorded trace or live
-  capture (an archived run's ``live.jsonl``): inclusive
+- ``trace``    — work with recorded runs: ``trace summarize FILE``
+  renders the span tree, ``trace diff A B`` compares two captures,
+  legacy traces or metrics files and ranks regressions by self-time
+  delta with cache-hit-rate deltas as explanations;
+- ``profile``  — hotspot attribution of one recorded run (a ``--trace``
+  file, an archived run's ``live.jsonl``, or a legacy
+  ``repro/trace@1`` file): inclusive
   vs. exclusive time per span, per-phase primitive breakdowns, and
   an optional flamegraph export (``--flame`` collapsed stacks, read by
   flamegraph.pl and speedscope.app alike);
 - ``explain``  — print the derivation chain of one artifact from a
   ``--provenance`` export (query evidence, counts, expert answers);
-- ``report``   — render a trace + provenance pair as one self-contained
+- ``report``   — render a capture + provenance pair as one self-contained
   HTML audit report;
 - ``serve``    — the multi-job discovery service: a local HTTP JSON API
   (submit / status / result / cancel) over a queue of runs, with a
@@ -41,7 +42,8 @@ Commands:
   per-phase progress view (``--json`` for raw ``repro/live@1``
   records).
 
-``run`` and ``demo`` accept ``--trace FILE`` (JSONL span/event trace),
+``run`` and ``demo`` accept ``--trace FILE`` (the run's
+``repro/live@1`` capture: spans, primitive events and progress ticks),
 ``--metrics FILE`` (flat metrics summary), ``--provenance FILE`` (the
 decision-lineage DAG as JSONL), ``--provenance-dot FILE`` (the same
 DAG as Graphviz DOT) and ``--certificates FILE`` (the Restruct
@@ -72,17 +74,12 @@ from repro.core.report import session_report
 from repro.eer.dot import to_dot
 from repro.eer.render import render_text
 from repro.exceptions import ExtractionError, ReproError
-from repro.obs.export import (
-    TRACE_FORMAT,
-    read_trace_jsonl,
-    summarize_trace,
-    write_metrics_json,
-    write_trace_jsonl,
-)
+from repro.obs.export import summarize_trace, write_metrics_json
+from repro.obs.live import write_live_jsonl
 from repro.obs.profile import (
     detect_export_kind,
     diff_views,
-    load_export,
+    load_capture,
     profile_from_records,
     render_diff,
     render_profile,
@@ -162,11 +159,12 @@ def load_corpus(path: str) -> ProgramCorpus:
 
 def _write_observability(args: argparse.Namespace, pipeline: DBREPipeline) -> None:
     """Honor ``--trace``/``--metrics``/``--provenance`` after a run."""
+    bus = pipeline.tracer.live_bus
     if getattr(args, "trace", None):
-        write_trace_jsonl(pipeline.tracer, args.trace)
+        write_live_jsonl(bus, args.trace)
         print(f"trace written to {args.trace}")
     if getattr(args, "metrics", None):
-        write_metrics_json(pipeline.tracer, args.metrics)
+        write_metrics_json(bus.stats(), args.metrics)
         print(f"metrics written to {args.metrics}")
     if getattr(args, "provenance", None) and pipeline.ledger is not None:
         write_provenance_jsonl(pipeline.ledger, args.provenance)
@@ -189,12 +187,15 @@ def _write_certificates(args: argparse.Namespace, result) -> None:
         )
 
 
-def _make_tracer(args: argparse.Namespace) -> Optional[Tracer]:
-    """A tracemalloc-enabled tracer under ``--profile-memory``, else None
-    (the pipeline then creates its own plain tracer)."""
-    if getattr(args, "profile_memory", False):
-        return Tracer(profile_memory=True)
-    return None
+def _make_tracer(args: argparse.Namespace) -> Tracer:
+    """The run's tracer: tracemalloc-enabled under ``--profile-memory``,
+    and watched by a live bus, attached before the run, when ``--trace``
+    or ``--metrics`` will write what it records.  A run with neither
+    stays unwatched."""
+    tracer = Tracer(profile_memory=getattr(args, "profile_memory", False))
+    if getattr(args, "trace", None) or getattr(args, "metrics", None):
+        tracer.live()
+    return tracer
 
 
 def _make_expert(args: argparse.Namespace) -> Expert:
@@ -570,7 +571,8 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
                 emit(f"{args.job_id} finished: {final_state or 'unknown'}")
                 break
     except urllib.error.HTTPError as exc:
-        body = exc.read().decode("utf-8", "replace")
+        with exc:
+            body = exc.read().decode("utf-8", "replace")
         try:
             message = _json.loads(body).get("error", body)
         except _json.JSONDecodeError:
@@ -612,22 +614,8 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
-    from repro.obs.live import LIVE_FORMAT, summarize_live
-
     try:
-        # schema-sniffing loader: handing it the wrong export kind (a
-        # metrics JSON, a provenance JSONL) is a one-line error naming
-        # what the file actually is — except a repro/live@1 capture,
-        # which summarize understands natively (event counts per
-        # type/phase instead of the span tree)
-        kind, payload = detect_export_kind(args.trace_file)
-        if kind == LIVE_FORMAT:
-            print(summarize_live(payload))
-            return 0
-        if kind != TRACE_FORMAT:
-            records = load_export(args.trace_file, TRACE_FORMAT)
-        else:
-            records = payload
+        records = load_capture(args.trace_file)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -636,14 +624,8 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.live import LIVE_FORMAT
-
     try:
-        # a live capture (an archived run's live.jsonl) profiles as its
-        # trace does; any other export kind is a one-line error
-        kind, records = detect_export_kind(args.trace_file)
-        if kind not in (TRACE_FORMAT, LIVE_FORMAT):
-            records = load_export(args.trace_file, TRACE_FORMAT)
+        records = load_capture(args.trace_file)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -693,7 +675,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     trace = provenance = None
     try:
         if args.trace:
-            trace = read_trace_jsonl(args.trace)
+            trace = load_capture(args.trace)
         if args.provenance:
             provenance = read_provenance_jsonl(args.provenance)
     except ValueError as exc:
@@ -745,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_observability_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--trace",
-            help="write the span/event trace as JSONL here "
+            help="write the run's repro/live@1 capture (spans, primitive "
+                 "events, progress) as JSONL here "
                  "(repro trace summarize renders it)",
         )
         command.add_argument(
@@ -931,31 +914,35 @@ def build_parser() -> argparse.ArgumentParser:
                             help="socket timeout while waiting for events")
     jobs_watch.set_defaults(func=cmd_jobs_watch)
 
-    trace = sub.add_parser("trace", help="work with recorded traces")
+    trace = sub.add_parser("trace", help="work with recorded runs")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
-        "summarize", help="print the span tree and primitive rollup of a trace"
+        "summarize",
+        help="print the span tree and primitive rollup of a recorded run",
     )
-    summarize.add_argument("trace_file", help="a --trace JSONL file")
+    summarize.add_argument(
+        "trace_file", help="a --trace capture (or a legacy repro/trace@1 file)"
+    )
     summarize.set_defaults(func=cmd_trace_summarize)
     diff = trace_sub.add_parser(
         "diff",
-        help="compare two traces, live captures or metrics files: "
+        help="compare two captures, legacy traces or metrics files: "
              "regressions ranked by self-time delta, cache-hit-rate "
              "deltas attached",
     )
-    diff.add_argument("trace_a", help="the before trace/live/metrics file")
-    diff.add_argument("trace_b", help="the after trace/live/metrics file")
+    diff.add_argument("trace_a", help="the before capture/trace/metrics file")
+    diff.add_argument("trace_b", help="the after capture/trace/metrics file")
     diff.set_defaults(func=cmd_trace_diff)
 
     profile = sub.add_parser(
         "profile",
-        help="hotspot attribution of a recorded trace or live capture "
+        help="hotspot attribution of a recorded run "
              "(inclusive vs. self time, per-phase primitive breakdown, "
              "flamegraphs)",
     )
     profile.add_argument(
-        "trace_file", help="a --trace JSONL file or a repro/live@1 capture"
+        "trace_file", help="a --trace capture, an archived live.jsonl, "
+                           "or a legacy repro/trace@1 file"
     )
     profile.add_argument(
         "--flame", metavar="FILE",
@@ -980,7 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="render one self-contained HTML audit report"
     )
-    report.add_argument("--trace", help="a --trace JSONL file")
+    report.add_argument(
+        "--trace", help="a --trace capture (or a legacy repro/trace@1 file)"
+    )
     report.add_argument("--provenance", help="a --provenance JSONL file")
     report.add_argument(
         "--title", default="Reverse-engineering audit report",

@@ -24,8 +24,9 @@ extension-primitive event lands inside the phase that issued it.  Three
 corpus), ``evidence`` (the expert's ratio and witnesses, in
 RHS-Discovery) and ``certify`` (each decomposition's certificate, in
 Restruct).
-``result.trace`` exposes the tracer; :mod:`repro.obs.export` turns it
-into JSONL traces and metrics summaries.
+``result.trace`` exposes the tracer; a live bus attached to it before
+the run (:meth:`~repro.obs.tracer.Tracer.live`) records the run as the
+``repro/live@1`` stream every export and view reads.
 
 A pipeline built with a ``cancel`` hook (the job manager's mid-run
 cancellation path) checks it between phases and raises

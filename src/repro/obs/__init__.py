@@ -9,8 +9,9 @@ end:
 - :mod:`repro.obs.instrument` — :class:`InstrumentedBackend`, the thin
   wrapper that times backend primitives and records cache hit/miss and
   rows touched without the backends knowing about the tracer;
-- :mod:`repro.obs.export` — JSONL trace and flat metrics-JSON writers,
-  readers, and the ``repro trace summarize`` rendering;
+- :mod:`repro.obs.export` — the one reader of a recorded run (a
+  ``repro/live@1`` capture, or a legacy ``repro/trace@1`` file), the
+  flat metrics-JSON view, and the ``repro trace summarize`` rendering;
 - :mod:`repro.obs.profile` — hotspot aggregation (inclusive vs.
   exclusive time, per-phase primitive breakdowns), the collapsed-stack
   flamegraph exporter, and the trace diff engine behind
@@ -24,12 +25,12 @@ end:
   (``repro report``) combining trace, metrics, expert dialogue and the
   lineage graph;
 - :mod:`repro.obs.live` — the real-time event bus: a tracer publishes
-  span boundaries, primitive events and progress ticks into a bounded
-  record history the moment they happen (``repro/live@1``), at zero
-  cost while no bus is attached; readers page the history by ``seq``
-  and wait on the bus for more — this is what the service's SSE
-  endpoint and ``repro jobs watch`` consume, and an archived run's
-  one stored stream;
+  span boundaries, primitive events and progress ticks into a record
+  history the moment they happen (``repro/live@1``), at zero cost
+  while no bus is attached; readers page the history by ``seq`` and
+  wait on the bus for more — this is what ``--trace`` writes, the
+  service's SSE endpoint and ``repro jobs watch`` consume, and an
+  archived run's one stored stream;
 - :mod:`repro.obs.archive` / :mod:`repro.obs.history` — the durable
   run archive (each run's live capture, fold, provenance and ledger
   record) and the ``repro history`` trend tables over it;
@@ -66,21 +67,20 @@ from repro.obs.log import (
 from repro.obs.export import (
     METRICS_FORMAT,
     TRACE_FORMAT,
+    capture_stream,
     metrics_from_records,
-    metrics_summary,
+    metrics_from_stats,
     read_trace_jsonl,
     summarize_trace,
-    trace_records,
     write_metrics_json,
-    write_trace_jsonl,
 )
 from repro.obs.profile import (
     collapsed_stacks,
     detect_export_kind,
     diff_views,
+    load_capture,
     load_export,
     profile_from_records,
-    profile_summary,
     render_diff,
     render_profile,
     view_from_export,
@@ -120,19 +120,18 @@ __all__ = [
     "new_run_id",
     "METRICS_FORMAT",
     "TRACE_FORMAT",
+    "capture_stream",
     "metrics_from_records",
-    "metrics_summary",
+    "metrics_from_stats",
     "read_trace_jsonl",
     "summarize_trace",
-    "trace_records",
     "write_metrics_json",
-    "write_trace_jsonl",
     "collapsed_stacks",
     "detect_export_kind",
     "diff_views",
+    "load_capture",
     "load_export",
     "profile_from_records",
-    "profile_summary",
     "render_diff",
     "render_profile",
     "view_from_export",

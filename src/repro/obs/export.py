@@ -1,110 +1,56 @@
-"""Trace and metrics exporters, and their file formats.
+"""Reading a recorded run, and the metrics and summary views of it.
 
-Two artifacts can be written from one :class:`~repro.obs.tracer.Tracer`:
+A run is recorded once, as the ``repro/live@1`` capture of its
+:class:`~repro.obs.live.LiveBus` (``repro run --trace FILE`` writes it
+with :func:`~repro.obs.live.write_live_jsonl`; an archived run stores
+it as ``live.jsonl``).  Every view reads a capture through
+:func:`capture_stream`, which also replays a legacy ``repro/trace@1``
+file — the format ``--trace`` wrote before — into the same records, so
+old traces still read.  Nothing writes ``repro/trace@1`` any more.
 
-- **JSONL trace** (``repro/trace@1``) — one JSON object per line.  The
-  first line is a header; every further line is a ``span`` or ``event``
-  record, ordered by start time.  Timestamps are milliseconds relative
-  to the earliest record, so traces are diffable across runs and
-  machines.
+Two views live here:
+
 - **metrics JSON** (``repro/metrics@1``) — one flat document with
   per-phase durations and query counts, per-primitive call/latency/
-  cache/row rollups, per-backend totals, and run totals.
-
-The metrics document renders the one telemetry fold,
-:class:`~repro.obs.live.RunStats`: a trace's records are replayed into
-it (:func:`replay_trace`) as the live records a bus would have
-published, so a summary computed live from a tracer, one computed from
-a written-and-reread JSONL file and one rendered from a job's live bus
-agree by construction.  ``repro trace summarize FILE`` renders the same
-replay as a span tree plus primitive table.
+  cache/row rollups, per-backend totals, and run totals, rendered from
+  the one telemetry fold, :class:`~repro.obs.live.RunStats`
+  (:func:`metrics_from_stats`; a written capture folds through
+  :func:`metrics_from_records`), so the document ``--metrics`` writes
+  from the live bus and one re-derived from the ``--trace`` file agree
+  by construction;
+- **the summary** (``repro trace summarize FILE``) — the span tree with
+  per-span query counts, the primitive table, and the ``end`` record
+  when the capture carries one (:func:`summarize_trace`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.obs.live import RunStats
-from repro.util.jsonl import load_jsonl, save_jsonl
+from repro.obs.live import LIVE_EVENT_TYPES, RunStats
+from repro.util.jsonl import load_jsonl
 from repro.util.text import format_table
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.tracer import Tracer
 
 __all__ = [
     "TRACE_FORMAT",
     "METRICS_FORMAT",
-    "trace_records",
-    "write_trace_jsonl",
     "read_trace_jsonl",
     "replay_trace",
+    "capture_stream",
     "metrics_from_stats",
     "metrics_from_records",
-    "metrics_summary",
     "write_metrics_json",
     "summarize_trace",
 ]
 
+#: the legacy trace format: read-only, replayed into live records
 TRACE_FORMAT = "repro/trace@1"
 METRICS_FORMAT = "repro/metrics@1"
 
 
-def _ms(seconds: float) -> float:
-    """Seconds → milliseconds, rounded to survive a JSON round-trip."""
-    return round(seconds * 1000.0, 6)
-
-
-def trace_records(tracer: "Tracer") -> List[Dict[str, Any]]:
-    """The tracer's streams as JSON-ready records (header first)."""
-    starts = [s.start for s in tracer.spans] + [e.start for e in tracer.events]
-    base = min(starts) if starts else 0.0
-    rows: List[Dict[str, Any]] = []
-    for span in tracer.spans:
-        row = {
-            "type": "span",
-            "id": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "kind": span.kind,
-            "start_ms": _ms(span.start - base),
-            "duration_ms": _ms(span.duration),
-            "attributes": dict(span.attributes),
-        }
-        if span.open:
-            # a crashed or still-running scope: duration is elapsed-so-far
-            row["open"] = True
-        rows.append(row)
-    for event in tracer.events:
-        rows.append({
-            "type": "event",
-            "span": event.span_id,
-            "primitive": event.primitive,
-            "backend": event.backend,
-            "relations": list(event.relations),
-            "attributes": [list(a) for a in event.attributes],
-            "start_ms": _ms(event.start - base),
-            "duration_ms": _ms(event.duration),
-            "cache_hit": event.cache_hit,
-            "rows_touched": event.rows_touched,
-        })
-    rows.sort(key=lambda r: (r["start_ms"], 0 if r["type"] == "span" else 1))
-    header = {
-        "type": "trace",
-        "format": TRACE_FORMAT,
-        "spans": len(tracer.spans),
-        "events": len(tracer.events),
-    }
-    return [header] + rows
-
-
-def write_trace_jsonl(tracer: "Tracer", path: str) -> None:
-    """Write the trace as JSONL (header line + one record per line)."""
-    save_jsonl(trace_records(tracer), path)
-
-
 def read_trace_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read a JSONL trace back into its records (header included).
+    """Read a legacy ``repro/trace@1`` file back (header included).
 
     Raises :class:`ValueError` for a malformed line (with its line
     number) or when the header is not a ``repro/trace@1`` header.
@@ -115,9 +61,6 @@ def read_trace_jsonl(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-# ----------------------------------------------------------------------
-# metrics
-# ----------------------------------------------------------------------
 def replay_trace(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
     """A trace's records as the ``repro/live@1`` records a bus publishes.
 
@@ -125,8 +68,7 @@ def replay_trace(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
     records) and child spans in record order, then ``span-close``; a
     still-open span closes flagged ``open`` at its elapsed-so-far.
     Spans and events whose parent is not in the trace replay at top
-    level.  This is how a trace is folded into
-    :class:`~repro.obs.live.RunStats` — there is no second fold.
+    level.
     """
     spans = {r["id"] for r in records if r.get("type") == "span"}
     below: Dict[Optional[int], List[Dict[str, Any]]] = {}
@@ -145,6 +87,37 @@ def replay_trace(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
                 yield dict(record, type="span-close", span=record["id"])
 
     return walk(None)
+
+
+def capture_stream(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    """A recorded run's body records, in publication order.
+
+    *records* is a ``repro/live@1`` capture (header optional) or a
+    legacy ``repro/trace@1`` list, which :func:`replay_trace` turns
+    into the same records.  A span the capture opened but never closed
+    (a run captured mid-flight) closes at the end, innermost first,
+    flagged ``open`` at its elapsed-so-far: the capture's last
+    timestamp minus its own.  Every view reads a run through here.
+    """
+    if records and records[0].get("format") == TRACE_FORMAT:
+        yield from replay_trace(records)
+        return
+    opened: Dict[Any, Dict[str, Any]] = {}
+    last_ms = 0.0
+    for record in records:
+        if record.get("type") not in LIVE_EVENT_TYPES:
+            continue
+        last_ms = record.get("ts_ms", last_ms)
+        if record["type"] == "span-open":
+            opened[record["span"]] = record
+        elif record["type"] == "span-close":
+            opened.pop(record["span"], None)
+        yield record
+    for span in reversed(list(opened.values())):
+        yield dict(
+            span, type="span-close", open=True,
+            duration_ms=round(last_ms - span.get("ts_ms", 0.0), 6),
+        )
 
 
 def metrics_from_stats(stats: RunStats) -> Dict[str, Any]:
@@ -174,19 +147,14 @@ def metrics_from_stats(stats: RunStats) -> Dict[str, Any]:
 
 
 def metrics_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The flat metrics document for one trace's records."""
-    return metrics_from_stats(RunStats.fold(replay_trace(records)))
+    """The flat metrics document of one capture's (or trace's) records."""
+    return metrics_from_stats(RunStats.fold(capture_stream(records)))
 
 
-def metrics_summary(tracer: "Tracer") -> Dict[str, Any]:
-    """The metrics document computed live from *tracer*."""
-    return metrics_from_records(trace_records(tracer))
-
-
-def write_metrics_json(tracer: "Tracer", path: str) -> None:
-    """Write the flat metrics summary as one JSON document."""
+def write_metrics_json(stats: RunStats, path: str) -> None:
+    """Write the flat metrics document of *stats* as one JSON document."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(metrics_summary(tracer), handle, indent=2, sort_keys=True)
+        json.dump(metrics_from_stats(stats), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -194,17 +162,21 @@ def write_metrics_json(tracer: "Tracer", path: str) -> None:
 # human-readable rendering (repro trace summarize)
 # ----------------------------------------------------------------------
 def summarize_trace(records: List[Dict[str, Any]]) -> str:
-    """Render a trace as a span tree plus per-primitive rollup table.
+    """Render a capture or trace as a span tree plus primitive table.
 
     A span's query count is how far the fold's primitive count moved
-    between its replayed open and close — its subtree's primitives.
+    between its open and close — its subtree's primitives.  A capture
+    that carries an ``end`` record ends with it.
     """
     stats = RunStats()
     lines: List[str] = []
     opened: Dict[int, tuple] = {}
-    for record in replay_trace(records):
+    end: Optional[Dict[str, Any]] = None
+    for record in capture_stream(records):
         stats.observe(record)
-        if record["type"] == "span-open":
+        if record["type"] == "end":
+            end = record
+        elif record["type"] == "span-open":
             opened[record["span"]] = (len(lines), len(opened), stats.events.get("primitive", 0))
             lines.append("")
         elif record["type"] == "span-close":
@@ -240,4 +212,7 @@ def summarize_trace(records: List[Dict[str, Any]]) -> str:
                 rows,
             )
         )
+    if end is not None:
+        lines.append("")
+        lines.append(f"# End — {end.get('job', '?')} finished {end.get('state') or 'unknown'}")
     return "\n".join(lines)

@@ -8,13 +8,13 @@ one-event-stream design observable while the run is still going:
   :class:`~repro.obs.tracer.Tracer` can attach.  Every span open, span
   close, primitive call and progress tick becomes
   one ``repro/live@1`` dict with a monotonically increasing ``seq``;
-  the history is **bounded** (``history_limit``, oldest first to go),
-  so a long-lived service does not grow without bound.
+  the history keeps the whole run.  It is the one recording of a run:
+  ``--trace`` writes it, the archive stores it, and every view folds it.
 - :class:`RunStats` — the one fold of a run's telemetry (per span
   name, per phase, per primitive, per backend) the bus
   maintains on every publish, so a metrics scrape reads the totals in
-  O(1) instead of rescanning the history — and the totals survive
-  history trimming.  Every metrics view renders it.
+  O(1) instead of rescanning the history.  Every metrics view renders
+  it.
 - **The cursor contract** — a reader keeps the ``seq`` of the last
   record it has seen and pages :meth:`LiveBus.history` past it; the
   page costs O(records returned), not O(retained history).  When the
@@ -23,23 +23,23 @@ one-event-stream design observable while the run is still going:
   publisher and cannot miss a retained record: there is no per-reader
   queue to overflow.  The SSE endpoint (``Last-Event-ID`` is the
   cursor) and every in-process watcher read this way.
-- **A consistent start** — a bus attached mid-run first records a
-  ``span-open`` (flagged ``snapshot``) for every span still open, in
-  stack order, so its history starts from a consistent view.
+- **A complete start** — a bus attaches before the tracer's first
+  span (:meth:`~repro.obs.tracer.Tracer.live` refuses a later attach),
+  so its history holds every span the run opened.
 
 The bus costs nothing when unused: a tracer that never attached one
 carries ``_live = None`` and every hot-path hook is a single attribute
-test — the S13 benchmark enforces it, and the regression gate's
-``s3-all-features-head`` runs watched and must ask exactly the
-unwatched head's queries.  Publishing with nobody waiting takes no
-more than the lock, the append and the fold.
+test — the S13 benchmark enforces it, and checks that a watched run
+asks exactly the unwatched run's queries.  Publishing with nobody
+waiting takes no more than the lock, the append and the fold.
 
 Record shapes (all carry ``type``, ``seq`` and ``ts_ms`` — milliseconds
 since the bus attached):
 
 - ``span-open`` — ``span``, ``parent``, ``name``, ``kind``,
-  ``attributes`` (+ ``snapshot: true`` when synthesized for a mid-run
-  attach);
+  ``attributes`` (captures from versions that synthesized open spans
+  for a mid-run attach may carry ``snapshot: true``; readers ignore
+  it);
 - ``span-close`` — ``span``, ``name``, ``kind``, ``duration_ms``,
   ``attributes`` (the attributes as of close, counts included);
 - ``primitive`` — ``span``, ``primitive``, ``backend``, ``relations``,
@@ -52,14 +52,13 @@ since the bus attached):
 :func:`write_live_jsonl` / :func:`read_live_jsonl` round-trip a
 captured stream with the same JSONL discipline as every other export
 (header record first); ``scripts/validate_exports.py`` exercises the
-round-trip in CI.
+round-trip in CI.  :mod:`repro.obs.export` reads such a capture (or a
+legacy ``repro/trace@1`` file) for every view.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 import threading
@@ -72,13 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LIVE_FORMAT",
     "LIVE_EVENT_TYPES",
-    "DEFAULT_HISTORY_LIMIT",
     "RunStats",
     "LiveBus",
     "live_records",
     "write_live_jsonl",
     "read_live_jsonl",
-    "summarize_live",
 ]
 
 #: the versioned format tag of the live-event stream
@@ -92,10 +89,6 @@ LIVE_EVENT_TYPES = (
     "progress",
     "end",
 )
-
-#: per-bus history bound; past it the oldest records are trimmed (the
-#: fold in :class:`RunStats` keeps counting what was trimmed)
-DEFAULT_HISTORY_LIMIT = 65536
 
 
 def _ms(seconds: float) -> float:
@@ -154,8 +147,9 @@ class RunStats:
     """The one fold of a run's telemetry, behind every view of it.
 
     :meth:`observe` folds one ``repro/live@1`` record: the
-    :class:`LiveBus` calls it on every publish, and a ``repro/trace@1``
-    list is replayed into it (:func:`repro.obs.export.replay_trace`).
+    :class:`LiveBus` calls it on every publish, and a written capture
+    (or a legacy ``repro/trace@1`` file) is read into it through
+    :func:`repro.obs.export.capture_stream`.
 
     - ``spans`` — per span name: ``kind``, ``count``, ``inclusive_ms``,
       ``self_ms`` (minus direct children and primitives, clamped at
@@ -324,26 +318,17 @@ class LiveBus:
     records.  Readers page :meth:`history` by cursor and block in
     :meth:`wait`; publishing wakes them only when one is waiting.
 
-    The history is bounded by *history_limit*: past it the oldest
-    records are trimmed (``seq`` stays contiguous among the retained
-    tail, :attr:`trimmed` counts what is gone), so a long-lived service
-    holds at most *history_limit* raw records per run while the stats
-    keep the full totals.
+    The history keeps every record of the run: the record with ``seq``
+    *n* sits at index *n* - 1, so a cursor page is one slice.
     """
 
-    def __init__(
-        self,
-        clock=time.perf_counter,
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
-    ) -> None:
+    def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         #: signalled on publish, and only while :attr:`_waiting` > 0
         self._published = threading.Condition(self._lock)
         self._waiting = 0
-        self._history: deque = deque()
-        self._history_limit = max(1, history_limit)
-        self._trimmed = 0
+        self._history: List[Dict[str, Any]] = []
         self._stats = RunStats()
         self._seq = 0
         self._base = clock()
@@ -361,25 +346,20 @@ class LiveBus:
             record.update(fields)
             self._history.append(record)
             self._stats.observe(record)
-            if len(self._history) > self._history_limit:
-                self._history.popleft()
-                self._trimmed += 1
             if self._waiting:
                 self._published.notify_all()
             return record
 
-    def span_opened(self, span: "SpanRecord", snapshot: bool = False) -> None:
+    def span_opened(self, span: "SpanRecord") -> None:
         """Publish the ``span-open`` record of *span*."""
-        record = {
-            "span": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "kind": span.kind,
-            "attributes": dict(span.attributes),
-        }
-        if snapshot:
-            record["snapshot"] = True
-        self.publish("span-open", **record)
+        self.publish(
+            "span-open",
+            span=span.span_id,
+            parent=span.parent_id,
+            name=span.name,
+            kind=span.kind,
+            attributes=dict(span.attributes),
+        )
 
     def span_closed(self, span: "SpanRecord") -> None:
         """Publish the ``span-close`` record of *span*."""
@@ -394,21 +374,12 @@ class LiveBus:
 
     # -- reading (the consumer side) -----------------------------------
     def history(self, since: int = 0) -> List[Dict[str, Any]]:
-        """Every *retained* record with ``seq > since``, oldest first.
+        """Every record with ``seq > since``, oldest first.
 
-        Costs O(records returned): the page is read off the newest end
-        of the history.  Records already trimmed by the history bound
-        are gone for good: when ``since`` predates :attr:`trimmed`, the
-        page starts at the oldest retained record (its ``seq`` exceeds
-        ``since + 1``).
+        Costs O(records returned): the page is one slice of the history.
         """
         with self._lock:
-            count = min(len(self._history), self._seq - max(0, since))
-            if count <= 0:
-                return []
-            page = list(islice(reversed(self._history), count))
-        page.reverse()
-        return page
+            return self._history[max(0, since):]
 
     def wait(self, after_seq: int, timeout: float) -> bool:
         """Block until a record past *after_seq* exists, or *timeout* ends.
@@ -433,20 +404,14 @@ class LiveBus:
         with self._lock:
             return self._seq
 
-    @property
-    def trimmed(self) -> int:
-        """Records the bounded history has trimmed (lowest seqs first)."""
-        with self._lock:
-            return self._trimmed
-
     def stats(self) -> RunStats:
-        """A snapshot of the running aggregates (trim-proof totals)."""
+        """A snapshot of the running aggregates."""
         with self._lock:
             return self._stats.copy()
 
     def __repr__(self) -> str:
         with self._lock:
-            return f"LiveBus(seq={self._seq}, retained={len(self._history)})"
+            return f"LiveBus(seq={self._seq})"
 
 
 # ----------------------------------------------------------------------
@@ -476,55 +441,6 @@ def write_live_jsonl(source, path: str) -> List[Dict[str, Any]]:
     records = live_records(source)
     save_jsonl(records, path)
     return records
-
-
-def summarize_live(records: List[Dict[str, Any]]) -> str:
-    """Render a captured ``repro/live@1`` stream as a readable summary.
-
-    *records* may include the header record (it is skipped).  The
-    summary counts events per record type, lists each completed phase
-    name with its total duration and progress-tick count, and reports
-    the terminal ``end`` record when the capture carries one — the
-    live-stream analogue of ``repro trace summarize`` over a trace file.
-    """
-    from repro.util.text import format_table
-
-    body = [r for r in records if r.get("type") in LIVE_EVENT_TYPES]
-    stats = RunStats.fold(body)
-    span = (
-        f"{body[0].get('ts_ms', 0.0):.0f}..{body[-1].get('ts_ms', 0.0):.0f} ms"
-        if body
-        else "empty"
-    )
-    lines = [f"# Live capture — {len(body)} record(s), {span}"]
-    if stats.events:
-        lines.append(format_table(["type", "records"], sorted(stats.events.items())))
-
-    # per-phase view: durations from the fold, progress records carry
-    # the phase name they ticked under
-    progress: Dict[str, int] = {}
-    for record in body:
-        if record["type"] == "progress" and record.get("phase"):
-            progress[record["phase"]] = progress.get(record["phase"], 0) + 1
-    if stats.phase_ms:
-        lines.append("")
-        lines.append("# Phases")
-        lines.append(
-            format_table(
-                ["phase", "duration ms", "progress ticks"],
-                [
-                    [name, f"{ms:.3f}", progress.get(name, 0)]
-                    for name, ms in stats.phase_ms.items()
-                ],
-            )
-        )
-    ends = [record for record in body if record["type"] == "end"]
-    if ends:
-        end = ends[-1]
-        state = end.get("state") or "unknown"
-        lines.append("")
-        lines.append(f"# End — {end.get('job', '?')} finished {state}")
-    return "\n".join(lines)
 
 
 def read_live_jsonl(path: str) -> List[Dict[str, Any]]:

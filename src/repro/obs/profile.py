@@ -7,24 +7,24 @@ into *attribution*:
 - **hotspot profiles** (:func:`profile_from_records`) — per-span-name
   inclusive vs. exclusive (self) time and per-phase primitive
   breakdowns (calls, wall time, cache hit-rate, rows scanned), rendered
-  from the :class:`~repro.obs.live.RunStats` fold of an in-memory
-  :class:`~repro.obs.tracer.Tracer`, a re-read ``repro/trace@1``
-  JSONL file or a ``repro/live@1`` capture (an archived run's
-  ``live.jsonl``);
+  from the :class:`~repro.obs.live.RunStats` fold of a ``repro/live@1``
+  capture (a ``--trace`` file, an archived run's ``live.jsonl``) or a
+  legacy ``repro/trace@1`` file;
 - **flamegraph export** — collapsed-stack lines
   (:func:`collapsed_stacks`), walking the run's span-by-span stream
   with the primitive events folded in as leaf frames;
   ``flamegraph.pl`` renders the file, and https://speedscope.app
   imports it as is;
 - **trace diffing** (:func:`diff_views` / :func:`render_diff`) — two
-  traces, live captures or ``repro/metrics@1`` files compared,
+  captures, legacy traces or ``repro/metrics@1`` files compared,
   regressions ranked by absolute self-time delta, with
   cache-hit-rate, call-count and rows-scanned deltas as the
   explanation column.
 
-A trace and a live capture are read the same way: a trace replays
-(:func:`~repro.obs.export.replay_trace`) into exactly the records a
-live capture already holds, so both feed the one fold.
+Every view reads a run through
+:func:`~repro.obs.export.capture_stream`, which replays a legacy trace
+into exactly the records a capture already holds, so both feed the one
+fold.
 
 Everything here is a *pure view* over recorded data — like
 :func:`repro.evaluation.counters.cost_report_from_trace`, profiling a
@@ -41,39 +41,27 @@ and must not go negative.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple
 
-from repro.obs.export import (
-    METRICS_FORMAT,
-    TRACE_FORMAT,
-    replay_trace,
-    trace_records,
-)
+from repro.obs.export import METRICS_FORMAT, TRACE_FORMAT, capture_stream
 from repro.obs.live import LIVE_FORMAT, RunStats
 from repro.obs.provenance import PROVENANCE_FORMAT
 from repro.util.jsonl import load_jsonl
 from repro.util.text import format_table
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.tracer import Tracer
-
 __all__ = [
     "profile_from_stats",
     "profile_from_records",
-    "profile_summary",
     "render_profile",
     "collapsed_stacks",
     "write_collapsed",
     "detect_export_kind",
     "load_export",
+    "load_capture",
     "view_from_export",
     "diff_views",
     "render_diff",
 ]
-
-#: the live@1 record types a profile folds (progress and end carry no
-#: time of their own)
-_TIMED = ("span-open", "span-close", "primitive")
 
 
 def _ms(value: float) -> float:
@@ -134,25 +122,9 @@ def profile_from_stats(stats: RunStats) -> Dict[str, Any]:
     }
 
 
-def _stream(records: List[Dict[str, Any]]) -> Iterable[Dict[str, Any]]:
-    """A trace's or a live capture's span and primitive records, in order.
-
-    A ``repro/live@1`` capture (header first) already holds them; a
-    ``repro/trace@1`` list is replayed into the same shape.
-    """
-    if records and records[0].get("format") == LIVE_FORMAT:
-        return (r for r in records if r.get("type") in _TIMED)
-    return replay_trace(records)
-
-
 def profile_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The hotspot profile of one trace's or live capture's records."""
-    return profile_from_stats(RunStats.fold(_stream(records)))
-
-
-def profile_summary(tracer: "Tracer") -> Dict[str, Any]:
-    """The hotspot profile computed live from *tracer*."""
-    return profile_from_records(trace_records(tracer))
+    """The hotspot profile of one capture's (or trace's) records."""
+    return profile_from_stats(RunStats.fold(capture_stream(records)))
 
 
 def render_profile(profile: Dict[str, Any]) -> str:
@@ -211,7 +183,7 @@ def render_profile(profile: Dict[str, Any]) -> str:
 # flamegraph exporters
 # ----------------------------------------------------------------------
 def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
-    """A trace or live capture as collapsed-stack lines for ``flamegraph.pl``.
+    """A capture or trace as collapsed-stack lines for ``flamegraph.pl``.
 
     One line per unique stack — span names root-to-leaf joined by
     ``;``, primitive events folded in as leaf frames — with the stack's
@@ -225,7 +197,9 @@ def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
     def add(stack_name: str, ms: float) -> None:
         weights[stack_name] = weights.get(stack_name, 0) + int(round(ms * 1000))
 
-    for record in _stream(records):
+    for record in capture_stream(records):
+        if record["type"] not in ("span-open", "span-close", "primitive"):
+            continue  # progress and end records carry no time
         if record["type"] == "span-open":
             name = f"{stack[-1][0]};{record['name']}" if stack else record["name"]
             stack.append([name, 0.0])
@@ -254,6 +228,7 @@ def write_collapsed(records: List[Dict[str, Any]], path: str) -> None:
 # ----------------------------------------------------------------------
 #: schema tag → human label, for one-line wrong-file-kind errors
 _KIND_LABELS = {
+    # the trace format --trace wrote before the live capture
     TRACE_FORMAT: "trace",
     METRICS_FORMAT: "metrics",
     PROVENANCE_FORMAT: "provenance",
@@ -302,14 +277,31 @@ def load_export(path: str, expected: str) -> Any:
     """
     kind, payload = detect_export_kind(path)
     if kind != expected:
-        actual = (
-            f"a {kind} {_KIND_LABELS[kind]} file"
-            if kind in _KIND_LABELS
-            else "not a recognized repro export"
-        )
         raise ValueError(
-            f"{path!r} is {actual}; expected a {expected} "
+            f"{path!r} is {_describe(kind)}; expected a {expected} "
             f"{_KIND_LABELS.get(expected, 'export')}"
+        )
+    return payload
+
+
+def _describe(kind: str) -> str:
+    if kind in _KIND_LABELS:
+        return f"a {kind} {_KIND_LABELS[kind]} file"
+    return "not a recognized repro export"
+
+
+def load_capture(path: str) -> List[Dict[str, Any]]:
+    """The records of a recorded run: a ``repro/live@1`` capture or a
+    legacy ``repro/trace@1`` file.
+
+    Any other export is a one-line :class:`ValueError` naming what the
+    file actually is.
+    """
+    kind, payload = detect_export_kind(path)
+    if kind not in (LIVE_FORMAT, TRACE_FORMAT):
+        raise ValueError(
+            f"{path!r} is {_describe(kind)}; expected a {LIVE_FORMAT} "
+            f"capture (or a legacy {TRACE_FORMAT} trace)"
         )
     return payload
 
@@ -318,7 +310,7 @@ def load_export(path: str, expected: str) -> Any:
 # trace diffing
 # ----------------------------------------------------------------------
 def view_from_export(kind: str, payload: Any) -> Dict[str, Any]:
-    """Reduce a trace, live capture or metrics export to one *view*.
+    """Reduce a capture, legacy trace or metrics export to one *view*.
 
     A view has ``spans`` (name → self/inclusive ms; empty for metrics
     files), ``phases`` and ``setup`` (name → duration) and

@@ -232,9 +232,6 @@ class ProvenanceLedger:
 
     def _index_new_events(self) -> None:
         events = self.tracer.events
-        if self._event_cursor > len(events):  # tracer reset underneath us
-            self._event_cursor = 0
-            self._by_signature.clear()
         while self._event_cursor < len(events):
             event = events[self._event_cursor]
             signature = (event.primitive, event.relations, event.attributes)

@@ -5,8 +5,8 @@ from the exported observability artifacts — no JavaScript frameworks,
 no external assets, so it can be archived next to the trace files and
 opened years later:
 
-- the span tree and primitive rollups of the JSONL trace
-  (:func:`repro.obs.export.summarize_trace`);
+- the span tree and primitive rollups of the run's ``--trace``
+  capture (:func:`repro.obs.export.summarize_trace`);
 - the derived metrics tables (phases, primitives, backends, totals);
 - the expert dialogue — every ``decision`` node of the provenance DAG,
   in elicitation order;
@@ -200,8 +200,9 @@ def render_html_report(
 ) -> str:
     """Render one self-contained HTML audit report.
 
-    *trace* is a ``repro/trace@1`` record list (header included),
-    *provenance* a ``repro/provenance@1`` record list; pass whichever
+    *trace* is a ``repro/live@1`` capture or a legacy ``repro/trace@1``
+    record list (header included), *provenance* a
+    ``repro/provenance@1`` record list; pass whichever
     artifacts the run exported.
     """
     parts = [

@@ -25,11 +25,12 @@ Timestamps come from an injectable monotonic clock (default
 :func:`time.perf_counter`), so tests can drive the tracer with a fake
 clock and assert exact durations.
 
-The tracer can additionally stream both streams *live*: attaching a
-:class:`~repro.obs.live.LiveBus` (:meth:`Tracer.live`) publishes one
+A run is recorded by attaching a :class:`~repro.obs.live.LiveBus`
+(:meth:`Tracer.live`) before its first span: the bus then publishes one
 ``repro/live@1`` record per span open, span close and primitive event,
-plus :meth:`progress` ticks, into the bus history, which readers page
-by ``seq``.  Without a bus every hook is a single ``is None`` test, so
+plus :meth:`progress` ticks, into a history readers page by ``seq``.
+That history is what ``--trace`` writes, the archive stores and every
+view folds.  Without a bus every hook is a single ``is None`` test, so
 the unwatched pipeline pays nothing (the S13 benchmark enforces it).
 """
 
@@ -318,17 +319,18 @@ class Tracer:
     def live(self) -> "LiveBus":
         """The tracer's live bus, attaching one on first use.
 
-        Attaching mid-run immediately publishes a ``span-open`` record
-        (flagged ``snapshot``) for every span currently open, so the
-        bus history starts from a consistent view of the run.
+        The first use must come before the first span, so the bus
+        history records the whole run; a later first attach raises
+        :class:`RuntimeError`.
         """
         if self._live is None:
+            if self.spans or self.events:
+                raise RuntimeError(
+                    "attach the live bus before the tracer's first span"
+                )
             from repro.obs.live import LiveBus
 
-            bus = LiveBus(clock=self._clock)
-            for record in self._stack:
-                bus.span_opened(record, snapshot=True)
-            self._live = bus
+            self._live = LiveBus(clock=self._clock)
         return self._live
 
     @property
@@ -371,17 +373,6 @@ class Tracer:
             if record.kind == "phase":
                 return record.name
         return None
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Drop both streams (open spans included)."""
-        self.spans.clear()
-        self.events.clear()
-        self._stack.clear()
-        self._mem_peaks.clear()
-        self._next_id = 1
 
     def __repr__(self) -> str:
         return f"Tracer(spans={len(self.spans)}, events={len(self.events)})"

@@ -93,10 +93,7 @@ class TracedQueryCounter(QueryCounter):
         self._mark = 0
 
     def _window(self):
-        events = self._tracer.events
-        if self._mark > len(events):  # the tracer was reset underneath us
-            self._mark = 0
-        return events[self._mark:]
+        return self._tracer.events[self._mark:]
 
     def _count(self, primitive: str) -> int:
         return sum(1 for e in self._window() if e.primitive == primitive)

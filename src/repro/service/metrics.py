@@ -5,8 +5,7 @@ serves — every job's bus folds each published ``repro/live@1`` record
 into its :class:`~repro.obs.live.RunStats` (the fold metrics@1 and the
 profile render too), which a scrape merges in O(jobs) — plus the
 manager's own ledger, so a scrape and a watcher can never disagree
-about what the service did (and the totals outlive both history
-trimming and ledger eviction):
+about what the service did (and the totals outlive ledger eviction):
 
 - ``repro_build_info{version=...}`` — the instance's build identity;
 - ``repro_uptime_seconds`` — seconds since the server started;
@@ -113,9 +112,8 @@ def render_metrics(
     Aggregation is O(jobs), not O(events): each bus keeps a running
     :class:`~repro.obs.live.RunStats` fold updated at publish time,
     so a scrape merges per-job snapshots instead of rescanning every
-    record ever published — and the totals survive the bounded history
-    trimming old records, ledger eviction retiring old jobs, and even
-    server restarts (runs restored from the archive fold their archived
+    record ever published — and the totals survive ledger eviction
+    retiring old jobs, and even server restarts (runs restored from the archive fold their archived
     totals back in), keeping the counters monotonic throughout.
 
     *started* is the server's start wall-time; when given, the

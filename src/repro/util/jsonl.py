@@ -1,6 +1,6 @@
 """Line-delimited JSON: the carrier of the streamed export formats.
 
-The observability exports (``repro/trace@1``, ``repro/provenance@1``)
+The observability exports (``repro/live@1``, ``repro/provenance@1``)
 are JSONL files: one self-contained JSON object per line, a header
 object first.  These helpers are deliberately dependency-free — they
 are shared by :mod:`repro.obs` and :mod:`repro.storage`, which sit on

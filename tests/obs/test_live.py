@@ -1,4 +1,4 @@
-"""The live bus: ordering, snapshots, cursor reads, the file format."""
+"""The live bus: ordering, attach time, cursor reads, the file format."""
 
 import sys
 import threading
@@ -68,7 +68,7 @@ class TestBusSemantics:
 
 
 class TestMidRunAttach:
-    """A bus attached mid-run starts from the spans already open."""
+    """A bus attaches before the first span; readers may start mid-run."""
 
     def test_subscriber_attached_mid_run_gets_open_span_snapshot(self):
         tracer = Tracer()
@@ -91,24 +91,22 @@ class TestMidRunAttach:
             "progress", "span-close", "span-close",
         ]
 
-    def test_bus_attached_mid_run_synthesizes_open_spans(self):
+    def test_bus_attached_mid_run_is_an_error(self):
         tracer = Tracer()
         with tracer.span("pipeline", kind="pipeline"):
-            with tracer.span("Restruct", kind="phase"):
-                # no bus was ever attached; live() attaches now and
-                # must reconstruct the open stack into the history
-                bus = tracer.live()
-                history = bus.history()
-                assert [r["name"] for r in history] == [
-                    "pipeline", "Restruct",
-                ]
-                assert all(r["snapshot"] for r in history)
-                tracer.progress("mid-run tick")
-        tail = bus.history(since=2)
-        assert [r["type"] for r in tail] == [
-            "progress", "span-close", "span-close",
-        ]
-        assert not any(r.get("snapshot") for r in tail)
+            # the history would miss the open spans: refused, one line
+            with pytest.raises(RuntimeError, match="before the tracer's first span"):
+                tracer.live()
+        assert tracer.live_bus is None
+        # a finished run is past its first span too
+        with pytest.raises(RuntimeError):
+            tracer.live()
+
+    def test_a_bus_attached_first_is_returned_mid_run(self):
+        tracer = Tracer()
+        bus = tracer.live()
+        with tracer.span("pipeline", kind="pipeline"):
+            assert tracer.live() is bus
 
     def test_replay_from_resumes_after_a_gap(self):
         tracer = Tracer()
@@ -152,6 +150,11 @@ class TestCursorReads:
                 for record in super().__reversed__():
                     Counting.visited += 1
                     yield record
+
+            def __getitem__(self, index):
+                page = super().__getitem__(index)
+                Counting.visited += len(page) if isinstance(index, slice) else 1
+                return page
 
         bus._history = Counting(history)
         assert [r["seq"] for r in bus.history(since=997)] == [998, 999, 1000]
@@ -224,34 +227,18 @@ class TestCursorReads:
         assert bus._waiting == 0
 
 
-class TestBoundedHistory:
-    """The history bound: oldest records trim, totals keep counting."""
+class TestWholeRunHistory:
+    """The history keeps every record the run published."""
 
-    def test_history_trims_oldest_but_stats_keep_counting(self):
-        bus = LiveBus(history_limit=10)
+    def test_history_keeps_every_record(self):
+        bus = LiveBus()
         for tick in range(25):
             bus.publish("progress", message="tick", current=tick)
-        assert bus.trimmed == 15
-        retained = bus.history()
-        assert len(retained) == 10
-        assert [r["seq"] for r in retained] == list(range(16, 26))
-        # the aggregates never forget what the history shed
-        assert bus.stats().events["progress"] == 25
-
-    def test_history_since_respects_the_trim_watermark(self):
-        bus = LiveBus(history_limit=10)
-        for _ in range(25):
-            bus.publish("progress", message="tick")
-        assert [r["seq"] for r in bus.history(since=20)] == [
-            21, 22, 23, 24, 25,
-        ]
-        # a cursor predating the trim gets the retained tail — the
-        # jump from cursor+1 to the first seq is the detectable gap
-        page = bus.history(since=3)
-        assert page[0]["seq"] == 16
-        assert len(page) == 10
+        assert [r["seq"] for r in bus.history()] == list(range(1, 26))
+        assert [r["seq"] for r in bus.history(since=20)] == [21, 22, 23, 24, 25]
         assert bus.history(since=25) == []
         assert bus.history(since=99) == []
+        assert bus.stats().events["progress"] == 25
 
 
 class TestLiveStats:

@@ -2,21 +2,22 @@
 
 Driven by a manual clock so every duration is exact: the tests pin the
 inclusive/self arithmetic for nested, overlapping, zero-duration and
-still-open spans, then the flamegraph export derived from it.
+still-open spans, then the flamegraph export derived from it.  Every
+view reads the tracer's live capture, as ``--trace`` writes it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import Tracer, trace_records
+from repro.obs import Tracer, live_records
 from repro.obs.profile import (
     collapsed_stacks,
     profile_from_records,
-    profile_summary,
     render_profile,
     write_collapsed,
 )
+from tests.obs.test_legacy_trace import LIVE_FIXTURE, TRACE_FIXTURE, same_run
 
 
 class ManualClock:
@@ -36,7 +37,24 @@ def clock() -> ManualClock:
 
 @pytest.fixture
 def tracer(clock) -> Tracer:
-    return Tracer(clock=clock)
+    tracer = Tracer(clock=clock)
+    tracer.live()
+    return tracer
+
+
+def capture(tracer):
+    """*tracer*'s live capture, header first."""
+    return live_records(tracer.live_bus)
+
+
+def profile_of(tracer):
+    return profile_from_records(capture(tracer))
+
+
+def captured_at(tracer, clock, t):
+    """Capture a still-running run at time *t*: its last record then."""
+    clock.t = t
+    tracer.progress("captured")
 
 
 def event(tracer, primitive="count_distinct", start=0.0, duration=0.0,
@@ -62,7 +80,7 @@ class TestExclusiveTime:
         tracer.end_span(child)
         clock.t = 10.0
         tracer.end_span(parent)
-        profile = profile_summary(tracer)
+        profile = profile_of(tracer)
         assert profile["spans"]["parent"]["inclusive_ms"] == 10000.0
         assert profile["spans"]["parent"]["self_ms"] == 7000.0
         assert profile["spans"]["child"]["self_ms"] == 3000.0
@@ -78,7 +96,7 @@ class TestExclusiveTime:
         tracer.end_span(second)
         clock.t = 10.0
         tracer.end_span(parent)
-        profile = profile_summary(tracer)
+        profile = profile_of(tracer)
         assert profile["spans"]["step"]["count"] == 2
         assert profile["spans"]["step"]["inclusive_ms"] == 8000.0
         assert profile["spans"]["parent"]["self_ms"] == 2000.0
@@ -88,14 +106,14 @@ class TestExclusiveTime:
         event(tracer, start=1.0, duration=4.0)
         clock.t = 10.0
         tracer.end_span(span)
-        profile = profile_summary(tracer)
+        profile = profile_of(tracer)
         assert profile["spans"]["phase"]["self_ms"] == 6000.0
         assert profile["phases"]["phase"]["queries"] == 1
 
     def test_zero_duration_span_has_zero_times(self, tracer, clock):
         span = tracer.start_span("instant")
         tracer.end_span(span)                          # same tick
-        profile = profile_summary(tracer)
+        profile = profile_of(tracer)
         assert profile["spans"]["instant"]["inclusive_ms"] == 0.0
         assert profile["spans"]["instant"]["self_ms"] == 0.0
 
@@ -109,23 +127,23 @@ class TestExclusiveTime:
         clock.t = 4.0
         tracer.end_span(child)
         event(tracer, start=4.0, duration=4.0)
-        clock.t = 5.0
-        profile = profile_summary(tracer)
+        captured_at(tracer, clock, 5.0)
+        profile = profile_of(tracer)
         assert profile["spans"]["parent"]["open"] is True
         assert profile["spans"]["parent"]["inclusive_ms"] == 5000.0
         assert profile["spans"]["parent"]["self_ms"] == 0.0
 
     def test_open_leaf_span_reports_elapsed_so_far(self, tracer, clock):
         tracer.start_span("running")
-        clock.t = 3.0
-        profile = profile_summary(tracer)
+        captured_at(tracer, clock, 3.0)
+        profile = profile_of(tracer)
         assert profile["spans"]["running"]["inclusive_ms"] == 3000.0
         assert profile["spans"]["running"]["self_ms"] == 3000.0
 
     def test_render_marks_open_spans(self, tracer, clock):
         tracer.start_span("running")
-        clock.t = 1.0
-        text = render_profile(profile_summary(tracer))
+        captured_at(tracer, clock, 1.0)
+        text = render_profile(profile_of(tracer))
         assert "running (open)" in text
         assert "# Hotspots" in text
 
@@ -150,7 +168,7 @@ class TestPhaseBreakdown:
 
     def test_phase_rollup_covers_the_subtree(self, tracer, clock):
         self.build(tracer, clock)
-        profile = profile_summary(tracer)
+        profile = profile_of(tracer)
         phase = profile["phases"]["IND-Discovery"]
         # the join_count under the nested engine span still counts
         assert phase["queries"] == 3
@@ -162,7 +180,7 @@ class TestPhaseBreakdown:
 
     def test_run_total_primitives_match_events(self, tracer, clock):
         self.build(tracer, clock)
-        profile = profile_summary(tracer)
+        profile = profile_of(tracer)
         assert profile["totals"]["queries"] == 3
         assert profile["primitives"]["count_distinct"]["duration_ms"] == 1000.0
 
@@ -178,7 +196,7 @@ class TestCollapsedStacks:
         clock.t = 10.0
         tracer.end_span(root)
         lines = dict(
-            line.rsplit(" ", 1) for line in collapsed_stacks(trace_records(tracer))
+            line.rsplit(" ", 1) for line in collapsed_stacks(capture(tracer))
         )
         # values are integer microseconds of self time
         assert lines["pipeline"] == str(4 * 1_000_000)
@@ -190,7 +208,7 @@ class TestCollapsedStacks:
             event(tracer, start=0.5, duration=0.25)
             clock.t = 1.0
         path = tmp_path / "trace.collapsed"
-        write_collapsed(trace_records(tracer), str(path))
+        write_collapsed(capture(tracer), str(path))
         for line in path.read_text().splitlines():
             stack, value = line.rsplit(" ", 1)
             assert stack
@@ -198,23 +216,24 @@ class TestCollapsedStacks:
 
     def test_event_outside_any_span_gets_a_synthetic_root(self, tracer):
         event(tracer, "fd_holds", start=0.0, duration=1.0)
-        lines = collapsed_stacks(trace_records(tracer))
+        lines = collapsed_stacks(capture(tracer))
         assert lines == [f"(no span);fd_holds {1_000_000}"]
 
 
 class TestFromFile:
     def test_profile_from_reread_trace_matches_live(self, tracer, clock, tmp_path):
-        from repro.obs import read_trace_jsonl, write_trace_jsonl
+        from repro.obs import read_live_jsonl, write_live_jsonl
+        from repro.obs.profile import profile_from_stats
 
         with tracer.span("pipeline"):
             with tracer.span("IND-Discovery", kind="phase"):
                 event(tracer, start=2.0, duration=1.0, rows=3)
                 clock.t = 5.0
             clock.t = 9.0
-        live = profile_summary(tracer)
+        live = profile_from_stats(tracer.live_bus.stats())
         path = tmp_path / "t.jsonl"
-        write_trace_jsonl(tracer, str(path))
-        reread = profile_from_records(read_trace_jsonl(str(path)))
+        write_live_jsonl(tracer.live_bus, str(path))
+        reread = profile_from_records(read_live_jsonl(str(path)))
         assert reread == live
 
 
@@ -239,52 +258,48 @@ class TestMemoryProfiling:
         assert inner.attributes["mem_current_kb"] >= 0.0
 
     def test_peaks_survive_the_jsonl_round_trip(self, tmp_path):
-        from repro.obs import read_trace_jsonl, write_trace_jsonl
+        from repro.obs import read_live_jsonl, write_live_jsonl
 
         tracer = Tracer(profile_memory=True)
+        tracer.live()
         with tracer.span("phase", kind="phase"):
             _ = [0] * 10_000
         path = tmp_path / "mem.jsonl"
-        write_trace_jsonl(tracer, str(path))
-        spans = [r for r in read_trace_jsonl(str(path)) if r.get("type") == "span"]
+        write_live_jsonl(tracer.live_bus, str(path))
+        spans = [r for r in read_live_jsonl(str(path)) if r.get("type") == "span-close"]
         assert spans[0]["attributes"]["mem_peak_kb"] >= 0.0
 
 
 class TestLiveCapture:
-    """A live capture profiles, flames and diffs exactly as its trace."""
+    """A live capture profiles, flames and diffs exactly as the legacy
+    trace of the same run (the committed same-run fixture pair)."""
 
-    def build(self, tracer, clock):
-        bus = tracer.live()
+    def test_profile_and_stacks_equal_the_trace(self):
+        live, trace = same_run()
+        assert profile_from_records(live) == profile_from_records(trace)
+        assert collapsed_stacks(live) == collapsed_stacks(trace)
+
+    def test_progress_and_end_records_carry_no_time(self, tracer, clock):
+        from repro.obs.profile import profile_from_stats
+
         TestPhaseBreakdown().build(tracer, clock)
         tracer.progress("after the run")
-        bus.publish("end", job="job-1", state="done")
-        return bus
+        tracer.live_bus.publish("end", job="job-1", state="done")
+        assert profile_of(tracer) == profile_from_stats(tracer.live_bus.stats())
+        stacks = [line.rsplit(" ", 1)[0] for line in collapsed_stacks(capture(tracer))]
+        assert stacks == sorted(stacks) and "(no span)" not in " ".join(stacks)
 
-    def test_profile_and_stacks_equal_the_trace(self, tracer, clock):
-        from repro.obs.live import live_records
-
-        bus = self.build(tracer, clock)
-        capture = live_records(bus)
-        assert profile_from_records(capture) == profile_summary(tracer)
-        assert collapsed_stacks(capture) == collapsed_stacks(trace_records(tracer))
-
-    def test_cli_profile_and_diff_accept_a_capture(self, tracer, clock, tmp_path, capsys):
+    def test_cli_profile_and_diff_accept_a_capture(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.obs import write_trace_jsonl
-        from repro.obs.live import write_live_jsonl
 
-        bus = self.build(tracer, clock)
-        trace_path, live_path = tmp_path / "run.jsonl", tmp_path / "live.jsonl"
-        write_trace_jsonl(tracer, str(trace_path))
-        write_live_jsonl(bus, str(live_path))
         outputs = []
-        for path in (trace_path, live_path):
-            flame = tmp_path / f"{path.stem}.collapsed"
-            assert main(["profile", str(path), "--flame", str(flame)]) == 0
+        for label, path in (("trace", TRACE_FIXTURE), ("live", LIVE_FIXTURE)):
+            flame = tmp_path / f"{label}.collapsed"
+            assert main(["profile", path, "--flame", str(flame)]) == 0
             outputs.append(capsys.readouterr().out.replace(str(flame), "FLAME"))
         assert outputs[0] == outputs[1]
-        assert (tmp_path / "run.collapsed").read_bytes() == (
+        assert (tmp_path / "trace.collapsed").read_bytes() == (
             tmp_path / "live.collapsed"
         ).read_bytes()
-        assert main(["trace", "diff", str(trace_path), str(live_path)]) == 0
+        assert main(["trace", "diff", TRACE_FIXTURE, LIVE_FIXTURE]) == 0
         assert "+0.000" in capsys.readouterr().out

@@ -279,12 +279,13 @@ class TestHtmlReport:
         assert "digraph provenance" in html_text
 
     def test_trace_only_report_has_metrics_but_no_dialogue(self):
-        from repro.obs import trace_records
+        from repro.obs import live_records
 
         tracer = Tracer()
+        bus = tracer.live()
         with tracer.span("pipeline", kind="pipeline"):
             record(tracer, "count_distinct", ("r",), (("a",),), rows_touched=3)
-        html_text = render_html_report(trace=trace_records(tracer))
+        html_text = render_html_report(trace=live_records(bus))
         assert "Metrics" in html_text
         assert "count_distinct" in html_text
         assert "Expert dialogue" not in html_text

@@ -30,7 +30,7 @@ def run_doc(**heads):
 def features(**overrides):
     figures = {
         "certificates": 2, "certificates_verified": 2,
-        "live_last_seq": 83, "live_retained": 83, "live_trimmed": 0,
+        "live_last_seq": 83, "live_retained": 83,
         "live_primitives": 34,
         "profile_queries_seen": 34,
         "provenance_nodes": 82, "provenance_edges": 86,
@@ -146,10 +146,8 @@ class TestAllFeaturesFacts:
         "override, message",
         [
             ({"certificates_verified": 1}, "1 of 2 certificates verify"),
-            ({"live_trimmed": 3, "live_retained": 80},
-             "the live history holds 80 of 83 records (3 trimmed)"),
             ({"live_retained": 82},
-             "the live history holds 82 of 83 records (0 trimmed)"),
+             "the live history holds 82 of 83 records"),
             ({"live_primitives": 33},
              "the live history holds 33 of 34 primitive records"),
             ({"profile_queries_seen": 30}, "the profile saw 30 of 34 queries"),

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core import DBREPipeline
-from repro.obs import Tracer, metrics_summary, trace_records
+from repro.obs import Tracer, live_records
 from repro.obs.archive import RunArchive
 from repro.obs.export import metrics_from_records, metrics_from_stats, write_metrics_json
 from repro.obs.history import archive_trends, render_archive_trends
@@ -26,7 +26,6 @@ from repro.obs.live import RunStats
 from repro.obs.profile import (
     diff_views,
     profile_from_records,
-    profile_summary,
     render_diff,
     view_from_export,
 )
@@ -39,6 +38,16 @@ WIDE = ScenarioConfig(
     seed=1, n_entities=30, n_one_to_many=26, n_many_to_many=4, merges=8,
     parent_rows=5,
 )
+
+
+def metrics_of(tracer):
+    """The metrics document of *tracer*'s written capture."""
+    return metrics_from_records(live_records(tracer.live_bus))
+
+
+def profile_of(tracer):
+    """The hotspot profile of *tracer*'s written capture."""
+    return profile_from_records(live_records(tracer.live_bus))
 
 
 def samples(exposition, family):
@@ -66,21 +75,21 @@ def twice():
 
 class TestRepeatedPhases:
     def test_phase_queries_sum_to_the_total(self, twice):
-        metrics = metrics_summary(twice)
+        metrics = metrics_of(twice)
         phases = metrics["phases"]
         assert sum(p["queries"] for p in phases.values()) == metrics["totals"]["queries"]
         assert metrics["totals"]["queries"] == 2 * 214
 
     def test_phase_ms_equal_the_live_fold(self, twice):
         fold = twice.live_bus.stats()
-        metrics = metrics_summary(twice)
+        metrics = metrics_of(twice)
         assert set(metrics["phases"]) == set(fold.phase_ms)
         for name, ms in fold.phase_ms.items():
             assert metrics["phases"][name]["duration_ms"] == pytest.approx(ms, abs=1e-6)
         assert fold.phase_runs == {name: 2 for name in fold.phase_ms}
 
     def test_profile_phase_and_span_tables_agree(self, twice):
-        profile = profile_summary(twice)
+        profile = profile_of(twice)
         assert profile["phases"]
         for name, phase in profile["phases"].items():
             span = profile["spans"][name]
@@ -94,6 +103,7 @@ class TestSetupSection:
     def traced(self, copy_seconds):
         now = [0.0]
         tracer = Tracer(clock=lambda: now[0])
+        tracer.live()
         with tracer.span("pipeline", kind="pipeline"):
             with tracer.span("copy", kind="setup"):
                 now[0] += copy_seconds
@@ -102,7 +112,7 @@ class TestSetupSection:
         return tracer
 
     def test_metrics_carry_setup_spans_apart_from_phases(self):
-        metrics = metrics_summary(self.traced(3))
+        metrics = metrics_of(self.traced(3))
         assert metrics["setup"] == {"copy": {"duration_ms": 3000.0}}
         assert "copy" not in metrics["phases"]
 
@@ -111,10 +121,10 @@ class TestSetupSection:
         views = []
         for label, tracer in (("fast", fast), ("slow", slow)):
             path = tmp_path / f"{label}.metrics.json"
-            write_metrics_json(tracer, str(path))
+            write_metrics_json(tracer.live_bus.stats(), str(path))
             views.append(view_from_export("repro/metrics@1", json.loads(path.read_text())))
         assert views[1]["setup"] == {"copy": 5000.0}
-        trace_view = view_from_export("repro/trace@1", trace_records(slow))
+        trace_view = view_from_export("repro/live@1", live_records(slow.live_bus))
         assert trace_view["setup"] == {"copy": 5000.0}
         diff = diff_views(*views)
         assert diff["setup"][0]["name"] == "copy"
@@ -162,13 +172,13 @@ class TestEvidenceStep:
         count = sum(1 for s in tracer.spans if s.name == "evidence")
         fold = tracer.live_bus.stats()
         assert fold.step_runs["evidence"] == count
-        steps = metrics_summary(tracer)["steps"]
+        steps = metrics_of(tracer)["steps"]
         assert steps["evidence"]["count"] == count
         assert steps["evidence"]["duration_ms"] == pytest.approx(
             fold.step_ms["evidence"], abs=1e-6
         )
-        assert profile_summary(tracer)["spans"]["evidence"]["count"] == count
-        assert "evidence" not in metrics_summary(tracer)["phases"]
+        assert profile_of(tracer)["spans"]["evidence"]["count"] == count
+        assert "evidence" not in metrics_of(tracer)["phases"]
 
 
 class TestExtractAndCertifySteps:
@@ -214,11 +224,11 @@ class TestExtractAndCertifySteps:
         assert not [e for e in tracer.events if e.span_id in {s.span_id for s in spans}]
         fold = tracer.live_bus.stats()
         assert fold.step_runs[name] == len(spans)
-        steps = metrics_summary(tracer)["steps"]
+        steps = metrics_of(tracer)["steps"]
         assert steps[name]["count"] == len(spans)
         assert steps[name]["duration_ms"] == pytest.approx(fold.step_ms[name], abs=1e-6)
-        assert profile_summary(tracer)["spans"][name]["count"] == len(spans)
-        assert name not in metrics_summary(tracer)["phases"]
+        assert profile_of(tracer)["spans"][name]["count"] == len(spans)
+        assert name not in metrics_of(tracer)["phases"]
 
 
 class TestFingerprintSpan:
@@ -235,7 +245,7 @@ class TestFingerprintSpan:
         assert not [e for e in job.trace.events if e.span_id == first.span_id]
         ms = job.live.stats().setup_ms["fingerprint"]
         assert ms == pytest.approx(first.duration * 1000, abs=1e-3)
-        setup = metrics_summary(job.trace)["setup"]
+        setup = metrics_of(job.trace)["setup"]
         assert setup["fingerprint"]["duration_ms"] == pytest.approx(ms, abs=1e-6)
         # a cache hit never runs: no tracer, nothing recorded
         assert twin.cached and twin.trace is None
@@ -342,7 +352,6 @@ class TestCrossViewAgreement:
     @pytest.fixture(scope="class")
     def views(self, tmp_path_factory):
         from benchmarks.regression import gate_figures
-        from repro.obs.export import replay_trace
         from repro.service.specs import submit_spec
 
         archive = RunArchive(str(tmp_path_factory.mktemp("agree") / "archive"))
@@ -354,7 +363,7 @@ class TestCrossViewAgreement:
                 time.sleep(0.02)
             assert job.archived, "the demo job never reached the archive"
             exposition = render_metrics(manager)
-        trace = trace_records(job.trace)
+        trace = live_records(job.live)
         (run,) = archive.runs()
         return {
             "trace": trace,
@@ -365,7 +374,7 @@ class TestCrossViewAgreement:
             "archived": metrics_from_stats(
                 RunStats.fold(archive.read_artifact(job.archived, "live"))
             ),
-            "gate": gate_figures(RunStats.fold(replay_trace(trace))),
+            "gate": gate_figures(job.live.stats()),
         }
 
     def test_primitive_calls_hits_and_rows(self, views):

@@ -14,12 +14,12 @@ import json
 import pytest
 
 from repro.obs import (
+    LIVE_FORMAT,
     METRICS_FORMAT,
-    TRACE_FORMAT,
     Tracer,
-    trace_records,
+    live_records,
+    write_live_jsonl,
     write_metrics_json,
-    write_trace_jsonl,
 )
 from repro.obs.profile import (
     detect_export_kind,
@@ -35,6 +35,7 @@ def make_trace(slow: bool) -> Tracer:
     """A two-phase run; the slow variant loses its cache and doubles."""
     clock = ManualClock()
     tracer = Tracer(clock=clock)
+    tracer.live()
     root = tracer.start_span("pipeline", kind="pipeline")
     clock.t = 1.0
     phase = tracer.start_span("IND-Discovery", kind="phase")
@@ -59,9 +60,9 @@ class TestKindDetection:
         tracer = make_trace(slow=False)
         trace_path = tmp_path / "run.trace.jsonl"
         metrics_path = tmp_path / "run.metrics.json"
-        write_trace_jsonl(tracer, str(trace_path))
-        write_metrics_json(tracer, str(metrics_path))
-        assert detect_export_kind(str(trace_path))[0] == TRACE_FORMAT
+        write_live_jsonl(tracer.live_bus, str(trace_path))
+        write_metrics_json(tracer.live_bus.stats(), str(metrics_path))
+        assert detect_export_kind(str(trace_path))[0] == LIVE_FORMAT
         assert detect_export_kind(str(metrics_path))[0] == METRICS_FORMAT
 
     def test_provenance_files_are_recognized(self, tmp_path):
@@ -80,26 +81,26 @@ class TestKindDetection:
     def test_load_export_mismatch_is_a_one_line_error(self, tmp_path):
         tracer = make_trace(slow=False)
         metrics_path = tmp_path / "m.json"
-        write_metrics_json(tracer, str(metrics_path))
+        write_metrics_json(tracer.live_bus.stats(), str(metrics_path))
         with pytest.raises(ValueError) as excinfo:
-            load_export(str(metrics_path), TRACE_FORMAT)
+            load_export(str(metrics_path), LIVE_FORMAT)
         message = str(excinfo.value)
         assert "repro/metrics@1" in message
-        assert "repro/trace@1" in message
+        assert "repro/live@1" in message
         assert "\n" not in message
 
     def test_load_export_accepts_the_right_kind(self, tmp_path):
         tracer = make_trace(slow=False)
         trace_path = tmp_path / "t.jsonl"
-        write_trace_jsonl(tracer, str(trace_path))
-        records = load_export(str(trace_path), TRACE_FORMAT)
-        assert records[0]["format"] == TRACE_FORMAT
+        write_live_jsonl(tracer.live_bus, str(trace_path))
+        records = load_export(str(trace_path), LIVE_FORMAT)
+        assert records[0]["format"] == LIVE_FORMAT
 
 
 class TestDiffEngine:
     def views(self):
-        fast = view_from_export(TRACE_FORMAT, trace_records(make_trace(False)))
-        slow = view_from_export(TRACE_FORMAT, trace_records(make_trace(True)))
+        fast = view_from_export(LIVE_FORMAT, live_records(make_trace(False).live_bus))
+        slow = view_from_export(LIVE_FORMAT, live_records(make_trace(True).live_bus))
         return fast, slow
 
     def test_primitive_deltas_are_ranked_by_absolute_delta(self):
@@ -137,8 +138,8 @@ class TestDiffEngine:
 
     def test_metrics_views_diff_without_span_section(self, tmp_path):
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
-        write_metrics_json(make_trace(False), str(a_path))
-        write_metrics_json(make_trace(True), str(b_path))
+        write_metrics_json(make_trace(False).live_bus.stats(), str(a_path))
+        write_metrics_json(make_trace(True).live_bus.stats(), str(b_path))
         views = [
             view_from_export(*detect_export_kind(str(p)))
             for p in (a_path, b_path)
@@ -180,12 +181,13 @@ class TestPaperExampleAcceptance:
             if label == "sqlite":
                 database = database.copy(backend=SQLiteBackend())
             tracer = Tracer()
+            tracer.live()
             pipeline = DBREPipeline(
                 database, ScriptedExpert(paper_expert_script()), tracer=tracer
             )
             pipeline.run(corpus=paper_program_corpus())
             paths[label] = str(outdir / f"paper.{label}.trace.jsonl")
-            write_trace_jsonl(tracer, paths[label])
+            write_live_jsonl(tracer.live_bus, paths[label])
             database.close()
         return paths
 
@@ -218,11 +220,11 @@ class TestPaperExampleAcceptance:
 
     def test_cli_trace_diff_accepts_metrics_files(self, traces, tmp_path, capsys):
         from repro.cli import main
-        from repro.obs import metrics_from_records, read_trace_jsonl
+        from repro.obs import metrics_from_records, read_live_jsonl
 
         paths = []
         for label, trace_path in traces.items():
-            metrics = metrics_from_records(read_trace_jsonl(trace_path))
+            metrics = metrics_from_records(read_live_jsonl(trace_path))
             path = tmp_path / f"{label}.metrics.json"
             path.write_text(json.dumps(metrics))
             paths.append(str(path))

@@ -146,21 +146,6 @@ class TestEvents:
             event.primitive = "join_count"
 
 
-class TestReset:
-    def test_reset_drops_both_streams_and_reuses_ids(self, tracer):
-        with tracer.span("s"):
-            tracer.record_event(
-                primitive="count_distinct", backend="memory",
-                relations=("r",), attributes=(("a",),),
-                start=0.0, duration=0.0, cache_hit=False, rows_touched=0,
-            )
-        tracer.reset()
-        assert tracer.spans == [] and tracer.events == []
-        with tracer.span("again") as record:
-            pass
-        assert record.span_id == 1
-
-
 def test_module_constants_match_the_paper():
     assert PHASE_NAMES == (
         "IND-Discovery", "LHS-Discovery", "RHS-Discovery", "Restruct", "Translate",

@@ -35,12 +35,11 @@ from repro.cli import main
 from repro.core.expert import ScriptedExpert
 from repro.core.pipeline import DBREPipeline
 from repro.obs.archive import RunArchive
-from repro.obs.export import metrics_from_stats, trace_records
+from repro.obs.export import metrics_from_stats, read_trace_jsonl
 from repro.obs.history import archive_trends
-from repro.obs.live import RunStats, live_records
+from repro.obs.live import RunStats, live_records, read_live_jsonl
 from repro.util.jsonl import save_jsonl
 from repro.obs.provenance import provenance_records
-from repro.obs.tracer import Tracer
 from repro.service.jobs import JobManager
 from repro.service.metrics import lint_exposition, render_metrics
 from repro.workloads.paper_example import (
@@ -48,6 +47,7 @@ from repro.workloads.paper_example import (
     paper_expert_script,
     paper_program_corpus,
 )
+from tests.obs.test_legacy_trace import LIVE_FIXTURE, TRACE_FIXTURE
 
 KEY = "a12d914b8caf6b18d31d"
 DATABASE_FP = "aecde108a28f44e30d5b1ae6b58e742b3c1b2b548f1d8a6f9c2e2c86bd4252e8"
@@ -362,21 +362,22 @@ def _paged(record):
 def paged_archive_dir(tmp_path):
     """A demo run archived the way versions with the paged backend did.
 
-    The run is real (paper example, scripted expert, provenance kept);
-    its trace events and live primitive records then get the paged
-    backend's name and ``counters``, its manifest stats
-    ``backends.paged.counters`` plus a flat ``storage_counters`` map,
-    and its metrics@1 the same per-backend rollup.  The trace and the
-    metrics@1 document are written beside the live capture, as those
-    versions did.
+    The run is the committed same-run fixture pair (paper example,
+    scripted expert: its live capture and its ``repro/trace@1`` trace),
+    with the provenance of the same demo run kept; its trace events and
+    live primitive records then get the paged backend's name and
+    ``counters``, its manifest stats ``backends.paged.counters`` plus a
+    flat ``storage_counters`` map, and its metrics@1 the same
+    per-backend rollup.  The trace and the metrics@1 document are
+    written beside the live capture, as those versions did.
     """
-    tracer = Tracer()
-    bus = tracer.live()
     result = DBREPipeline(
-        build_paper_database(), ScriptedExpert(paper_expert_script()), tracer=tracer
+        build_paper_database(), ScriptedExpert(paper_expert_script())
     ).run(corpus=paper_program_corpus())
-    live = [r if r["type"] != "primitive" else _paged(r) for r in live_records(bus)[1:]]
-    trace = [r if r.get("type") != "event" else _paged(r) for r in trace_records(tracer)]
+    live = [r if r["type"] != "primitive" else _paged(r)
+            for r in read_live_jsonl(LIVE_FIXTURE)[1:]]
+    trace = [r if r.get("type") != "event" else _paged(r)
+             for r in read_trace_jsonl(TRACE_FIXTURE)]
     stats = RunStats.fold(live)
     calls = stats.backends["paged"]["calls"]
     metrics = metrics_from_stats(stats)

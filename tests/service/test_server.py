@@ -28,7 +28,8 @@ def api():
             with urllib.request.urlopen(request, timeout=30) as response:
                 return response.status, json.loads(response.read())
         except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+            with error:
+                return error.code, json.loads(error.read())
 
     call.manager = manager
     yield call

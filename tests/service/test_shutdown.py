@@ -67,7 +67,8 @@ class TestSignals:
 
     def test_readyz_flips_before_exit(self, served):
         process, base = served
-        assert urllib.request.urlopen(base + "/readyz", timeout=5).status == 200
+        with urllib.request.urlopen(base + "/readyz", timeout=5) as response:
+            assert response.status == 200
         process.send_signal(signal.SIGTERM)
         process.communicate(timeout=20)
         assert process.returncode == 0
@@ -80,11 +81,8 @@ class TestSignals:
         # past its end so the stream idles on heartbeats
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            record = json.loads(
-                urllib.request.urlopen(
-                    f"{base}/jobs/{job['id']}", timeout=5
-                ).read()
-            )
+            with urllib.request.urlopen(f"{base}/jobs/{job['id']}", timeout=5) as got:
+                record = json.loads(got.read())
             if record["state"] in ("done", "failed", "cancelled"):
                 break
             time.sleep(0.05)
@@ -146,9 +144,8 @@ def submit_spec_json(base, spec):
 def wait_state(base, job_id, seconds=30):
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
-        record = json.loads(
-            urllib.request.urlopen(f"{base}/jobs/{job_id}", timeout=5).read()
-        )
+        with urllib.request.urlopen(f"{base}/jobs/{job_id}", timeout=5) as got:
+            record = json.loads(got.read())
         if record["state"] in ("done", "failed", "cancelled"):
             return record
         time.sleep(0.05)
@@ -158,9 +155,8 @@ def wait_state(base, job_id, seconds=30):
 def wait_streams_active(base, seconds=30):
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
-        exposition = urllib.request.urlopen(
-            base + "/metrics", timeout=5
-        ).read().decode("utf-8")
+        with urllib.request.urlopen(base + "/metrics", timeout=5) as got:
+            exposition = got.read().decode("utf-8")
         for sample in exposition.splitlines():
             if sample.startswith("repro_sse_streams_active "):
                 if int(sample.split()[1]) >= 1:
@@ -203,8 +199,9 @@ class TestEvictedWatchers:
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             try:
-                urllib.request.urlopen(f"{base}/jobs/{job['id']}", timeout=5)
+                urllib.request.urlopen(f"{base}/jobs/{job['id']}", timeout=5).close()
             except urllib.error.HTTPError as error:
+                error.close()
                 assert error.code == 404
                 break  # evicted — and the watcher is still attached
             time.sleep(0.05)

@@ -106,6 +106,7 @@ class TestStreaming:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_cached_job_streams_a_bare_end_sentinel(self, service):

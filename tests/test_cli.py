@@ -222,7 +222,7 @@ class TestCommands:
 
 class TestObservabilityOutputs:
     def test_run_writes_trace_and_metrics(self, workspace, capsys):
-        from repro.obs import METRICS_FORMAT, PHASE_NAMES, read_trace_jsonl
+        from repro.obs import METRICS_FORMAT, PHASE_NAMES, read_live_jsonl
 
         trace_path = workspace / "run.trace.jsonl"
         metrics_path = workspace / "run.metrics.json"
@@ -240,13 +240,14 @@ class TestObservabilityOutputs:
         assert f"trace written to {trace_path}" in out
         assert f"metrics written to {metrics_path}" in out
 
-        records = read_trace_jsonl(str(trace_path))
+        records = read_live_jsonl(str(trace_path))
         phase_names = [
             r["name"] for r in records
-            if r.get("type") == "span" and r["kind"] == "phase"
+            if r.get("type") == "span-open" and r["kind"] == "phase"
         ]
         assert phase_names == list(PHASE_NAMES)
-        assert any(r.get("type") == "event" for r in records)
+        assert any(r.get("type") == "primitive" for r in records)
+        assert any(r.get("type") == "progress" for r in records)
 
         metrics = json.loads(metrics_path.read_text())
         assert metrics["format"] == METRICS_FORMAT
@@ -256,6 +257,17 @@ class TestObservabilityOutputs:
         from repro.obs import metrics_from_records
 
         assert metrics == metrics_from_records(records)
+
+    def test_only_trace_or_metrics_attach_the_live_bus(self):
+        from argparse import Namespace
+
+        from repro.cli import _make_tracer
+
+        quiet = _make_tracer(Namespace(trace=None, metrics=None))
+        assert quiet.live_bus is None
+        for options in ({"trace": "t.jsonl"}, {"metrics": "m.json"}):
+            watched = _make_tracer(Namespace(**{"trace": None, "metrics": None, **options}))
+            assert watched.live_bus is not None and watched.live_bus.last_seq == 0
 
     def test_demo_accepts_observability_options(self, tmp_path, capsys):
         trace_path = tmp_path / "demo.trace.jsonl"
@@ -382,7 +394,7 @@ class TestProfileCommand:
     def test_profile_memory_records_peaks_in_the_trace(
         self, tmp_path, capsys
     ):
-        from repro.obs import read_trace_jsonl
+        from repro.obs import read_live_jsonl
 
         trace_path = tmp_path / "demo.mem.trace.jsonl"
         assert main(
@@ -390,8 +402,8 @@ class TestProfileCommand:
         ) == 0
         capsys.readouterr()
         spans = [
-            r for r in read_trace_jsonl(str(trace_path))
-            if r.get("type") == "span" and r["kind"] == "phase"
+            r for r in read_live_jsonl(str(trace_path))
+            if r.get("type") == "span-close" and r["kind"] == "phase"
         ]
         assert spans
         for span in spans:
