@@ -44,6 +44,7 @@ from repro.relational.attribute import Attribute
 from repro.relational.database import Database
 from repro.relational.schema import RelationSchema
 from repro.util.naming import unique_name
+from repro.util.ordering import SortedUnion
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.provenance import ProvenanceLedger
@@ -69,6 +70,10 @@ class INDDiscoveryResult:
     inds: List[InclusionDependency] = field(default_factory=list)
     new_relations: List[RelationSchema] = field(default_factory=list)
     outcomes: List[JoinOutcome] = field(default_factory=list)
+    _inds: SortedUnion = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._inds = SortedUnion(self.inds)
 
     @property
     def s_names(self) -> List[str]:
@@ -76,9 +81,7 @@ class INDDiscoveryResult:
 
     def add_ind(self, ind: InclusionDependency) -> None:
         """`⊔`: union with duplicate suppression, deterministic order."""
-        if ind not in self.inds:
-            self.inds.append(ind)
-            self.inds.sort(key=lambda i: i.sort_key())
+        self._inds.add(ind)
 
     def __repr__(self) -> str:
         return (

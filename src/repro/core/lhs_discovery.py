@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 from repro.dependencies.ind import InclusionDependency
 from repro.relational.attribute import AttributeRef
 from repro.relational.schema import DatabaseSchema
+from repro.util.ordering import SortedUnion
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.provenance import ProvenanceLedger
@@ -33,18 +34,20 @@ class LHSDiscoveryResult:
 
     lhs: List[AttributeRef] = field(default_factory=list)
     hidden: List[AttributeRef] = field(default_factory=list)
+    _lhs: SortedUnion = field(init=False, repr=False, compare=False)
+    _hidden: SortedUnion = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._lhs = SortedUnion(self.lhs)
+        self._hidden = SortedUnion(self.hidden)
 
     def add_lhs(self, ref: AttributeRef) -> None:
-        if ref not in self.lhs and ref not in self.hidden:
-            self.lhs.append(ref)
-            self.lhs.sort(key=lambda r: r.sort_key())
+        if ref not in self._hidden:
+            self._lhs.add(ref)
 
     def add_hidden(self, ref: AttributeRef) -> None:
-        if ref in self.lhs:
-            self.lhs.remove(ref)
-        if ref not in self.hidden:
-            self.hidden.append(ref)
-            self.hidden.sort(key=lambda r: r.sort_key())
+        self._lhs.discard(ref)
+        self._hidden.add(ref)
 
     def __repr__(self) -> str:
         return f"LHSDiscoveryResult(LHS={self.lhs}, H={self.hidden})"

@@ -395,17 +395,22 @@ class Restruct:
             return rel, attrs
 
         out: List[InclusionDependency] = []
+        seen: Set[InclusionDependency] = set()
         for ind in working:
             l_rel, l_attrs = remap_side(ind.lhs_relation, ind.lhs_attrs)
             r_rel, r_attrs = remap_side(ind.rhs_relation, ind.rhs_attrs)
             if l_rel == r_rel and l_attrs == r_attrs:
                 continue  # became reflexive; drop
-            rewritten = InclusionDependency(l_rel, l_attrs, r_rel, r_attrs)
-            if self.ledger is not None and rewritten != ind:
-                old_id = self.ledger.node("ind", repr(ind))
-                new_id = self.ledger.node("ind", repr(rewritten))
-                self.ledger.link(old_id, new_id, "redirected")
-            if rewritten not in out:
+            if l_rel == ind.lhs_relation and r_rel == ind.rhs_relation:
+                rewritten = ind  # neither side moved
+            else:
+                rewritten = InclusionDependency(l_rel, l_attrs, r_rel, r_attrs)
+                if self.ledger is not None:
+                    old_id = self.ledger.node("ind", repr(ind))
+                    new_id = self.ledger.node("ind", repr(rewritten))
+                    self.ledger.link(old_id, new_id, "redirected")
+            if rewritten not in seen:
+                seen.add(rewritten)
                 out.append(rewritten)
         return out
 

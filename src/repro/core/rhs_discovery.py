@@ -26,6 +26,7 @@ from repro.relational.algebra import lhs_grouping
 from repro.relational.attribute import AttributeRef
 from repro.relational.database import Database
 from repro.relational.table import Scan
+from repro.util.ordering import SortedUnion
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.provenance import ProvenanceLedger
@@ -51,20 +52,21 @@ class RHSDiscoveryResult:
     fds: List[FunctionalDependency] = field(default_factory=list)
     hidden: List[AttributeRef] = field(default_factory=list)
     outcomes: List[CandidateOutcome] = field(default_factory=list)
+    _fds: SortedUnion = field(init=False, repr=False, compare=False)
+    _hidden: SortedUnion = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._fds = SortedUnion(self.fds)
+        self._hidden = SortedUnion(self.hidden)
 
     def add_fd(self, fd: FunctionalDependency) -> None:
-        if fd not in self.fds:
-            self.fds.append(fd)
-            self.fds.sort(key=lambda f: f.sort_key())
+        self._fds.add(fd)
 
     def add_hidden(self, ref: AttributeRef) -> None:
-        if ref not in self.hidden:
-            self.hidden.append(ref)
-            self.hidden.sort(key=lambda r: r.sort_key())
+        self._hidden.add(ref)
 
     def remove_hidden(self, ref: AttributeRef) -> None:
-        if ref in self.hidden:
-            self.hidden.remove(ref)
+        self._hidden.discard(ref)
 
     def __repr__(self) -> str:
         return f"RHSDiscoveryResult(F={self.fds}, H={self.hidden})"

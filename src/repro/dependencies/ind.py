@@ -4,6 +4,10 @@ The central interrelation-dependency object of the paper.  Attribute
 *order* is significant on both sides (position i pairs with position i),
 and equality respects pairing rather than raw order: ``R[a,b] ≪ S[x,y]``
 equals ``R[b,a] ≪ S[y,x]``.
+
+Instances are immutable: no code assigns a field after construction, so
+the pairing-respecting identity key is computed once, in ``__init__``,
+and ``==``, ``hash`` and :meth:`InclusionDependency.sort_key` read it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.relational.attribute import AttributeRef
 class InclusionDependency:
     """``lhs_relation[lhs_attrs] ≪ rhs_relation[rhs_attrs]``."""
 
-    __slots__ = ("lhs_relation", "lhs_attrs", "rhs_relation", "rhs_attrs")
+    __slots__ = ("lhs_relation", "lhs_attrs", "rhs_relation", "rhs_attrs", "_key")
 
     def __init__(
         self,
@@ -45,6 +49,11 @@ class InclusionDependency:
             raise SchemaError(f"duplicate attributes on left side: {self.lhs_attrs}")
         if len(set(self.rhs_attrs)) != len(self.rhs_attrs):
             raise SchemaError(f"duplicate attributes on right side: {self.rhs_attrs}")
+        self._key: Tuple[str, str, Tuple[Tuple[str, str], ...]] = (
+            lhs_relation,
+            rhs_relation,
+            tuple(sorted(zip(self.lhs_attrs, self.rhs_attrs))),
+        )
 
     @classmethod
     def parse(cls, text: str) -> "InclusionDependency":
@@ -92,21 +101,13 @@ class InclusionDependency:
         return InclusionDependency(self.lhs_relation, self.lhs_attrs, relation, attrs)
 
     # ------------------------------------------------------------------
-    def _canonical(self) -> Tuple[str, str, Tuple[Tuple[str, str], ...]]:
-        """Pairing-respecting canonical form used for equality/hash."""
-        return (
-            self.lhs_relation,
-            self.rhs_relation,
-            tuple(sorted(self.pairs())),
-        )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, InclusionDependency):
-            return other._canonical() == self._canonical()
+            return other._key == self._key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("IND",) + self._canonical())
+        return hash(("IND",) + self._key)
 
     def __repr__(self) -> str:
         return (
@@ -114,5 +115,6 @@ class InclusionDependency:
             f"{self.rhs_relation}[{', '.join(self.rhs_attrs)}]"
         )
 
-    def sort_key(self):
-        return self._canonical()
+    def sort_key(self) -> Tuple[str, str, Tuple[Tuple[str, str], ...]]:
+        """Pairing-respecting canonical form: ``(lhs, rhs, sorted pairs)``."""
+        return self._key

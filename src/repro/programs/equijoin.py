@@ -4,6 +4,10 @@ Equi-joins are symmetric: ``R[a] ⋈ S[b]`` and ``S[b] ⋈ R[a]`` are the same
 element of ``Q``.  Attribute order within a side is significant only
 through the pairing (position i on the left joins position i on the
 right), exactly as for inclusion dependencies.
+
+Instances are immutable: no code assigns a field after construction, so
+the canonical identity key is computed once, in ``__init__``, and ``==``,
+``hash`` and :meth:`EquiJoin.sort_key` read it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.relational.attribute import AttributeRef
 class EquiJoin:
     """A (symmetric) equi-join between two attribute lists."""
 
-    __slots__ = ("left_relation", "left_attrs", "right_relation", "right_attrs")
+    __slots__ = ("left_relation", "left_attrs", "right_relation", "right_attrs", "_key")
 
     def __init__(
         self,
@@ -51,6 +55,12 @@ class EquiJoin:
         self.left_attrs: Tuple[str, ...] = tuple(p[0] for p in pairs)
         self.right_relation = right_relation
         self.right_attrs: Tuple[str, ...] = tuple(p[1] for p in pairs)
+        self._key = (
+            self.left_relation,
+            self.left_attrs,
+            self.right_relation,
+            self.right_attrs,
+        )
 
     @classmethod
     def parse(cls, text: str) -> "EquiJoin":
@@ -93,21 +103,13 @@ class EquiJoin:
     def involves(self, relation: str) -> bool:
         return relation in (self.left_relation, self.right_relation)
 
-    def _canonical(self):
-        return (
-            self.left_relation,
-            self.left_attrs,
-            self.right_relation,
-            self.right_attrs,
-        )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EquiJoin):
-            return other._canonical() == self._canonical()
+            return other._key == self._key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("EquiJoin",) + self._canonical())
+        return hash(("EquiJoin",) + self._key)
 
     def __repr__(self) -> str:
         return (
@@ -115,5 +117,6 @@ class EquiJoin:
             f"{self.right_relation}[{', '.join(self.right_attrs)}]"
         )
 
-    def sort_key(self):
-        return self._canonical()
+    def sort_key(self) -> Tuple[str, Tuple[str, ...], str, Tuple[str, ...]]:
+        """The canonical form: both sides in canonical order."""
+        return self._key

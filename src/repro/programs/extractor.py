@@ -22,6 +22,7 @@ from repro.programs.equijoin import EquiJoin
 from repro.relational.schema import DatabaseSchema
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_sql
+from repro.util.ordering import SortedUnion
 
 # a scope frame: binding name -> relation name (innermost last in the chain)
 Scope = Tuple[Dict[str, str], ...]
@@ -51,13 +52,14 @@ class ExtractionReport:
     skipped: List[Tuple[str, int, str]] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     statements_seen: int = 0
+    _joins: SortedUnion = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._joins = SortedUnion(self.joins)
 
     def record(self, join: EquiJoin, program: str, index: int) -> None:
-        if join not in self.provenance:
-            self.provenance[join] = []
-            self.joins.append(join)
-            self.joins.sort(key=lambda j: j.sort_key())
-        self.provenance[join].append((program, index))
+        self._joins.add(join)
+        self.provenance.setdefault(join, []).append((program, index))
 
     def __repr__(self) -> str:
         return (
@@ -122,11 +124,7 @@ class EquiJoinExtractor:
                 self._walk_select(query, (), joins, report)
         elif isinstance(statement, (ast.Update, ast.Delete)):
             self._walk_dml(statement, joins, report)
-        seen = []
-        for j in joins:
-            if j not in seen:
-                seen.append(j)
-        return sorted(seen, key=lambda j: j.sort_key())
+        return sorted(set(joins), key=lambda j: j.sort_key())
 
     # ------------------------------------------------------------------
     # SELECT traversal

@@ -18,7 +18,9 @@ method's.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union,
+)
 
 from repro.exceptions import ArityError
 from repro.obs.instrument import InstrumentedBackend
@@ -147,6 +149,9 @@ class Database:
         self._instrumented = InstrumentedBackend(backend, self.tracer)
         self.fds: List["FunctionalDependency"] = []
         self.inds: List["InclusionDependency"] = []
+        #: hash membership for :meth:`add_fd` / :meth:`add_ind`; the two
+        #: lists keep their insertion order
+        self._dependencies: Set[object] = set()
         self.counter: QueryCounter = TracedQueryCounter(self.tracer)
         self.catalog = Catalog(self.schema)
 
@@ -250,11 +255,13 @@ class Database:
     # dependency bookkeeping
     # ------------------------------------------------------------------
     def add_fd(self, fd: "FunctionalDependency") -> None:
-        if fd not in self.fds:
+        if fd not in self._dependencies:
+            self._dependencies.add(fd)
             self.fds.append(fd)
 
     def add_ind(self, ind: "InclusionDependency") -> None:
-        if ind not in self.inds:
+        if ind not in self._dependencies:
+            self._dependencies.add(ind)
             self.inds.append(ind)
 
     # ------------------------------------------------------------------

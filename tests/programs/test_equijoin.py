@@ -1,6 +1,11 @@
 """The equi-join value object: symmetry, canonical form, parsing."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SchemaError
 from repro.programs.equijoin import EquiJoin
@@ -80,3 +85,100 @@ class TestRefs:
     def test_sides(self):
         j = EquiJoin("S", ("b",), "R", ("a",))
         assert j.sides() == (("R", ("a",)), ("S", ("b",)))
+
+
+# ----------------------------------------------------------------------
+# identity: the key computed once in __init__ against the canonical
+# form it replaces, over random pairings
+# ----------------------------------------------------------------------
+relations = st.sampled_from(["R", "S", "T"])
+attributes = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def pairings(draw):
+    """(left relation, right relation, positional pairs)."""
+    width = draw(st.integers(1, 4))
+    left = draw(st.lists(attributes, min_size=width, max_size=width, unique=True))
+    right = draw(st.lists(attributes, min_size=width, max_size=width, unique=True))
+    return draw(relations), draw(relations), list(zip(left, right))
+
+
+def build(left_relation, right_relation, pairs):
+    return EquiJoin(
+        left_relation, [p[0] for p in pairs], right_relation, [p[1] for p in pairs]
+    )
+
+
+def formula(left_relation, right_relation, pairs):
+    """The canonical form, derived from the constructor's arguments."""
+    left_attrs = tuple(p[0] for p in pairs)
+    right_attrs = tuple(p[1] for p in pairs)
+    if (right_relation, tuple(sorted(right_attrs))) < (
+        left_relation, tuple(sorted(left_attrs))
+    ):
+        left_relation, right_relation = right_relation, left_relation
+        left_attrs, right_attrs = right_attrs, left_attrs
+    ordered = sorted(zip(left_attrs, right_attrs))
+    return (
+        left_relation,
+        tuple(p[0] for p in ordered),
+        right_relation,
+        tuple(p[1] for p in ordered),
+    )
+
+
+class TestIdentity:
+    @given(pairings(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_ignores_pair_order_and_distinct_side_order(self, pairing, rng):
+        left_relation, right_relation, pairs = pairing
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        a = build(left_relation, right_relation, pairs)
+        b = build(left_relation, right_relation, shuffled)
+        assert a == b and hash(a) == hash(b) and a.sort_key() == b.sort_key()
+        left_side = (left_relation, sorted(p[0] for p in pairs))
+        right_side = (right_relation, sorted(p[1] for p in pairs))
+        if left_side != right_side:
+            # two sides over one attribute set are never swapped, so
+            # R[b,c,d] >< R[c,d,b] stated backwards is R[b,c,d] >< R[d,b,c],
+            # a different key; the swap is checked for distinct sides only
+            c = build(right_relation, left_relation, [(r, l) for l, r in shuffled])
+            assert a == c and hash(a) == hash(c) and a.sort_key() == c.sort_key()
+
+    @given(pairings(), pairings())
+    @settings(max_examples=300, deadline=None)
+    def test_hash_and_sort_key_agree_with_equality(self, one, other):
+        a, b = build(*one), build(*other)
+        assert a.sort_key() == formula(*one)
+        assert (a == b) == (formula(*one) == formula(*other))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(pairings())
+    @settings(max_examples=100, deadline=None)
+    def test_copies_keep_identity(self, pairing):
+        join = build(*pairing)
+        for clone in (
+            pickle.loads(pickle.dumps(join)),
+            copy.copy(join),
+            copy.deepcopy(join),
+        ):
+            assert clone == join and join == clone
+            assert hash(clone) == hash(join)
+            assert clone.sort_key() == join.sort_key() == formula(*pairing)
+            assert repr(clone) == repr(join)
+            assert {clone, join} == {join}
+
+    @given(st.lists(attributes, max_size=3), st.lists(attributes, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_construction_errors_unchanged(self, left, right):
+        if len(left) != len(right) or not left:
+            with pytest.raises(SchemaError):
+                EquiJoin("R", left, "S", right)
+        else:
+            join = EquiJoin("R", left, "S", right)
+            assert sorted(zip(join.left_attrs, join.right_attrs)) == sorted(
+                zip(left, right)
+            )
