@@ -1,8 +1,8 @@
 """Reverse-engineering a hand-written legacy payroll system.
 
 A different application domain than the paper's example, built the way a
-real legacy system would be: the SQL DDL and the data go through the
-library's own SQL executor, the "application programs" are COBOL batch
+real legacy system would be: the SQL DDL and the data are loaded by the
+library's script loader, the "application programs" are COBOL batch
 jobs and SQL reports, and the expert answers combine an AutoExpert
 policy with a small script for the domain decisions.
 
@@ -20,9 +20,9 @@ from repro import (
     AutoExpert,
     Database,
     DBREPipeline,
-    Executor,
     ProgramCorpus,
     ScriptedExpert,
+    load_sql_script,
 )
 from repro.eer import render_text
 
@@ -74,7 +74,7 @@ INSERT INTO timesheet VALUES
 
 def build_database() -> Database:
     database = Database()
-    Executor(database).run_script(DDL_AND_DATA)
+    load_sql_script(database, DDL_AND_DATA)
     database.validate()
     return database
 

@@ -8,8 +8,8 @@ project, demonstrated on the paper's example:
 3. generate the migration script — ``CREATE TABLE`` statements for the
    recovered 3NF schema with the elicited referential integrity
    constraints as ``FOREIGN KEY`` clauses, plus the data as INSERTs;
-4. prove the script is executable by replaying it through the library's
-   own SQL engine and re-validating every constraint;
+4. prove the script is executable by loading it back through the
+   library's script loader and re-validating every constraint;
 5. round-trip the conceptual schema: map the Figure-1 EER schema back
    to relational (forward engineering) and check it matches what
    Restruct produced.
@@ -17,11 +17,11 @@ project, demonstrated on the paper's example:
 Run:  python examples/migration.py
 """
 
-from repro import Database, DBREPipeline, Executor, ScriptedExpert
+from repro import Database, DBREPipeline, ScriptedExpert, load_sql_script
 from repro.core import session_report
 from repro.dependencies.ind_inference import ind_satisfied
 from repro.eer import eer_to_relational
-from repro.storage.ddl import migration_script, schema_to_sql
+from repro.storage.ddl import migration_script
 from repro.workloads import (
     build_paper_database,
     paper_expert_script,
@@ -48,16 +48,10 @@ def main() -> None:
     print(f"  ... ({len(script.splitlines())} lines total)")
 
     # -- executable proof -------------------------------------------------
-    # FOREIGN KEY clauses are for the target DBMS; the engine replays the
-    # DDL (without them) + data and re-checks every elicited constraint
-    from repro.storage.ddl import inserts_to_sql
-
+    # the loader skips the FOREIGN KEY clauses (they are for the target
+    # DBMS), so the elicited constraints are re-checked on the data
     replay = Database()
-    Executor(replay).run_script(
-        schema_to_sql(result.restructured.schema)
-        + "\n"
-        + inserts_to_sql(result.restructured)
-    )
+    load_sql_script(replay, script)
     replay.validate()
     violations = [
         ind for ind in result.ric if not ind_satisfied(replay, ind)

@@ -71,7 +71,7 @@ from repro.core import (
 )
 from repro.eer import EERSchema, render_text, to_dot
 from repro.obs import Tracer
-from repro.sql import Executor, execute_sql, parse_sql
+from repro.sql import load_sql_script, parse_sql
 from repro.storage import save_sqlite
 
 __version__ = "1.0.0"
@@ -113,8 +113,7 @@ __all__ = [
     "render_text",
     "to_dot",
     "Tracer",
-    "Executor",
-    "execute_sql",
+    "load_sql_script",
     "parse_sql",
     "save_sqlite",
     "__version__",

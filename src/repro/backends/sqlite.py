@@ -23,8 +23,8 @@ raw SQL on the connection included, mirroring the in-memory backend's
 distinct-value cache.  The method's row-reading
 steps (RHS evidence, the NEI fill, Restruct's projections) stream
 projected tuples through :meth:`SQLiteBackend.scan`, one cursor each.
-Row-level consumers that walk or mutate whole tuples (the SQL executor,
-CSV import, corruption) hydrate a lazy, write-through :class:`Table`
+Row-level consumers that walk or mutate whole tuples (the SQL script
+loader, CSV import, corruption) hydrate a lazy, write-through :class:`Table`
 mirror instead.  The four counting primitives touch neither and scale
 with the engine, not with Python.
 

@@ -98,7 +98,7 @@ from repro.obs.report import render_html_report
 from repro.programs.corpus import ProgramCorpus
 from repro.programs.extractor import extract_equijoins
 from repro.relational.database import Database
-from repro.sql.executor import Executor
+from repro.sql.script import load_sql_script
 from repro.storage.serialize import (
     database_from_dict,
     dependencies_to_dict,
@@ -146,7 +146,7 @@ def load_database(path: str, backend: str = "auto") -> Database:
     with open(path, "r", encoding="utf-8") as handle:
         script = handle.read()
     database = Database(backend=_make_backend(backend))
-    Executor(database).run_script(script)
+    load_sql_script(database, script)
     return database
 
 

@@ -88,7 +88,7 @@ class SQLParseError(SQLError):
 
 
 class SQLExecutionError(SQLError):
-    """A parsed statement cannot be executed against the database."""
+    """A parsed statement cannot be applied to the database."""
 
 
 class ExtractionError(ReproError):

@@ -51,6 +51,10 @@ class EquiJoin:
             left_attrs, right_attrs = right_attrs, left_attrs
         # canonicalize pairing order by the left attribute names
         pairs = sorted(zip(left_attrs, right_attrs))
+        if left_key == right_key:
+            # the sides tie (a self-join over one attribute set), so both
+            # orientations are this join: keep the one that sorts smaller
+            pairs = min(pairs, sorted((r, l) for l, r in pairs))
         self.left_relation = left_relation
         self.left_attrs: Tuple[str, ...] = tuple(p[0] for p in pairs)
         self.right_relation = right_relation

@@ -1,9 +1,9 @@
-"""The database triple ``(R, E, Δ)`` of the paper.
+"""The schema and extension ``(R, E)`` of the paper's database triple.
 
-A :class:`Database` bundles the schema ``R``, the extension ``E`` (held
-by a pluggable :class:`~repro.backends.base.ExtensionBackend`) and the
-dependency set ``Δ = F ∪ IND`` — empty at the start of a
-reverse-engineering run, filled in by the method.  Every extension
+A :class:`Database` bundles the schema ``R`` and the extension ``E``
+(held by a pluggable :class:`~repro.backends.base.ExtensionBackend`).
+The triple's dependency set ``Δ = F ∪ IND`` is what the method finds;
+it lives in the method's results, not here.  Every extension
 access made through the database flows through an
 :class:`~repro.obs.instrument.InstrumentedBackend`, which records one
 :class:`~repro.obs.tracer.PrimitiveEvent` (wall time, cache hit/miss,
@@ -19,7 +19,7 @@ method's.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union,
+    TYPE_CHECKING, Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Union,
 )
 
 from repro.exceptions import ArityError
@@ -31,8 +31,6 @@ from repro.relational.table import Scan, Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import ExtensionBackend
-    from repro.dependencies.fd import FunctionalDependency
-    from repro.dependencies.ind import InclusionDependency
 
 
 class QueryCounter:
@@ -130,7 +128,7 @@ class TracedQueryCounter(QueryCounter):
 
 
 class Database:
-    """The relational database ``(R, E, Δ)`` the method operates on."""
+    """The relational database ``(R, E)`` the method operates on."""
 
     def __init__(
         self,
@@ -147,11 +145,6 @@ class Database:
         self.backend.attach(self.schema)
         self.tracer = tracer if tracer is not None else Tracer()
         self._instrumented = InstrumentedBackend(backend, self.tracer)
-        self.fds: List["FunctionalDependency"] = []
-        self.inds: List["InclusionDependency"] = []
-        #: hash membership for :meth:`add_fd` / :meth:`add_ind`; the two
-        #: lists keep their insertion order
-        self._dependencies: Set[object] = set()
         self.counter: QueryCounter = TracedQueryCounter(self.tracer)
         self.catalog = Catalog(self.schema)
 
@@ -252,19 +245,6 @@ class Database:
         )
 
     # ------------------------------------------------------------------
-    # dependency bookkeeping
-    # ------------------------------------------------------------------
-    def add_fd(self, fd: "FunctionalDependency") -> None:
-        if fd not in self._dependencies:
-            self._dependencies.add(fd)
-            self.fds.append(fd)
-
-    def add_ind(self, ind: "InclusionDependency") -> None:
-        if ind not in self._dependencies:
-            self._dependencies.add(ind)
-            self.inds.append(ind)
-
-    # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
     def copy(
@@ -272,7 +252,7 @@ class Database:
         backend: Optional["ExtensionBackend"] = None,
         tracer: Optional[Tracer] = None,
     ) -> "Database":
-        """Copy of schema + extension (dependencies reset).
+        """Copy of schema + extension.
 
         Restruct mutates the database it is given; callers that want to
         keep the original (e.g. to diff before/after) copy it first.

@@ -1,7 +1,8 @@
 """AST node classes for the SQL subset.
 
 Nodes are frozen dataclasses; the equi-join extractor pattern-matches on
-them, the executor interprets them, and the formatter prints them back.
+them, the script loader applies CREATE TABLE and INSERT, and ``str()``
+prints any node back as SQL.
 """
 
 from __future__ import annotations
@@ -329,10 +330,25 @@ class TableConstraint:
 
 
 @dataclass(frozen=True)
+class ForeignKey:
+    """Table-level ``FOREIGN KEY (a) REFERENCES t (b)``."""
+
+    columns: Tuple[str, ...]
+    table: str
+    ref_columns: Tuple[str, ...]
+
+    def __str__(self) -> str:
+        return (
+            f"FOREIGN KEY ({', '.join(self.columns)}) "
+            f"REFERENCES {self.table} ({', '.join(self.ref_columns)})"
+        )
+
+
+@dataclass(frozen=True)
 class CreateTable:
     name: str
     columns: Tuple[ColumnDef, ...]
-    constraints: Tuple[TableConstraint, ...] = ()
+    constraints: Tuple["TableConstraint | ForeignKey", ...] = ()
 
     def __str__(self) -> str:
         inner = [str(c) for c in self.columns] + [str(c) for c in self.constraints]

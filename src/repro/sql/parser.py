@@ -28,7 +28,7 @@ Grammar (informal):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import SQLParseError
 from repro.sql import ast_nodes as ast
@@ -415,11 +415,13 @@ class Parser:
         name = self._expect_ident().value
         self._expect_punct("(")
         columns: List[ast.ColumnDef] = []
-        constraints: List[ast.TableConstraint] = []
+        constraints: List[Union[ast.TableConstraint, ast.ForeignKey]] = []
         while True:
             tok = self._peek()
             if tok.is_keyword("UNIQUE", "PRIMARY"):
                 constraints.append(self._parse_table_constraint())
+            elif self._at_foreign_key():
+                constraints.append(self._parse_foreign_key())
             else:
                 columns.append(self._parse_column_def())
             if not self._accept_punct(","):
@@ -436,12 +438,36 @@ class Parser:
             kind = "PRIMARY KEY"
         else:
             kind = "UNIQUE"
+        return ast.TableConstraint(kind, self._parse_column_list())
+
+    def _at_foreign_key(self) -> bool:
+        # FOREIGN and REFERENCES are no keywords, so a column may still
+        # be called ``foreign``; a keyword is never a column type, so
+        # ``FOREIGN KEY`` cannot start a column definition
+        tok = self._peek()
+        return (
+            tok.kind == IDENT and tok.value.upper() == "FOREIGN"
+            and self._peek(1).is_keyword("KEY")
+        )
+
+    def _parse_foreign_key(self) -> ast.ForeignKey:
+        self._next()
+        self._expect_keyword("KEY")
+        columns = self._parse_column_list()
+        tok = self._peek()
+        if tok.kind != IDENT or tok.value.upper() != "REFERENCES":
+            raise self._error("expected REFERENCES")
+        self._next()
+        table = self._expect_ident().value
+        return ast.ForeignKey(columns, table, self._parse_column_list())
+
+    def _parse_column_list(self) -> Tuple[str, ...]:
         self._expect_punct("(")
         cols = [self._expect_ident().value]
         while self._accept_punct(","):
             cols.append(self._expect_ident().value)
         self._expect_punct(")")
-        return ast.TableConstraint(kind, tuple(cols))
+        return tuple(cols)
 
     def _parse_column_def(self) -> ast.ColumnDef:
         name = self._expect_ident().value

@@ -6,10 +6,10 @@ legacy data moved into it.  This module renders a
 :class:`~repro.relational.schema.DatabaseSchema` as ``CREATE TABLE``
 statements — including the referential integrity constraints the method
 elicited, as standard ``FOREIGN KEY`` clauses — and a database's
-extension as ``INSERT`` statements.  The emitted script round-trips
-through the library's own SQL executor (asserted by tests), minus the
-``FOREIGN KEY`` clauses which the engine does not enforce (they are
-emitted for the target DBMS).
+extension as ``INSERT`` statements.  The emitted script loads back
+through :func:`repro.sql.load_sql_script` (asserted by tests), which
+parses the ``FOREIGN KEY`` clauses and skips them: they are emitted for
+the target DBMS.
 """
 
 from __future__ import annotations

@@ -177,22 +177,6 @@ class TestUnionMatchesListScan:
             (repr(j), p) for j, p in provenance.items()
         ]
 
-    @given(st.lists(st.one_of(inds(), fds), max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_database_add_keeps_insertion_order(self, sequence):
-        database, fd_list, ind_list = Database(), [], []
-        for dependency in sequence:
-            if isinstance(dependency, FunctionalDependency):
-                database.add_fd(dependency)
-                if dependency not in fd_list:
-                    fd_list.append(dependency)
-            else:
-                database.add_ind(dependency)
-                if dependency not in ind_list:
-                    ind_list.append(dependency)
-        assert shown(database.fds) == shown(fd_list)
-        assert shown(database.inds) == shown(ind_list)
-
 
 class TestRedirectMatchesListScan:
     @given(

@@ -173,6 +173,17 @@ class TestErrors:
             assert "\n" not in body["error"] and needle in body["error"]
         assert api.manager.jobs() == []
 
+    def test_script_beyond_create_and_insert_400(self, api, tmp_path):
+        schema = tmp_path / "schema.sql"
+        schema.write_text("CREATE TABLE t (a INT); UPDATE t SET a = 2;")
+        status, body = api(
+            "POST", "/jobs", {"database": str(schema), "programs": str(tmp_path)}
+        )
+        assert status == 400
+        assert body["error"].endswith("found UPDATE (statement 2)")
+        assert "\n" not in body["error"]
+        assert api.manager.jobs() == []
+
     def test_empty_body_400(self, api):
         status, _ = api("POST", "/jobs", None)  # empty body -> {} -> invalid spec
         assert status == 400

@@ -1,8 +1,7 @@
-"""Formatter round-trips: AST -> SQL -> same AST."""
+"""Printing round-trips: AST -> ``str()`` -> the same AST."""
 
 import pytest
 
-from repro.sql import format_statement
 from repro.sql.parser import parse_sql
 
 ROUND_TRIP_CASES = [
@@ -18,38 +17,19 @@ ROUND_TRIP_CASES = [
     "DROP TABLE R",
     "SELECT a FROM R WHERE b IS NOT NULL",
     "SELECT project-name FROM Assignment WHERE proj = 'P1'",
+    "CREATE TABLE S (a INT, b INT, FOREIGN KEY (a, b) REFERENCES R (x, y))",
 ]
 
 
 @pytest.mark.parametrize("sql", ROUND_TRIP_CASES)
 def test_round_trip(sql):
     first = parse_sql(sql)
-    rendered = format_statement(first)
+    rendered = str(first)
     second = parse_sql(rendered)
-    assert format_statement(second) == rendered
-
-
-def test_pretty_select_is_multiline():
-    stmt = parse_sql(
-        "SELECT a FROM R, S WHERE R.x = S.y AND R.z = 1 ORDER BY a"
-    )
-    pretty = format_statement(stmt, pretty=True)
-    lines = pretty.splitlines()
-    assert lines[0].startswith("SELECT")
-    assert any(line.startswith("FROM") for line in lines)
-    assert any("AND" in line for line in lines)
-    # pretty output still parses to the same statement
-    assert format_statement(parse_sql(pretty)) == format_statement(stmt)
-
-
-def test_pretty_intersect():
-    stmt = parse_sql("SELECT a FROM R INTERSECT SELECT b FROM S")
-    pretty = format_statement(stmt, pretty=True)
-    assert "INTERSECT" in pretty
-    assert format_statement(parse_sql(pretty)) == format_statement(stmt)
+    assert second == first and str(second) == rendered
 
 
 def test_string_escaping_round_trip():
     stmt = parse_sql("INSERT INTO R VALUES ('it''s')")
-    rendered = format_statement(stmt)
+    rendered = str(stmt)
     assert parse_sql(rendered).rows == (("it's",),)

@@ -1,59 +1,24 @@
-"""BETWEEN and LIKE: parsing, execution, NULL semantics, extraction."""
+"""BETWEEN and LIKE: parsing, round trips, extraction."""
 
 import pytest
 
 from repro.exceptions import SQLParseError
-from repro.relational import Database
-from repro.sql import Executor, ast, format_statement
+from repro.sql import ast
 from repro.sql.parser import parse_sql
-
-
-@pytest.fixture
-def ex():
-    db = Database()
-    executor = Executor(db)
-    executor.run_script(
-        """
-        CREATE TABLE emp (eid INT PRIMARY KEY, name VARCHAR(20), pay INT);
-        INSERT INTO emp VALUES
-            (1, 'alice', 100), (2, 'bob', 250), (3, 'carol', 400),
-            (4, 'dave', NULL), (5, NULL, 300);
-        """
-    )
-    return executor
 
 
 class TestBetween:
     def test_parse_and_round_trip(self):
         stmt = parse_sql("SELECT a FROM r WHERE a BETWEEN 1 AND 5")
         assert isinstance(stmt.where, ast.Between)
-        assert format_statement(parse_sql(format_statement(stmt))) == (
-            format_statement(stmt)
-        )
+        assert str(parse_sql(str(stmt))) == str(stmt)
 
-    def test_inclusive_bounds(self, ex):
-        result = ex.run("SELECT eid FROM emp WHERE pay BETWEEN 100 AND 300")
-        assert sorted(result.column(0)) == [1, 2, 5]
-
-    def test_not_between(self, ex):
-        result = ex.run("SELECT eid FROM emp WHERE pay NOT BETWEEN 100 AND 300")
-        assert result.column(0) == [3]
-
-    def test_null_value_is_unknown(self, ex):
-        # dave's NULL pay: neither BETWEEN nor NOT BETWEEN selects him
-        between = ex.run("SELECT eid FROM emp WHERE pay BETWEEN 0 AND 999")
-        not_between = ex.run(
-            "SELECT eid FROM emp WHERE pay NOT BETWEEN 0 AND 999"
-        )
-        assert 4 not in between.column(0)
-        assert 4 not in not_between.column(0)
-
-    def test_between_in_conjunction(self, ex):
+    def test_between_in_conjunction(self):
         # the AND inside BETWEEN must not swallow the outer conjunction
-        result = ex.run(
-            "SELECT eid FROM emp WHERE pay BETWEEN 100 AND 400 AND eid > 2"
-        )
-        assert sorted(result.column(0)) == [3, 5]
+        stmt = parse_sql("SELECT eid FROM emp WHERE pay BETWEEN 100 AND 400 AND eid > 2")
+        assert isinstance(stmt.where, ast.And)
+        between, comparison = stmt.where.operands
+        assert isinstance(between, ast.Between) and isinstance(comparison, ast.Comparison)
 
 
 class TestLike:
@@ -61,32 +26,9 @@ class TestLike:
         with pytest.raises(SQLParseError):
             parse_sql("SELECT a FROM r WHERE a LIKE b")
 
-    def test_percent_wildcard(self, ex):
-        result = ex.run("SELECT name FROM emp WHERE name LIKE 'a%'")
-        assert result.column(0) == ["alice"]
-
-    def test_underscore_wildcard(self, ex):
-        result = ex.run("SELECT name FROM emp WHERE name LIKE '_ob'")
-        assert result.column(0) == ["bob"]
-
-    def test_not_like(self, ex):
-        result = ex.run("SELECT name FROM emp WHERE name NOT LIKE '%a%'")
-        assert result.column(0) == ["bob"]
-
-    def test_null_is_unknown(self, ex):
-        result = ex.run("SELECT eid FROM emp WHERE name LIKE '%'")
-        assert 5 not in result.column(0)
-
-    def test_regex_metacharacters_are_literal(self, ex):
-        ex.run("INSERT INTO emp VALUES (9, 'a.c', 1)")
-        result = ex.run("SELECT eid FROM emp WHERE name LIKE 'a.c'")
-        assert result.column(0) == [9]
-        result2 = ex.run("SELECT eid FROM emp WHERE name LIKE 'a_c'")
-        assert 9 in result2.column(0)
-
     def test_round_trip_with_quote_escape(self):
         stmt = parse_sql("SELECT a FROM r WHERE a LIKE 'it''s%'")
-        again = parse_sql(format_statement(stmt))
+        again = parse_sql(str(stmt))
         assert again.where.pattern == "it's%"
 
 

@@ -4,55 +4,20 @@ import pytest
 
 from repro.programs import EquiJoinExtractor
 from repro.programs.equijoin import EquiJoin
-from repro.relational import Database, DatabaseSchema, RelationSchema
-from repro.relational.domain import INTEGER
-from repro.sql import Executor
-
-
-@pytest.fixture
-def db():
-    schema = DatabaseSchema(
-        [
-            RelationSchema.build("outerr", ["k", "v"], key=["k"],
-                                 types={"k": INTEGER, "v": INTEGER}),
-            RelationSchema.build("innerr", ["k", "w"], key=["k"],
-                                 types={"k": INTEGER, "w": INTEGER}),
-        ]
-    )
-    database = Database(schema)
-    database.insert_many("outerr", [[1, 100], [2, 200], [3, 300]])
-    database.insert_many("innerr", [[1, 7], [3, 9]])
-    return database
-
-
-class TestExecutorScoping:
-    def test_inner_binding_shadows_outer_same_alias(self, db):
-        # alias `t` means outerr outside and innerr inside the subquery
-        result = Executor(db).run(
-            "SELECT t.k FROM outerr t WHERE t.k IN "
-            "(SELECT t.k FROM innerr t WHERE t.w > 8)"
-        )
-        assert result.rows == [(3,)]
-
-    def test_unqualified_column_prefers_inner_scope(self, db):
-        # `k` inside the subquery binds to innerr.k, not outerr.k
-        result = Executor(db).run(
-            "SELECT v FROM outerr WHERE k IN (SELECT k FROM innerr)"
-        )
-        assert sorted(result.column(0)) == [100, 300]
-
-    def test_correlated_reference_to_outer_alias(self, db):
-        result = Executor(db).run(
-            "SELECT o.k FROM outerr o WHERE EXISTS "
-            "(SELECT * FROM innerr i WHERE i.k = o.k AND i.w = 7)"
-        )
-        assert result.rows == [(1,)]
+from repro.relational import DatabaseSchema, RelationSchema
 
 
 class TestExtractorScoping:
     @pytest.fixture
-    def extractor(self, db):
-        return EquiJoinExtractor(db.schema)
+    def extractor(self):
+        return EquiJoinExtractor(
+            DatabaseSchema(
+                [
+                    RelationSchema.build("outerr", ["k", "v"], key=["k"]),
+                    RelationSchema.build("innerr", ["k", "w"], key=["k"]),
+                ]
+            )
+        )
 
     def test_shadowed_alias_resolves_to_inner_relation(self, extractor):
         joins = extractor.extract_from_sql(

@@ -1,26 +1,10 @@
-"""UNION / UNION ALL: parsing, execution, extraction robustness."""
+"""UNION / UNION ALL: parsing, round trips, extraction robustness."""
 
 import pytest
 
 from repro.exceptions import SQLParseError
-from repro.relational import Database
-from repro.sql import Executor, ast, format_statement
+from repro.sql import ast
 from repro.sql.parser import parse_sql
-
-
-@pytest.fixture
-def ex():
-    db = Database()
-    executor = Executor(db)
-    executor.run_script(
-        """
-        CREATE TABLE a (x INT);
-        CREATE TABLE b (y INT);
-        INSERT INTO a VALUES (1), (2), (2);
-        INSERT INTO b VALUES (2), (3);
-        """
-    )
-    return executor
 
 
 class TestParsing:
@@ -56,25 +40,7 @@ class TestParsing:
             "SELECT x FROM a UNION ALL SELECT y FROM b",
         ):
             stmt = parse_sql(sql)
-            assert format_statement(parse_sql(format_statement(stmt))) == (
-                format_statement(stmt)
-            )
-
-
-class TestExecution:
-    def test_union_deduplicates(self, ex):
-        result = ex.run("SELECT x FROM a UNION SELECT y FROM b")
-        assert sorted(result.rows) == [(1,), (2,), (3,)]
-
-    def test_union_all_keeps_duplicates(self, ex):
-        result = ex.run("SELECT x FROM a UNION ALL SELECT y FROM b")
-        assert sorted(result.rows) == [(1,), (2,), (2,), (2,), (3,)]
-
-    def test_arity_mismatch_rejected(self, ex):
-        from repro.exceptions import SQLExecutionError
-
-        with pytest.raises(SQLExecutionError):
-            ex.run("SELECT x, x FROM a UNION SELECT y FROM b")
+            assert str(parse_sql(str(stmt))) == str(stmt)
 
 
 class TestExtraction:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DBREPipeline
 from repro.relational import Database
-from repro.sql import Executor
+from repro.sql import load_sql_script
 from repro.storage.ddl import (
     create_table_sql,
     inserts_to_sql,
@@ -72,10 +72,10 @@ class TestSchemaScript:
         assert script.count("CREATE TABLE") == 9
 
     def test_ddl_round_trips_through_own_engine(self, paper_run):
-        # without FK clauses (the engine does not parse FOREIGN KEY)
-        script = schema_to_sql(paper_run.restructured.schema)
+        script = schema_to_sql(paper_run.restructured.schema, paper_run.ric)
+        assert "FOREIGN KEY" in script
         fresh = Database()
-        Executor(fresh).run_script(script)
+        load_sql_script(fresh, script)
         original = paper_run.restructured.schema
         assert fresh.schema.relation_names == original.relation_names
         for name in original.relation_names:
@@ -89,9 +89,9 @@ class TestSchemaScript:
 
 class TestMigration:
     def test_full_round_trip_with_data(self, paper_run):
-        script = migration_script(paper_run.restructured)
+        script = migration_script(paper_run.restructured, paper_run.ric)
         fresh = Database()
-        Executor(fresh).run_script(script)
+        load_sql_script(fresh, script)
         fresh.validate()
         for table in paper_run.restructured.tables():
             restored = fresh.table(table.name)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.relational import Attribute, Database, RelationSchema
 from repro.relational.domain import BOOLEAN, DATE, INTEGER, NULL, REAL, TEXT
-from repro.sql import Executor
+from repro.sql import load_sql_script
 from repro.storage.ddl import migration_script
 
 
@@ -32,7 +32,7 @@ class TestTypedRoundTrip:
     def test_all_types_replay_through_engine(self, typed_db):
         script = migration_script(typed_db)
         fresh = Database()
-        Executor(fresh).run_script(script)
+        load_sql_script(fresh, script)
         rows = sorted(r.values for r in fresh.table("everything"))
         assert rows[0] == (1, 2.5, "x", "2020-01-02", True)
         assert rows[1][1] is NULL
@@ -47,7 +47,7 @@ class TestTypedRoundTrip:
     def test_restored_schema_types_match(self, typed_db):
         script = migration_script(typed_db, include_data=False)
         fresh = Database()
-        Executor(fresh).run_script(script)
+        load_sql_script(fresh, script)
         restored = fresh.schema.relation("everything")
         original = typed_db.schema.relation("everything")
         for name in original.attribute_names:

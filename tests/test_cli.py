@@ -136,6 +136,25 @@ class TestCommands:
         assert "FOREIGN KEY" in script
         assert "INSERT INTO" in script
 
+    def test_migration_script_loads_back(self, workspace, capsys):
+        sql_path = workspace / "out.sql"
+        code = main(
+            [
+                "run",
+                str(workspace / "schema.sql"),
+                str(workspace / "programs"),
+                "--sql", str(sql_path),
+                "--sql-data",
+            ]
+        )
+        assert code == 0
+        relations = sql_path.read_text().count("CREATE TABLE")
+        capsys.readouterr()
+        assert main(["inspect", str(sql_path)]) == 0
+        out = capsys.readouterr().out
+        listed = out.split("# Relations\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        assert len(listed) == relations == 3
+
     def test_inspect_sqlite_file(self, sqlite_workspace, capsys):
         code = main(["inspect", str(sqlite_workspace / "legacy.db")])
         assert code == 0
@@ -206,6 +225,27 @@ class TestCommands:
         code = main(["inspect", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "statement, kind",
+        [
+            ("SELECT a FROM t", "SELECT"),
+            ("UPDATE t SET a = 2", "UPDATE"),
+            ("DELETE FROM t", "DELETE"),
+            ("DROP TABLE t", "DROP"),
+        ],
+    )
+    def test_script_beyond_create_and_insert_is_a_one_line_error(
+        self, tmp_path, capsys, statement, kind
+    ):
+        script = tmp_path / "db.sql"
+        script.write_text(f"CREATE TABLE t (a INT); {statement};")
+        assert main(["inspect", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: only CREATE TABLE and INSERT are loaded from a database "
+            f"script; found {kind} (statement 2)\n"
+        )
 
     def test_missing_programs_dir_is_an_error_not_a_traceback(
         self, workspace, capsys
