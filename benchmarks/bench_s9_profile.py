@@ -41,7 +41,6 @@ SCENARIO = ScenarioConfig(
 def _run(profile_memory=False):
     scenario = build_scenario(SCENARIO)
     tracer = Tracer(profile_memory=profile_memory)
-    tracer.live()
     pipeline = DBREPipeline(scenario.database.copy(), scenario.expert, tracer=tracer)
     start = time.perf_counter()
     result = pipeline.run(corpus=scenario.corpus)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """S-series benchmark-regression harness — the CI gate.
 
-Runs four heads of the S-series benchmarks, each recorded by a live
-bus attached before the run (its fold gives every figure), and emits
+Runs four heads of the S-series benchmarks, each recorded by its
+tracer's live bus (its fold gives every figure), and emits
 one JSON document per run with per-primitive query counts and
 latencies:
 
@@ -187,7 +187,7 @@ def run_head(head: Dict[str, Any]) -> Dict[str, Any]:
     scenario = build_scenario(head["config"])
     database = scenario.database.copy(backend=head["backend"]())
     tracer = Tracer()
-    bus = tracer.live()
+    bus = tracer.live_bus
     all_features = head.get("all_features", False)
     pipeline = DBREPipeline(
         database, scenario.expert, tracer=tracer, provenance=all_features

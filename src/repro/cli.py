@@ -188,14 +188,8 @@ def _write_certificates(args: argparse.Namespace, result) -> None:
 
 
 def _make_tracer(args: argparse.Namespace) -> Tracer:
-    """The run's tracer: tracemalloc-enabled under ``--profile-memory``,
-    and watched by a live bus, attached before the run, when ``--trace``
-    or ``--metrics`` will write what it records.  A run with neither
-    stays unwatched."""
-    tracer = Tracer(profile_memory=getattr(args, "profile_memory", False))
-    if getattr(args, "trace", None) or getattr(args, "metrics", None):
-        tracer.live()
-    return tracer
+    """The run's tracer, tracemalloc-enabled under ``--profile-memory``."""
+    return Tracer(profile_memory=getattr(args, "profile_memory", False))
 
 
 def _make_expert(args: argparse.Namespace) -> Expert:

@@ -6,13 +6,13 @@ elicitation"); these counters make it quantitative for the S-series
 benchmarks.
 
 Since the observability layer landed, the counts are *views over the
-tracer's event stream*: a :class:`~repro.relational.database.Database`
-carries a ``TracedQueryCounter`` whose figures are computed from the
-recorded :class:`~repro.obs.tracer.PrimitiveEvent` records, and
+tracer's recorded run*: a :class:`~repro.relational.database.Database`
+carries a ``TracedQueryCounter`` whose figures are read off the
+``primitive`` records of the tracer's bus, and
 :func:`cost_report_from_trace` assembles the same :class:`CostReport`
 straight from a tracer.  There is no second bookkeeping to drift: a
-``CostReport`` total always equals the number of events in the stream
-it was derived from.
+``CostReport`` total always equals the number of primitive records in
+the history it was derived from.
 """
 
 from __future__ import annotations
@@ -81,22 +81,14 @@ def cost_report(
 def cost_report_from_trace(
     tracer: Tracer, expert: Optional[RecordingExpert] = None
 ) -> CostReport:
-    """A :class:`CostReport` summed directly from the event stream."""
-    counts = {
-        "count_distinct": 0,
-        "join_count": 0,
-        "fd_holds": 0,
-        "inclusion_holds": 0,
-    }
-    for event in tracer.events:
-        if event.primitive in counts:
-            counts[event.primitive] += 1
+    """A :class:`CostReport` read off the tracer's recorded run."""
+    counts = tracer.live_bus.calls()
     decisions, by_kind = _expert_costs(expert)
     return CostReport(
-        count_distinct_queries=counts["count_distinct"],
-        join_count_queries=counts["join_count"],
-        fd_checks=counts["fd_holds"],
-        inclusion_checks=counts["inclusion_holds"],
+        count_distinct_queries=counts.get("count_distinct", 0),
+        join_count_queries=counts.get("join_count", 0),
+        fd_checks=counts.get("fd_holds", 0),
+        inclusion_checks=counts.get("inclusion_holds", 0),
         expert_decisions=decisions,
         expert_by_kind=by_kind,
     )

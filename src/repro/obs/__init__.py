@@ -5,7 +5,9 @@ end:
 
 - :mod:`repro.obs.tracer` — :class:`Tracer`, nested
   :class:`SpanRecord` intervals around the five pipeline phases, and
-  one :class:`PrimitiveEvent` per extension-primitive call;
+  one ``primitive`` record per extension-primitive call, all recorded
+  into the tracer's own live bus (:class:`PrimitiveEvent` is a
+  read-only view of one such record);
 - :mod:`repro.obs.instrument` — :class:`InstrumentedBackend`, the thin
   wrapper that times backend primitives and records cache hit/miss and
   rows touched without the backends knowing about the tracer;
@@ -24,21 +26,21 @@ end:
 - :mod:`repro.obs.report` — the single-file HTML audit report
   (``repro report``) combining trace, metrics, expert dialogue and the
   lineage graph;
-- :mod:`repro.obs.live` — the real-time event bus: a tracer publishes
-  span boundaries, primitive events and progress ticks into a record
-  history the moment they happen (``repro/live@1``), at zero cost
-  while no bus is attached; readers page the history by ``seq`` and
-  wait on the bus for more — this is what ``--trace`` writes, the
-  service's SSE endpoint and ``repro jobs watch`` consume, and an
-  archived run's one stored stream;
+- :mod:`repro.obs.live` — the event bus every tracer owns: it records
+  span boundaries, primitive calls and progress ticks into one record
+  history the moment they happen (``repro/live@1``); readers page the
+  history by ``seq`` and wait on the bus for more — this is what
+  ``--trace`` writes, the service's SSE endpoint and
+  ``repro jobs watch`` consume, and an archived run's one stored
+  stream;
 - :mod:`repro.obs.archive` / :mod:`repro.obs.history` — the durable
   run archive (each run's live capture, fold, provenance and ledger
   record) and the ``repro history`` trend tables over it;
 - :mod:`repro.obs.log` — JSON-lines structured logging with run/job
   correlation IDs carried through ``contextvars``.
 
-``QueryCounter`` and ``CostReport`` are views over the same event
-stream, so the counters the benchmarks report and the exported traces
+``QueryCounter`` and ``CostReport`` are views over the same record
+history, so the counters the benchmarks report and the exported traces
 can never disagree.  See ``docs/OBSERVABILITY.md``.
 """
 

@@ -9,7 +9,8 @@ primitives through an :class:`InstrumentedBackend`, which
    will be served from a cache and how many stored rows a cold
    evaluation would scan,
 2. times the delegated call on the tracer's clock, and
-3. records one :class:`~repro.obs.tracer.PrimitiveEvent` on the tracer.
+3. records one ``primitive`` record — the call's signature, time,
+   cache hit/miss and rows touched — on the tracer's bus.
 
 Every other attribute access falls through to the wrapped backend
 (``__getattr__``), so lifecycle, row access and backend-specific
@@ -119,7 +120,6 @@ class InstrumentedBackend:
             backend=self._kind,
             relations=relations,
             attributes=attributes,
-            start=start,
             duration=duration,
             cache_hit=cache_hit,
             rows_touched=rows_touched,

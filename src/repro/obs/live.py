@@ -1,15 +1,15 @@
-"""Live telemetry: the ``repro/live@1`` event bus over one tracer.
+"""Live telemetry: the ``repro/live@1`` record history of one tracer.
 
-The tracer's spans and primitive events were, until now, visible only
-post-hoc — a JSONL export after the run.  This module makes the *same*
-one-event-stream design observable while the run is still going:
+Every :class:`~repro.obs.tracer.Tracer` owns one :class:`LiveBus` from
+construction and records its run into it, so a run's records are
+observable while the run is still going and stay readable after it:
 
-- :class:`LiveBus` — a thread-safe, append-only record history one
-  :class:`~repro.obs.tracer.Tracer` can attach.  Every span open, span
-  close, primitive call and progress tick becomes
+- :class:`LiveBus` — a thread-safe, append-only record history.  Every
+  span open, span close, primitive call and progress tick becomes
   one ``repro/live@1`` dict with a monotonically increasing ``seq``;
-  the history keeps the whole run.  It is the one recording of a run:
-  ``--trace`` writes it, the archive stores it, and every view folds it.
+  the history keeps the whole run from before its first span.  It is
+  the one recording of a run: ``--trace`` writes it, the archive
+  stores it, and every view folds it.
 - :class:`RunStats` — the one fold of a run's telemetry (per span
   name, per phase, per primitive, per backend) the bus
   maintains on every publish, so a metrics scrape reads the totals in
@@ -23,18 +23,13 @@ one-event-stream design observable while the run is still going:
   publisher and cannot miss a retained record: there is no per-reader
   queue to overflow.  The SSE endpoint (``Last-Event-ID`` is the
   cursor) and every in-process watcher read this way.
-- **A complete start** — a bus attaches before the tracer's first
-  span (:meth:`~repro.obs.tracer.Tracer.live` refuses a later attach),
-  so its history holds every span the run opened.
 
-The bus costs nothing when unused: a tracer that never attached one
-carries ``_live = None`` and every hot-path hook is a single attribute
-test — the S13 benchmark enforces it, and checks that a watched run
-asks exactly the unwatched run's queries.  Publishing with nobody
-waiting takes no more than the lock, the append and the fold.
+Publishing with nobody waiting takes no more than the lock, the append
+and the fold; the S13 benchmark checks that a watched run asks exactly
+the queries of a run nobody reads.
 
 Record shapes (all carry ``type``, ``seq`` and ``ts_ms`` — milliseconds
-since the bus attached):
+since the bus' first record):
 
 - ``span-open`` — ``span``, ``parent``, ``name``, ``kind``,
   ``attributes`` (captures from versions that synthesized open spans
@@ -43,7 +38,8 @@ since the bus attached):
 - ``span-close`` — ``span``, ``name``, ``kind``, ``duration_ms``,
   ``attributes`` (the attributes as of close, counts included);
 - ``primitive`` — ``span``, ``primitive``, ``backend``, ``relations``,
-  ``duration_ms``, ``cache_hit``, ``rows_touched``;
+  ``attributes`` (the call's attribute lists; absent from captures of
+  older versions), ``duration_ms``, ``cache_hit``, ``rows_touched``;
 - ``progress`` — ``span``, ``phase``, ``message``, optional
   ``current``/``total`` plus any caller attributes;
 - ``end`` — the clean end-of-run sentinel the job manager publishes
@@ -59,14 +55,10 @@ legacy ``repro/trace@1`` file) for every view.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List
-
 import threading
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.util.jsonl import load_jsonl, save_jsonl
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.tracer import SpanRecord
 
 __all__ = [
     "LIVE_FORMAT",
@@ -312,7 +304,7 @@ class LiveBus:
     """Thread-safe, append-only history of one tracer's live telemetry.
 
     Publication assigns each record a ``seq`` (1-based, monotonic) and a
-    ``ts_ms`` relative to the bus' attach time, appends it to the
+    ``ts_ms`` relative to the bus' first record, appends it to the
     history and folds it into the running :class:`RunStats`, all under
     one lock, so every reader sees the single total order the history
     records.  Readers page :meth:`history` by cursor and block in
@@ -331,17 +323,25 @@ class LiveBus:
         self._history: List[Dict[str, Any]] = []
         self._stats = RunStats()
         self._seq = 0
-        self._base = clock()
+        #: the clock reading ``ts_ms`` counts from: the first record's
+        self._base: Optional[float] = None
 
     # -- publication (the tracer side) ---------------------------------
-    def publish(self, type: str, **fields: Any) -> Dict[str, Any]:
-        """Publish one record; returns it with ``seq``/``ts_ms`` set."""
+    def publish(self, type: str, at: Optional[float] = None, **fields: Any) -> Dict[str, Any]:
+        """Publish one record; returns it with ``seq``/``ts_ms`` set.
+
+        *at* is the record's time on the bus clock (read now if None).
+        """
         with self._lock:
+            if at is None:
+                at = self._clock()
+            if self._base is None:
+                self._base = at
             self._seq += 1
             record = {
                 "type": type,
                 "seq": self._seq,
-                "ts_ms": _ms(self._clock() - self._base),
+                "ts_ms": _ms(at - self._base),
             }
             record.update(fields)
             self._history.append(record)
@@ -349,28 +349,6 @@ class LiveBus:
             if self._waiting:
                 self._published.notify_all()
             return record
-
-    def span_opened(self, span: "SpanRecord") -> None:
-        """Publish the ``span-open`` record of *span*."""
-        self.publish(
-            "span-open",
-            span=span.span_id,
-            parent=span.parent_id,
-            name=span.name,
-            kind=span.kind,
-            attributes=dict(span.attributes),
-        )
-
-    def span_closed(self, span: "SpanRecord") -> None:
-        """Publish the ``span-close`` record of *span*."""
-        self.publish(
-            "span-close",
-            span=span.span_id,
-            name=span.name,
-            kind=span.kind,
-            duration_ms=_ms(span.duration),
-            attributes=dict(span.attributes),
-        )
 
     # -- reading (the consumer side) -----------------------------------
     def history(self, since: int = 0) -> List[Dict[str, Any]]:
@@ -408,6 +386,11 @@ class LiveBus:
         """A snapshot of the running aggregates."""
         with self._lock:
             return self._stats.copy()
+
+    def calls(self) -> Dict[str, int]:
+        """Primitive records so far, per primitive (read off the fold)."""
+        with self._lock:
+            return dict(self._stats.primitive_calls)
 
     def __repr__(self) -> str:
         with self._lock:

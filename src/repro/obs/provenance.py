@@ -14,10 +14,10 @@ records that chain while the run happens:
   artifact it justifies* (``query -> equijoin -> classification -> ind
   -> ric -> relationship``), so walking a node's incoming edges yields
   its complete derivation;
-- per-node **evidence**: the :class:`~repro.obs.tracer.PrimitiveEvent`
-  records (by sequence id in the shared :class:`Tracer` stream) whose
-  counts justified the artifact, resolved by *signature matching* —
-  the ledger never issues an extension query of its own.
+- per-node **evidence**: the ``primitive`` records (by 0-based ordinal
+  in the shared :class:`Tracer`'s history) whose counts justified the
+  artifact, resolved by *signature matching* — the ledger never issues
+  an extension query of its own.
 
 The phases emit nodes as they run (see ``repro.core``); the ledger is
 pure bookkeeping, so a provenance-enabled run is bit-identical to a
@@ -117,6 +117,11 @@ class ProvEdge:
         return f"ProvEdge({self.src} -[{self.role}]-> {self.dst})"
 
 
+def _signature(primitive: str, relations, attributes) -> Tuple:
+    """A primitive call's identity: what it asked, not when."""
+    return (primitive, tuple(relations), tuple(map(tuple, attributes)))
+
+
 class ProvenanceLedger:
     """Collects the lineage DAG of one (or more) pipeline runs.
 
@@ -131,8 +136,10 @@ class ProvenanceLedger:
         self.nodes: Dict[str, ProvNode] = {}
         self.edges: List[ProvEdge] = []
         self._edge_set: set = set()
-        # evidence resolution: signature -> event seq ids, consumed FIFO
-        self._event_cursor = 0
+        # evidence resolution: signature -> ordinals of the primitive
+        # records, consumed FIFO; the history is indexed up to seq _seen
+        self._seen = 0
+        self._primitives = 0
         self._by_signature: Dict[Tuple, List[int]] = {}
         self._last_decision: Optional[str] = None
         self._decision_counts: Dict[str, int] = {}
@@ -200,43 +207,37 @@ class ProvenanceLedger:
         relations: Sequence[str],
         attributes: Sequence[Sequence[str]],
     ) -> None:
-        """Attach the next unconsumed event matching the signature.
+        """Attach the next unconsumed primitive record matching the signature.
 
-        The tracer records one event per primitive call, in call order,
-        so consuming matches first-in-first-out yields the event each
+        The tracer records one primitive record per call, in call order,
+        so consuming matches first-in-first-out yields the call each
         decision read.  Without a tracer —
-        or when no event matches — the attachment is silently empty:
+        or when no record matches — the attachment is silently empty:
         provenance degrades, it never fails a run.
         """
         if self.tracer is None:
             return
-        signature = (
-            primitive,
-            tuple(relations),
-            tuple(tuple(a) for a in attributes),
-        )
-        self._index_new_events()
+        for record in self.tracer.live_bus.history(since=self._seen):
+            self._seen = record["seq"]
+            if record["type"] == "primitive":
+                key = _signature(record["primitive"], record["relations"], record["attributes"])
+                self._by_signature.setdefault(key, []).append(self._primitives)
+                self._primitives += 1
+        signature = _signature(primitive, relations, attributes)
         pending = self._by_signature.get(signature)
-        if not pending:
+        if pending is None:
             return
-        seq = pending.pop(0)
-        event = self.tracer.events[seq]
+        ordinal = pending.pop(0)
+        if not pending:  # a finished run keeps no index of spent calls
+            del self._by_signature[signature]
         self.nodes[node_id].events.append(
             {
-                "id": seq,
-                "primitive": event.primitive,
-                "relations": list(event.relations),
-                "attributes": [list(a) for a in event.attributes],
+                "id": ordinal,
+                "primitive": primitive,
+                "relations": list(signature[1]),
+                "attributes": [list(a) for a in signature[2]],
             }
         )
-
-    def _index_new_events(self) -> None:
-        events = self.tracer.events
-        while self._event_cursor < len(events):
-            event = events[self._event_cursor]
-            signature = (event.primitive, event.relations, event.attributes)
-            self._by_signature.setdefault(signature, []).append(self._event_cursor)
-            self._event_cursor += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -1,37 +1,22 @@
 """Structured tracing: nested spans and primitive-level events.
 
 The paper's efficiency argument (§6) is about *where* extension queries
-go; the :class:`Tracer` makes that observable.  One tracer collects two
-ordered streams for a reverse-engineering run:
+go; the :class:`Tracer` makes that observable.  A tracer records a run
+into the :class:`~repro.obs.live.LiveBus` it owns from construction, one
+``repro/live@1`` record per span open and close (the pipeline opens a
+root ``pipeline`` span and one ``phase`` span per algorithm; any caller
+may open more), per extension-primitive call (recorded by the
+:class:`~repro.obs.instrument.InstrumentedBackend` wrapper, under the
+span it happened in) and per :meth:`Tracer.progress` tick.
 
-- **spans** — timed, named, nested intervals.  The pipeline opens one
-  root ``pipeline`` span and one ``phase`` span per algorithm
-  (IND-Discovery, LHS-Discovery, RHS-Discovery, Restruct, Translate);
-  any caller may open further spans around its own work.
-- **events** — one :class:`PrimitiveEvent` per instrumented extension
-  primitive (``count_distinct``, ``join_count``, ``fd_holds``,
-  ``inclusion_holds``), recorded by the
-  :class:`~repro.obs.instrument.InstrumentedBackend` wrapper with wall
-  time, backend kind, cache hit/miss and rows touched.  Each event
-  carries the id of the span it happened under, so per-phase query
-  accounting falls out of the stream.
-
-The event stream is the *single* source of truth for query accounting:
-:class:`~repro.relational.database.TracedQueryCounter` and
-:func:`repro.evaluation.counters.cost_report` are views over it — there
-is no second set of hand-maintained counters to drift out of sync.
+That history is the one recording of a run: ``--trace`` writes it, the
+archive stores it, SSE tails it, and every view folds it, the query
+counters and the provenance ledger included.  :attr:`Tracer.spans` and
+:attr:`Tracer.events` are read-only views built from it.
 
 Timestamps come from an injectable monotonic clock (default
 :func:`time.perf_counter`), so tests can drive the tracer with a fake
 clock and assert exact durations.
-
-A run is recorded by attaching a :class:`~repro.obs.live.LiveBus`
-(:meth:`Tracer.live`) before its first span: the bus then publishes one
-``repro/live@1`` record per span open, span close and primitive event,
-plus :meth:`progress` ticks, into a history readers page by ``seq``.
-That history is what ``--trace`` writes, the archive stores and every
-view folds.  Without a bus every hook is a single ``is None`` test, so
-the unwatched pipeline pays nothing (the S13 benchmark enforces it).
 """
 
 from __future__ import annotations
@@ -40,10 +25,9 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.live import LiveBus
+from repro.obs.live import LiveBus
 
 __all__ = ["SpanRecord", "PrimitiveEvent", "Tracer", "PHASE_NAMES", "PRIMITIVES"]
 
@@ -114,7 +98,8 @@ class PrimitiveEvent:
     for ``join_count``/``inclusion_holds``, and one relation with the
     ``(lhs, rhs)`` attribute tuples for ``fd_holds``.  ``rows_touched``
     is the number of stored rows a cold evaluation scans — 0 when the
-    backend answered from a cache.
+    backend answered from a cache.  A read-only view of one
+    ``primitive`` record.
     """
 
     span_id: Optional[int]
@@ -122,7 +107,6 @@ class PrimitiveEvent:
     backend: str
     relations: Tuple[str, ...]
     attributes: Tuple[Tuple[str, ...], ...]
-    start: float
     duration: float
     cache_hit: bool
     rows_touched: int
@@ -133,8 +117,14 @@ class PrimitiveEvent:
         return f"PrimitiveEvent({self.primitive} {rels} {hit})"
 
 
+
+
 class Tracer:
-    """Collects the span and event streams of one (or more) runs.
+    """Records the spans and events of one (or more) runs on its bus.
+
+    The tracer itself holds only the clock, the stack of open
+    :class:`SpanRecord` handles callers annotate, and the memory
+    profiling switch; everything it records lives in :attr:`live_bus`.
 
     With ``profile_memory=True`` the tracer also tracks
     :mod:`tracemalloc` around every span: each closed span gains
@@ -155,13 +145,9 @@ class Tracer:
         self._clock = clock
         self._next_id = 1
         self._stack: List[SpanRecord] = []
-        #: completed and open spans, ordered by start time
-        self.spans: List[SpanRecord] = []
-        #: primitive events, ordered by occurrence
-        self.events: List[PrimitiveEvent] = []
-        #: the live-telemetry bus; None until :meth:`live` attaches one, so
-        #: every publishing hook below is a single attribute test
-        self._live: Optional["LiveBus"] = None
+        #: the run's one recording: every span boundary, primitive call
+        #: and progress tick, as ``repro/live@1`` records
+        self.live_bus = LiveBus(clock=clock)
         self._tracemalloc = None
         self._mem_peaks: Dict[int, int] = {}
         if profile_memory:
@@ -213,10 +199,16 @@ class Tracer:
             clock=self._clock,
         )
         self._next_id += 1
-        self.spans.append(record)
         self._stack.append(record)
-        if self._live is not None:
-            self._live.span_opened(record)
+        self.live_bus.publish(
+            "span-open",
+            at=record.start,
+            span=record.span_id,
+            parent=record.parent_id,
+            name=name,
+            kind=kind,
+            attributes=dict(record.attributes),
+        )
         return record
 
     def end_span(self, record: SpanRecord) -> SpanRecord:
@@ -228,9 +220,7 @@ class Tracer:
         """
         if not any(top is record for top in self._stack):
             if record.end is None:
-                record.end = self.now()
-                if self._live is not None:
-                    self._live.span_closed(record)
+                self._close(record)
             warnings.warn(
                 f"end_span: span {record.name!r} (id {record.span_id}) is not "
                 f"on the span stack; open spans left untouched",
@@ -241,16 +231,27 @@ class Tracer:
         current = self._memory_checkpoint() if self._tracemalloc is not None else None
         while self._stack:
             top = self._stack.pop()
-            top.end = self.now()
             if current is not None:
                 peak = self._mem_peaks.pop(top.span_id, current)
                 top.attributes["mem_peak_kb"] = round(peak / 1024.0, 1)
                 top.attributes["mem_current_kb"] = round(current / 1024.0, 1)
-            if self._live is not None:
-                self._live.span_closed(top)
+            self._close(top)
             if top is record:
                 break
         return record
+
+    def _close(self, record: SpanRecord) -> None:
+        """Stamp *record*'s end and record its ``span-close``."""
+        record.end = self.now()
+        self.live_bus.publish(
+            "span-close",
+            at=record.end,
+            span=record.span_id,
+            name=record.name,
+            kind=record.kind,
+            duration_ms=round(record.duration * 1000.0, 6),
+            attributes=dict(record.attributes),
+        )
 
     @contextmanager
     def span(self, name: str, kind: str = "span", **attributes: Any) -> Iterator[SpanRecord]:
@@ -273,6 +274,13 @@ class Tracer:
         """The id of the innermost open span, or None outside any span."""
         return self._stack[-1].span_id if self._stack else None
 
+    def current_phase(self) -> Optional[str]:
+        """The innermost open span of kind ``phase``, or None."""
+        for record in reversed(self._stack):
+            if record.kind == "phase":
+                return record.name
+        return None
+
     # ------------------------------------------------------------------
     # events
     # ------------------------------------------------------------------
@@ -282,61 +290,25 @@ class Tracer:
         backend: str,
         relations: Tuple[str, ...],
         attributes: Tuple[Tuple[str, ...], ...],
-        start: float,
         duration: float,
         cache_hit: bool,
         rows_touched: int,
-    ) -> PrimitiveEvent:
-        """Append one primitive event, attributed to the open span."""
-        event = PrimitiveEvent(
-            span_id=self.current_span_id(),
+    ) -> None:
+        """Record one primitive call, attributed to the open span.
+
+        :attr:`events` reads it back as a :class:`PrimitiveEvent`.
+        """
+        self.live_bus.publish(
+            "primitive",
+            span=self.current_span_id(),
             primitive=primitive,
             backend=backend,
-            relations=tuple(relations),
-            attributes=tuple(tuple(a) for a in attributes),
-            start=start,
-            duration=duration,
+            relations=list(relations),
+            attributes=[list(a) for a in attributes],
+            duration_ms=round(duration * 1000.0, 6),
             cache_hit=cache_hit,
             rows_touched=rows_touched,
         )
-        self.events.append(event)
-        if self._live is not None:
-            self._live.publish(
-                "primitive",
-                span=event.span_id,
-                primitive=event.primitive,
-                backend=event.backend,
-                relations=list(event.relations),
-                duration_ms=round(event.duration * 1000.0, 6),
-                cache_hit=event.cache_hit,
-                rows_touched=event.rows_touched,
-            )
-        return event
-
-    # ------------------------------------------------------------------
-    # live telemetry
-    # ------------------------------------------------------------------
-    def live(self) -> "LiveBus":
-        """The tracer's live bus, attaching one on first use.
-
-        The first use must come before the first span, so the bus
-        history records the whole run; a later first attach raises
-        :class:`RuntimeError`.
-        """
-        if self._live is None:
-            if self.spans or self.events:
-                raise RuntimeError(
-                    "attach the live bus before the tracer's first span"
-                )
-            from repro.obs.live import LiveBus
-
-            self._live = LiveBus(clock=self._clock)
-        return self._live
-
-    @property
-    def live_bus(self) -> Optional["LiveBus"]:
-        """The attached bus, or None when none was ever attached."""
-        return self._live
 
     def progress(
         self,
@@ -345,16 +317,12 @@ class Tracer:
         total: Optional[int] = None,
         **attributes: Any,
     ) -> None:
-        """Publish one ``progress`` tick under the open span.
+        """Record one ``progress`` tick under the open span.
 
-        A no-op (one attribute test) when no bus was ever attached —
-        instrumented loops can call it unconditionally.  The record
-        carries the innermost open span id and the innermost enclosing
-        *phase* name, so consumers can render per-phase progress without
-        reconstructing the span tree.
+        The record carries the innermost open span id and the innermost
+        enclosing *phase* name, so consumers can render per-phase
+        progress without reconstructing the span tree.
         """
-        if self._live is None:
-            return
         record: Dict[str, Any] = {
             "span": self.current_span_id(),
             "phase": self.current_phase(),
@@ -365,14 +333,56 @@ class Tracer:
         if total is not None:
             record["total"] = total
         record.update(attributes)
-        self._live.publish("progress", **record)
+        self.live_bus.publish("progress", **record)
 
-    def current_phase(self) -> Optional[str]:
-        """The innermost open span of kind ``phase``, or None."""
-        for record in reversed(self._stack):
-            if record.kind == "phase":
-                return record.name
-        return None
+    @property
+    def spans(self) -> List[SpanRecord]:
+        """Every span opened so far, in start order.
+
+        An open span is its live handle; a closed one is rebuilt from its
+        records: attributes as of close, ``start`` in seconds since the
+        history's first record.
+        """
+        history = self.live_bus.history()
+        closes = {r["span"]: r for r in history if r["type"] == "span-close"}
+        handles = {record.span_id: record for record in self._stack}
+        spans = []
+        for opened in history:
+            if opened["type"] != "span-open":
+                continue
+            span = handles.get(opened["span"])
+            if span is None:
+                close = closes[opened["span"]]
+                start = opened["ts_ms"] / 1000.0
+                span = SpanRecord(
+                    opened["span"],
+                    opened["parent"],
+                    opened["name"],
+                    opened["kind"],
+                    start,
+                    start + close["duration_ms"] / 1000.0,
+                    dict(close["attributes"]),
+                )
+            spans.append(span)
+        return spans
+
+    @property
+    def events(self) -> List[PrimitiveEvent]:
+        """Every primitive call recorded so far, in call order."""
+        return [
+            PrimitiveEvent(
+                r["span"],
+                r["primitive"],
+                r["backend"],
+                tuple(r["relations"]),
+                tuple(map(tuple, r["attributes"])),
+                r["duration_ms"] / 1000.0,
+                r["cache_hit"],
+                r["rows_touched"],
+            )
+            for r in self.live_bus.history()
+            if r["type"] == "primitive"
+        ]
 
     def __repr__(self) -> str:
-        return f"Tracer(spans={len(self.spans)}, events={len(self.events)})"
+        return f"Tracer({self.live_bus!r})"

@@ -6,10 +6,10 @@ The triple's dependency set ``Δ = F ∪ IND`` is what the method finds;
 it lives in the method's results, not here.  Every extension
 access made through the database flows through an
 :class:`~repro.obs.instrument.InstrumentedBackend`, which records one
-:class:`~repro.obs.tracer.PrimitiveEvent` (wall time, cache hit/miss,
-rows touched) on the database's :class:`~repro.obs.tracer.Tracer`; the
+``primitive`` record (wall time, cache hit/miss, rows touched) in the
+history of the database's :class:`~repro.obs.tracer.Tracer`; the
 :class:`TracedQueryCounter` the benchmarks read is a *view* over that
-event stream, so the query accounting (the paper's efficiency argument
+history, so the query accounting (the paper's efficiency argument
 for query-guided discovery) and the exported traces can never disagree.
 Where the answer comes from — the in-memory engine or pushed-down SQL
 on a live SQLite database — is the backend's business, never the
@@ -40,7 +40,7 @@ class QueryCounter:
     and for assembling a :class:`~repro.evaluation.counters.CostReport`
     from an aggregate); every :class:`Database` carries the
     :class:`TracedQueryCounter` subclass, whose counts are computed from
-    the tracer's event stream instead of maintained by hand.
+    the tracer's recorded history instead of maintained by hand.
     """
 
     def __init__(
@@ -80,23 +80,20 @@ class QueryCounter:
 
 
 class TracedQueryCounter(QueryCounter):
-    """A live :class:`QueryCounter` view over a tracer's event stream.
+    """A live :class:`QueryCounter` view over a tracer's recorded run.
 
-    No second bookkeeping: each count is the number of matching
-    :class:`~repro.obs.tracer.PrimitiveEvent` records since the last
-    :meth:`reset` (which just moves a watermark — the trace itself is
-    never truncated).
+    No second bookkeeping: each count is the number of ``primitive``
+    records of the tracer's bus, read off its fold, minus the counts at
+    the last :meth:`reset` (which just moves a watermark — the history
+    itself is never truncated).
     """
 
     def __init__(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-        self._mark = 0
-
-    def _window(self):
-        return self._tracer.events[self._mark:]
+        self._bus = tracer.live_bus
+        self._mark: Mapping[str, int] = {}
 
     def _count(self, primitive: str) -> int:
-        return sum(1 for e in self._window() if e.primitive == primitive)
+        return self._bus.calls().get(primitive, 0) - self._mark.get(primitive, 0)
 
     @property
     def count_distinct(self) -> int:
@@ -119,12 +116,12 @@ class TracedQueryCounter(QueryCounter):
         return self._count("inclusion_holds")
 
     def total(self) -> int:
-        """All primitive events since the watermark."""
-        return len(self._window())
+        """All primitive calls since the watermark."""
+        return sum(self._bus.calls().values()) - sum(self._mark.values())
 
     def reset(self) -> None:
-        """Move the watermark past every event recorded so far."""
-        self._mark = len(self._tracer.events)
+        """Move the watermark past every call recorded so far."""
+        self._mark = self._bus.calls()
 
 
 class Database:

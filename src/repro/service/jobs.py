@@ -181,8 +181,8 @@ class Job:
     #: the results-cache key (database fp, workload fp, config token)
     key: Tuple[str, str, str] = ("", "", "")
     result: Optional["PipelineResult"] = None
-    #: the run's tracer (attached at submission for fresh runs, so the
-    #: live bus history is complete from the first span, the submit's
+    #: the run's tracer (made at submission for fresh runs, so its bus
+    #: history is complete from the first span, the submit's
     #: ``fingerprint``); None for cache-hit jobs, which never run, and
     #: for restored jobs, whose stream lives in the archive
     trace: Optional[Tracer] = field(default=None, repr=False)
@@ -350,7 +350,6 @@ class JobManager:
         # a fresh job's tracer exists before its key, so the key's cost
         # is the run's first setup span; a cache hit drops the tracer
         trace = Tracer()
-        trace.live()
         with trace.span("fingerprint", kind="setup"):
             key = (
                 database_fingerprint(database),
@@ -384,9 +383,9 @@ class JobManager:
             job.database = database
             job.corpus = corpus
             job.equijoins = list(equijoins) if equijoins is not None else None
-            # the live bus was attached before the fingerprint span, not
-            # at run start: a watcher that connects while the job is
-            # still queued misses nothing
+            # the tracer (and its bus) exists since before the
+            # fingerprint span, not run start: a watcher that connects
+            # while the job is still queued misses nothing
             job.trace = trace
             self._queue.append(job)
             self._wakeup.notify()

@@ -472,7 +472,7 @@ class Parser:
     def _parse_column_def(self) -> ast.ColumnDef:
         name = self._expect_ident().value
         type_tok = self._peek()
-        if type_tok.kind != IDENT and not type_tok.is_keyword():
+        if type_tok.kind != IDENT:
             raise self._error("expected column type")
         type_name = self._next().value
         # optional (n) / (p, s) size suffix — parsed and discarded

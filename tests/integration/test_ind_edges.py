@@ -1,6 +1,6 @@
 """Edge fixtures for the IND set's identity, its ``⊔`` and Restruct's redirect.
 
-Three small legacy systems, each run end to end on memory and SQLite:
+Four small legacy systems, each run end to end on memory and SQLite:
 
 - a composite-key inclusion stated twice, with the pairing permuted, in
   two programs; it must reach ``Q``, ``IND`` and ``RIC`` once;
@@ -8,10 +8,15 @@ Three small legacy systems, each run end to end on memory and SQLite:
   ``R`` is split by an FD on ``b``, so Restruct moves each ``b`` side
   onto the new relation and leaves each ``a`` side on ``R``;
 - mutual inclusions ``R[a] ≪ S[b]`` and ``S[b] ≪ R[a]`` between two
-  keys, which Translate's cycle guard must turn into one is-a link.
+  keys, which Translate's cycle guard must turn into one is-a link;
+- an INTEGER key equi-joined with a TEXT column holding the same
+  digits (``'1'``, ``'2'``, ``'02'``): values of different types never
+  join, so the join is empty, the inclusion fails, and no IND or RIC
+  comes out on either backend.
 
-The expected IND, RIC and EER texts and the query/decision counts were
-written down from the list-scan implementation of ``⊔``.
+The expected IND, RIC and EER texts and the query/decision counts of
+the first three were written down from the list-scan implementation of
+``⊔``; the fourth's are what both backends give.
 """
 
 import pytest
@@ -113,7 +118,42 @@ def mutual(kind):
     return load(kind, relations, rows), corpus
 
 
+def int_vs_string(kind):
+    relations = [
+        RelationSchema.build(
+            "item", ["id", "label"], key=["id"], types={"id": INTEGER}
+        ),
+        RelationSchema.build(
+            "line", ["lid", "ref"], key=["lid"], types={"lid": INTEGER}
+        ),
+    ]
+    rows = {
+        "item": [(1, "one"), (2, "two")],
+        "line": [(10, "1"), (11, "2"), (12, "02")],
+    }
+    corpus = corpus_of(
+        "SELECT label FROM item, line WHERE item.id = line.ref;",
+    )
+    return load(kind, relations, rows), corpus
+
+
 EXPECTED = {
+    "int_vs_string": dict(
+        builder=int_vs_string,
+        q=[
+            "item[id] >< line[ref]",
+        ],
+        inds=[],
+        restructured=[],
+        ric=[],
+        eer=(
+            "Entity-types:\n"
+            "  [item] key(id) [id, label]\n"
+            "  [line] key(lid) [lid, ref]"
+        ),
+        queries=3,
+        decisions=0,
+    ),
     "composite": dict(
         builder=composite,
         q=[
@@ -224,3 +264,14 @@ def test_edge_fixture(case, kind):
     expected = dict(EXPECTED[case])
     builder = expected.pop("builder")
     assert outputs(builder, kind) == expected
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_an_integer_key_never_joins_its_digits_as_text(kind):
+    database, _ = int_vs_string(kind)
+    try:
+        assert database.join_count("item", ("id",), "line", ("ref",)) == 0
+        assert not database.inclusion_holds("line", ("ref",), "item", ("id",))
+        assert not database.inclusion_holds("item", ("id",), "line", ("ref",))
+    finally:
+        database.backend.close()

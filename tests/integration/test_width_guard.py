@@ -49,7 +49,6 @@ def counting(monkeypatch, cls):
 def test_wide_run_is_linear_in_its_sets(monkeypatch):
     scenario = build_scenario(WIDE_120)
     tracer = Tracer()
-    tracer.live()
     ind_eq = counting(monkeypatch, InclusionDependency)
     ref_eq = counting(monkeypatch, AttributeRef)
     result = DBREPipeline(scenario.database, scenario.expert, tracer=tracer).run(

@@ -39,26 +39,25 @@ def metrics_of(tracer):
 def traced():
     """A watched tracer with a root span, two phases and three events."""
     tracer = Tracer(clock=TickClock())
-    tracer.live()
     with tracer.span("pipeline", kind="pipeline"):
         with tracer.span("IND-Discovery", kind="phase"):
             tracer.record_event(
                 primitive="count_distinct", backend="memory",
                 relations=("r",), attributes=(("a",),),
-                start=tracer.now(), duration=0.002,
+                duration=0.002,
                 cache_hit=False, rows_touched=10,
             )
             tracer.record_event(
                 primitive="count_distinct", backend="memory",
                 relations=("r",), attributes=(("a",),),
-                start=tracer.now(), duration=0.0,
+                duration=0.0,
                 cache_hit=True, rows_touched=0,
             )
         with tracer.span("LHS-Discovery", kind="phase"):
             tracer.record_event(
                 primitive="fd_holds", backend="sqlite",
                 relations=("r",), attributes=(("a",), ("b",)),
-                start=tracer.now(), duration=0.001,
+                duration=0.001,
                 cache_hit=False, rows_touched=4,
             )
     return tracer
@@ -115,7 +114,6 @@ class TestOpenSpans:
     def half_open(self):
         """A watched tracer captured before its root span closed."""
         tracer = Tracer(clock=TickClock())
-        tracer.live()
         tracer.start_span("pipeline", kind="pipeline")
         with tracer.span("IND-Discovery", kind="phase"):
             pass
@@ -176,14 +174,13 @@ class TestMetrics:
 
     def test_nested_span_events_roll_up_to_the_enclosing_phase(self):
         tracer = Tracer(clock=TickClock())
-        tracer.live()
         with tracer.span("pipeline", kind="pipeline"):
             with tracer.span("Restruct", kind="phase"):
                 with tracer.span("fd-narrowing"):  # an inner, non-phase span
                     tracer.record_event(
                         primitive="fd_holds", backend="memory",
                         relations=("r",), attributes=(("a",), ("b",)),
-                        start=tracer.now(), duration=0.0,
+                        duration=0.0,
                         cache_hit=False, rows_touched=1,
                     )
         assert metrics_of(tracer)["phases"]["Restruct"]["queries"] == 1
@@ -198,5 +195,5 @@ class TestSummarize:
         assert "count_distinct" in text and "fd_holds" in text
 
     def test_empty_tracer_renders_header_only(self):
-        text = summarize_trace(live_records(Tracer().live()))
+        text = summarize_trace(live_records(Tracer().live_bus))
         assert text.startswith("# Trace — 0 span(s), 0 event(s)")

@@ -1,4 +1,4 @@
-"""The live bus: ordering, attach time, cursor reads, the file format."""
+"""The live bus: ordering, a complete start, cursor reads, the file format."""
 
 import sys
 import threading
@@ -25,7 +25,7 @@ def run_traced(tracer):
             tracer.record_event(
                 primitive="count_distinct", backend="memory",
                 relations=("PERSON",), attributes=(("ssn",),),
-                start=0.0, duration=0.001, cache_hit=False, rows_touched=4,
+                duration=0.001, cache_hit=False, rows_touched=4,
             )
         with tracer.span("LHS-Discovery", kind="phase"):
             pass
@@ -34,7 +34,7 @@ def run_traced(tracer):
 class TestBusSemantics:
     def test_sequence_is_monotonic_and_total(self):
         tracer = Tracer()
-        bus = tracer.live()
+        bus = tracer.live_bus
         run_traced(tracer)
         records = bus.history()
         sequences = [record["seq"] for record in records]
@@ -43,7 +43,7 @@ class TestBusSemantics:
 
     def test_stream_carries_every_phase_boundary_and_progress(self):
         tracer = Tracer()
-        bus = tracer.live()
+        bus = tracer.live_bus
         run_traced(tracer)
         records = bus.history()
         opens = [r["name"] for r in records
@@ -58,21 +58,24 @@ class TestBusSemantics:
         assert primitive[0]["primitive"] == "count_distinct"
         assert primitive[0]["rows_touched"] == 4
 
-    def test_zero_overhead_without_subscribers(self):
+    def test_every_tracer_records_from_construction(self):
         tracer = Tracer()
+        bus = tracer.live_bus
+        assert bus.last_seq == 0
         run_traced(tracer)
-        # no bus was ever attached: the hot path stayed a None test
-        assert tracer.live_bus is None
-        tracer.progress("ignored")
-        assert tracer.live_bus is None
+        tracer.progress("after the run")
+        # no reader ever paged the bus: the run is recorded all the same
+        assert tracer.live_bus is bus
+        assert bus.history()[0]["name"] == "pipeline"
+        assert bus.history()[-1]["message"] == "after the run"
 
 
 class TestMidRunAttach:
-    """A bus attaches before the first span; readers may start mid-run."""
+    """The bus exists before the first span; readers may start mid-run."""
 
     def test_subscriber_attached_mid_run_gets_open_span_snapshot(self):
         tracer = Tracer()
-        bus = tracer.live()  # bus attached from the start
+        bus = tracer.live_bus  # the bus exists from the start
         with tracer.span("pipeline", kind="pipeline"):
             with tracer.span("RHS-Discovery", kind="phase"):
                 # a reader that starts paging mid-run sees both open
@@ -91,26 +94,14 @@ class TestMidRunAttach:
             "progress", "span-close", "span-close",
         ]
 
-    def test_bus_attached_mid_run_is_an_error(self):
-        tracer = Tracer()
-        with tracer.span("pipeline", kind="pipeline"):
-            # the history would miss the open spans: refused, one line
-            with pytest.raises(RuntimeError, match="before the tracer's first span"):
-                tracer.live()
-        assert tracer.live_bus is None
-        # a finished run is past its first span too
-        with pytest.raises(RuntimeError):
-            tracer.live()
-
     def test_a_bus_attached_first_is_returned_mid_run(self):
         tracer = Tracer()
-        bus = tracer.live()
+        bus = tracer.live_bus
         with tracer.span("pipeline", kind="pipeline"):
-            assert tracer.live() is bus
+            assert tracer.live_bus is bus
 
     def test_replay_from_resumes_after_a_gap(self):
         tracer = Tracer()
-        tracer.live()
         run_traced(tracer)
         full = tracer.live_bus.history()
         cut = full[3]["seq"]
@@ -125,7 +116,7 @@ class TestCursorReads:
 
     def test_a_reader_that_never_reads_never_stalls_the_publisher(self):
         tracer = Tracer()
-        bus = tracer.live()
+        bus = tracer.live_bus
         with tracer.span("pipeline", kind="pipeline"):
             for tick in range(50):
                 tracer.progress("tick", current=tick, total=50)
@@ -248,7 +239,6 @@ class TestLiveStats:
         """Phases and primitives fold; a ``pool`` record from a capture
         of an older version is ignored, not counted."""
         tracer = Tracer()
-        tracer.live()
         run_traced(tracer)
         tracer.live_bus.publish("pool", event="respawn")
         stats = tracer.live_bus.stats()
@@ -309,7 +299,6 @@ class TestLiveStats:
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         tracer = Tracer()
-        tracer.live()
         run_traced(tracer)
         path = str(tmp_path / "live.jsonl")
         written = write_live_jsonl(tracer.live_bus, path)

@@ -38,7 +38,6 @@ def clock() -> ManualClock:
 @pytest.fixture
 def tracer(clock) -> Tracer:
     tracer = Tracer(clock=clock)
-    tracer.live()
     return tracer
 
 
@@ -57,14 +56,13 @@ def captured_at(tracer, clock, t):
     tracer.progress("captured")
 
 
-def event(tracer, primitive="count_distinct", start=0.0, duration=0.0,
+def event(tracer, primitive="count_distinct", duration=0.0,
           cache_hit=False, rows=0):
     tracer.record_event(
         primitive=primitive,
         backend="memory",
         relations=("r",),
         attributes=(("a",),),
-        start=start,
         duration=duration,
         cache_hit=cache_hit,
         rows_touched=rows,
@@ -103,7 +101,7 @@ class TestExclusiveTime:
 
     def test_event_time_subtracts_from_its_span(self, tracer, clock):
         span = tracer.start_span("phase", kind="phase")   # 0 .. 10
-        event(tracer, start=1.0, duration=4.0)
+        event(tracer, duration=4.0)
         clock.t = 10.0
         tracer.end_span(span)
         profile = profile_of(tracer)
@@ -126,7 +124,7 @@ class TestExclusiveTime:
         child = tracer.start_span("child")             # 1 .. 4
         clock.t = 4.0
         tracer.end_span(child)
-        event(tracer, start=4.0, duration=4.0)
+        event(tracer, duration=4.0)
         captured_at(tracer, clock, 5.0)
         profile = profile_of(tracer)
         assert profile["spans"]["parent"]["open"] is True
@@ -153,12 +151,12 @@ class TestPhaseBreakdown:
         root = tracer.start_span("pipeline", kind="pipeline")  # 0 .. 20
         clock.t = 1.0
         phase = tracer.start_span("IND-Discovery", kind="phase")  # 1 .. 11
-        event(tracer, "count_distinct", start=2.0, duration=1.0, rows=50)
-        event(tracer, "count_distinct", start=3.0, duration=0.0,
+        event(tracer, "count_distinct", duration=1.0, rows=50)
+        event(tracer, "count_distinct", duration=0.0,
               cache_hit=True)
         clock.t = 4.0
         inner = tracer.start_span("engine")            # 4 .. 6
-        event(tracer, "join_count", start=5.0, duration=1.0, rows=10)
+        event(tracer, "join_count", duration=1.0, rows=10)
         clock.t = 6.0
         tracer.end_span(inner)
         clock.t = 11.0
@@ -190,7 +188,7 @@ class TestCollapsedStacks:
         root = tracer.start_span("pipeline")           # 0 .. 10
         clock.t = 1.0
         phase = tracer.start_span("IND-Discovery", kind="phase")  # 1 .. 7
-        event(tracer, "count_distinct", start=2.0, duration=2.0)
+        event(tracer, "count_distinct", duration=2.0)
         clock.t = 7.0
         tracer.end_span(phase)
         clock.t = 10.0
@@ -205,7 +203,7 @@ class TestCollapsedStacks:
 
     def test_write_collapsed_round_trips(self, tracer, clock, tmp_path):
         with tracer.span("pipeline"):
-            event(tracer, start=0.5, duration=0.25)
+            event(tracer, duration=0.25)
             clock.t = 1.0
         path = tmp_path / "trace.collapsed"
         write_collapsed(capture(tracer), str(path))
@@ -215,7 +213,7 @@ class TestCollapsedStacks:
             assert int(value) >= 0
 
     def test_event_outside_any_span_gets_a_synthetic_root(self, tracer):
-        event(tracer, "fd_holds", start=0.0, duration=1.0)
+        event(tracer, "fd_holds", duration=1.0)
         lines = collapsed_stacks(capture(tracer))
         assert lines == [f"(no span);fd_holds {1_000_000}"]
 
@@ -227,7 +225,7 @@ class TestFromFile:
 
         with tracer.span("pipeline"):
             with tracer.span("IND-Discovery", kind="phase"):
-                event(tracer, start=2.0, duration=1.0, rows=3)
+                event(tracer, duration=1.0, rows=3)
                 clock.t = 5.0
             clock.t = 9.0
         live = profile_from_stats(tracer.live_bus.stats())
@@ -261,7 +259,6 @@ class TestMemoryProfiling:
         from repro.obs import read_live_jsonl, write_live_jsonl
 
         tracer = Tracer(profile_memory=True)
-        tracer.live()
         with tracer.span("phase", kind="phase"):
             _ = [0] * 10_000
         path = tmp_path / "mem.jsonl"

@@ -24,13 +24,12 @@ from repro.obs import (
 def record(tracer, primitive, relations, attributes, **kw):
     defaults = dict(
         backend="memory",
-        start=tracer.now(),
         duration=0.0,
         cache_hit=False,
         rows_touched=0,
     )
     defaults.update(kw)
-    return tracer.record_event(
+    tracer.record_event(
         primitive=primitive, relations=relations, attributes=attributes, **defaults
     )
 
@@ -282,7 +281,7 @@ class TestHtmlReport:
         from repro.obs import live_records
 
         tracer = Tracer()
-        bus = tracer.live()
+        bus = tracer.live_bus
         with tracer.span("pipeline", kind="pipeline"):
             record(tracer, "count_distinct", ("r",), (("a",),), rows_touched=3)
         html_text = render_html_report(trace=live_records(bus))

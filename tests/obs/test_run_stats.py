@@ -65,7 +65,6 @@ def twice():
     """One tracer (bus attached) that recorded two runs of wide seed 1."""
     scenario = build_scenario(WIDE)
     tracer = Tracer()
-    tracer.live()
     for _ in range(2):
         DBREPipeline(scenario.database, scenario.expert, tracer=tracer).run(
             corpus=scenario.corpus
@@ -103,7 +102,6 @@ class TestSetupSection:
     def traced(self, copy_seconds):
         now = [0.0]
         tracer = Tracer(clock=lambda: now[0])
-        tracer.live()
         with tracer.span("pipeline", kind="pipeline"):
             with tracer.span("copy", kind="setup"):
                 now[0] += copy_seconds
@@ -147,7 +145,6 @@ class TestEvidenceStep:
     def run(self):
         scenario = build_scenario(WIDE)
         tracer = Tracer()
-        tracer.live()
         result = DBREPipeline(scenario.database, scenario.expert, tracer=tracer).run(
             corpus=scenario.corpus
         )
@@ -189,7 +186,6 @@ class TestExtractAndCertifySteps:
     def run(self):
         scenario = build_scenario(WIDE)
         tracer = Tracer()
-        tracer.live()
         result = DBREPipeline(scenario.database, scenario.expert, tracer=tracer).run(
             corpus=scenario.corpus
         )

@@ -35,15 +35,13 @@ def make_trace(slow: bool) -> Tracer:
     """A two-phase run; the slow variant loses its cache and doubles."""
     clock = ManualClock()
     tracer = Tracer(clock=clock)
-    tracer.live()
     root = tracer.start_span("pipeline", kind="pipeline")
     clock.t = 1.0
     phase = tracer.start_span("IND-Discovery", kind="phase")
-    for i in range(4):
+    for _ in range(4):
         event(
             tracer,
             "count_distinct",
-            start=1.0 + i,
             duration=2.0 if slow else 0.5,
             cache_hit=not slow,
             rows=100 if slow else 0,
@@ -181,7 +179,6 @@ class TestPaperExampleAcceptance:
             if label == "sqlite":
                 database = database.copy(backend=SQLiteBackend())
             tracer = Tracer()
-            tracer.live()
             pipeline = DBREPipeline(
                 database, ScriptedExpert(paper_expert_script()), tracer=tracer
             )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import PHASE_NAMES, PRIMITIVES, Tracer
+from repro.obs import PHASE_NAMES, PRIMITIVES, PrimitiveEvent, Tracer
 
 
 class FakeClock:
@@ -105,45 +105,78 @@ class TestEvents:
     def test_event_attributed_to_innermost_open_span(self, tracer):
         with tracer.span("outer"):
             with tracer.span("inner") as inner:
-                event = tracer.record_event(
+                tracer.record_event(
                     primitive="count_distinct",
                     backend="memory",
                     relations=("r",),
                     attributes=(("a",),),
-                    start=tracer.now(),
                     duration=0.5,
                     cache_hit=False,
                     rows_touched=3,
                 )
+        (event,) = tracer.events
         assert event.span_id == inner.span_id
-        assert tracer.events == [event]
+        assert event == PrimitiveEvent(
+            span_id=inner.span_id,
+            primitive="count_distinct",
+            backend="memory",
+            relations=("r",),
+            attributes=(("a",),),
+            duration=0.5,
+            cache_hit=False,
+            rows_touched=3,
+        )
 
     def test_event_outside_any_span_has_no_span_id(self, tracer):
-        event = tracer.record_event(
+        tracer.record_event(
             primitive="join_count",
             backend="memory",
             relations=("r", "s"),
             attributes=(("a",), ("b",)),
-            start=0.0,
             duration=0.0,
             cache_hit=True,
             rows_touched=0,
         )
+        (event,) = tracer.events
         assert event.span_id is None
 
     def test_events_are_immutable(self, tracer):
-        event = tracer.record_event(
+        tracer.record_event(
             primitive="fd_holds",
             backend="memory",
             relations=("r",),
             attributes=(("a",), ("b",)),
-            start=0.0,
             duration=0.0,
             cache_hit=False,
             rows_touched=1,
         )
+        (event,) = tracer.events
         with pytest.raises(AttributeError):
             event.primitive = "join_count"
+
+
+class TestOneStore:
+    def test_spans_and_events_are_views_of_the_bus_history(self, tracer):
+        with tracer.span("outer") as outer:
+            tracer.record_event(
+                primitive="fd_holds",
+                backend="memory",
+                relations=("r",),
+                attributes=(("a",), ("b",)),
+                duration=0.25,
+                cache_hit=False,
+                rows_touched=2,
+            )
+            outer.attributes["fds"] = 1
+        history = tracer.live_bus.history()
+        assert [r["type"] for r in history] == ["span-open", "primitive", "span-close"]
+        assert history[1]["attributes"] == [["a"], ["b"]]
+        (span,) = tracer.spans
+        assert (span.span_id, span.attributes) == (outer.span_id, {"fds": 1})
+        assert span.duration == outer.duration
+        assert [e.attributes for e in tracer.events] == [(("a",), ("b",))]
+        # the tracer keeps no list of its own beyond the open-span stack
+        assert not [v for v in vars(tracer).values() if isinstance(v, list) and v]
 
 
 def test_module_constants_match_the_paper():

@@ -225,6 +225,12 @@ class TestCommands:
         code = main(["inspect", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        # a keyword is never a column type
+        bad.write_text("CREATE TABLE t (a KEY);")
+        assert main(["inspect", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: expected column type, found 'KEY' at line 1, column 19\n"
+        )
 
     @pytest.mark.parametrize(
         "statement, kind",
@@ -298,16 +304,14 @@ class TestObservabilityOutputs:
 
         assert metrics == metrics_from_records(records)
 
-    def test_only_trace_or_metrics_attach_the_live_bus(self):
+    def test_every_run_records_into_its_bus(self):
         from argparse import Namespace
 
         from repro.cli import _make_tracer
 
-        quiet = _make_tracer(Namespace(trace=None, metrics=None))
-        assert quiet.live_bus is None
-        for options in ({"trace": "t.jsonl"}, {"metrics": "m.json"}):
-            watched = _make_tracer(Namespace(**{"trace": None, "metrics": None, **options}))
-            assert watched.live_bus is not None and watched.live_bus.last_seq == 0
+        for options in ({}, {"trace": "t.jsonl"}, {"metrics": "m.json"}):
+            tracer = _make_tracer(Namespace(**{"trace": None, "metrics": None, **options}))
+            assert tracer.live_bus.last_seq == 0
 
     def test_demo_accepts_observability_options(self, tmp_path, capsys):
         trace_path = tmp_path / "demo.trace.jsonl"
