@@ -11,8 +11,7 @@ answers end to end — the bench prints the exact budget by question kind.
 
 from benchmarks.conftest import report
 from repro.core import DBREPipeline, ScriptedExpert
-from repro.evaluation.counters import cost_report
-from repro.relational.database import QueryCounter
+from repro.evaluation.counters import cost_report_from_trace
 from repro.workloads.paper_example import (
     build_paper_database,
     paper_expert_script,
@@ -56,7 +55,7 @@ def test_s4_decisions_vs_corruption(benchmark):
         )
         pipeline = DBREPipeline(scenario.database, scenario.expert)
         result = pipeline.run(corpus=scenario.corpus)
-        costs = cost_report(QueryCounter(), pipeline.expert)
+        costs = cost_report_from_trace(result.trace, pipeline.expert)
         counts.append(result.expert_decisions)
         rows.append(
             [

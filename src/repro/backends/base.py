@@ -9,9 +9,10 @@ answered — the in-memory engine that ships with the reproduction
 executes them as pushed-down SQL
 (:class:`~repro.backends.sqlite.SQLiteBackend`).
 
-The :class:`~repro.relational.database.Database` owns the schema ``R``,
-the dependency set ``Δ`` and the :class:`QueryCounter`; the backend owns
-the extension ``E``.  Every backend must implement
+The :class:`~repro.relational.database.Database` owns the schema ``R``
+and records every primitive call on its tracer; the backend owns the
+extension ``E`` (the dependency set ``Δ`` is what the method finds, and
+lives in its results).  Every backend must implement
 
 - the four instrumented primitives — ``count_distinct``, ``join_count``,
   ``fd_holds``, ``inclusion_holds`` — with identical semantics (NULLs
@@ -31,10 +32,11 @@ the extension ``E``.  Every backend must implement
 - the observability hook — a ``kind`` label and ``probe``, which
   reports (without side effects on the answer) whether a primitive call
   would be served from the backend's own cache and how many stored rows
-  a cold evaluation would scan.  The
-  :class:`~repro.obs.instrument.InstrumentedBackend` wrapper calls it
-  before each primitive so exported traces carry cache hit/miss and
-  rows-touched figures; the backends themselves never see the tracer.
+  a cold evaluation would scan.  Each
+  :class:`~repro.relational.database.Database` primitive calls it
+  before the backend's primitive, so exported traces carry cache
+  hit/miss and rows-touched figures; the backends themselves never see
+  the tracer.
 
 Two further members are **optional**.  The first serves
 :meth:`~repro.relational.database.Database.copy`, which falls back to

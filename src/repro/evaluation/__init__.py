@@ -15,11 +15,7 @@ from repro.evaluation.metrics import (
     score_refs,
 )
 from repro.evaluation.schema_match import SchemaRecovery, score_schema_recovery
-from repro.evaluation.counters import (
-    CostReport,
-    cost_report,
-    cost_report_from_trace,
-)
+from repro.evaluation.counters import CostReport, cost_report_from_trace
 
 __all__ = [
     "PrecisionRecall",
@@ -29,6 +25,5 @@ __all__ = [
     "SchemaRecovery",
     "score_schema_recovery",
     "CostReport",
-    "cost_report",
     "cost_report_from_trace",
 ]

@@ -5,14 +5,13 @@ focuses on relevant attributes enforcing the efficiency of the
 elicitation"); these counters make it quantitative for the S-series
 benchmarks.
 
-Since the observability layer landed, the counts are *views over the
-tracer's recorded run*: a :class:`~repro.relational.database.Database`
-carries a ``TracedQueryCounter`` whose figures are read off the
-``primitive`` records of the tracer's bus, and
-:func:`cost_report_from_trace` assembles the same :class:`CostReport`
-straight from a tracer.  There is no second bookkeeping to drift: a
-``CostReport`` total always equals the number of primitive records in
-the history it was derived from.
+The counts are *views over the tracer's recorded run*: a
+:class:`~repro.relational.database.Database` records one ``primitive``
+record per query on its tracer's bus, and :func:`cost_report_from_trace`
+— the one way to build a :class:`CostReport` — reads them off the bus's
+fold.  There is no second bookkeeping to drift: a ``CostReport`` total
+always equals the number of primitive records in the history it was
+derived from.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Dict, Optional
 
 from repro.core.expert import RecordingExpert
 from repro.obs.tracer import Tracer
-from repro.relational.database import QueryCounter
 
 
 @dataclass(frozen=True)
@@ -53,37 +51,17 @@ class CostReport:
         )
 
 
-def _expert_costs(expert: Optional[RecordingExpert]):
+def cost_report_from_trace(
+    tracer: Tracer, expert: Optional[RecordingExpert] = None
+) -> CostReport:
+    """A :class:`CostReport` read off the tracer's recorded run."""
+    counts = tracer.live_bus.calls()
     by_kind: Dict[str, int] = {}
     decisions = 0
     if expert is not None:
         for interaction in expert.log:
             by_kind[interaction.kind] = by_kind.get(interaction.kind, 0) + 1
         decisions = expert.decision_count
-    return decisions, by_kind
-
-
-def cost_report(
-    counter: QueryCounter, expert: Optional[RecordingExpert] = None
-) -> CostReport:
-    """Assemble a :class:`CostReport` from the pipeline's instruments."""
-    decisions, by_kind = _expert_costs(expert)
-    return CostReport(
-        count_distinct_queries=counter.count_distinct,
-        join_count_queries=counter.join_count,
-        fd_checks=counter.fd_checks,
-        inclusion_checks=counter.inclusion_checks,
-        expert_decisions=decisions,
-        expert_by_kind=by_kind,
-    )
-
-
-def cost_report_from_trace(
-    tracer: Tracer, expert: Optional[RecordingExpert] = None
-) -> CostReport:
-    """A :class:`CostReport` read off the tracer's recorded run."""
-    counts = tracer.live_bus.calls()
-    decisions, by_kind = _expert_costs(expert)
     return CostReport(
         count_distinct_queries=counts.get("count_distinct", 0),
         join_count_queries=counts.get("join_count", 0),

@@ -8,9 +8,6 @@ end:
   one ``primitive`` record per extension-primitive call, all recorded
   into the tracer's own live bus (:class:`PrimitiveEvent` is a
   read-only view of one such record);
-- :mod:`repro.obs.instrument` — :class:`InstrumentedBackend`, the thin
-  wrapper that times backend primitives and records cache hit/miss and
-  rows touched without the backends knowing about the tracer;
 - :mod:`repro.obs.export` — the one reader of a recorded run (a
   ``repro/live@1`` capture, or a legacy ``repro/trace@1`` file), the
   flat metrics-JSON view, and the ``repro trace summarize`` rendering;
@@ -51,7 +48,6 @@ from repro.obs.tracer import (
     SpanRecord,
     Tracer,
 )
-from repro.obs.instrument import InstrumentedBackend
 from repro.obs.live import (
     LIVE_EVENT_TYPES,
     LIVE_FORMAT,
@@ -109,7 +105,6 @@ __all__ = [
     "PrimitiveEvent",
     "SpanRecord",
     "Tracer",
-    "InstrumentedBackend",
     "LIVE_EVENT_TYPES",
     "LIVE_FORMAT",
     "LiveBus",

@@ -6,8 +6,9 @@ into the :class:`~repro.obs.live.LiveBus` it owns from construction, one
 ``repro/live@1`` record per span open and close (the pipeline opens a
 root ``pipeline`` span and one ``phase`` span per algorithm; any caller
 may open more), per extension-primitive call (recorded by the
-:class:`~repro.obs.instrument.InstrumentedBackend` wrapper, under the
-span it happened in) and per :meth:`Tracer.progress` tick.
+:class:`~repro.relational.database.Database` primitive that answered
+it, under the span it happened in) and per :meth:`Tracer.progress`
+tick.
 
 That history is the one recording of a run: ``--trace`` writes it, the
 archive stores it, SSE tails it, and every view folds it, the query

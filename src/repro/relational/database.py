@@ -3,27 +3,28 @@
 A :class:`Database` bundles the schema ``R`` and the extension ``E``
 (held by a pluggable :class:`~repro.backends.base.ExtensionBackend`).
 The triple's dependency set ``Δ = F ∪ IND`` is what the method finds;
-it lives in the method's results, not here.  Every extension
-access made through the database flows through an
-:class:`~repro.obs.instrument.InstrumentedBackend`, which records one
-``primitive`` record (wall time, cache hit/miss, rows touched) in the
-history of the database's :class:`~repro.obs.tracer.Tracer`; the
-:class:`TracedQueryCounter` the benchmarks read is a *view* over that
-history, so the query accounting (the paper's efficiency argument
-for query-guided discovery) and the exported traces can never disagree.
-Where the answer comes from — the in-memory engine or pushed-down SQL
-on a live SQLite database — is the backend's business, never the
-method's.
+it lives in the method's results, not here.  The database's four
+counting primitives are the only way the method queries the extension,
+and each records its own call: it asks the backend's ``probe`` for the
+cache hit and rows touched, times the call on the tracer's clock and
+records one ``primitive`` record in the history of the database's
+:class:`~repro.obs.tracer.Tracer`.  The :class:`QueryCounter` the
+benchmarks read is a *view* over that history, so the query accounting
+(the paper's efficiency argument for query-guided discovery) and the
+exported traces can never disagree.  Where the answer comes from — the
+in-memory engine or pushed-down SQL on a live SQLite database — is the
+backend's business, never the method's; the backends never see the
+tracer.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Union,
+    TYPE_CHECKING, Any, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.exceptions import ArityError
-from repro.obs.instrument import InstrumentedBackend
 from repro.obs.tracer import Tracer
 from repro.relational.catalog import Catalog
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -33,59 +34,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.backends.base import ExtensionBackend
 
 
+def _attributes(attrs: Sequence[str], query: str) -> Tuple[str, ...]:
+    """*attrs* as a tuple; an empty list is an :class:`ArityError`."""
+    attrs = tuple(attrs)
+    if not attrs:
+        raise ArityError(f"{query} over an empty attribute list")
+    return attrs
+
+
+def _paired(
+    left_attrs: Sequence[str], right_attrs: Sequence[str], query: str
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Both sides of a two-relation query, checked for equal arity."""
+    if len(left_attrs) != len(right_attrs):
+        raise ArityError(
+            f"{query} arity mismatch: {list(left_attrs)} vs {list(right_attrs)}"
+        )
+    return _attributes(left_attrs, query), _attributes(right_attrs, query)
+
+
 class QueryCounter:
-    """Instrumentation: how often the extension was consulted.
+    """How often the extension was consulted: a view of a tracer's run.
 
-    The standalone form holds plain assignable counts (handy for tests
-    and for assembling a :class:`~repro.evaluation.counters.CostReport`
-    from an aggregate); every :class:`Database` carries the
-    :class:`TracedQueryCounter` subclass, whose counts are computed from
-    the tracer's recorded history instead of maintained by hand.
-    """
-
-    def __init__(
-        self,
-        count_distinct: int = 0,
-        join_count: int = 0,
-        fd_checks: int = 0,
-        inclusion_checks: int = 0,
-    ) -> None:
-        self.count_distinct = count_distinct
-        self.join_count = join_count
-        self.fd_checks = fd_checks
-        self.inclusion_checks = inclusion_checks
-
-    def total(self) -> int:
-        """All extension queries, across the four primitives."""
-        return (
-            self.count_distinct
-            + self.join_count
-            + self.fd_checks
-            + self.inclusion_checks
-        )
-
-    def reset(self) -> None:
-        """Zero every count."""
-        self.count_distinct = 0
-        self.join_count = 0
-        self.fd_checks = 0
-        self.inclusion_checks = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(count_distinct={self.count_distinct}, "
-            f"join_count={self.join_count}, fd_checks={self.fd_checks}, "
-            f"inclusion_checks={self.inclusion_checks})"
-        )
-
-
-class TracedQueryCounter(QueryCounter):
-    """A live :class:`QueryCounter` view over a tracer's recorded run.
-
-    No second bookkeeping: each count is the number of ``primitive``
-    records of the tracer's bus, read off its fold, minus the counts at
-    the last :meth:`reset` (which just moves a watermark — the history
-    itself is never truncated).
+    No bookkeeping of its own: each count is the number of
+    ``primitive`` records of the tracer's bus, read off its fold, minus
+    the counts at the last :meth:`reset` (which just moves a watermark —
+    the history itself is never truncated).
     """
 
     def __init__(self, tracer: Tracer) -> None:
@@ -123,6 +97,13 @@ class TracedQueryCounter(QueryCounter):
         """Move the watermark past every call recorded so far."""
         self._mark = self._bus.calls()
 
+    def __repr__(self) -> str:
+        return (
+            f"QueryCounter(count_distinct={self.count_distinct}, "
+            f"join_count={self.join_count}, fd_checks={self.fd_checks}, "
+            f"inclusion_checks={self.inclusion_checks})"
+        )
+
 
 class Database:
     """The relational database ``(R, E)`` the method operates on."""
@@ -141,8 +122,7 @@ class Database:
         self.backend = backend
         self.backend.attach(self.schema)
         self.tracer = tracer if tracer is not None else Tracer()
-        self._instrumented = InstrumentedBackend(backend, self.tracer)
-        self.counter: QueryCounter = TracedQueryCounter(self.tracer)
+        self.counter = QueryCounter(self.tracer)
         self.catalog = Catalog(self.schema)
 
     # ------------------------------------------------------------------
@@ -197,11 +177,12 @@ class Database:
         return out
 
     # ------------------------------------------------------------------
-    # the paper's query primitives (instrumented)
+    # the paper's query primitives, each recording its own call
     # ------------------------------------------------------------------
     def count_distinct(self, relation: str, attrs: Sequence[str]) -> int:
         """``||r[X]||`` — select count distinct X from R."""
-        return self._instrumented.count_distinct(relation, tuple(attrs))
+        attrs = _attributes(attrs, "count distinct")
+        return self._recorded("count_distinct", (relation,), (attrs,), relation, attrs)
 
     def join_count(
         self,
@@ -211,18 +192,17 @@ class Database:
         right_attrs: Sequence[str],
     ) -> int:
         """``||r_k[A_k] ⋈ r_l[A_l]||``."""
-        if len(left_attrs) != len(right_attrs):
-            raise ArityError(
-                f"equi-join arity mismatch: {list(left_attrs)} vs "
-                f"{list(right_attrs)}"
-            )
-        return self._instrumented.join_count(
-            left, tuple(left_attrs), right, tuple(right_attrs)
+        left_attrs, right_attrs = _paired(left_attrs, right_attrs, "equi-join")
+        return self._recorded(
+            "join_count", (left, right), (left_attrs, right_attrs),
+            left, left_attrs, right, right_attrs,
         )
 
     def fd_holds(self, relation: str, lhs: Sequence[str], rhs: Sequence[str]) -> bool:
         """Does ``lhs -> rhs`` hold in the extension of *relation*?"""
-        return self._instrumented.fd_holds(relation, tuple(lhs), tuple(rhs))
+        lhs = _attributes(lhs, "FD left-hand side")
+        rhs = _attributes(rhs, "FD right-hand side")
+        return self._recorded("fd_holds", (relation,), (lhs, rhs), relation, lhs, rhs)
 
     def inclusion_holds(
         self,
@@ -232,14 +212,40 @@ class Database:
         right_attrs: Sequence[str],
     ) -> bool:
         """Does ``R_left[A] ≪ R_right[B]`` hold in the extension?"""
-        if len(left_attrs) != len(right_attrs):
-            raise ArityError(
-                f"inclusion arity mismatch: {list(left_attrs)} vs "
-                f"{list(right_attrs)}"
-            )
-        return self._instrumented.inclusion_holds(
-            left, tuple(left_attrs), right, tuple(right_attrs)
+        left_attrs, right_attrs = _paired(left_attrs, right_attrs, "inclusion")
+        return self._recorded(
+            "inclusion_holds", (left, right), (left_attrs, right_attrs),
+            left, left_attrs, right, right_attrs,
         )
+
+    def _recorded(
+        self,
+        primitive: str,
+        relations: Tuple[str, ...],
+        attributes: Tuple[Tuple[str, ...], ...],
+        *args: Any,
+    ) -> Any:
+        """Answer one primitive call on the backend and record it.
+
+        The backend's ``probe`` reports, before the call, whether it
+        will be a cache hit and how many stored rows a cold evaluation
+        scans; the call is timed on the tracer's clock.  A call that
+        raises records nothing.
+        """
+        backend, tracer = self.backend, self.tracer
+        cache_hit, rows_touched = backend.probe(primitive, relations, attributes)
+        start = tracer.now()
+        value = getattr(backend, primitive)(*args)
+        tracer.record_event(
+            primitive=primitive,
+            backend=backend.kind,
+            relations=relations,
+            attributes=attributes,
+            duration=tracer.now() - start,
+            cache_hit=cache_hit,
+            rows_touched=rows_touched,
+        )
+        return value
 
     # ------------------------------------------------------------------
     # convenience

@@ -13,7 +13,7 @@ import sqlite3
 
 import pytest
 
-from repro.backends import MemoryBackend, SQLiteBackend
+from repro.backends import ExtensionBackend, MemoryBackend, SQLiteBackend
 from repro.exceptions import (
     ArityError,
     TypingError,
@@ -61,6 +61,14 @@ def _observe(db: Database):
         },
         database_fingerprint(db),
     )
+
+
+def test_every_registered_backend_is_an_extension_backend(backend_factory):
+    backend = backend_factory()
+    try:
+        assert isinstance(backend, ExtensionBackend)
+    finally:
+        backend.close()
 
 
 class TestCountDistinct:
@@ -157,6 +165,50 @@ class TestQueryCounter:
         assert db.counter.fd_checks == 1
         assert db.counter.inclusion_checks == 1
         assert db.counter.total() == 5
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda db: db.count_distinct("Nobody", ("x",)), UnknownRelationError),
+        (lambda db: db.join_count("Nobody", ("x",), "Person", ("id",)), UnknownRelationError),
+        (lambda db: db.fd_holds("Nobody", ("x",), ("y",)), UnknownRelationError),
+        (lambda db: db.count_distinct("Person", ("not-there",)), UnknownAttributeError),
+        (lambda db: db.fd_holds("Person", ("id",), ("not-there",)), UnknownAttributeError),
+        (
+            lambda db: db.inclusion_holds("HEmployee", ("no",), "Person", ("not-there",)),
+            UnknownAttributeError,
+        ),
+        (
+            lambda db: db.join_count("HEmployee", ("no", "date"), "Person", ("id",)),
+            ArityError,
+        ),
+    ], ids=[
+        "relation-distinct", "relation-join", "relation-fd", "attribute-distinct",
+        "attribute-fd", "attribute-inclusion", "arity-join",
+    ])
+    def test_a_call_that_raises_records_nothing(self, db, call, error):
+        db.count_distinct("Person", ("id",))
+        with pytest.raises(error):
+            call(db)
+        assert [e.primitive for e in db.tracer.events] == ["count_distinct"]
+        assert db.counter.total() == 1
+
+
+class TestEmptyAttributeLists:
+    """No primitive takes an empty attribute list: one :class:`ArityError`
+    on every backend, raised before the backend is asked, recording
+    nothing."""
+
+    @pytest.mark.parametrize("call", [
+        lambda db: db.count_distinct("Person", ()),
+        lambda db: db.fd_holds("Person", (), ("id",)),
+        lambda db: db.fd_holds("Person", ("id",), ()),
+        lambda db: db.join_count("HEmployee", (), "Person", ()),
+        lambda db: db.inclusion_holds("HEmployee", (), "Person", ()),
+    ], ids=["distinct", "fd-lhs", "fd-rhs", "join", "inclusion"])
+    def test_is_an_arity_error(self, db, call):
+        with pytest.raises(ArityError, match="empty attribute list"):
+            call(db)
+        assert db.tracer.events == []
+        assert db.counter.total() == 0
 
 
 class TestRowAccess:

@@ -5,7 +5,7 @@ import pytest
 from repro.core import DBREPipeline
 from repro.dependencies.fd import FunctionalDependency as FD
 from repro.dependencies.ind import InclusionDependency as IND
-from repro.evaluation.counters import cost_report
+from repro.evaluation.counters import cost_report_from_trace
 from repro.evaluation.metrics import (
     PrecisionRecall,
     score_fds,
@@ -102,16 +102,9 @@ class TestCostReport:
     def test_cost_report_from_pipeline(self, paper_db, paper_corpus, paper_expert):
         pipeline = DBREPipeline(paper_db, paper_expert)
         result = pipeline.run(corpus=paper_corpus)
-        # reconstruct from the recording expert the pipeline wrapped
-        report = cost_report_from(result, pipeline)
+        # the run's trace and the recording expert the pipeline wrapped
+        report = cost_report_from_trace(result.trace, pipeline.expert)
+        assert report.total_queries == result.extension_queries
         assert report.expert_decisions == result.expert_decisions
         assert report.expert_by_kind.get("nei") == 1
         assert report.expert_by_kind.get("hidden") == 3
-
-
-def cost_report_from(result, pipeline):
-    from repro.relational.database import QueryCounter
-
-    counter = QueryCounter()
-    counter.count_distinct = result.extension_queries  # aggregate only
-    return cost_report(counter, pipeline.expert)

@@ -1,21 +1,25 @@
-"""InstrumentedBackend: events recorded, delegation untouched."""
+"""Database instruments its four primitives: one recorded call each."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.backends import MemoryBackend
-from repro.obs import InstrumentedBackend, Tracer
+from repro.obs import Tracer
+from repro.relational import Database, DatabaseSchema, RelationSchema
+from repro.relational.domain import INTEGER
 
 
 class StubBackend:
     """A minimal backend standing in for the real ones."""
 
     kind = "stub"
-    marker = "reachable-through-getattr"
 
     def __init__(self):
         self.probed = []
+
+    def attach(self, schema):
+        pass
 
     def probe(self, primitive, relations, attributes):
         self.probed.append((primitive, relations, attributes))
@@ -34,34 +38,37 @@ class StubBackend:
         return False
 
 
-class NoProbeBackend:
-    """A backend without the optional ``probe`` hook (and no ``kind``)."""
-
-    def count_distinct(self, relation, attrs):
-        return 5
-
-
 @pytest.fixture
 def tracer():
     return Tracer()
 
 
+@pytest.fixture
+def stub():
+    return StubBackend()
+
+
+@pytest.fixture
+def db(stub, tracer):
+    return Database(backend=stub, tracer=tracer)
+
+
 class TestEvents:
-    def test_each_primitive_records_one_event(self, tracer):
-        wrapped = InstrumentedBackend(StubBackend(), tracer)
-        assert wrapped.count_distinct("r", ("a",)) == 3
-        assert wrapped.join_count("r", ("a",), "s", ("b",)) == 2
-        assert wrapped.fd_holds("r", ("a",), ("b",)) is True
-        assert wrapped.inclusion_holds("r", ("a",), "s", ("b",)) is False
+    def test_each_primitive_records_one_event(self, db, tracer):
+        assert db.count_distinct("r", ("a",)) == 3
+        assert db.join_count("r", ("a",), "s", ("b",)) == 2
+        assert db.fd_holds("r", ("a",), ("b",)) is True
+        assert db.inclusion_holds("r", ("a",), "s", ("b",)) is False
         assert [e.primitive for e in tracer.events] == [
-            "count_distinct", "join_count", "fd_holds", "inclusion_holds",
+            "count_distinct",
+            "join_count",
+            "fd_holds",
+            "inclusion_holds",
         ]
         assert all(e.backend == "stub" for e in tracer.events)
 
-    def test_event_carries_probe_figures(self, tracer):
-        stub = StubBackend()
-        wrapped = InstrumentedBackend(stub, tracer)
-        wrapped.count_distinct("r", ["a", "b"])
+    def test_event_carries_probe_figures(self, db, stub, tracer):
+        db.count_distinct("r", ["a", "b"])
         (event,) = tracer.events
         assert event.cache_hit is True
         assert event.rows_touched == 42
@@ -70,56 +77,26 @@ class TestEvents:
         # the probe saw the same normalized arguments
         assert stub.probed == [("count_distinct", ("r",), (("a", "b"),))]
 
-    def test_fd_holds_packs_lhs_and_rhs_as_two_attribute_tuples(self, tracer):
-        wrapped = InstrumentedBackend(StubBackend(), tracer)
-        wrapped.fd_holds("r", ["x"], ["y", "z"])
+    def test_fd_holds_packs_lhs_and_rhs_as_two_attribute_tuples(self, db, tracer):
+        db.fd_holds("r", ["x"], ["y", "z"])
         (event,) = tracer.events
         assert event.relations == ("r",)
         assert event.attributes == (("x",), ("y", "z"))
 
-    def test_events_attributed_to_the_open_span(self, tracer):
-        wrapped = InstrumentedBackend(StubBackend(), tracer)
+    def test_events_attributed_to_the_open_span(self, db, tracer):
         with tracer.span("IND-Discovery", kind="phase") as span:
-            wrapped.count_distinct("r", ("a",))
+            db.count_distinct("r", ("a",))
         assert tracer.events[0].span_id == span.span_id
-
-
-class TestDelegation:
-    def test_unknown_attributes_fall_through(self, tracer):
-        stub = StubBackend()
-        wrapped = InstrumentedBackend(stub, tracer)
-        assert wrapped.marker == "reachable-through-getattr"
-        assert wrapped.inner is stub
-
-    def test_missing_probe_defaults_to_cold_miss(self, tracer):
-        wrapped = InstrumentedBackend(NoProbeBackend(), tracer)
-        assert wrapped.count_distinct("r", ("a",)) == 5
-        (event,) = tracer.events
-        assert event.cache_hit is False
-        assert event.rows_touched == 0
-
-    def test_missing_kind_falls_back_to_class_name(self, tracer):
-        wrapped = InstrumentedBackend(NoProbeBackend(), tracer)
-        wrapped.count_distinct("r", ("a",))
-        assert tracer.events[0].backend == "NoProbeBackend"
 
 
 class TestRealBackendProbe:
     def test_memory_backend_reports_hit_after_identical_query(self, tracer):
-        from repro.relational import DatabaseSchema, RelationSchema
-        from repro.relational.domain import INTEGER
+        schema = DatabaseSchema([RelationSchema.build("r", ["a", "b"], types={"a": INTEGER})])
+        db = Database(schema, backend=MemoryBackend(), tracer=tracer)
+        db.insert_many("r", [[1, "x"], [2, "y"], [2, "z"]])
 
-        backend = MemoryBackend()
-        backend.attach(
-            DatabaseSchema(
-                [RelationSchema.build("r", ["a", "b"], types={"a": INTEGER})]
-            )
-        )
-        backend.insert_many("r", [[1, "x"], [2, "y"], [2, "z"]])
-        wrapped = InstrumentedBackend(backend, tracer)
-
-        assert wrapped.count_distinct("r", ("a",)) == 2
-        assert wrapped.count_distinct("r", ("a",)) == 2
+        assert db.count_distinct("r", ("a",)) == 2
+        assert db.count_distinct("r", ("a",)) == 2
         cold, warm = tracer.events
         assert cold.cache_hit is False and cold.rows_touched == 3
         assert warm.cache_hit is True and warm.rows_touched == 0

@@ -4,8 +4,10 @@
 inclusion tests — read each extension as a bag.  Whatever the random
 scenario, loading every relation's rows in another order, on memory
 or SQLite, must leave the recovered IND, FD, RIC and EER, the
-query and decision counts, and the database fingerprint identical; a
-duplicated row or a single edited value must change the fingerprint.
+query and decision counts, and the database fingerprint identical;
+loading every row twice must leave the same outputs (the fingerprint
+hashes the bag, so it changes); a duplicated row or a single edited
+value must change the fingerprint.
 """
 
 import random
@@ -23,8 +25,7 @@ from repro.workloads.scenario import ScenarioConfig, build_scenario
 
 BACKENDS = ("memory", "sqlite")
 
-scenario_configs = st.builds(
-    ScenarioConfig,
+SCENARIO_SIZES = dict(
     seed=st.integers(0, 10_000),
     n_entities=st.integers(4, 6),
     n_one_to_many=st.integers(3, 5),
@@ -32,6 +33,13 @@ scenario_configs = st.builds(
     merges=st.integers(0, 2),
     parent_rows=st.just(8),
     corruption_ind_rate=st.sampled_from([0.0, 0.5]),
+)
+scenario_configs = st.builds(ScenarioConfig, **SCENARIO_SIZES)
+#: the same scenarios at three row-corruption rates
+dirty_scenario_configs = st.builds(
+    ScenarioConfig,
+    corruption_row_rate=st.sampled_from([0.0, 0.12, 0.3]),
+    **SCENARIO_SIZES,
 )
 
 
@@ -86,6 +94,24 @@ class TestRowOrderInvariance:
             database = load(source, kind, shuffled)
             try:
                 assert database_fingerprint(database) == fingerprint, kind
+                assert outputs(database, scenario) == reference, kind
+            finally:
+                database.close()
+
+    @given(dirty_scenario_configs)
+    @settings(max_examples=10, deadline=None)
+    def test_doubled_rows_leave_outputs_unchanged(self, config):
+        scenario = build_scenario(config)
+        source = scenario.database
+        reference = outputs(source, scenario)
+
+        def doubled(name):
+            rows = list(source.backend.rows(name))
+            return rows + rows
+
+        for kind in BACKENDS:
+            database = load(source, kind, doubled)
+            try:
                 assert outputs(database, scenario) == reference, kind
             finally:
                 database.close()
